@@ -47,6 +47,7 @@ from .lens import LensSpec, de_broglie, focal_length, gamma_from_curvature, opti
 from .model import EnvironmentSpec, ProbeSpec, purity_approx, purity_exact, purity_from_covariance, covariance
 from .thermometry import (
     TABLE1_REFERENCE,
+    _tgi_db,
     build_table1,
     lambda_from_temperature,
     relative_purity_rate,
@@ -57,6 +58,11 @@ from .thermometry import (
 )
 
 _TIME_UNITS = (("ns", 1e-9), ("us", 1e-6), ("ms", 1e-3), ("s", 1.0))
+
+#: table1 attaches the TABLE1_REFERENCE residuals when lam is within this
+#: relative distance of the reference 1e15 m^-2 s^-1; --temperature 0.442
+#: resolves to lam = 9.93e14
+TABLE1_LAMBDA_RTOL = 0.01
 
 #: recognized flat key = value configuration keys
 CONFIG_KEYS = (
@@ -371,7 +377,8 @@ def cmd_table1(args, started: float) -> int:
     lam = scenario.lam if scenario.lam is not None else 1e15
     gammas = args.gammas if args.gammas is not None else [r.gamma for r in TABLE1_REFERENCE]
     rows = build_table1(scenario.probe, lam, gammas)
-    reference = {r.gamma: r for r in TABLE1_REFERENCE} if lam == 1e15 else {}
+    near_reference = math.isclose(lam, 1e15, rel_tol=TABLE1_LAMBDA_RTOL)
+    reference = {r.gamma: r for r in TABLE1_REFERENCE} if near_reference else {}
 
     table = []
     for row in rows:
@@ -510,7 +517,7 @@ def cmd_figures(args, started: float) -> int:
         points = []
         for g in (r.gamma for r in TABLE1_REFERENCE):
             t_max = tau_max_exact(probe.with_gamma(g), env)
-            points.append([g, -10.0 * math.log10(t_max / t_ref)])
+            points.append([g, _tgi_db(t_max, t_ref)])
         write("fig5_points.csv", ["gamma", "tgi_db"], points)
     elif args.preset == "figD":
         env = EnvironmentSpec(lam=1e22)
@@ -605,7 +612,7 @@ def cmd_tgi(args, started: float) -> int:
     t_ref = tau_max_exact(probe.with_gamma(0.0), env)
     print(f"tau_max_us = {fmt(t_gamma * 1e6)}")
     print(f"tau_max_approx_us = {fmt(tau_max_approx(probe, env) * 1e6)}")
-    print(f"tgi_db = {fmt(-10.0 * math.log10(t_gamma / t_ref))}")
+    print(f"tgi_db = {fmt(_tgi_db(t_gamma, t_ref))}")
     print(f"tgi_approx_db = {fmt(tgi_approx(probe.gamma))}")
     return 0
 
@@ -734,3 +741,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 
 from . import _dd
 from .constants import HBAR
@@ -427,6 +426,8 @@ def cfi_quadrature(
     # finite-difference roundoff floor of the quadrature route: ~(eps/h)^2
     noise_floor = 1e8 * (2.3e-16 / h) ** 2
     epsabs = 1e-12 * identity if identity > noise_floor else noise_floor
+    from scipy import integrate  # deferred: the only scipy user, kept off `import pmcorr`
+
     out = integrate.quad(integrand, -span, span, epsabs=epsabs, epsrel=1e-10, limit=200, full_output=1)
     if len(out) >= 4:
         raise ConvergenceError(f"quadrature tolerance not met: {out[3]}")

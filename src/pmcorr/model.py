@@ -210,17 +210,22 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     ]
 
 
-def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
-    """1/purity^2 as a quartic in t; eps = (sigma0/ell0)^2."""
+def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """Coefficients of `_purity_bracket` in ascending powers of t."""
     tau = _tau0(mass, sigma0)
     return (
-        1.0
-        + 2.0 * eps
-        + 4.0 * sigma0**2 * lam * t
-        + (4.0 * gamma * lam * HBAR / mass) * t**2
-        + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t**3
-        + (4.0 * lam**2 * HBAR**2 / (3.0 * mass**2)) * t**4
+        1.0 + 2.0 * eps,
+        4.0 * sigma0**2 * lam,
+        4.0 * gamma * lam * HBAR / mass,
+        4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
+        4.0 * lam**2 * HBAR**2 / (3.0 * mass**2),
     )
+
+
+def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
+    """1/purity^2 as a quartic in t; eps = (sigma0/ell0)^2."""
+    c0, c1, c2, c3, c4 = _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam)
+    return c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
 
 
 def _purity_bracket_dt(mass, sigma0, eps, gamma, lam, t):

@@ -9,11 +9,11 @@ decibel scale (TGI).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import HBAR, K_BOLTZMANN
 from .fisher import ConvergenceError, EstimationTarget, qfi_analytic
@@ -21,13 +21,20 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _purity_bracket,
+    _purity_bracket_coefficients,
     _purity_bracket_dt,
     purity_exact,
 )
 
-#: search domain for the purity-rate maximizer, generous around all physical regimes
-TAU_SEARCH_DOMAIN = (1e-9, 1e-2)
-_TAU_SCAN_POINTS = 200
+#: largest relative imaginary part of a root of the stationarity polynomial
+#: still taken as real: eigenvalue rounding can split a real root pair into a
+#: conjugate pair this close to the axis
+_ROOT_IMAG_RTOL = 1e-6
+#: relative margin by which the rate at the knee must exceed the rate at the
+#: neighbouring extrema, far above the ~1e-15 rounding of the rate, so a
+#: maximum that rounding could invent or hide is not reported
+_KNEE_PROMINENCE = 1e-12
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -109,30 +116,90 @@ def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     return _rate(probe, env.lam, t)
 
 
-def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
-    """Interaction time maximizing the relative purity rate.
+def _polyval(coefficients, x: float) -> float:
+    """Horner evaluation of a polynomial given in ascending powers."""
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
-    A 200-point logarithmic scan of TAU_SEARCH_DOMAIN brackets the maximum,
-    which golden-section search then refines on log-t to better than 1e-6
-    relative in t.
+
+def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
+    """Interaction time of the knee: the interior maximum of the purity rate.
+
+    With B = 1/purity^2, the quartic purity bracket, the rate is |B'|/(2B)
+    and d(B'/B)/dt = P/B^2 with P = B''B - B'^2 of degree 6.  The extrema are
+    the real positive roots of P, solved in x = t / `tau_max_approx`, where
+    the coefficients are of order one.  Near-real roots are accepted and
+    polished by Newton steps on P.  A root is a local maximum of the rate
+    exactly when sign(P') sign(B') < 0; the knee is the maximum with the
+    largest rate among those whose rate exceeds that of the neighbouring
+    extrema by more than rounding.  Where no such maximum exists (gamma = 0
+    at lam = 1e33, gamma = 35 at 1e25) this raises ConvergenceError.
     """
     if not env.lam > 0:
         raise ValueError("tau_max requires lam > 0")
-    lo, hi = TAU_SEARCH_DOMAIN
-    grid = np.logspace(math.log10(lo), math.log10(hi), _TAU_SCAN_POINTS)
-    rates = np.array([_rate(probe, env.lam, t) for t in grid])
-    k = int(np.argmax(rates))
-    if k == 0 or k == len(grid) - 1:
-        raise ConvergenceError(
-            f"no interior maximum of the purity rate in [{lo:g}, {hi:g}] s"
-        )
-    res = minimize_scalar(
-        lambda x: -_rate(probe, env.lam, math.exp(x)),
-        bracket=(math.log(grid[k - 1]), math.log(grid[k]), math.log(grid[k + 1])),
-        method="golden",
-        options={"xtol": 1e-8},
+    scale = tau_max_approx(probe, env)
+    coefficients = _purity_bracket_coefficients(
+        probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam
     )
-    return float(math.exp(res.x))
+    try:
+        b = [c * scale**k for k, c in enumerate(coefficients)]
+    except OverflowError:  # scale**4 leaves the float range for lam < ~1e-215
+        raise ConvergenceError(
+            f"no interior maximum of the purity rate: t^4 overflows at lam={env.lam:g}"
+        ) from None
+    d1 = [k * b[k] for k in range(1, 5)]   # B'
+    d2 = [k * d1[k] for k in range(1, 4)]  # B''
+    p = [0.0] * 7
+    for i, u in enumerate(d2):
+        for j, v in enumerate(b):
+            p[i + j] += u * v
+    for i, u in enumerate(d1):
+        for j, v in enumerate(d1):
+            p[i + j] -= u * v
+    dp = [k * p[k] for k in range(1, 7)]
+
+    # Leading coefficients below the rounding of the largest only add roots far
+    # from x ~ 1; left in, they stretch the companion matrix so far that the
+    # eigenvalue solver loses the roots near 1 (weak coupling, lam < ~1e-3).
+    negligible = _EPS * max(map(abs, p))
+    degree = 6
+    while abs(p[degree]) <= negligible:
+        degree -= 1
+    companion = np.eye(degree, k=-1)
+    companion[0] = [-c / p[degree] for c in p[degree - 1::-1]]
+    roots = np.linalg.eigvals(companion)
+
+    extrema = []
+    for z in roots:
+        if not (z.real > 0 and abs(z.imag) <= _ROOT_IMAG_RTOL * abs(z)):
+            continue
+        x = float(z.real)
+        for _ in range(2):
+            slope = _polyval(dp, x)
+            if slope == 0.0:
+                break
+            x -= _polyval(p, x) / slope
+        if 0.0 < x < math.inf:
+            extrema.append(x)
+    extrema.sort()
+    rates = [abs(_polyval(d1, x)) / (2.0 * _polyval(b, x)) for x in extrema]
+
+    knee = None
+    for i, x in enumerate(extrema):
+        if _polyval(dp, x) * _polyval(d1, x) >= 0.0:
+            continue  # a minimum of the rate
+        neighbours = rates[max(i - 1, 0):i] + rates[i + 1:i + 2]
+        if any(rates[i] <= r * (1.0 + _KNEE_PROMINENCE) for r in neighbours):
+            continue  # not resolvable from the adjacent minimum
+        if knee is None or rates[i] > rates[knee]:
+            knee = i
+    if knee is None:
+        raise ConvergenceError(
+            f"no interior maximum of the purity rate at gamma={probe.gamma:g}, lam={env.lam:g}"
+        )
+    return extrema[knee] * scale
 
 
 def tau_max_approx(probe: ProbeSpec, env: EnvironmentSpec) -> float:
@@ -145,11 +212,16 @@ def tau_max_approx(probe: ProbeSpec, env: EnvironmentSpec) -> float:
     return (3.0 * tau**2 / (2.0 * (1.0 + probe.gamma**2) * env.lam * probe.sigma0**2)) ** (1.0 / 3.0)
 
 
+def _tgi_db(t_gamma: float, t_ref: float) -> float:
+    """-10 log10(t_gamma / t_ref), with +0.0 rather than -0.0 for equal times."""
+    return 0.0 - 10.0 * math.log10(t_gamma / t_ref)
+
+
 def tgi(probe: ProbeSpec, env: EnvironmentSpec) -> float:
     """Temporal gain of information in dB, referenced to the gamma = 0 probe."""
     t_gamma = tau_max_exact(probe, env)
     t_ref = tau_max_exact(probe.with_gamma(0.0), env)
-    return -10.0 * math.log10(t_gamma / t_ref)
+    return _tgi_db(t_gamma, t_ref)
 
 
 def tgi_approx(gamma: float) -> float:
@@ -175,7 +247,7 @@ def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[
                     purity_at_tau_max=purity_exact(p, env, t_max),
                     relative_purity_rate=relative_purity_rate(p, env, t_max),
                     lambda_sq_qfi=lam**2 * qfi_analytic(EstimationTarget.LAMBDA, p, env, t_max),
-                    tgi_db=-10.0 * math.log10(t_max / t_ref),
+                    tgi_db=_tgi_db(t_max, t_ref),
                 )
             )
         except (ValueError, ConvergenceError) as exc:

@@ -1,6 +1,10 @@
 """Command-line interface: parsing, CSV contracts, exit codes, presets."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,14 @@ class TestTable1:
         assert len(lines) == 2
         assert float(lines[1].split()[-1]) == 0.0
 
+    def test_reference_matched_within_tolerance(self, tmp_path):
+        # --temperature 0.442 resolves to lam = 9.93e14, within 1% of the reference
+        out = tmp_path / "table1.csv"
+        assert main(["table1", "--temperature", "0.442", "--out", str(out), "--quiet"]) == 0
+        data = read_csv(out)
+        assert np.all(np.abs(data["resid_tau_max_rel"]) <= 0.01)
+        assert np.all(np.abs(data["resid_tgi_db"]) <= 0.1)
+
     def test_lambda_scaling(self, tmp_path):
         out1, out4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
         assert main(["table1", "--gammas", "0", "35", "--out", str(out1), "--quiet"]) == 0
@@ -158,6 +170,7 @@ class TestTable1:
         tau1 = read_csv(out1)["tau_max_us"]
         tau4 = read_csv(out4)["tau_max_us"]
         np.testing.assert_allclose(tau1 / tau4, 4.0 ** (1.0 / 3.0), rtol=0.02)
+        assert np.all(np.isnan(read_csv(out4)["resid_tau_max_rel"]))
 
 
 class TestConvert:
@@ -260,7 +273,28 @@ class TestScalarCommands:
     def test_missing_time_is_validation_error(self, capsys):
         assert main(["purity", "--gamma", "0", "--lambda", "1e15"]) == 2
 
+    def test_tgi_uncorrelated_prints_positive_zero(self, capsys):
+        assert main(["tgi", "--gamma", "0", "--lambda", "1e15"]) == 0
+        assert "tgi_db = 0\n" in capsys.readouterr().out
+
+    def test_tgi_cryogenic_coupling(self, capsys):
+        assert main(["tgi", "--gamma", "0", "--lambda", "1e10"]) == 0
+        values = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        assert float(values["tau_max_us"]) == pytest.approx(1.057e4, rel=1e-3)
+
     def test_numerical_failure_exit_code(self, capsys):
-        # the purity-rate maximizer falls below the search domain at this coupling
+        # no resolvable interior maximum of the purity rate at this coupling
         assert main(["tgi", "--gamma", "0", "--lambda", "1e33"]) == 3
         assert "no interior maximum" in capsys.readouterr().err
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["pmcorr", "pmcorr.cli"])
+    def test_python_dash_m(self, module):
+        src = Path(pc.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "convert", "--to-lambda", "0.442", "--quiet"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.strip()) == pytest.approx(1.0e15, rel=0.02)

@@ -1,6 +1,11 @@
 """Coupling-temperature map, purity-rate maximizer, and the gain table."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -15,6 +20,37 @@ from pmcorr.fisher import ConvergenceError
 FULLERENE = pc.fullerene_probe()
 ENV15 = pc.EnvironmentSpec(lam=1e15)
 AIR = (AIR_MOLECULE_MASS, AIR_NUMBER_DENSITY, FULLERENE_MOLECULE_SIZE)
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scan_knee(probe, env, lo=1e-10, hi=1.0, per_decade=200):
+    """Knee by brute force, independent of the closed form.
+
+    Samples the purity rate on a log grid, keeps the interior local maxima,
+    refines each by golden-section search in log t and returns the one with
+    the largest rate.
+    """
+    logs = np.linspace(math.log(lo), math.log(hi), int(per_decade * math.log10(hi / lo)) + 1)
+
+    def rate(log_t):
+        return pc.relative_purity_rate(probe, env, math.exp(log_t))
+
+    r = [rate(x) for x in logs]
+    best = None
+    for k in range(1, len(logs) - 1):
+        if not r[k - 1] < r[k] >= r[k + 1]:
+            continue
+        a, b = logs[k - 1], logs[k + 1]
+        while b - a > 1e-11:
+            c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+            if rate(c) >= rate(d):
+                b = d
+            else:
+                a = c
+        x = 0.5 * (a + b)
+        if best is None or rate(x) > rate(best):
+            best = x
+    return math.exp(best)
 
 
 class TestConversions:
@@ -136,14 +172,52 @@ class TestTauMax:
             pc.tau_max_approx(FULLERENE, pc.EnvironmentSpec(lam=0.0))
 
     def test_out_of_domain_maximum(self):
-        # at lam = 1e33 the maximizer sits below the search domain
+        # at lam = 1e33 the rate's maximum rises above the neighbouring
+        # minimum by ~1e-25 relative, far below what double precision resolves
         with pytest.raises(ConvergenceError, match="no interior maximum"):
             pc.tau_max_exact(FULLERENE, pc.EnvironmentSpec(lam=1e33))
+
+    @pytest.mark.parametrize("ell0", [5e-8, math.inf])
+    @pytest.mark.parametrize("gamma", [-50.0, -1.0, 0.0, 35.0, 150.0])
+    def test_closed_form_matches_scan(self, gamma, ell0):
+        probe = pc.fullerene_probe(gamma=gamma, ell0=ell0)
+        for lam in np.logspace(10, 20, 11):
+            env = pc.EnvironmentSpec(lam=float(lam))
+            assert_allclose(pc.tau_max_exact(probe, env), scan_knee(probe, env), rtol=1e-6)
+
+    def test_uncorrelated_knee_is_the_approximant(self):
+        # for gamma = 0, t = tau_max_approx is an exact root of B''B - B'^2
+        for lam in np.logspace(-3, 25, 29):
+            for ell0 in (5e-8, math.inf):
+                probe = pc.fullerene_probe(ell0=ell0)
+                env = pc.EnvironmentSpec(lam=float(lam))
+                assert_allclose(pc.tau_max_exact(probe, env), pc.tau_max_approx(probe, env), rtol=1e-12)
+
+    def test_cryogenic_coupling_has_a_knee(self):
+        # ~0.2 mK air: the knee lies beyond 1e-2 s
+        t = pc.tau_max_exact(FULLERENE, pc.EnvironmentSpec(lam=1e10))
+        assert_allclose(t, 1.057e-2, rtol=1e-3)
+
+    def test_strong_coupling_interior_knee(self):
+        # the rate's supremum sits at t -> 0 here; the knee is the interior maximum
+        env = pc.EnvironmentSpec(lam=1e22)
+        t = pc.tau_max_exact(FULLERENE, env)
+        assert_allclose(t, 1.057e-6, rtol=1e-3)
+        assert pc.relative_purity_rate(FULLERENE, env, 1e-12) > pc.relative_purity_rate(FULLERENE, env, t)
+
+    def test_weak_coupling_and_overflow(self):
+        # the polynomial's tiny leading coefficients must not hide the knee
+        t = pc.tau_max_exact(FULLERENE.with_gamma(35.0), pc.EnvironmentSpec(lam=1e-5))
+        assert_allclose(t, scan_knee(FULLERENE.with_gamma(35.0), pc.EnvironmentSpec(lam=1e-5),
+                                     lo=1.0, hi=1e3), rtol=1e-6)
+        with pytest.raises(ConvergenceError, match="no interior maximum"):
+            pc.tau_max_exact(FULLERENE, pc.EnvironmentSpec(lam=1e-300))
 
 
 class TestTgi:
     def test_uncorrelated_is_zero(self):
-        assert pc.tgi(FULLERENE.with_gamma(0.0), ENV15) == 0.0
+        value = pc.tgi(FULLERENE.with_gamma(0.0), ENV15)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("gamma,expected", [(150.0, 14.45), (-25.0, 9.24)])
     def test_reference_values(self, gamma, expected):
@@ -168,7 +242,7 @@ class TestBuildTable:
     def test_singleton_zero(self):
         rows = pc.build_table1(FULLERENE, 1e15, [0.0])
         assert len(rows) == 1
-        assert rows[0].tgi_db == 0.0
+        assert rows[0].tgi_db == 0.0 and math.copysign(1.0, rows[0].tgi_db) == 1.0
         assert 0.0 < rows[0].purity_at_tau_max < 1.0
 
     def test_order_preserved(self):
@@ -203,3 +277,11 @@ class TestReferenceTable:
         assert [r.gamma for r in pc.TABLE1_REFERENCE] == [-50.0, -25.0, -1.0, 0.0, 35.0, 70.0, 150.0]
         zero = next(r for r in pc.TABLE1_REFERENCE if r.gamma == 0.0)
         assert zero.tgi_db == 0.0
+
+
+def test_import_loads_no_scipy():
+    src = Path(pc.__file__).resolve().parents[1]
+    code = "import sys, pmcorr; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
