@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -47,12 +48,10 @@ from .lens import LensSpec, de_broglie, focal_length, gamma_from_curvature, opti
 from .model import EnvironmentSpec, ProbeSpec, purity_approx, purity_exact, purity_from_covariance, covariance
 from .thermometry import (
     TABLE1_REFERENCE,
-    _tgi_db,
     build_table1,
     lambda_from_temperature,
     relative_purity_rate,
     tau_max_approx,
-    tau_max_exact,
     temperature_from_lambda,
     tgi_approx,
 )
@@ -115,21 +114,6 @@ def load_config(path: str) -> dict[str, float]:
     return values
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record accompanying every output file."""
-
-    tool: str
-    version: str
-    command: str
-    constants: dict
-    parameters: dict
-    duration_s: float
-
-    def as_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
-
-
 @dataclass
 class Scenario:
     """Fully resolved parameter set: defaults < config file < CLI flags."""
@@ -186,9 +170,7 @@ def _resolve(args: argparse.Namespace) -> Scenario:
     if lam is None and temperature is not None:
         lam = lambda_from_temperature(temperature, m_air, density, size)
 
-    t = getattr(args, "t", None)
-    if t is None:
-        t = cfg.get("t_s")
+    t = pick(getattr(args, "t", None), "t_s", None)
 
     probe = ProbeSpec(mass=mass, sigma0=sigma0, ell0=ell0, gamma=gamma)
     return Scenario(probe=probe, lam=lam, m_air=m_air, number_density=density,
@@ -200,16 +182,17 @@ def _resolve(args: argparse.Namespace) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _write_manifest(out_path: Path, command: str, scenario_dict: dict, started: float) -> None:
-    manifest = RunManifest(
-        tool="pmcorr",
-        version=__version__,
-        command=command,
-        constants={"hbar_Js": HBAR, "k_boltzmann_JK": K_BOLTZMANN, "planck_h_Js": PLANCK_H},
-        parameters=scenario_dict,
-        duration_s=time.monotonic() - started,
-    )
+    """Provenance sidecar: tool version, constants, resolved parameters, duration."""
+    manifest = {
+        "tool": "pmcorr",
+        "version": __version__,
+        "command": command,
+        "constants": {"hbar_Js": HBAR, "k_boltzmann_JK": K_BOLTZMANN, "planck_h_Js": PLANCK_H},
+        "parameters": scenario_dict,
+        "duration_s": time.monotonic() - started,
+    }
     out_path.with_name(out_path.name + ".manifest.json").write_text(
-        manifest.as_json(), encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -274,93 +257,168 @@ def _write_svg(path: Path, header: list[str], rows: list[list[float]]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# grid evaluation
+# ---------------------------------------------------------------------------
+
+_GAMMA, _LAMBDA = EstimationTarget.GAMMA, EstimationTarget.LAMBDA
+
+_AXIS_COLUMN = {"gamma": "gamma", "lambda": "lambda_per_m2s", "time": "time_s"}
+#: position of each axis kind among a group's (probe, env, t) arguments
+_AXIS_ARG = {"gamma": 0, "lambda": 1, "time": 2}
+
+
+def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) -> list[list[float]]:
+    """Rows of axis values followed by group cells, over the product of `axes`.
+
+    Each axis is a (kind, values) pair, kind "gamma", "lambda" or "time", the
+    first axis varying slowest; an axis overrides the fixed `lam` or `t` of its
+    kind.  Each group maps (probe, env, t) to a list of cells.  Probes and
+    environments are built once per axis value, not once per row.  A row whose
+    groups fail numerically raises ConvergenceError naming its index and point.
+    """
+    build = {"gamma": probe.with_gamma, "lambda": lambda v: EnvironmentSpec(lam=v), "time": float}
+    levels = [[(kind, v, build[kind](v)) for v in map(float, values)] for kind, values in axes]
+    on_axis = any(kind == "lambda" for kind, _ in axes)
+    args = [probe, None if on_axis else EnvironmentSpec(lam=lam), t]
+    rows = []
+    for point in itertools.product(*levels):
+        for kind, _, arg in point:
+            args[_AXIS_ARG[kind]] = arg
+        try:
+            cells = [cell for group in groups for cell in group(*args)]
+        except (ConvergenceError, ArithmeticError) as exc:
+            where = ", ".join(f"{_AXIS_COLUMN[kind]}={v!r}" for kind, v, _ in point)
+            raise ConvergenceError(f"row {len(rows)} ({where}) failed: {exc}") from exc
+        rows.append([v for _, v, _ in point] + cells)
+    return rows
+
+
+def _lambda_sq_qfi(probe, env, t):
+    return [env.lam**2 * qfi_analytic(_LAMBDA, probe, env, t)]
+
+
+def _purity_slope(target):
+    """Group of purity and its relative slope |d purity / d theta| / purity, from one purity."""
+    def cells(probe, env, t):
+        mu = purity_exact(probe, env, t)
+        return [mu, abs(purity_derivative(target, probe, env, t)) / mu]
+
+    return cells
+
+
+def _per_gamma(gammas, *groups):
+    """Group of wide columns: each group in turn, evaluated at each fixed gamma in turn."""
+    memo = [None, []]  # the last row probe and its fixed-gamma copies, shared by its rows
+
+    def cells(probe, env, t):
+        if memo[0] is not probe:
+            memo[:] = probe, [probe.with_gamma(g) for g in gammas]
+        return [cell for group in groups for p in memo[1] for cell in group(p, env, t)]
+
+    return cells
+
+
+_GAMMA_AXIS = ("gamma", np.linspace(-150.0, 150.0, 301))
+_FIG4_GAMMAS = (0.0, 10.0, 50.0)
+_FIG4_TIMES = ("time", np.logspace(-6, math.log10(5e-3), 220))
+_FIGE_GAMMAS = (-10.0, 0.0, 5.0)
+
+#: figure preset -> files, each (name, group columns, axes, lam, t, groups); a
+#: None lam is the scenario's coupling (default 1e15), a None t is on an axis or unused
+_FIGURES = {
+    "fig2": [
+        (f"fig2{panel}.csv", ["qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
+         [_GAMMA_AXIS], lam, 1e-6,
+         [lambda p, e, t: [qfi_analytic(_GAMMA, p, e, t), cfi_closed(_GAMMA, p, e, t)],
+          _purity_slope(_GAMMA)])
+        for panel, lam in (("a", 0.0), ("b", 1e20), ("c", 1e22), ("d", 1e23))
+    ],
+    "fig3": [
+        (f"fig3{panel}.csv", ["lambda_sq_qfi", "lambda_sq_cfi", "purity", "rel_purity_slope_gamma"],
+         [_GAMMA_AXIS], lam, 50e-6,
+         [_lambda_sq_qfi, lambda p, e, t: [e.lam**2 * cfi_closed(_LAMBDA, p, e, t)],
+          _purity_slope(_GAMMA)])
+        for panel, lam in (("a", 1e15), ("b", 1e21))
+    ],
+    "fig4": [
+        ("fig4a.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIG4_GAMMAS],
+         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _lambda_sq_qfi)]),
+        ("fig4b.csv", [f"purity_gamma{g:g}" for g in _FIG4_GAMMAS]
+         + [f"purity_rate_per_s_gamma{g:g}" for g in _FIG4_GAMMAS],
+         [_FIG4_TIMES], 1e15, None,
+         [_per_gamma(_FIG4_GAMMAS, lambda p, e, t: [purity_exact(p, e, t)],
+                     lambda p, e, t: [relative_purity_rate(p, e, t)])]),
+    ],
+    # fig5 also writes fig5_points.csv from the gain table, see cmd_figures
+    "fig5": [("fig5_curve.csv", ["tgi_approx_db"], [_GAMMA_AXIS], None, None,
+              [lambda p, e, t: [tgi_approx(p.gamma)]])],
+    "figD": [
+        ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
+         [("gamma", np.linspace(-150.0, 150.0, 61)), ("time", np.logspace(-7, -4, 41))], 1e22, None,
+         [lambda p, e, t: [qfi_analytic(_GAMMA, p, e, t)], _purity_slope(_GAMMA)]),
+    ],
+    "figE": [
+        ("figE.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIGE_GAMMAS]
+         + [f"{column}_gamma{g:g}" for g in _FIGE_GAMMAS
+            for column in ("purity", "rel_purity_slope_lambda")],
+         [("lambda", np.logspace(13, 22, 181))], None, 50e-6,
+         [_per_gamma(_FIGE_GAMMAS, _lambda_sq_qfi, _purity_slope(_LAMBDA))]),
+    ],
+}
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """One validated axis sweep: target, axis range, fixed scenario, output."""
-
-    target: str                     # "gamma" | "lambda" | "purity"
-    axis: str                       # "gamma" | "lambda" | "time"
-    minimum: float
-    maximum: float
-    points: int
-    log: bool
-    scenario: Scenario
-    out: str | None
-    emit_svg: bool
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
-        if self.minimum >= self.maximum:
-            raise ValueError("min must be < max")
-        if self.log and self.minimum <= 0:
-            raise ValueError("log axis requires min > 0")
-
-    def values(self) -> np.ndarray:
-        if self.log:
-            return np.logspace(math.log10(self.minimum), math.log10(self.maximum), self.points)
-        return np.linspace(self.minimum, self.maximum, self.points)
-
-
 def cmd_sweep(args, started: float) -> int:
     scenario = _resolve(args)
-    request = SweepRequest(
-        target=args.target, axis=args.axis, minimum=args.min, maximum=args.max,
-        points=args.points, log=args.log, scenario=scenario, out=args.out,
-        emit_svg=args.format == "svg",
-    )
-    values = request.values()
-    target = None if request.target == "purity" else EstimationTarget(request.target)
+    if args.points < 2:
+        raise ValueError("points must be >= 2")
+    if args.min >= args.max:
+        raise ValueError("min must be < max")
+    if args.log and args.min <= 0:
+        raise ValueError("log axis requires min > 0")
+    if args.log:
+        values = np.logspace(math.log10(args.min), math.log10(args.max), args.points)
+    else:
+        values = np.linspace(args.min, args.max, args.points)
+    if args.axis != "lambda":
+        scenario.env()  # a coupling is needed off the lambda axis
+    times = values if args.axis == "time" else [scenario.t]
+    if any(t is None or t <= 0 for t in times):
+        raise ValueError("sweep needs a positive interaction time (--t or the time axis)")
 
-    axis_name = {"gamma": "gamma", "lambda": "lambda_per_m2s", "time": "time_s"}[request.axis]
-    header = [axis_name, "purity", "relative_purity_rate_per_s"]
-    if target is EstimationTarget.GAMMA:
+    target = None if args.target == "purity" else EstimationTarget(args.target)
+    header = [_AXIS_COLUMN[args.axis], "purity", "relative_purity_rate_per_s"]
+    if target is _GAMMA:
         header += ["qfi_analytic", "qfi_numeric", "cfi_closed"]
-    elif target is EstimationTarget.LAMBDA:
+    elif target is _LAMBDA:
         header += [
             "qfi_analytic_m4s2", "qfi_numeric_m4s2", "cfi_closed_m4s2",
             "lambda_sq_qfi", "temperature_equivalent_k",
         ]
 
-    rows = []
-    for i, v in enumerate(values):
-        probe, lam, t = scenario.probe, scenario.lam, scenario.t
-        if request.axis == "gamma":
-            probe = probe.with_gamma(float(v))
-        elif request.axis == "lambda":
-            lam = float(v)
-        else:
-            t = float(v)
-        if lam is None:
-            raise ValueError("no coupling given: set --lambda or --temperature (or config)")
-        if t is None or t <= 0:
-            raise ValueError("sweep needs a positive interaction time (--t or the time axis)")
-        env = EnvironmentSpec(lam=lam)
-        try:
-            row = [float(v), purity_exact(probe, env, t), relative_purity_rate(probe, env, t)]
-            if target is not None:
-                row += [
-                    qfi_analytic(target, probe, env, t),
-                    qfi_numeric(target, probe, env, t),
-                    cfi_closed(target, probe, env, t),
-                ]
-            if target is EstimationTarget.LAMBDA:
-                row += [
-                    lam**2 * row[3],
-                    temperature_from_lambda(
-                        lam, scenario.m_air, scenario.number_density, scenario.molecule_size
-                    ),
-                ]
-        except ConvergenceError as exc:
-            print(f"sweep row {i} ({axis_name}={v!r}) failed: {exc}", file=sys.stderr)
-            return 3
-        rows.append(row)
+    def cells(probe, env, t):
+        row = [purity_exact(probe, env, t), relative_purity_rate(probe, env, t)]
+        if target is not None:
+            row += [
+                qfi_analytic(target, probe, env, t),
+                qfi_numeric(target, probe, env, t),
+                cfi_closed(target, probe, env, t),
+            ]
+        if target is _LAMBDA:
+            gas = (scenario.m_air, scenario.number_density, scenario.molecule_size)
+            row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *gas)]
+        return row
 
-    _emit_csv(header, rows, request.out, "sweep", scenario.as_dict(), started,
-              svg=request.emit_svg, quiet=args.quiet)
+    try:
+        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [cells])
+    except ConvergenceError as exc:  # _grid names the failing row
+        print(f"sweep {exc}", file=sys.stderr)
+        return 3
+    _emit_csv(header, rows, args.out, "sweep", scenario.as_dict(), started,
+              svg=args.format == "svg", quiet=args.quiet)
     return 0
 
 
@@ -383,20 +441,16 @@ def cmd_table1(args, started: float) -> int:
     table = []
     for row in rows:
         ref = reference.get(row.gamma)
-        nan = float("nan")
         table.append([
             row.gamma, row.tau_max * 1e6, row.purity_at_tau_max,
             row.relative_purity_rate, row.lambda_sq_qfi, row.tgi_db,
-            ref.tau_max * 1e6 if ref else nan,
-            ref.relative_purity_rate if ref else nan,
-            ref.lambda_sq_qfi if ref else nan,
-            ref.tgi_db if ref else nan,
-            (row.tau_max - ref.tau_max) / ref.tau_max if ref else nan,
-            (row.relative_purity_rate - ref.relative_purity_rate) / ref.relative_purity_rate
-            if ref else nan,
-            (row.lambda_sq_qfi - ref.lambda_sq_qfi) / ref.lambda_sq_qfi if ref else nan,
-            row.tgi_db - ref.tgi_db if ref else nan,
-        ])
+        ] + ([
+            ref.tau_max * 1e6, ref.relative_purity_rate, ref.lambda_sq_qfi, ref.tgi_db,
+            (row.tau_max - ref.tau_max) / ref.tau_max,
+            (row.relative_purity_rate - ref.relative_purity_rate) / ref.relative_purity_rate,
+            (row.lambda_sq_qfi - ref.lambda_sq_qfi) / ref.lambda_sq_qfi,
+            row.tgi_db - ref.tgi_db,
+        ] if ref else [float("nan")] * 8))
 
     if args.out:
         _emit_csv(_TABLE1_HEADER, table, args.out, "table1", scenario.as_dict(), started,
@@ -414,15 +468,12 @@ def cmd_convert(args, started: float) -> int:
     scenario = _resolve(args)
     m_air, density, size = scenario.m_air, scenario.number_density, scenario.molecule_size
     if args.to_lambda is not None:
-        if args.to_lambda < 0:
-            raise ValueError(f"temperature must be >= 0, got {args.to_lambda}")
         value = lambda_from_temperature(args.to_lambda, m_air, density, size)
-        print(fmt(value))
+    elif args.to_temp < 0:
+        raise ValueError(f"lambda must be >= 0, got {args.to_temp}")
     else:
-        if args.to_temp < 0:
-            raise ValueError(f"lambda must be >= 0, got {args.to_temp}")
         value = temperature_from_lambda(args.to_temp, m_air, density, size)
-        print(fmt(value))
+    print(fmt(value))
     if not args.quiet:
         print(
             f"# environment: m_air={fmt(m_air)} kg, number_density={fmt(density)} m^-3, "
@@ -432,7 +483,8 @@ def cmd_convert(args, started: float) -> int:
     return 0
 
 
-def _figure_writer(args, scenario, started):
+def cmd_figures(args, started: float) -> int:
+    scenario = _resolve(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     marker = outdir / ".write_test"
@@ -443,116 +495,15 @@ def _figure_writer(args, scenario, started):
         _emit_csv(header, rows, str(outdir / name), f"figures:{args.preset}",
                   scenario.as_dict(), started, svg=args.format == "svg", quiet=args.quiet)
 
-    return write
-
-
-def cmd_figures(args, started: float) -> int:
-    scenario = _resolve(args)
-    probe = scenario.probe
-    write = _figure_writer(args, scenario, started)
-    gam = EstimationTarget.GAMMA
-    lamt = EstimationTarget.LAMBDA
-
-    if args.preset == "fig2":
-        t = 1e-6
-        for panel, lam in (("a", 0.0), ("b", 1e20), ("c", 1e22), ("d", 1e23)):
-            env = EnvironmentSpec(lam=lam)
-            rows = []
-            for g in np.linspace(-150.0, 150.0, 301):
-                p = probe.with_gamma(float(g))
-                mu = purity_exact(p, env, t)
-                rows.append([
-                    g,
-                    qfi_analytic(gam, p, env, t),
-                    cfi_closed(gam, p, env, t),
-                    mu,
-                    abs(purity_derivative(gam, p, env, t)) / mu,
-                ])
-            write(f"fig2{panel}.csv",
-                  ["gamma", "qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
-                  rows)
-    elif args.preset == "fig3":
-        t = 50e-6
-        for panel, lam in (("a", 1e15), ("b", 1e21)):
-            env = EnvironmentSpec(lam=lam)
-            rows = []
-            for g in np.linspace(-150.0, 150.0, 301):
-                p = probe.with_gamma(float(g))
-                mu = purity_exact(p, env, t)
-                rows.append([
-                    g,
-                    lam**2 * qfi_analytic(lamt, p, env, t),
-                    lam**2 * cfi_closed(lamt, p, env, t),
-                    mu,
-                    abs(purity_derivative(gam, p, env, t)) / mu,
-                ])
-            write(f"fig3{panel}.csv",
-                  ["gamma", "lambda_sq_qfi", "lambda_sq_cfi", "purity", "rel_purity_slope_gamma"],
-                  rows)
-    elif args.preset == "fig4":
-        lam = 1e15
-        env = EnvironmentSpec(lam=lam)
-        gammas = (0.0, 10.0, 50.0)
-        times = np.logspace(-6, math.log10(5e-3), 220)
-        qfi_rows, state_rows = [], []
-        for t in times:
-            probes = [probe.with_gamma(g) for g in gammas]
-            qfi_rows.append([t] + [lam**2 * qfi_analytic(lamt, p, env, float(t)) for p in probes])
-            state_rows.append(
-                [t]
-                + [purity_exact(p, env, float(t)) for p in probes]
-                + [relative_purity_rate(p, env, float(t)) for p in probes]
-            )
-        write("fig4a.csv",
-              ["time_s"] + [f"lambda_sq_qfi_gamma{g:g}" for g in gammas], qfi_rows)
-        write("fig4b.csv",
-              ["time_s"] + [f"purity_gamma{g:g}" for g in gammas]
-              + [f"purity_rate_per_s_gamma{g:g}" for g in gammas], state_rows)
-    elif args.preset == "fig5":
-        lam = scenario.lam if scenario.lam is not None else 1e15
-        env = EnvironmentSpec(lam=lam)
-        curve = [[g, tgi_approx(float(g))] for g in np.linspace(-150.0, 150.0, 301)]
-        write("fig5_curve.csv", ["gamma", "tgi_approx_db"], curve)
-        t_ref = tau_max_exact(probe.with_gamma(0.0), env)
-        points = []
-        for g in (r.gamma for r in TABLE1_REFERENCE):
-            t_max = tau_max_exact(probe.with_gamma(g), env)
-            points.append([g, _tgi_db(t_max, t_ref)])
-        write("fig5_points.csv", ["gamma", "tgi_db"], points)
-    elif args.preset == "figD":
-        env = EnvironmentSpec(lam=1e22)
-        rows = []
-        for g in np.linspace(-150.0, 150.0, 61):
-            p = probe.with_gamma(float(g))
-            for t in np.logspace(-7, -4, 41):
-                mu = purity_exact(p, env, float(t))
-                rows.append([
-                    g, t,
-                    qfi_analytic(gam, p, env, float(t)),
-                    mu,
-                    abs(purity_derivative(gam, p, env, float(t))) / mu,
-                ])
-        write("figD_grid.csv",
-              ["gamma", "time_s", "qfi_gamma", "purity", "rel_purity_slope_gamma"], rows)
-    elif args.preset == "figE":
-        t = 50e-6
-        gammas = (-10.0, 0.0, 5.0)
-        rows = []
-        for lam in np.logspace(13, 22, 181):
-            env = EnvironmentSpec(lam=float(lam))
-            row = [lam]
-            for g in gammas:
-                p = probe.with_gamma(g)
-                row.append(lam**2 * qfi_analytic(lamt, p, env, t))
-            for g in gammas:
-                p = probe.with_gamma(g)
-                mu = purity_exact(p, env, t)
-                row += [mu, abs(purity_derivative(lamt, p, env, t)) / mu]
-            rows.append(row)
-        header = ["lambda_per_m2s"] + [f"lambda_sq_qfi_gamma{g:g}" for g in gammas]
-        for g in gammas:
-            header += [f"purity_gamma{g:g}", f"rel_purity_slope_lambda_gamma{g:g}"]
-        write("figE.csv", header, rows)
+    coupling = scenario.lam if scenario.lam is not None else 1e15
+    for name, columns, axes, lam, t, groups in _FIGURES[args.preset]:
+        header = [_AXIS_COLUMN[kind] for kind, _ in axes] + columns
+        write(name, header, _grid(scenario.probe, coupling if lam is None else lam, t, axes, groups))
+    if args.preset == "fig5":
+        if not coupling > 0:
+            raise ValueError("tau_max requires lam > 0")
+        table = build_table1(scenario.probe, coupling, [r.gamma for r in TABLE1_REFERENCE])
+        write("fig5_points.csv", ["gamma", "tgi_db"], [[row.gamma, row.tgi_db] for row in table])
     return 0
 
 
@@ -608,11 +559,11 @@ def cmd_cfi(args, started: float) -> int:
 def cmd_tgi(args, started: float) -> int:
     scenario = _resolve(args)
     probe, env = scenario.probe, scenario.env()
-    t_gamma = tau_max_exact(probe, env)
-    t_ref = tau_max_exact(probe.with_gamma(0.0), env)
-    print(f"tau_max_us = {fmt(t_gamma * 1e6)}")
-    print(f"tau_max_approx_us = {fmt(tau_max_approx(probe, env) * 1e6)}")
-    print(f"tgi_db = {fmt(_tgi_db(t_gamma, t_ref))}")
+    approx = tau_max_approx(probe, env)
+    row = build_table1(probe, env.lam, [probe.gamma])[0]
+    print(f"tau_max_us = {fmt(row.tau_max * 1e6)}")
+    print(f"tau_max_approx_us = {fmt(approx * 1e6)}")
+    print(f"tgi_db = {fmt(row.tgi_db)}")
     print(f"tgi_approx_db = {fmt(tgi_approx(probe.gamma))}")
     return 0
 
@@ -623,17 +574,15 @@ def cmd_tgi(args, started: float) -> int:
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False) -> None:
     """Output/behavior flags, accepted both before and after the subcommand."""
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--config", help="flat key = value configuration file",
-                        **({"default": None} if not suppress else kw))
-    parser.add_argument("--out", help="output file path (CSV); default is stdout",
-                        **({"default": None} if not suppress else kw))
-    parser.add_argument("--format", choices=("csv", "svg"),
-                        help="svg additionally writes decorative charts next to the CSV",
-                        **({"default": "csv"} if not suppress else kw))
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress informational messages",
-                        **({"default": False} if not suppress else kw))
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--config", default=default(None), help="flat key = value configuration file")
+    parser.add_argument("--out", default=default(None), help="output file path (CSV); default is stdout")
+    parser.add_argument("--format", choices=("csv", "svg"), default=default("csv"),
+                        help="svg additionally writes decorative charts next to the CSV")
+    parser.add_argument("--quiet", action="store_true", default=default(False),
+                        help="suppress informational messages")
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser, with_t: bool = True) -> None:
@@ -690,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert.set_defaults(func=cmd_convert)
 
     figures = _sub("figures", "write figure-preset CSV data sets")
-    figures.add_argument("--preset", choices=("fig2", "fig3", "fig4", "fig5", "figD", "figE"),
-                         required=True)
+    figures.add_argument("--preset", choices=tuple(_FIGURES), required=True)
     figures.add_argument("--outdir", default=".")
     _add_scenario_flags(figures)
     figures.set_defaults(func=cmd_figures)
@@ -731,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

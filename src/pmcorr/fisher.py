@@ -86,9 +86,8 @@ class PhiCoefficients:
 
     The common coherence-length power (ell0^2 for the gamma target, ell0^4
     for the lam target) is cancelled between the coefficients and the overall
-    prefactor, so fully coherent sources stay finite.  For the lam target the
-    z0/z1/z2 aliases name the same slots and ``big_gamma`` carries the
-    combination 2 (sigma0/ell0)^2 + gamma^2 + 1.
+    prefactor, so fully coherent sources stay finite.  For the lam target
+    ``big_gamma`` carries the combination 2 (sigma0/ell0)^2 + gamma^2 + 1.
     """
 
     target: EstimationTarget
@@ -97,18 +96,6 @@ class PhiCoefficients:
     c2: float
     value: float
     big_gamma: float | None = None
-
-    @property
-    def z0(self) -> float:
-        return self.c0
-
-    @property
-    def z1(self) -> float:
-        return self.c1
-
-    @property
-    def z2(self) -> float:
-        return self.c2
 
 
 @dataclass(frozen=True)
@@ -161,7 +148,7 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficien
 
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficients:
-    """Trace polynomial for coupling estimation, with its z-coefficients."""
+    """Trace polynomial for coupling estimation, with its c-coefficients."""
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
@@ -169,18 +156,18 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficie
     tau = tau0(probe)
     r = tau / t
     big_gamma = 2.0 * eps + g**2 + 1.0
-    z0 = 2.0 * s0**4 * t**6 * (
+    c0 = 2.0 * s0**4 * t**6 * (
         big_gamma**2
         + 6.0 * g * r * big_gamma
         + 15.0 * r**2 * ((3.0 / 5.0) * eps + g**2 + 3.0 / 10.0)
         + 18.0 * g * r**3
         + 9.0 * r**4
     )
-    z1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
-    z2 = 4.0 * s0**8 * t**8
-    value = (z0 + z1 * lam + z2 * lam**2) / (18.0 * tau**4)
+    c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
+    c2 = 4.0 * s0**8 * t**8
+    value = (c0 + c1 * lam + c2 * lam**2) / (18.0 * tau**4)
     return PhiCoefficients(
-        target=EstimationTarget.LAMBDA, c0=z0, c1=z1, c2=z2, value=value, big_gamma=big_gamma
+        target=EstimationTarget.LAMBDA, c0=c0, c1=c1, c2=c2, value=value, big_gamma=big_gamma
     )
 
 

@@ -287,6 +287,22 @@ class TestScalarCommands:
         assert main(["tgi", "--gamma", "0", "--lambda", "1e33"]) == 3
         assert "no interior maximum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,stderr_prefix",
+        [
+            (["purity", "--lambda", "1e200", "--t", "1us"], "numerical failure: "),  # lam**2
+            (["tgi", "--lambda", "1e200"], "numerical failure: "),
+            (["convert", "--to-lambda", "1e300"], "numerical failure: "),
+            (["lens", "--omega0", "1e300", "--wavelength", "532e-9", "--vcm", "1e-300",
+              "--tint", "1us"], "numerical failure: "),  # division by an underflowed zero
+            (["sweep", "--axis", "lambda", "--log", "--min", "1e10", "--max", "1e200",
+              "--points", "3", "--t", "1us"], "sweep row 2 (lambda_per_m2s=1e+200) failed: "),
+        ],
+    )
+    def test_arithmetic_error_is_numerical_failure(self, args, stderr_prefix, capsys):
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith(stderr_prefix)
+
 
 class TestEntryPoints:
     @pytest.mark.parametrize("module", ["pmcorr", "pmcorr.cli"])

@@ -52,11 +52,7 @@ class TestPhiLambda:
     def test_no_coupling_single_term(self):
         phi = pc.phi_lambda(FULLERENE, env(0.0), 5e-5)
         tau = pc.tau0(FULLERENE)
-        assert_allclose(phi.value, phi.z0 / (18.0 * tau**4), rtol=1e-14)
-
-    def test_z_aliases(self):
-        phi = pc.phi_lambda(FULLERENE, env(1e15), 5e-5)
-        assert (phi.z0, phi.z1, phi.z2) == (phi.c0, phi.c1, phi.c2)
+        assert_allclose(phi.value, phi.c0 / (18.0 * tau**4), rtol=1e-14)
 
     def test_assembled_matches_numeric_oracle(self):
         probe = FULLERENE.with_gamma(-10.0)
