@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .constants import (
 from .fisher import (
     ConvergenceError,
     EstimationTarget,
+    _qfi_numeric_points,
     cfi_closed,
     cfi_quadrature,
     purity_derivative,
@@ -267,25 +270,56 @@ _AXIS_COLUMN = {"gamma": "gamma", "lambda": "lambda_per_m2s", "time": "time_s"}
 _AXIS_ARG = {"gamma": 0, "lambda": 1, "time": 2}
 
 
+class _Column(NamedTuple):
+    """A group whose cells also take this row's entry of a column of values.
+
+    `values(probe, gamma, lam, t)` computes the column for every row in one
+    call before the row loop; each parameter is a number, or a list with one
+    entry per row where an axis varies it.  If that call fails, every entry
+    is None and `cells` computes its row's value itself, so the row loop
+    reports the lowest failing row as it does for any other group.
+    """
+
+    cells: Callable
+    values: Callable
+
+
 def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) -> list[list[float]]:
     """Rows of axis values followed by group cells, over the product of `axes`.
 
     Each axis is a (kind, values) pair, kind "gamma", "lambda" or "time", the
     first axis varying slowest; an axis overrides the fixed `lam` or `t` of its
-    kind.  Each group maps (probe, env, t) to a list of cells.  Probes and
-    environments are built once per axis value, not once per row.  A row whose
-    groups fail numerically raises ConvergenceError naming its index and point.
+    kind.  Each group maps (probe, env, t) to a list of cells, or is a
+    `_Column`.  Probes and environments are built once per axis value, not
+    once per row.  A row whose groups fail numerically raises ConvergenceError
+    naming its index and point.
     """
     build = {"gamma": probe.with_gamma, "lambda": lambda v: EnvironmentSpec(lam=v), "time": float}
     levels = [[(kind, v, build[kind](v)) for v in map(float, values)] for kind, values in axes]
     on_axis = any(kind == "lambda" for kind, _ in axes)
     args = [probe, None if on_axis else EnvironmentSpec(lam=lam), t]
+    points = list(itertools.product(*levels))
+    params = {"gamma": probe.gamma, "lambda": lam, "time": t}
+    params.update({kind: [point[j][1] for point in points] for j, (kind, _) in enumerate(axes)})
+    columns = []
+    for group in groups:
+        column = None
+        if isinstance(group, _Column):
+            try:
+                column = group.values(probe, params["gamma"], params["lambda"], params["time"])
+            except (ConvergenceError, ArithmeticError, ValueError):
+                column = [None] * len(points)
+        columns.append(column)
     rows = []
-    for point in itertools.product(*levels):
+    for point in points:
         for kind, _, arg in point:
             args[_AXIS_ARG[kind]] = arg
         try:
-            cells = [cell for group in groups for cell in group(*args)]
+            cells = [
+                cell
+                for group, column in zip(groups, columns)
+                for cell in (group(*args) if column is None else group.cells(*args, column[len(rows)]))
+            ]
         except (ConvergenceError, ArithmeticError) as exc:
             where = ", ".join(f"{_AXIS_COLUMN[kind]}={v!r}" for kind, v, _ in point)
             raise ConvergenceError(f"row {len(rows)} ({where}) failed: {exc}") from exc
@@ -399,12 +433,12 @@ def cmd_sweep(args, started: float) -> int:
             "lambda_sq_qfi", "temperature_equivalent_k",
         ]
 
-    def cells(probe, env, t):
+    def cells(probe, env, t, numeric=None):
         row = [purity_exact(probe, env, t), relative_purity_rate(probe, env, t)]
         if target is not None:
             row += [
                 qfi_analytic(target, probe, env, t),
-                qfi_numeric(target, probe, env, t),
+                qfi_numeric(target, probe, env, t) if numeric is None else numeric,
                 cfi_closed(target, probe, env, t),
             ]
         if target is _LAMBDA:
@@ -412,8 +446,10 @@ def cmd_sweep(args, started: float) -> int:
             row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *gas)]
         return row
 
+    # the Richardson oracle runs over the whole axis in one array call
+    group = cells if target is None else _Column(cells, functools.partial(_qfi_numeric_points, target))
     try:
-        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [cells])
+        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [group])
     except ConvergenceError as exc:  # _grid names the failing row
         print(f"sweep {exc}", file=sys.stderr)
         return 3
@@ -485,6 +521,11 @@ def cmd_convert(args, started: float) -> int:
 
 def cmd_figures(args, started: float) -> int:
     scenario = _resolve(args)
+    # every preset's manifests record the coupling and t, so both must be valid
+    coupling = scenario.lam if scenario.lam is not None else 1e15
+    EnvironmentSpec(lam=coupling)
+    if scenario.t is not None and not 0.0 < scenario.t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {scenario.t}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     marker = outdir / ".write_test"
@@ -495,7 +536,6 @@ def cmd_figures(args, started: float) -> int:
         _emit_csv(header, rows, str(outdir / name), f"figures:{args.preset}",
                   scenario.as_dict(), started, svg=args.format == "svg", quiet=args.quiet)
 
-    coupling = scenario.lam if scenario.lam is not None else 1e15
     for name, columns, axes, lam, t, groups in _FIGURES[args.preset]:
         header = [_AXIS_COLUMN[kind] for kind, _ in axes] + columns
         write(name, header, _grid(scenario.probe, coupling if lam is None else lam, t, axes, groups))

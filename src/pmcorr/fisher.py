@@ -204,50 +204,130 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     return first + _second_term(mu, purity_derivative(target, probe, env, t))
 
 
-def _richardson_derivative_dd(f, x0: float, h0: float, levels: int, rel_tol: float) -> list:
-    """Central-difference derivative of a double-double-valued vector function.
+#: stencil components: model._covariance_terms_dd (sxx [:5], sxp [5:9],
+#: spp [9:12]) then model._purity_bracket_terms_dd [12:]
+_N_TERMS = 18
 
-    f(x) must return a list of (hi, lo) pairs.  The full tableau is kept in
-    double-double so that downstream cancellations (the adjugate trace can
-    collapse by twelve orders of magnitude) still see consistent derivative
-    components.  Convergence requires the last two diagonals to agree to
-    rel_tol componentwise; estimates at the roundoff floor of the central
-    difference count as converged zeros.
+
+def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=None) -> list:
+    """`qfi_numeric` at n points in one array evaluation.
+
+    gamma, lam and t are each a number, or a list with one value per point;
+    the probe supplies mass, sigma0 and ell0.  Each value equals the
+    one-point result bit for bit, and a failure raises what the lowest
+    failing point raises on its own.
+
+    All 2*levels stencil points and the centre go through one pass of the
+    monomial split (model._covariance_terms_dd, _purity_bracket_terms_dd) in
+    double-double: the huge theta-independent parts then cancel exactly, and
+    the adjugate trace below keeps enough consistent digits to survive its
+    own cancellation (it can collapse by twelve orders of magnitude).
+    Monomials free of theta come back without the stencil axis; their
+    difference is exactly zero, so the Richardson tableau T[level][order]
+    runs on the others only, column by column, keeping two columns.
+    Convergence requires T[L-1][L-1] to agree with T[L-2][L-3] to rel_tol
+    componentwise; estimates at the roundoff floor of the central difference
+    count as converged zeros.  The adjugate trace and the purity terms are
+    assembled per point in scalar double-double, where a handful of
+    operations cost less than array dispatch and CPython rounds the powers.
     """
-    rows: list[list[list]] = []
-    fscale = None
-    h = h0
-    for i in range(levels):
-        fp, fm = f(x0 + h), f(x0 - h)
-        width = (x0 + h) - (x0 - h)  # exact in float arithmetic
-        inv_w = 1.0 / width
-        mags = np.array([max(abs(a[0]), abs(b[0])) for a, b in zip(fp, fm)])
-        fscale = mags if fscale is None else np.maximum(fscale, mags)
-        row = [[_dd.dd_mul_d(_dd.dd_sub(a, b), inv_w) for a, b in zip(fp, fm)]]
-        for j in range(1, i + 1):
-            fac = 4.0**j
-            inv = 1.0 / (fac - 1.0)
-            row.append(
-                [
-                    _dd.dd_mul_d(_dd.dd_sub(_dd.dd_mul_d(cur, fac), prev), inv)
-                    for cur, prev in zip(row[j - 1], rows[i - 1][j - 1])
-                ]
-            )
-        rows.append(row)
-        h /= 2.0
-    last, prev = rows[-1][-1], rows[-2][-2]
-    err = np.array([abs(a[0] - b[0]) for a, b in zip(last, prev)])
-    mag = np.array([max(abs(a[0]), abs(b[0])) for a, b in zip(last, prev)])
-    # cancellation noise of the smallest-step plain-float difference, with headroom;
-    # the dd evaluation sits far below it, so this is deliberately conservative
-    noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (levels - 1) / h0
-    ok = (err <= rel_tol * mag) | (mag <= noise_floor)
-    if not bool(np.all(ok)):
-        raise ConvergenceError(
-            f"derivative failed to converge: relative spread "
-            f"{np.max(err / np.maximum(mag, 1e-300)):.3e}"
+    target = _as_target(target)
+    policy = step_policy or StepPolicy()
+    levels = policy.levels
+    if levels < 3:
+        raise ValueError(f"levels must be >= 3, got {levels}")
+    floor = policy.scale_floor if policy.scale_floor is not None else _DEFAULT_SCALE_FLOOR[target]
+    m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
+    n = max((len(v) for v in (gamma, lam, t) if isinstance(v, list)), default=1)
+    g, ll, tt = (np.array(v, dtype=float) if isinstance(v, list) else v for v in (gamma, lam, t))
+
+    # CPython float semantics: overflow and NaN pass silently (and then fail
+    # the convergence test), division by zero raises
+    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+        x0 = np.atleast_1d(np.asarray(g if target is EstimationTarget.GAMMA else ll, dtype=float))
+        h0 = policy.rel_step * np.maximum(np.abs(x0), floor)
+        steps = [h0]
+        for _ in range(levels - 1):
+            steps.append(steps[-1] / 2.0)
+        h = np.array(steps)
+        x = np.concatenate([x0 + h, x0 - h, x0[None]])
+        gg, lx = (x, ll) if target is EstimationTarget.GAMMA else (g, x)
+        terms = _covariance_terms_dd(m, s0, eps, gg, lx, tt) + _purity_bracket_terms_dd(
+            m, s0, eps, gg, lx, tt
         )
-    return last
+        moving = [k for k, (hi, _) in enumerate(terms) if np.ndim(hi) == 2]
+        still = [k for k in range(_N_TERMS) if k not in moving]
+        f = np.empty((2, len(moving), 2 * levels + 1, n))
+        centre = np.empty((2, _N_TERMS, n))
+        for j, k in enumerate(moving):
+            f[0, j], f[1, j] = terms[k]
+        for k in still:
+            centre[0, k], centre[1, k] = terms[k]
+        del terms
+        centre[:, moving] = f[:, :, -1]
+        # a non-finite still monomial has a NaN difference, which fails its point
+        bad = ~np.isfinite(centre[:, still]).all(axis=(0, 1))
+
+        fp = f[0, :, :levels], f[1, :, :levels]
+        fm = f[0, :, levels:-1], f[1, :, levels:-1]
+        fscale = np.maximum(np.abs(fp[0]), np.abs(fm[0])).max(axis=1)
+        width = (x0 + h) - (x0 - h)  # exact in float arithmetic
+        column = _dd.dd_mul_d(_dd.dd_sub(fp, fm), 1.0 / width)
+        for j in range(1, levels):
+            if j == levels - 2:
+                prev = column[0][:, 1], column[1][:, 1]
+            fac = 4.0**j
+            column = _dd.dd_mul_d(
+                _dd.dd_sub(
+                    _dd.dd_mul_d((column[0][:, 1:], column[1][:, 1:]), fac),
+                    (column[0][:, :-1], column[1][:, :-1]),
+                ),
+                1.0 / (fac - 1.0),
+            )
+        last = column[0][:, 0], column[1][:, 0]
+
+        err = np.abs(last[0] - prev[0])
+        mag = np.maximum(np.abs(last[0]), np.abs(prev[0]))
+        # cancellation noise of the smallest-step plain-float difference, with headroom;
+        # the dd evaluation sits far below it, so this is deliberately conservative
+        noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (levels - 1) / h0
+        ok = ((err <= policy.rel_tol * mag) | (mag <= noise_floor)).all(axis=0) & ~bad
+        spread = np.where(bad, np.nan, np.max(err / np.maximum(mag, 1e-300), axis=0))
+
+    d = np.zeros((2, _N_TERMS, n))  # the still monomials' differences are exactly (0, 0)
+    d[0, moving], d[1, moving] = last
+    per_point = [v if isinstance(v, list) else [v] * n for v in (gamma, lam, t)]
+    point_terms = zip(
+        centre[0, :12].T.tolist(), centre[1, :12].T.tolist(), d[0].T.tolist(), d[1].T.tolist()
+    )
+    values = []
+    for i, (converged, (c_hi, c_lo, d_hi, d_lo), gi, li, ti) in enumerate(
+        zip(ok.tolist(), point_terms, *per_point)
+    ):
+        if not converged:
+            raise ConvergenceError(f"derivative failed to converge: relative spread {spread[i]:.3e}")
+        s_terms, dd = list(zip(c_hi, c_lo)), list(zip(d_hi, d_lo))
+        sxx, sxp, spp = _dd.dd_sum(s_terms[:5]), _dd.dd_sum(s_terms[5:9]), _dd.dd_sum(s_terms[9:])
+        dsxx, dsxp, dspp = _dd.dd_sum(dd[:5]), _dd.dd_sum(dd[5:9]), _dd.dd_sum(dd[9:12])
+
+        # trace of (adj(S) dS)^2 for the symmetric 2x2 pair, in double-double
+        m00 = _dd.dd_sub(_dd.dd_mul(spp, dsxx), _dd.dd_mul(sxp, dsxp))
+        m01 = _dd.dd_sub(_dd.dd_mul(spp, dsxp), _dd.dd_mul(sxp, dspp))
+        m10 = _dd.dd_sub(_dd.dd_mul(sxx, dsxp), _dd.dd_mul(sxp, dsxx))
+        m11 = _dd.dd_sub(_dd.dd_mul(sxx, dspp), _dd.dd_mul(sxp, dsxp))
+        trace_dd = _dd.dd_sum(
+            [_dd.dd_mul(m00, m00), _dd.dd_mul(m11, m11), _dd.dd_mul_d(_dd.dd_mul(m01, m10), 2.0)]
+        )
+
+        # the purity derivative follows from the differenced bracket through
+        # the exact map mu = D^(-1/2)
+        bracket = _purity_bracket(m, s0, eps, gi, li, ti)
+        mu = bracket**-0.5
+        dbracket = _dd.dd_sum(dd[12:])
+        dmu = -0.5 * (dbracket[0] + dbracket[1]) * bracket**-1.5
+        first = mu**4 / (2.0 * (1.0 + mu**2)) * (trace_dd[0] + trace_dd[1])
+        values.append(first + _second_term(mu, dmu))
+    return values
 
 
 def qfi_numeric(
@@ -265,46 +345,7 @@ def qfi_numeric(
     target = _as_target(target)
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
-    policy = step_policy or StepPolicy()
-    floor = policy.scale_floor if policy.scale_floor is not None else _DEFAULT_SCALE_FLOOR[target]
-
-    m, s0, eps, g, lam = probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam
-
-    # Covariance entries and the purity bracket are differenced monomial by
-    # monomial in double-double (model._covariance_terms_dd and
-    # _purity_bracket_terms_dd): the huge theta-independent parts then cancel
-    # exactly, and the adjugate trace below keeps enough consistent digits to
-    # survive its own cancellation.  The purity derivative follows from the
-    # differenced bracket through the exact map mu = D^(-1/2).
-    def fvec(x: float):
-        gg, ll = (x, lam) if target is EstimationTarget.GAMMA else (g, x)
-        return _covariance_terms_dd(m, s0, eps, gg, ll, t) + _purity_bracket_terms_dd(
-            m, s0, eps, gg, ll, t
-        )
-
-    x0 = g if target is EstimationTarget.GAMMA else lam
-    h0 = policy.rel_step * max(abs(x0), floor)
-    d = _richardson_derivative_dd(fvec, x0, h0, policy.levels, policy.rel_tol)
-
-    s_terms = _covariance_terms_dd(m, s0, eps, g, lam, t)
-    sxx, sxp, spp = _dd.dd_sum(s_terms[:5]), _dd.dd_sum(s_terms[5:9]), _dd.dd_sum(s_terms[9:])
-    dsxx, dsxp, dspp = _dd.dd_sum(d[:5]), _dd.dd_sum(d[5:9]), _dd.dd_sum(d[9:12])
-
-    # trace of (adj(S) dS)^2 for the symmetric 2x2 pair, in double-double
-    m00 = _dd.dd_sub(_dd.dd_mul(spp, dsxx), _dd.dd_mul(sxp, dsxp))
-    m01 = _dd.dd_sub(_dd.dd_mul(spp, dsxp), _dd.dd_mul(sxp, dspp))
-    m10 = _dd.dd_sub(_dd.dd_mul(sxx, dsxp), _dd.dd_mul(sxp, dsxx))
-    m11 = _dd.dd_sub(_dd.dd_mul(sxx, dspp), _dd.dd_mul(sxp, dsxp))
-    trace_dd = _dd.dd_sum(
-        [_dd.dd_mul(m00, m00), _dd.dd_mul(m11, m11), _dd.dd_mul_d(_dd.dd_mul(m01, m10), 2.0)]
-    )
-
-    bracket = _purity_bracket(m, s0, eps, g, lam, t)
-    mu = bracket**-0.5
-    dbracket = _dd.dd_sum(d[12:])
-    dmu = -0.5 * (dbracket[0] + dbracket[1]) * bracket**-1.5
-    first = mu**4 / (2.0 * (1.0 + mu**2)) * (trace_dd[0] + trace_dd[1])
-    return first + _second_term(mu, dmu)
+    return _qfi_numeric_points(target, probe, probe.gamma, env.lam, t, step_policy)[0]
 
 
 def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:

@@ -15,6 +15,7 @@ which is what the Fisher-information formulas in `pmcorr.fisher` assume.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,6 +193,17 @@ def _tau0(mass: float, sigma0: float) -> float:
     return mass * sigma0**2 / HBAR
 
 
+def _cpow(x, k):
+    """x**k by CPython's pow, elementwise for an array.
+
+    numpy's ** rounds differently on a few percent of inputs, and array
+    evaluations must match the one-point ones bit for bit.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
+    return x**k
+
+
 def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
     tau = _tau0(mass, sigma0)
@@ -200,25 +212,36 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     return [
         _dd.dd(1.0 + 2.0 * eps),
         _dd.dd_mul_d(lam_dd, 4.0 * sigma0**2 * t),
-        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * t**2),
+        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * _cpow(t, 2)),
         _dd.dd_mul_d(
             _dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd),
-            (4.0 * HBAR / (3.0 * tau * mass)) * t**3,
+            (4.0 * HBAR / (3.0 * tau * mass)) * _cpow(t, 3),
         ),
-        _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t**3),
-        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass**2)) * t**4),
+        _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * _cpow(t, 3)),
+        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass**2)) * _cpow(t, 4)),
     ]
+
+
+#: largest coupling whose square is a finite double (~1.3e154)
+_LAMBDA_SQ_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket` in ascending powers of t."""
     tau = _tau0(mass, sigma0)
+    try:
+        lam_sq = lam**2
+    except OverflowError:
+        raise OverflowError(
+            f"lambda={lam:g} overflows the float range: lambda^2 needs lambda below "
+            f"~{_LAMBDA_SQ_LIMIT:.2g} m^-2 s^-1"
+        ) from None
     return (
         1.0 + 2.0 * eps,
         4.0 * sigma0**2 * lam,
         4.0 * gamma * lam * HBAR / mass,
         4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-        4.0 * lam**2 * HBAR**2 / (3.0 * mass**2),
+        4.0 * lam_sq * HBAR**2 / (3.0 * mass**2),
     )
 
 

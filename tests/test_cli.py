@@ -290,18 +290,45 @@ class TestScalarCommands:
     @pytest.mark.parametrize(
         "args,stderr_prefix",
         [
-            (["purity", "--lambda", "1e200", "--t", "1us"], "numerical failure: "),  # lam**2
+            (["purity", "--lambda", "1e200", "--t", "1us"],
+             "numerical failure: lambda=1e+200 overflows the float range: lambda^2 needs lambda "
+             "below ~1.3e+154 m^-2 s^-1"),
             (["tgi", "--lambda", "1e200"], "numerical failure: "),
             (["convert", "--to-lambda", "1e300"], "numerical failure: "),
             (["lens", "--omega0", "1e300", "--wavelength", "532e-9", "--vcm", "1e-300",
               "--tint", "1us"], "numerical failure: "),  # division by an underflowed zero
             (["sweep", "--axis", "lambda", "--log", "--min", "1e10", "--max", "1e200",
               "--points", "3", "--t", "1us"], "sweep row 2 (lambda_per_m2s=1e+200) failed: "),
+            # the Richardson column is one array call, where overflow gives inf, not an error
+            (["sweep", "--target", "lambda", "--axis", "lambda", "--log", "--min", "1e10",
+              "--max", "1e200", "--points", "3", "--t", "1us"],
+             "sweep row 2 (lambda_per_m2s=1e+200) failed: "),
+            (["sweep", "--target", "gamma", "--axis", "gamma", "--min", "-5", "--max", "5",
+              "--points", "3", "--t", "1us", "--lambda", "1e200"], "sweep row 0 (gamma=-5.0) failed: "),
         ],
     )
     def test_arithmetic_error_is_numerical_failure(self, args, stderr_prefix, capsys):
         assert main(args) == 3
         assert capsys.readouterr().err.startswith(stderr_prefix)
+
+    def test_oracle_column_names_lowest_failing_row(self, capsys):
+        # the Richardson oracle does not converge at row 1 (lambda = 10**-3.5); the
+        # rows from ~1e149 on fail too, and the report is row 1's own failure
+        lam = float(np.logspace(-4, 200, 409)[1])
+        probe = pc.fullerene_probe(gamma=3.0, ell0=5e-8)
+        with pytest.raises(pc.ConvergenceError) as point:
+            pc.qfi_numeric("lambda", probe, pc.EnvironmentSpec(lam=lam), 2e-5)
+        assert main(["sweep", "--target", "lambda", "--axis", "lambda", "--log", "--min", "1e-4",
+                     "--max", "1e200", "--points", "409", "--t", "20us", "--gamma", "3",
+                     "--ell0", "5e-8"]) == 3
+        assert capsys.readouterr().err == f"sweep row 1 (lambda_per_m2s={lam!r}) failed: {point.value}\n"
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5", "figD", "figE"])
+    @pytest.mark.parametrize("flags", [["--lambda", "-5"], ["--lambda", "inf"], ["--t", "0"], ["--t", "-3"], ["--t", "inf"]])
+    def test_figures_reject_invalid_coupling_and_time(self, preset, flags, tmp_path, capsys):
+        assert main(["figures", "--preset", preset, "--outdir", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
 
 
 class TestEntryPoints:

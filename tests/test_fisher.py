@@ -115,6 +115,71 @@ class TestQfiNumeric:
         assert a == b
 
 
+#: (target, ell0, lam, gamma, t, qfi_numeric) recorded from the one-point
+#: double-double tableau; the oracle must keep reproducing them bit for bit
+ORACLE_PINS = [
+    ("gamma", 5e-08, 0.0, 5.0, 1e-06, 0.4881210852688961),
+    ("gamma", math.inf, 0.0, 3.0, 1e-06, 0.4999999999999998),
+    ("gamma", 5e-08, 1e10, -50.0, 0.001, 0.15972700691229494),
+    ("gamma", math.inf, 1e10, 0.0, 0.0001, 0.49999957698660297),
+    ("gamma", 5e-08, 1e15, 150.0, 1e-05, 0.1706372601911446),
+    ("gamma", math.inf, 1e15, -1.5, 3e-05, 0.49952471229626394),
+    ("gamma", 5e-08, 1e20, 5.0, 1e-06, 0.38304102092349496),
+    ("gamma", math.inf, 1e22, -10.0, 1e-07, 0.4847643520876024),
+    ("lambda", 5e-08, 0.0, 5.0, 1e-06, 2.060156673881426e-40),
+    ("lambda", math.inf, 1e10, 35.0, 0.001, 2.5461201083893297e-21),
+    ("lambda", 5e-08, 1e10, -0.5, 0.0001, 2.3845080288089383e-31),
+    ("lambda", math.inf, 1e15, 0.0, 0.0002284, 2.510406670981851e-31),
+    ("lambda", 5e-08, 1e15, 150.0, 8.2e-06, 2.4756510698742706e-31),
+    ("lambda", math.inf, 1e20, -50.0, 1e-05, 4.999762799952857e-41),
+    ("lambda", 5e-08, 1e22, 10.0, 1e-07, 1.279430480948889e-45),
+    ("lambda", math.inf, 1e20, 0.01, 1e-06, 1.0216364177279271e-42),
+]
+
+#: each axis of an array oracle call; lambda starts at 0, where the lambda
+#: target of a fully coherent probe meets the pure-state limit
+ORACLE_AXES = {
+    "gamma": [float(g) for g in np.linspace(-150.0, 150.0, 31)],
+    "lam": [0.0] + [float(v) for v in np.logspace(10, 22, 25)],
+    "t": [float(v) for v in np.logspace(-7, -3, 31)],
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (pc.ConvergenceError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestQfiNumericPins:
+    @pytest.mark.parametrize("target,ell0,lam,gamma,t,expected", ORACLE_PINS)
+    def test_pinned_value(self, target, ell0, lam, gamma, t, expected):
+        probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0, ell0=ell0, gamma=gamma)
+        assert pc.qfi_numeric(target, probe, env(lam), t) == expected
+
+    @pytest.mark.parametrize("axis", sorted(ORACLE_AXES))
+    @pytest.mark.parametrize("ell0", [5e-08, math.inf])
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_array_call_equals_point_calls(self, target, ell0, axis):
+        from pmcorr.fisher import _qfi_numeric_points
+
+        probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0, ell0=ell0, gamma=5.0)
+        fixed = {"gamma": 5.0, "lam": 1e15, "t": 2e-5}
+        values = ORACLE_AXES[axis]
+        points = [{**fixed, axis: v} for v in values]
+        per_point = [
+            _outcome(lambda p=p: pc.qfi_numeric(target, probe.with_gamma(p["gamma"]), env(p["lam"]), p["t"]))
+            for p in points
+        ]
+        whole = _outcome(lambda: _qfi_numeric_points(target, probe, **{**fixed, axis: values}))
+        failures = [o for o in per_point if isinstance(o, tuple)]
+        # a failing axis raises what its lowest failing point raises on its own
+        assert whole == (failures[0] if failures else per_point)
+        if not failures:
+            assert all(type(v) is float for v in whole)
+
+
 class TestCfi:
     def test_gamma_zero_crossing(self):
         t = 1e-6
