@@ -120,7 +120,10 @@ class FisherResult:
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Finite-difference step choice: h = rel_step * max(|theta|, scale_floor)."""
+    """Step and tableau of `qfi_numeric`: h = rel_step * max(|theta|, scale_floor).
+
+    `cfi_quadrature` takes no policy; it sizes its step from V(theta).
+    """
 
     rel_step: float = 1e-4
     scale_floor: float | None = None  # default depends on the target
@@ -355,10 +358,16 @@ def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> floa
         raise ValueError(f"t must be > 0, got {t}")
     s0 = probe.sigma0
     b_sq = kernel_params(probe, env, t).b_sq
-    if target is EstimationTarget.GAMMA:
-        return (probe.mass / (HBAR * t) + probe.gamma / s0**2) ** 2 / (8.0 * s0**4 * b_sq**2)
-    # 1/18 follows from (dV/dlam)^2/(2 V^2) with V = 2 hbar^2 t^2 sigma0^2 B^2 / m^2
-    return t**2 / (18.0 * s0**4 * b_sq**2)
+    try:
+        if target is EstimationTarget.GAMMA:
+            return (probe.mass / (HBAR * t) + probe.gamma / s0**2) ** 2 / (8.0 * s0**4 * b_sq**2)
+        # 1/18 follows from (dV/dlam)^2/(2 V^2) with V = 2 hbar^2 t^2 sigma0^2 B^2 / m^2
+        return t**2 / (18.0 * s0**4 * b_sq**2)
+    except OverflowError:
+        raise OverflowError(
+            f"b_sq={b_sq:g} m^-4 overflows the float range when squared "
+            f"(lambda={env.lam:g} m^-2 s^-1, t={t:g} s)"
+        ) from None
 
 
 def _density_variance(probe: ProbeSpec, lam: float, gamma: float, t: float) -> float:
@@ -368,13 +377,7 @@ def _density_variance(probe: ProbeSpec, lam: float, gamma: float, t: float) -> f
     return probe.sigma0**2 * sxx / 2.0
 
 
-def cfi_quadrature(
-    target,
-    probe: ProbeSpec,
-    env: EnvironmentSpec,
-    t: float,
-    step_policy: StepPolicy | None = None,
-) -> CfiQuadrature:
+def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CfiQuadrature:
     """Position-readout CFI by direct quadrature and by the variance identity.
 
     The readout density is a zero-mean Gaussian of variance V(theta); oracle
@@ -385,8 +388,6 @@ def cfi_quadrature(
     target = _as_target(target)
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
-    policy = step_policy or StepPolicy()
-    floor = policy.scale_floor if policy.scale_floor is not None else _DEFAULT_SCALE_FLOOR[target]
     g, lam, s0 = probe.gamma, env.lam, probe.sigma0
     tau = tau0(probe)
     th = t / tau
@@ -394,43 +395,30 @@ def cfi_quadrature(
     V = _density_variance(probe, lam, g, t)
     if target is EstimationTarget.GAMMA:
         dV = s0**2 * (th + g * th**2)
+        d2V = s0**2 * th**2
         x0 = g
     else:
         dV = (2.0 / 3.0) * HBAR**2 * t**3 / probe.mass**2
+        d2V = 0.0
         x0 = lam
     identity = dV**2 / (2.0 * V**2)
 
-    h = policy.rel_step * max(abs(x0), floor)
+    # V is at most quadratic in theta, so the step follows from dV and d2V:
+    # the antisymmetric change 2 h |dV| is aimed at 3e-4 V, so the density
+    # difference keeps ~12 digits, and the symmetric change d2V h^2 is capped
+    # at 2e-3 V so the tableau below can remove it.  dV and d2V only size
+    # the step; the quadrature still differences V(theta +- h) numerically.
+    h = min(
+        3e-4 * V / (2.0 * abs(dV)) if dV else math.inf,
+        math.sqrt(2e-3 * V / d2V) if d2V else math.inf,
+    )
+    # the density difference keeps ~log10(dv_rel / eps) digits; ask for three fewer
+    dv_rel = 2.0 * h * abs(dV) / V
+    epsrel = max(1e-10, 1e3 * 2.3e-16 / dv_rel) if dv_rel else 1e-10
 
     def var_at(x: float) -> float:
         gg, ll = (x, lam) if target is EstimationTarget.GAMMA else (g, x)
         return _density_variance(probe, ll, gg, t)
-
-    def probe_step(hh: float) -> tuple[float, float]:
-        v_p, v_m = var_at(x0 + hh), var_at(x0 - hh)
-        return abs(v_p - v_m) / V, abs(v_p + v_m - 2.0 * V) / (2.0 * V)
-
-    # V is at most quadratic in theta, so its central difference is exact for
-    # any step.  Grow h until the change in V is visible above float rounding,
-    # aim the antisymmetric (linear) change at 3e-4 relative so the density
-    # difference keeps ~12 digits, and cap the symmetric (curvature) change
-    # so the tableau below can remove it.
-    dv_rel, quad_rel = probe_step(h)
-    for _ in range(8):
-        if dv_rel > 0.0 or quad_rel > 1e-12:
-            break
-        h *= 1e4
-        dv_rel, quad_rel = probe_step(h)
-    for _ in range(3):
-        if dv_rel <= 0.0:
-            break
-        factor = 3e-4 / dv_rel
-        if 0.1 < factor < 10.0:
-            break
-        h *= factor
-        dv_rel, quad_rel = probe_step(h)
-    if quad_rel > 1e-3:
-        h *= math.sqrt(1e-3 / quad_rel)
 
     steps = [h / 2.0**i for i in range(4)]
     pairs = [(var_at(x0 + hh), var_at(x0 - hh)) for hh in steps]
@@ -456,7 +444,7 @@ def cfi_quadrature(
     epsabs = 1e-12 * identity if identity > noise_floor else noise_floor
     from scipy import integrate  # deferred: the only scipy user, kept off `import pmcorr`
 
-    out = integrate.quad(integrand, -span, span, epsabs=epsabs, epsrel=1e-10, limit=200, full_output=1)
+    out = integrate.quad(integrand, -span, span, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)
     if len(out) >= 4:
         raise ConvergenceError(f"quadrature tolerance not met: {out[3]}")
     quad_value = float(out[0])
@@ -487,9 +475,9 @@ def fisher_information(
     t: float,
     step_policy: StepPolicy | None = None,
 ) -> FisherResult:
-    """Evaluate every route at one point and bundle the results."""
+    """Evaluate every route at one point; ``step_policy`` steers `qfi_numeric`."""
     target = _as_target(target)
-    quad = cfi_quadrature(target, probe, env, t, step_policy)
+    quad = cfi_quadrature(target, probe, env, t)
     return FisherResult(
         qfi_analytic=qfi_analytic(target, probe, env, t),
         qfi_numeric=qfi_numeric(target, probe, env, t, step_policy),

@@ -5,7 +5,8 @@ encodes a position-momentum correlation ``gamma``; a partially incoherent
 source is described by a finite coherence length ``ell0``.  Free flight plus
 collisional decoherence of strength ``lam`` (m^-2 s^-1) keeps the state
 Gaussian, so it is carried either by its second moments (`covariance`) or by
-the Gaussian kernel of the position-space density matrix (`kernel_params`).
+the Gaussian kernel of the position-space density matrix (`kernel_params`,
+which returns the coefficients the position readout needs).
 
 Covariance convention: entries are dimensionless (x in units of sigma0, p in
 units of hbar/sigma0) and scaled so a pure uncorrelated probe at t=0 has unit
@@ -113,14 +114,12 @@ class EnvironmentSpec:
 class KernelParams:
     """Coefficients of the evolved density-matrix Gaussian kernel.
 
-    a1 fixes the diagonal density rho(x, x) = n_t * exp(-2 a1 x^2); that is
-    the only piece of the kernel the Fisher pipeline consumes (b_sq enters
-    the closed-form CFI).  a2, a3 complete the off-diagonal structure.
+    a1 fixes the diagonal density rho(x, x) = n_t * exp(-2 a1 x^2), the
+    position readout; b_sq enters the closed-form CFI.  The off-diagonal
+    coefficients are not computed, since no route reads them.
     """
 
     a1: float    # m^-2
-    a2: float    # m^-2
-    a3: float    # m^-2
     b_sq: float  # m^-4
     n_t: float   # m^-1
 
@@ -332,7 +331,7 @@ def tau0(probe: ProbeSpec) -> float:
 
 
 def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelParams:
-    """Gaussian-kernel coefficients of the evolved density matrix at time t > 0.
+    """Kernel coefficients a1, b_sq, n_t of the evolved density matrix at time t > 0.
 
     The coefficients contain 1/t factors, so the initial state is not
     reachable here; use `covariance` for t = 0.
@@ -349,17 +348,7 @@ def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelPar
         + lam * t / (3.0 * s0**2)
     )
     a1 = m**2 / (8.0 * HBAR**2 * t**2 * s0**2 * b_sq)
-    a2 = (
-        m**2 / (4.0 * HBAR**2 * t**2 * b_sq) * (inv_l2 / 2.0 + lam * t)
-        + (lam * t / (12.0 * s0**2 * b_sq)) * (lam * t + 1.0 / (2.0 * s0**2) + 2.0 * inv_l2)
-        + m * lam * g / (4.0 * HBAR * s0**2 * b_sq)
-        + lam * t * g**2 / (12.0 * s0**4 * b_sq)
-    )
-    a3 = (
-        m / (4.0 * HBAR * t * s0**2 * b_sq) * (lam * t + 1.0 / (2.0 * s0**2) + inv_l2)
-        + m * g / (8.0 * HBAR * t * s0**2 * b_sq) * (m / (HBAR * t) + g / s0**2)
-    )
-    return KernelParams(a1=a1, a2=a2, a3=a3, b_sq=b_sq, n_t=math.sqrt(2.0 * a1 / math.pi))
+    return KernelParams(a1=a1, b_sq=b_sq, n_t=math.sqrt(2.0 * a1 / math.pi))
 
 
 def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMatrix:

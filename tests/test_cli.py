@@ -305,6 +305,14 @@ class TestScalarCommands:
              "sweep row 2 (lambda_per_m2s=1e+200) failed: "),
             (["sweep", "--target", "gamma", "--axis", "gamma", "--min", "-5", "--max", "5",
               "--points", "3", "--t", "1us", "--lambda", "1e200"], "sweep row 0 (gamma=-5.0) failed: "),
+            # cfi_closed squares b_sq ~ lam t / (3 sigma0^2), which overflows below the lam^2 limit
+            (["cfi", "--target", "gamma", "--lambda", "1e150", "--t", "20us"],
+             "numerical failure: b_sq=1.09577e+161 m^-4 overflows the float range when squared "
+             "(lambda=1e+150 m^-2 s^-1, t=2e-05 s)\n"),
+            (["sweep", "--target", "lambda", "--axis", "lambda", "--log", "--min", "1e-4",
+              "--max", "1e200", "--points", "5", "--t", "20us", "--gamma", "3", "--ell0", "5e-8"],
+             "sweep row 3 (lambda_per_m2s=9.999999999999999e+148) failed: b_sq=1.09577e+160 m^-4 "
+             "overflows the float range when squared (lambda=1e+149 m^-2 s^-1, t=2e-05 s)\n"),
         ],
     )
     def test_arithmetic_error_is_numerical_failure(self, args, stderr_prefix, capsys):

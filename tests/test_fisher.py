@@ -207,6 +207,25 @@ class TestCfi:
             scale = max(abs(closed), abs(quad.quadrature))
             assert abs(closed - quad.quadrature) <= 1e-6 * scale
 
+    @pytest.mark.parametrize(
+        "lam,gamma,t,ell0",
+        [
+            (2.41e29, 0.0, 2.14e-5, math.inf),
+            (2.07e26, 1.53e-3, 6.65e-4, 5e-8),
+            (1.55e22, 0.0, 4.23e-3, 5e-8),
+            (7.30e20, 0.0, 1.91e-2, 5e-8),
+            (1.38e4, 0.0, 0.443, math.inf),
+        ],
+    )
+    def test_quadrature_deep_in_envelope(self, lam, gamma, t, ell0):
+        # t/tau0 from 30 to 6e5: the density changes little with gamma, so the
+        # quadrature can promise fewer digits than near t ~ tau0
+        probe = pc.fullerene_probe(gamma=gamma, ell0=ell0)
+        quad = pc.cfi_quadrature(GAMMA, probe, env(lam), t)
+        closed = pc.cfi_closed(GAMMA, probe, env(lam), t)
+        for value in (quad.quadrature, quad.gaussian_identity):
+            assert abs(value - closed) <= 1e-6 * closed
+
     def test_dual_oracle_agreement(self):
         quad = pc.cfi_quadrature(LAMBDA, FULLERENE, env(1e15), 5e-5)
         assert abs(quad.quadrature - quad.gaussian_identity) <= 1e-7 * quad.gaussian_identity

@@ -60,9 +60,9 @@ class TestSpecs:
 
     def test_kernel_params_invariants(self):
         with pytest.raises(ValueError):
-            pc.KernelParams(a1=-1.0, a2=0.0, a3=0.0, b_sq=1.0, n_t=1.0)
+            pc.KernelParams(a1=-1.0, b_sq=1.0, n_t=1.0)
         with pytest.raises(ValueError):
-            pc.KernelParams(a1=1.0, a2=0.0, a3=0.0, b_sq=1.0, n_t=1.0)
+            pc.KernelParams(a1=1.0, b_sq=1.0, n_t=1.0)
 
 
 class TestTau0:
