@@ -409,6 +409,8 @@ def cmd_sweep(args, started: float) -> int:
     scenario = _resolve(args)
     if args.points < 2:
         raise ValueError("points must be >= 2")
+    if not (-math.inf < args.min < math.inf and -math.inf < args.max < math.inf):
+        raise ValueError(f"axis bounds must be finite, got min={args.min} max={args.max}")
     if args.min >= args.max:
         raise ValueError("min must be < max")
     if args.log and args.min <= 0:
@@ -420,8 +422,8 @@ def cmd_sweep(args, started: float) -> int:
     if args.axis != "lambda":
         scenario.env()  # a coupling is needed off the lambda axis
     times = values if args.axis == "time" else [scenario.t]
-    if any(t is None or t <= 0 for t in times):
-        raise ValueError("sweep needs a positive interaction time (--t or the time axis)")
+    if any(t is None or not 0.0 < t < math.inf for t in times):
+        raise ValueError("sweep needs a positive, finite interaction time (--t or the time axis)")
 
     target = None if args.target == "purity" else EstimationTarget(args.target)
     header = [_AXIS_COLUMN[args.axis], "purity", "relative_purity_rate_per_s"]

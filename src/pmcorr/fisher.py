@@ -10,14 +10,16 @@ implemented and cross-checked:
   mu^4/(2(1+mu^2)) Tr{[adj(S) dS]^2} + 2 (dmu)^2/(1-mu^4) with derivatives
   from Richardson-extrapolated central differences;
 * `cfi_closed`    - closed form of the position-readout Fisher information;
-* `cfi_quadrature`- adaptive quadrature of int (dP)^2/P dx plus the Gaussian
-  variance identity (dV)^2/(2 V^2).
+* `cfi_quadrature`- Gauss-Hermite quadrature of int (dP)^2/P dx, with dP a
+  double-double density difference, plus the Gaussian variance identity
+  (dV)^2/(2 V^2).
 
 The first-moment term of the general Gaussian formula vanishes identically
 for this channel and is omitted throughout.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -137,8 +139,8 @@ _DEFAULT_SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e
 
 def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficients:
     """Trace polynomial for correlation estimation, with its c-coefficients."""
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
     eps = probe.coherence_ratio_sq
     tau = tau0(probe)
@@ -152,8 +154,8 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficien
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficients:
     """Trace polynomial for coupling estimation, with its c-coefficients."""
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
     eps = probe.coherence_ratio_sq
     tau = tau0(probe)
@@ -177,6 +179,8 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficie
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Analytic d(purity)/d(theta) for theta in {gamma, lam}."""
     target = _as_target(target)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t)
     bracket = _purity_bracket(*args)
     if target is EstimationTarget.GAMMA:
@@ -199,8 +203,8 @@ def _second_term(mu: float, dmu: float) -> float:
 def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Closed-form quantum Fisher information for the chosen target."""
     target = _as_target(target)
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     mu = purity_exact(probe, env, t)
     phi = phi_gamma(probe, env, t) if target is EstimationTarget.GAMMA else phi_lambda(probe, env, t)
     first = mu**4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi.value
@@ -346,16 +350,16 @@ def qfi_numeric(
     an independent oracle for `qfi_analytic`.
     """
     target = _as_target(target)
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     return _qfi_numeric_points(target, probe, probe.gamma, env.lam, t, step_policy)[0]
 
 
 def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Closed-form classical Fisher information of the position readout."""
     target = _as_target(target)
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     s0 = probe.sigma0
     b_sq = kernel_params(probe, env, t).b_sq
     try:
@@ -377,17 +381,41 @@ def _density_variance(probe: ProbeSpec, lam: float, gamma: float, t: float) -> f
     return probe.sigma0**2 * sxx / 2.0
 
 
+#: node counts of the two Gauss-Hermite rules; their difference is the error estimate
+_RULES = (16, 32)
+
+
+@functools.cache
+def _hermite_nodes() -> tuple:
+    """u^2 at the nodes of both rules (weight e^(-u^2)), and each rule's weights / sqrt(pi)."""
+    from numpy.polynomial.hermite import hermgauss  # deferred: only cfi_quadrature needs it
+
+    rules = [hermgauss(n) for n in _RULES]
+    u = np.concatenate([nodes for nodes, _ in rules])
+    return u * u, [weights / math.sqrt(math.pi) for _, weights in rules]
+
+
 def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CfiQuadrature:
     """Position-readout CFI by direct quadrature and by the variance identity.
 
-    The readout density is a zero-mean Gaussian of variance V(theta); oracle
-    (a) integrates (d_theta P)^2 / P with a finite-difference d_theta P,
-    oracle (b) evaluates (d_theta V)^2 / (2 V^2) with the analytic d_theta V.
-    Both are returned and must agree.
+    The readout density is a zero-mean Gaussian P(x; V) of variance V(theta).
+    Oracle (a) integrates (d_theta P)^2 / P with a finite-difference d_theta P
+    by Gauss-Hermite quadrature weighted to V; oracle (b) evaluates
+    (d_theta V)^2 / (2 V^2) with the analytic d_theta V.  Both are returned
+    and must agree to 1e-6 unless (b) lies under the cancellation floor of
+    its own d_theta V.
+
+    With x^2 = 2 V u^2 the integral is pi^(-1/2) sum_k w_k r(u_k)^2, where
+    r = (P(x; v+) - P(x; v-)) / (2 h P(x; V)) at v+- = V(theta +- h) is a
+    ratio of densities, so nothing overflows or underflows.  dv = v+ - v- is
+    taken in double-double, monomial by monomial, before anything is
+    rounded: the step can leave dv/V as small as 1e-67.  r is extrapolated
+    over four halved steps, and a 16-node and a 32-node rule give the value
+    and its error estimate.
     """
     target = _as_target(target)
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     g, lam, s0 = probe.gamma, env.lam, probe.sigma0
     tau = tau0(probe)
     th = t / tau
@@ -395,62 +423,59 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     V = _density_variance(probe, lam, g, t)
     if target is EstimationTarget.GAMMA:
         dV = s0**2 * (th + g * th**2)
+        dV_terms = s0**2 * (th + abs(g) * th**2)
         d2V = s0**2 * th**2
         x0 = g
     else:
         dV = (2.0 / 3.0) * HBAR**2 * t**3 / probe.mass**2
+        dV_terms = dV
         d2V = 0.0
         x0 = lam
-    identity = dV**2 / (2.0 * V**2)
+    identity = (dV / V) ** 2 / 2.0
 
     # V is at most quadratic in theta, so the step follows from dV and d2V:
-    # the antisymmetric change 2 h |dV| is aimed at 3e-4 V, so the density
-    # difference keeps ~12 digits, and the symmetric change d2V h^2 is capped
-    # at 2e-3 V so the tableau below can remove it.  dV and d2V only size
-    # the step; the quadrature still differences V(theta +- h) numerically.
+    # the antisymmetric change 2 h |dV| is aimed at 3e-4 V and the symmetric
+    # change d2V h^2 is capped at 2e-3 V so the tableau below can remove it.
+    # dV and d2V only size the step; the quadrature still differences
+    # V(theta +- h) numerically.
     h = min(
         3e-4 * V / (2.0 * abs(dV)) if dV else math.inf,
         math.sqrt(2e-3 * V / d2V) if d2V else math.inf,
     )
-    # the density difference keeps ~log10(dv_rel / eps) digits; ask for three fewer
-    dv_rel = 2.0 * h * abs(dV) / V
-    epsrel = max(1e-10, 1e3 * 2.3e-16 / dv_rel) if dv_rel else 1e-10
-
-    def var_at(x: float) -> float:
-        gg, ll = (x, lam) if target is EstimationTarget.GAMMA else (g, x)
-        return _density_variance(probe, ll, gg, t)
-
     steps = [h / 2.0**i for i in range(4)]
-    pairs = [(var_at(x0 + hh), var_at(x0 - hh)) for hh in steps]
-    inv_widths = [1.0 / (2.0 * hh) for hh in steps]
+    x = np.array([x0 + hh for hh in steps] + [x0 - hh for hh in steps])
+    u2, weights = _hermite_nodes()
 
-    def gauss(x: float, var: float) -> float:
-        return math.exp(-(x * x) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-    def integrand(x: float) -> float:
-        p = gauss(x, V)
-        d = [
-            (gauss(x, vp) - gauss(x, vm)) * iw
-            for (vp, vm), iw in zip(pairs, inv_widths)
-        ]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        gg, ll = (x, lam) if target is EstimationTarget.GAMMA else (g, x)
+        sxx = _covariance_terms_dd(probe.mass, s0, probe.coherence_ratio_sq, gg, ll, t)[:5]
+        # monomials free of theta are scalars; their difference is exactly zero
+        diff = [_dd.dd_sub((hi[:4], lo[:4]), (hi[4:], lo[4:])) for hi, lo in sxx if np.ndim(hi)]
+        v, dv = (_dd.dd_mul_d(_dd.dd_sum(terms), s0**2 / 2.0) for terms in (sxx, diff))
+        v, dv = v[0] + v[1], dv[0] + dv[1]
+        vp, vm = v[:4], v[4:]
+        width = x[:4] - x[4:]
+        # P+ - P- = P- expm1(log(P+/P-)) and P-/P0, both as exponentials of
+        # quantities that stay small where dv/V does
+        ratio = np.expm1(u2 * ((dv / vp) * (V / vm))[:, None] - 0.5 * np.log1p(dv / vm)[:, None])
+        r = ratio * np.exp(u2 * ((vm - V) / vm)[:, None] - 0.5 * np.log(vm / V)[:, None])
+        r /= width[:, None]  # the rounded x0 +- h, close to 2h
         for j in range(1, 4):
             fac = 4.0**j
-            d = [(fac * d[i] - d[i - 1]) / (fac - 1.0) for i in range(1, len(d))]
-        return d[0] ** 2 / p
-
-    span = 12.0 * math.sqrt(V)
-    # finite-difference roundoff floor of the quadrature route: ~(eps/h)^2
-    noise_floor = 1e8 * (2.3e-16 / h) ** 2
-    epsabs = 1e-12 * identity if identity > noise_floor else noise_floor
-    from scipy import integrate  # deferred: the only scipy user, kept off `import pmcorr`
-
-    out = integrate.quad(integrand, -span, span, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)
-    if len(out) >= 4:
-        raise ConvergenceError(f"quadrature tolerance not met: {out[3]}")
-    quad_value = float(out[0])
+            r = (fac * r[1:] - r[:-1]) / (fac - 1.0)
+        r2 = r[0] * r[0]
+        coarse = float(weights[0] @ r2[: _RULES[0]])
+        quad_value = float(weights[1] @ r2[_RULES[0] :])
 
     scale = max(abs(quad_value), identity)
-    if scale > noise_floor and abs(quad_value - identity) > 1e-6 * scale:
+    error = abs(quad_value - coarse)
+    if error > 1e-10 * scale:
+        raise ConvergenceError(
+            f"quadrature error estimate {error:.3e} exceeds 1e-10 of {scale:.3e}"
+        )
+    # the identity keeps no digits once dV sinks to the rounding of its terms
+    floor = (1e3 * 2.3e-16 * dV_terms / V) ** 2 / 2.0
+    if scale > floor and abs(quad_value - identity) > 1e-6 * scale:
         raise ConvergenceError(
             f"CFI oracles disagree: quadrature {quad_value!r} vs identity {identity!r}"
         )

@@ -336,8 +336,11 @@ def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelPar
     The coefficients contain 1/t factors, so the initial state is not
     reachable here; use `covariance` for t = 0.
     """
-    if not t > 0:
-        raise ValueError("kernel undefined at t=0; use covariance() for the initial moments")
+    if not 0.0 < t < math.inf:
+        raise ValueError(
+            f"kernel undefined at t={t}: t must be positive and finite "
+            "(use covariance() for the initial moments)"
+        )
     m, s0, g, lam = probe.mass, probe.sigma0, probe.gamma, env.lam
     inv_l2 = 0.0 if probe.is_fully_coherent else 1.0 / probe.ell0**2
 
@@ -347,14 +350,18 @@ def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelPar
         + (m / (2.0 * HBAR * t) + g / (2.0 * s0**2)) ** 2
         + lam * t / (3.0 * s0**2)
     )
+    if b_sq == math.inf:
+        raise OverflowError(
+            f"b_sq overflows the float range (lambda={lam:g} m^-2 s^-1, t={t:g} s)"
+        )
     a1 = m**2 / (8.0 * HBAR**2 * t**2 * s0**2 * b_sq)
     return KernelParams(a1=a1, b_sq=b_sq, n_t=math.sqrt(2.0 * a1 / math.pi))
 
 
 def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMatrix:
     """Scaled covariance matrix at time t >= 0 (exact analytic limit at t=0)."""
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     terms = _covariance_terms_dd(
         probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
     )
@@ -372,8 +379,8 @@ def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMa
 
 def purity_exact(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Tr[rho^2] of the evolved state; always in (0, 1]."""
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     return _purity_bracket(
         probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
     ) ** -0.5
@@ -381,8 +388,8 @@ def purity_exact(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
 
 def purity_approx(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Cubic-term approximation of the purity, valid for microsecond-scale flights."""
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     tau = tau0(probe)
     term = (4.0 * HBAR * env.lam * (probe.gamma**2 + 1.0) / (3.0 * tau * probe.mass)) * t**3
     return (1.0 + term) ** -0.5

@@ -65,8 +65,8 @@ def lambda_from_temperature(
     temperature: float, m_air: float, number_density: float, molecule_size: float
 ) -> float:
     """Effective scattering constant (m^-2 s^-1) of a thermal gas environment."""
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if not (m_air > 0 and number_density > 0 and molecule_size > 0):
         raise ValueError("m_air, number_density and molecule_size must be positive")
     return (
@@ -82,8 +82,8 @@ def temperature_from_lambda(
     lam: float, m_air: float, number_density: float, molecule_size: float
 ) -> float:
     """Exact inverse of `lambda_from_temperature`."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if not (m_air > 0 and number_density > 0 and molecule_size > 0):
         raise ValueError("m_air, number_density and molecule_size must be positive")
     base = (
@@ -111,8 +111,8 @@ def _rate(probe: ProbeSpec, lam: float, t: float) -> float:
 
 def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """(1/mu)|dmu/dt| in s^-1, from the analytic time derivative."""
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     return _rate(probe, env.lam, t)
 
 

@@ -130,10 +130,17 @@ class TestSweep:
              "--log", "--t", "1us"],
             ["sweep", "--axis", "gamma", "--min", "-1", "--max", "1", "--points", "5",
              "--t", "1us"],  # no coupling anywhere
+            ["sweep", "--axis", "gamma", "--min", "-1", "--max", "1", "--points", "3",
+             "--lambda", "1e15", "--t", "inf"],
         ],
     )
     def test_validation_exit_code(self, args, capsys):
         assert main(args) == 2
+
+    def test_non_finite_axis_bound_named(self, capsys):
+        assert main(["sweep", "--axis", "time", "--min", "1us", "--max", "inf", "--points", "3",
+                     "--lambda", "1e15"]) == 2
+        assert capsys.readouterr().err == "error: axis bounds must be finite, got min=1e-06 max=inf\n"
 
 
 class TestTable1:
@@ -196,6 +203,13 @@ class TestConvert:
     def test_negative_rejected(self, capsys):
         assert main(["convert", "--to-lambda", "-1"]) == 2
         assert main(["convert", "--to-temp", "-1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--to-lambda", "--to-temp"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rejected(self, flag, value, capsys):
+        assert main(["convert", flag, value, "--quiet"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
 
 
 class TestFigures:
@@ -270,6 +284,14 @@ class TestScalarCommands:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("command", [["purity"], ["qfi", "--target", "gamma"],
+                                         ["qfi", "--target", "lambda"], ["cfi", "--target", "gamma"]])
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_time_is_validation_error(self, command, t, capsys):
+        assert main([*command, "--lambda", "1e15", "--t", t]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: t must be ")
+
     def test_missing_time_is_validation_error(self, capsys):
         assert main(["purity", "--gamma", "0", "--lambda", "1e15"]) == 2
 
@@ -313,6 +335,9 @@ class TestScalarCommands:
               "--max", "1e200", "--points", "5", "--t", "20us", "--gamma", "3", "--ell0", "5e-8"],
              "sweep row 3 (lambda_per_m2s=9.999999999999999e+148) failed: b_sq=1.09577e+160 m^-4 "
              "overflows the float range when squared (lambda=1e+149 m^-2 s^-1, t=2e-05 s)\n"),
+            # ... and b_sq itself overflows once lambda t passes ~5e292
+            (["cfi", "--target", "lambda", "--lambda", "1e300", "--t", "1"],
+             "numerical failure: b_sq overflows the float range (lambda=1e+300 m^-2 s^-1, t=1 s)\n"),
         ],
     )
     def test_arithmetic_error_is_numerical_failure(self, args, stderr_prefix, capsys):

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pmcorr as pc
+from pmcorr.constants import HBAR
 from pmcorr.fisher import _ADJ_TRACE_RESCALE
 
 FULLERENE = pc.fullerene_probe()
@@ -215,16 +216,65 @@ class TestCfi:
             (1.55e22, 0.0, 4.23e-3, 5e-8),
             (7.30e20, 0.0, 1.91e-2, 5e-8),
             (1.38e4, 0.0, 0.443, math.inf),
+            # a float density difference kept fewer than ~7 digits at these
+            (5.69e28, 0.0, 4.16e-3, math.inf),
+            (6.53e24, 0.0, 68.1e-3, 5e-8),
+            (2.29e21, 0.0, 0.923, 5e-8),
+            # ... and was 2.6e-2 off here, under a finite-difference noise floor
+            (2.14e28, 0.0, 0.746, math.inf),
+            # gamma +- h rounds to ~1e-9 of gamma, the limit of this point
+            (1.64e28, 8.9e-3, 0.811, 5e-8),
         ],
     )
     def test_quadrature_deep_in_envelope(self, lam, gamma, t, ell0):
-        # t/tau0 from 30 to 6e5: the density changes little with gamma, so the
-        # quadrature can promise fewer digits than near t ~ tau0
+        # t/tau0 from 30 to 1.3e6: the density changes by as little as 1e-9
+        # across the stencil, which the double-double difference still resolves
         probe = pc.fullerene_probe(gamma=gamma, ell0=ell0)
         quad = pc.cfi_quadrature(GAMMA, probe, env(lam), t)
         closed = pc.cfi_closed(GAMMA, probe, env(lam), t)
         for value in (quad.quadrature, quad.gaussian_identity):
-            assert abs(value - closed) <= 1e-6 * closed
+            assert abs(value - closed) <= 1e-9 * closed
+
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_quadrature_resolves_tiny_density_change(self, target):
+        # at lam = 1e150 the step changes V by ~1e-67 relative (gamma target),
+        # far below float resolution; cfi_closed overflows squaring b_sq here
+        quad = pc.cfi_quadrature(target, FULLERENE, env(1e150), 2e-5)
+        assert 0.0 < quad.gaussian_identity < 1e-260
+        assert abs(quad.quadrature - quad.gaussian_identity) <= 1e-12 * quad.gaussian_identity
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_quadrature_across_envelope(self, seed):
+        # 3,000 draws over the whole envelope, both targets: the quadrature
+        # never raises and matches cfi_closed to 1e-6 unless both lie under
+        # the cancellation floor of the identity's dV
+        rng = np.random.default_rng(seed)
+        failures = []
+        for _ in range(3000):
+            lam = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 30.0)
+            gamma = 0.0 if rng.random() < 0.1 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 4)
+            t = 10.0 ** rng.uniform(-12.0, 0.0)
+            probe = pc.fullerene_probe(gamma=float(gamma), ell0=(5e-8, math.inf)[rng.integers(2)])
+            e = env(lam)
+            th = t / pc.tau0(probe)
+            V = pc.position_density_variance(probe, e, t)
+            dv_terms = {
+                GAMMA: probe.sigma0**2 * (th + abs(probe.gamma) * th**2),
+                LAMBDA: (2.0 / 3.0) * HBAR**2 * t**3 / probe.mass**2,
+            }
+            for target in (GAMMA, LAMBDA):
+                point = (target.value, lam, probe.gamma, t, probe.ell0)
+                try:
+                    quad = pc.cfi_quadrature(target, probe, e, t).quadrature
+                except pc.ConvergenceError as exc:
+                    failures.append((point, str(exc)))
+                    continue
+                closed = pc.cfi_closed(target, probe, e, t)
+                scale = max(abs(quad), closed)
+                floor = (1e3 * 2.3e-16 * dv_terms[target]) ** 2 / (2.0 * V**2)
+                if abs(quad - closed) > 1e-6 * scale and scale > floor:
+                    failures.append((point, quad, closed))
+        assert failures == []
 
     def test_dual_oracle_agreement(self):
         quad = pc.cfi_quadrature(LAMBDA, FULLERENE, env(1e15), 5e-5)
@@ -235,6 +285,19 @@ class TestCfi:
         probe = FULLERENE.with_gamma(-pc.tau0(FULLERENE) / t)
         quad = pc.cfi_quadrature(GAMMA, probe, env(1e15), t)
         assert abs(quad.quadrature) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["phi_gamma", "phi_lambda", "purity_derivative", "qfi_analytic", "qfi_numeric", "cfi_closed",
+     "cfi_quadrature"],
+)
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_rejects_non_finite_time(name, t):
+    func = getattr(pc, name)
+    args = (FULLERENE, env(1e15), t)
+    with pytest.raises(ValueError, match="finite"):
+        func(*args) if name.startswith("phi_") else func(GAMMA, *args)
 
 
 class TestCramerRao:

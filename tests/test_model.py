@@ -103,6 +103,15 @@ class TestKernelParams:
             pc.kernel_params(FULLERENE, env(1e15), t)
 
 
+@pytest.mark.parametrize(
+    "func", [pc.purity_exact, pc.purity_approx, pc.covariance, pc.kernel_params]
+)
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_rejects_non_finite_time(func, t):
+    with pytest.raises(ValueError, match="finite"):
+        func(FULLERENE, env(1e15), t)
+
+
 class TestCovariance:
     @pytest.mark.parametrize("gamma", [0.0, 3.0, -7.5])
     def test_pure_state_unit_determinant(self, gamma):

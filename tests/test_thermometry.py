@@ -84,6 +84,13 @@ class TestConversions:
         with pytest.raises(ValueError):
             pc.lambda_from_temperature(300.0, 0.0, 1e12, 7e-10)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            pc.lambda_from_temperature(value, *AIR)
+        with pytest.raises(ValueError, match="finite"):
+            pc.temperature_from_lambda(value, *AIR)
+
 
 class TestDecoherenceTime:
     def test_reference(self):
@@ -119,6 +126,11 @@ class TestRelativePurityRate:
         probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0, gamma=4.0)
         for t in (1e-7, 1e-4):
             assert pc.relative_purity_rate(probe, pc.EnvironmentSpec(lam=0.0), t) == 0.0
+
+    @pytest.mark.parametrize("t", [0.0, math.inf, math.nan])
+    def test_rejects_invalid_time(self, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            pc.relative_purity_rate(FULLERENE, ENV15, t)
 
 
 class TestTauMax:
@@ -280,8 +292,15 @@ class TestReferenceTable:
 
 
 def test_import_loads_no_scipy():
+    # neither the import nor a cfi launch, which runs the quadrature oracle
     src = Path(pc.__file__).resolve().parents[1]
-    code = "import sys, pmcorr; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    launch = (
+        "from pmcorr.cli import main; "
+        "assert main(['cfi', '--target', 'gamma', '--lambda', '1e15', '--t', '50us', '--quiet']) == 0"
+    )
+    for code in ("import sys, pmcorr", f"import sys; {launch}"):
+        out = subprocess.run([sys.executable, "-c", f"{code}; {report}"], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                             timeout=60)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
