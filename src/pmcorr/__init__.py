@@ -14,7 +14,6 @@ from .fisher import (
     EstimationTarget,
     FisherResult,
     PhiCoefficients,
-    StepPolicy,
     cfi_closed,
     cfi_quadrature,
     cramer_rao_bound,
@@ -39,7 +38,6 @@ from .model import (
     EnvironmentSpec,
     KernelParams,
     ProbeSpec,
-    air_environment,
     covariance,
     fullerene_probe,
     gamma_from_pearson,

@@ -507,8 +507,6 @@ def cmd_convert(args, started: float) -> int:
     m_air, density, size = scenario.m_air, scenario.number_density, scenario.molecule_size
     if args.to_lambda is not None:
         value = lambda_from_temperature(args.to_lambda, m_air, density, size)
-    elif args.to_temp < 0:
-        raise ValueError(f"lambda must be >= 0, got {args.to_temp}")
     else:
         value = temperature_from_lambda(args.to_temp, m_air, density, size)
     print(fmt(value))

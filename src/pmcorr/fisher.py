@@ -31,13 +31,13 @@ from .constants import HBAR
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
-    _covariance_entries,
     _covariance_terms_dd,
     _purity_bracket,
     _purity_bracket_dgamma,
     _purity_bracket_dlam,
     _purity_bracket_terms_dd,
     kernel_params,
+    position_density_variance,
     purity_exact,
     tau0,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "PhiCoefficients",
     "FisherResult",
     "CfiQuadrature",
-    "StepPolicy",
     "phi_gamma",
     "phi_lambda",
     "purity_derivative",
@@ -120,21 +119,13 @@ class FisherResult:
     purity_derivative: float
 
 
-@dataclass(frozen=True)
-class StepPolicy:
-    """Step and tableau of `qfi_numeric`: h = rel_step * max(|theta|, scale_floor).
-
-    `cfi_quadrature` takes no policy; it sizes its step from V(theta).
-    """
-
-    rel_step: float = 1e-4
-    scale_floor: float | None = None  # default depends on the target
-    levels: int = 5
-    rel_tol: float = 1e-6
-
-
+#: `qfi_numeric`'s Richardson tableau: first step h = _REL_STEP * max(|theta|,
+#: floor), halved over _LEVELS levels, converged at relative spread _REL_TOL
+_REL_STEP = 1e-4
+_LEVELS = 5
+_REL_TOL = 1e-6
 #: characteristic scale used as a step floor when |theta| is small
-_DEFAULT_SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e12}
+_SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e12}
 
 
 def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficients:
@@ -216,7 +207,7 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
 _N_TERMS = 18
 
 
-def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=None) -> list:
+def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     """`qfi_numeric` at n points in one array evaluation.
 
     gamma, lam and t are each a number, or a list with one value per point;
@@ -224,7 +215,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=Non
     one-point result bit for bit, and a failure raises what the lowest
     failing point raises on its own.
 
-    All 2*levels stencil points and the centre go through one pass of the
+    All 2*_LEVELS stencil points and the centre go through one pass of the
     monomial split (model._covariance_terms_dd, _purity_bracket_terms_dd) in
     double-double: the huge theta-independent parts then cancel exactly, and
     the adjugate trace below keeps enough consistent digits to survive its
@@ -232,18 +223,13 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=Non
     Monomials free of theta come back without the stencil axis; their
     difference is exactly zero, so the Richardson tableau T[level][order]
     runs on the others only, column by column, keeping two columns.
-    Convergence requires T[L-1][L-1] to agree with T[L-2][L-3] to rel_tol
+    Convergence requires T[L-1][L-1] to agree with T[L-2][L-3] to _REL_TOL
     componentwise; estimates at the roundoff floor of the central difference
     count as converged zeros.  The adjugate trace and the purity terms are
     assembled per point in scalar double-double, where a handful of
     operations cost less than array dispatch and CPython rounds the powers.
     """
     target = _as_target(target)
-    policy = step_policy or StepPolicy()
-    levels = policy.levels
-    if levels < 3:
-        raise ValueError(f"levels must be >= 3, got {levels}")
-    floor = policy.scale_floor if policy.scale_floor is not None else _DEFAULT_SCALE_FLOOR[target]
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
     n = max((len(v) for v in (gamma, lam, t) if isinstance(v, list)), default=1)
     g, ll, tt = (np.array(v, dtype=float) if isinstance(v, list) else v for v in (gamma, lam, t))
@@ -252,9 +238,9 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=Non
     # the convergence test), division by zero raises
     with np.errstate(over="ignore", invalid="ignore", divide="raise"):
         x0 = np.atleast_1d(np.asarray(g if target is EstimationTarget.GAMMA else ll, dtype=float))
-        h0 = policy.rel_step * np.maximum(np.abs(x0), floor)
+        h0 = _REL_STEP * np.maximum(np.abs(x0), _SCALE_FLOOR[target])
         steps = [h0]
-        for _ in range(levels - 1):
+        for _ in range(_LEVELS - 1):
             steps.append(steps[-1] / 2.0)
         h = np.array(steps)
         x = np.concatenate([x0 + h, x0 - h, x0[None]])
@@ -264,7 +250,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=Non
         )
         moving = [k for k, (hi, _) in enumerate(terms) if np.ndim(hi) == 2]
         still = [k for k in range(_N_TERMS) if k not in moving]
-        f = np.empty((2, len(moving), 2 * levels + 1, n))
+        f = np.empty((2, len(moving), 2 * _LEVELS + 1, n))
         centre = np.empty((2, _N_TERMS, n))
         for j, k in enumerate(moving):
             f[0, j], f[1, j] = terms[k]
@@ -275,13 +261,13 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=Non
         # a non-finite still monomial has a NaN difference, which fails its point
         bad = ~np.isfinite(centre[:, still]).all(axis=(0, 1))
 
-        fp = f[0, :, :levels], f[1, :, :levels]
-        fm = f[0, :, levels:-1], f[1, :, levels:-1]
+        fp = f[0, :, :_LEVELS], f[1, :, :_LEVELS]
+        fm = f[0, :, _LEVELS:-1], f[1, :, _LEVELS:-1]
         fscale = np.maximum(np.abs(fp[0]), np.abs(fm[0])).max(axis=1)
         width = (x0 + h) - (x0 - h)  # exact in float arithmetic
         column = _dd.dd_mul_d(_dd.dd_sub(fp, fm), 1.0 / width)
-        for j in range(1, levels):
-            if j == levels - 2:
+        for j in range(1, _LEVELS):
+            if j == _LEVELS - 2:
                 prev = column[0][:, 1], column[1][:, 1]
             fac = 4.0**j
             column = _dd.dd_mul_d(
@@ -297,8 +283,8 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=Non
         mag = np.maximum(np.abs(last[0]), np.abs(prev[0]))
         # cancellation noise of the smallest-step plain-float difference, with headroom;
         # the dd evaluation sits far below it, so this is deliberately conservative
-        noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (levels - 1) / h0
-        ok = ((err <= policy.rel_tol * mag) | (mag <= noise_floor)).all(axis=0) & ~bad
+        noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (_LEVELS - 1) / h0
+        ok = ((err <= _REL_TOL * mag) | (mag <= noise_floor)).all(axis=0) & ~bad
         spread = np.where(bad, np.nan, np.max(err / np.maximum(mag, 1e-300), axis=0))
 
     d = np.zeros((2, _N_TERMS, n))  # the still monomials' differences are exactly (0, 0)
@@ -337,13 +323,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t, step_policy=Non
     return values
 
 
-def qfi_numeric(
-    target,
-    probe: ProbeSpec,
-    env: EnvironmentSpec,
-    t: float,
-    step_policy: StepPolicy | None = None,
-) -> float:
+def qfi_numeric(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Quantum Fisher information from the general Gaussian formula.
 
     The covariance and purity derivatives are taken numerically, so this is
@@ -352,7 +332,7 @@ def qfi_numeric(
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    return _qfi_numeric_points(target, probe, probe.gamma, env.lam, t, step_policy)[0]
+    return _qfi_numeric_points(target, probe, probe.gamma, env.lam, t)[0]
 
 
 def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -372,13 +352,6 @@ def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> floa
             f"b_sq={b_sq:g} m^-4 overflows the float range when squared "
             f"(lambda={env.lam:g} m^-2 s^-1, t={t:g} s)"
         ) from None
-
-
-def _density_variance(probe: ProbeSpec, lam: float, gamma: float, t: float) -> float:
-    sxx, _, _ = _covariance_entries(
-        probe.mass, probe.sigma0, probe.coherence_ratio_sq, gamma, lam, t
-    )
-    return probe.sigma0**2 * sxx / 2.0
 
 
 #: node counts of the two Gauss-Hermite rules; their difference is the error estimate
@@ -420,7 +393,7 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     tau = tau0(probe)
     th = t / tau
 
-    V = _density_variance(probe, lam, g, t)
+    V = position_density_variance(probe, env, t)
     if target is EstimationTarget.GAMMA:
         dV = s0**2 * (th + g * th**2)
         dV_terms = s0**2 * (th + abs(g) * th**2)
@@ -484,28 +457,22 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
 
 def cramer_rao_bound(fisher_info: float, n_repeats: int) -> float:
     """Smallest achievable standard deviation: 1/sqrt(N * F)."""
+    if not 0.0 <= fisher_info < math.inf:
+        raise ValueError(f"Fisher information must be finite and >= 0, got {fisher_info}")
     if fisher_info == 0:
         raise ValueError("non-informative: Fisher information is zero")
-    if fisher_info < 0:
-        raise ValueError(f"Fisher information must be >= 0, got {fisher_info}")
-    if n_repeats < 1:
-        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    if not 1 <= n_repeats < math.inf:
+        raise ValueError(f"n_repeats must be finite and >= 1, got {n_repeats}")
     return 1.0 / math.sqrt(n_repeats * fisher_info)
 
 
-def fisher_information(
-    target,
-    probe: ProbeSpec,
-    env: EnvironmentSpec,
-    t: float,
-    step_policy: StepPolicy | None = None,
-) -> FisherResult:
-    """Evaluate every route at one point; ``step_policy`` steers `qfi_numeric`."""
+def fisher_information(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> FisherResult:
+    """Evaluate every route at one point."""
     target = _as_target(target)
     quad = cfi_quadrature(target, probe, env, t)
     return FisherResult(
         qfi_analytic=qfi_analytic(target, probe, env, t),
-        qfi_numeric=qfi_numeric(target, probe, env, t, step_policy),
+        qfi_numeric=qfi_numeric(target, probe, env, t),
         cfi_closed=cfi_closed(target, probe, env, t),
         cfi_quadrature=quad.quadrature,
         purity=purity_exact(probe, env, t),

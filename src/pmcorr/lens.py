@@ -27,14 +27,12 @@ class LensSpec:
     t_int: float       # s, effective interaction time
 
     def __post_init__(self):
-        if not self.omega0 > 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if not self.v_cm > 0:
-            raise ValueError(f"v_cm must be > 0, got {self.v_cm}")
-        if not self.t_int > 0:
-            raise ValueError(f"t_int must be > 0, got {self.t_int}")
+        for name in ("omega0", "wavelength", "v_cm", "t_int"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.detuning):
+            raise ValueError(f"detuning must be finite, got {self.detuning}")
 
 
 class OpticalPotential(NamedTuple):
@@ -44,12 +42,17 @@ class OpticalPotential(NamedTuple):
 
 def rabi_profile(lens: LensSpec, x: float, z: float) -> float:
     """Rabi frequency of the standing wave at transverse x, longitudinal z."""
+    if not (math.isfinite(x) and math.isfinite(z)):
+        raise ValueError(f"position must be finite, got x={x}, z={z}")
     envelope = math.exp(-math.pi * z**2 / (lens.v_cm * lens.t_int) ** 2)
     return lens.omega0 * math.cos(2.0 * math.pi * x / lens.wavelength) * envelope
 
 
 def optical_potential(lens: LensSpec, x: float, z: float) -> OpticalPotential:
-    """Ground-state light-shift potential (energy / hbar) and its harmonic companion."""
+    """Ground-state light-shift potential (energy / hbar) and its harmonic companion.
+
+    Rejects a non-finite position through `rabi_profile`.
+    """
     omega = rabi_profile(lens, x, z)
     full = -0.5 * math.sqrt(omega**2 + lens.detuning**2)
     k = 2.0 * math.pi / lens.wavelength
@@ -79,10 +82,11 @@ def focal_length(lens: LensSpec, mass: float) -> float:
 def gamma_from_curvature(mass: float, v_cm: float, curvature_radius: float, sigma0: float) -> float:
     """Correlation parameter from the wavefront curvature radius.
 
-    Sign convention: R > 0 (diverging beam) gives gamma > 0.
+    Sign convention: R > 0 (diverging beam) gives gamma > 0; an infinite R
+    (flat wavefront) gives gamma = 0.
     """
-    if curvature_radius == 0:
-        raise ValueError("curvature radius must be nonzero")
+    if curvature_radius == 0 or math.isnan(curvature_radius):
+        raise ValueError(f"curvature radius must be nonzero and not NaN, got {curvature_radius}")
     if not (mass > 0 and v_cm > 0 and sigma0 > 0):
         raise ValueError("mass, v_cm and sigma0 must be positive")
     return mass * v_cm * sigma0**2 / (HBAR * curvature_radius)

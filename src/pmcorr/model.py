@@ -22,15 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _dd
-from .constants import (
-    AIR_MOLECULE_MASS,
-    AIR_NUMBER_DENSITY,
-    FULLERENE_ELL0,
-    FULLERENE_MASS,
-    FULLERENE_MOLECULE_SIZE,
-    FULLERENE_SIGMA0,
-    HBAR,
-)
+from .constants import FULLERENE_ELL0, FULLERENE_MASS, FULLERENE_SIGMA0, HBAR
 
 #: covariance determinants may round below 1 by this much near the pure manifold
 DET_TOLERANCE = 1e-9
@@ -77,37 +69,15 @@ class ProbeSpec:
 class EnvironmentSpec:
     """Scattering environment, characterized by the effective constant ``lam``.
 
-    The microscopic tuple (temperature, m_air, number_density, molecule_size)
-    is optional; when present it must reproduce ``lam`` through
-    `pmcorr.thermometry.lambda_from_temperature`.
+    `pmcorr.thermometry` maps ``lam`` to and from the temperature of a
+    thermal gas.
     """
 
     lam: float
-    temperature: float | None = None
-    m_air: float | None = None
-    number_density: float | None = None
-    molecule_size: float | None = None
 
     def __post_init__(self):
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        micro = (self.temperature, self.m_air, self.number_density, self.molecule_size)
-        present = [v is not None for v in micro]
-        if any(present) and not all(present):
-            raise ValueError(
-                "temperature, m_air, number_density and molecule_size must be supplied together"
-            )
-        if all(present):
-            from .thermometry import lambda_from_temperature  # deferred, avoids import cycle
-
-            expected = lambda_from_temperature(
-                self.temperature, self.m_air, self.number_density, self.molecule_size
-            )
-            if not math.isclose(self.lam, expected, rel_tol=1e-9):
-                raise ValueError(
-                    f"lam={self.lam:g} inconsistent with its microscopic parameters "
-                    f"(they give {expected:g})"
-                )
 
 
 @dataclass(frozen=True)
@@ -153,31 +123,10 @@ class CovarianceMatrix:
             return self.det_hint
         return _dd.det2x2(self.sxx, self.sxp, self.spp)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.sxx, self.sxp], [self.sxp, self.spp]])
-
-    def adjugate(self) -> np.ndarray:
-        return np.array([[self.spp, -self.sxp], [-self.sxp, self.sxx]])
-
 
 def fullerene_probe(gamma: float = 0.0, ell0: float = FULLERENE_ELL0) -> ProbeSpec:
     """Probe of the reference fullerene scenario with the given correlation."""
     return ProbeSpec(mass=FULLERENE_MASS, sigma0=FULLERENE_SIGMA0, ell0=ell0, gamma=gamma)
-
-
-def air_environment(lam: float) -> EnvironmentSpec:
-    """Reference air environment carrying the microscopic defaults for lam."""
-    from .thermometry import temperature_from_lambda
-
-    return EnvironmentSpec(
-        lam=lam,
-        temperature=temperature_from_lambda(
-            lam, AIR_MOLECULE_MASS, AIR_NUMBER_DENSITY, FULLERENE_MOLECULE_SIZE
-        ),
-        m_air=AIR_MOLECULE_MASS,
-        number_density=AIR_NUMBER_DENSITY,
-        molecule_size=FULLERENE_MOLECULE_SIZE,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +255,6 @@ def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
         g2,
         _dd.dd_mul_d(_dd.dd_mul(th_dd, lt), 4.0),
     ]
-
-
-def _covariance_entries(mass, sigma0, eps, gamma, lam, t):
-    """Scaled dimensionless (sxx, sxp, spp); polynomial in t, exact at t=0."""
-    tau = _tau0(mass, sigma0)
-    th = t / tau
-    lt = lam * sigma0**2 * tau
-    e2 = 1.0 + 2.0 * eps
-    g2 = gamma * gamma
-    sxx = 1.0 + 2.0 * gamma * th + (e2 + g2) * th**2 + (4.0 / 3.0) * lt * th**3
-    sxp = gamma + (e2 + g2) * th + 2.0 * lt * th**2
-    spp = e2 + g2 + 4.0 * lt * th
-    return sxx, sxp, spp
 
 
 # ---------------------------------------------------------------------------

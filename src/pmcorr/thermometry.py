@@ -24,12 +24,9 @@ from .model import (
     _purity_bracket_coefficients,
     _purity_bracket_dt,
     purity_exact,
+    tau0,
 )
 
-#: largest relative imaginary part of a root of the stationarity polynomial
-#: still taken as real: eigenvalue rounding can split a real root pair into a
-#: conjugate pair this close to the axis
-_ROOT_IMAG_RTOL = 1e-6
 #: relative margin by which the rate at the knee must exceed the rate at the
 #: neighbouring extrema, far above the ~1e-15 rounding of the rate, so a
 #: maximum that rounding could invent or hide is not reported
@@ -95,10 +92,10 @@ def temperature_from_lambda(
 
 def decoherence_time(lam: float, delta_x: float) -> float:
     """Time 1/(lam dx^2) to suppress coherence over distance dx; inf for lam = 0."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if not delta_x > 0:
-        raise ValueError(f"delta_x must be > 0, got {delta_x}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if not 0.0 < delta_x < math.inf:
+        raise ValueError(f"delta_x must be positive and finite, got {delta_x}")
     if lam == 0:
         return math.inf  # no decoherence
     return 1.0 / (lam * delta_x**2)
@@ -130,12 +127,13 @@ def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
     With B = 1/purity^2, the quartic purity bracket, the rate is |B'|/(2B)
     and d(B'/B)/dt = P/B^2 with P = B''B - B'^2 of degree 6.  The extrema are
     the real positive roots of P, solved in x = t / `tau_max_approx`, where
-    the coefficients are of order one.  Near-real roots are accepted and
-    polished by Newton steps on P.  A root is a local maximum of the rate
-    exactly when sign(P') sign(B') < 0; the knee is the maximum with the
-    largest rate among those whose rate exceeds that of the neighbouring
-    extrema by more than rounding.  Where no such maximum exists (gamma = 0
-    at lam = 1e33, gamma = 35 at 1e25) this raises ConvergenceError.
+    the coefficients are of order one.  The real roots (eigenvalues with a
+    zero imaginary part) are polished by Newton steps on P.  A root is a
+    local maximum of the rate exactly when sign(P') sign(B') < 0; the knee is
+    the maximum with the largest rate among those whose rate exceeds that of
+    the neighbouring extrema by more than rounding.  Where no such maximum
+    exists (gamma = 0 at lam = 1e33, gamma = 35 at 1e25) this raises
+    ConvergenceError.
     """
     if not env.lam > 0:
         raise ValueError("tau_max requires lam > 0")
@@ -173,7 +171,7 @@ def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
 
     extrema = []
     for z in roots:
-        if not (z.real > 0 and abs(z.imag) <= _ROOT_IMAG_RTOL * abs(z)):
+        if not (z.real > 0 and z.imag == 0.0):
             continue
         x = float(z.real)
         for _ in range(2):
@@ -206,8 +204,6 @@ def tau_max_approx(probe: ProbeSpec, env: EnvironmentSpec) -> float:
     """Closed-form maximizer of the cubic-term purity approximation."""
     if not env.lam > 0:
         raise ValueError("tau_max requires lam > 0")
-    from .model import tau0
-
     tau = tau0(probe)
     return (3.0 * tau**2 / (2.0 * (1.0 + probe.gamma**2) * env.lam * probe.sigma0**2)) ** (1.0 / 3.0)
 

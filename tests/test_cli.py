@@ -281,6 +281,16 @@ class TestScalarCommands:
         assert float(values["de_broglie_m"]) == pytest.approx(5.52e-12, rel=1e-3)
         assert float(values["gamma"]) > 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--detuning", "nan"], ["--x", "nan"], ["--z", "nan"], ["--curvature-radius", "nan"],
+        ["--omega0", "inf"], ["--omega0", "nan"], ["--vcm", "inf"], ["--wavelength", "inf"],
+    ])
+    def test_lens_rejects_non_finite_input(self, flags, capsys):
+        base = {"--omega0": "2e8", "--wavelength": "532e-9", "--vcm": "100", "--tint": "1us"}
+        base.update([flags])
+        assert main(["lens", *(item for pair in base.items() for item in pair)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
 

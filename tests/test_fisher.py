@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pmcorr as pc
+from pmcorr import fisher
 from pmcorr.constants import HBAR
 from pmcorr.fisher import _ADJ_TRACE_RESCALE
 
@@ -102,12 +103,11 @@ class TestQfiNumeric:
         value = pc.qfi_numeric(GAMMA, probe, env(0.0), 1e-6)
         assert math.isfinite(value) and value > 0
 
-    def test_step_refinement_stability(self):
+    def test_step_refinement_stability(self, monkeypatch):
         probe = FULLERENE.with_gamma(5.0)
         base = pc.qfi_numeric(GAMMA, probe, env(1e20), 1e-6)
-        halved = pc.qfi_numeric(
-            GAMMA, probe, env(1e20), 1e-6, step_policy=pc.StepPolicy(rel_step=5e-5)
-        )
+        monkeypatch.setattr(fisher, "_REL_STEP", 5e-5)
+        halved = pc.qfi_numeric(GAMMA, probe, env(1e20), 1e-6)
         assert abs(base - halved) < 1e-7 * abs(base)
 
     def test_string_target_accepted(self):
@@ -317,6 +317,12 @@ class TestCramerRao:
             pc.cramer_rao_bound(0.0, 10)
         with pytest.raises(ValueError):
             pc.cramer_rao_bound(1.0, 0)
+
+    @pytest.mark.parametrize("fisher_info,n_repeats", [(math.nan, 10), (math.inf, 10),
+                                                       (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite(self, fisher_info, n_repeats):
+        with pytest.raises(ValueError, match="must be finite"):
+            pc.cramer_rao_bound(fisher_info, n_repeats)
 
 
 class TestInvariants:

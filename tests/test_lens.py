@@ -34,6 +34,21 @@ class TestRabiProfile:
         with pytest.raises(ValueError):
             pc.LensSpec(omega0=2e8, wavelength=532e-9, detuning=0.0, v_cm=-1.0, t_int=1e-6)
 
+    @pytest.mark.parametrize("field", ["omega0", "wavelength", "v_cm", "t_int", "detuning"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spec_rejects_non_finite(self, field, value):
+        fields = dict(omega0=2e8, wavelength=532e-9, detuning=0.0, v_cm=100.0, t_int=1e-6)
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            pc.LensSpec(**{**fields, field: value})
+
+    @pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                          (0.0, -math.inf)])
+    def test_rejects_non_finite_position(self, position):
+        with pytest.raises(ValueError, match="^position must be finite"):
+            pc.rabi_profile(LENS, *position)
+        with pytest.raises(ValueError, match="^position must be finite"):
+            pc.optical_potential(LENS, *position)
+
 
 class TestOpticalPotential:
     def test_node_on_resonance(self):
@@ -95,6 +110,7 @@ class TestDeBroglie:
 class TestGammaFromCurvature:
     def test_flat_wavefront_limit(self):
         assert abs(pc.gamma_from_curvature(1.2e-24, 100.0, 1e12, 7.8e-9)) < 1e-12
+        assert pc.gamma_from_curvature(1.2e-24, 100.0, math.inf, 7.8e-9) == 0.0
 
     @pytest.mark.parametrize("radius", [0.5, -0.5, 2.0, -1e-3])
     def test_sign_convention(self, radius):
@@ -114,3 +130,7 @@ class TestGammaFromCurvature:
     def test_rejects_zero_radius(self):
         with pytest.raises(ValueError):
             pc.gamma_from_curvature(1.2e-24, 100.0, 0.0, 7.8e-9)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="^curvature radius"):
+            pc.gamma_from_curvature(1.2e-24, 100.0, math.nan, 7.8e-9)

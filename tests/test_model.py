@@ -1,5 +1,7 @@
 """Probe/environment specs, kernel parameters, covariance, and purity."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,22 +43,6 @@ class TestSpecs:
     def test_environment_validation(self):
         with pytest.raises(ValueError):
             pc.EnvironmentSpec(lam=-1.0)
-        with pytest.raises(ValueError):
-            pc.EnvironmentSpec(lam=1e15, temperature=300.0)  # incomplete tuple
-        with pytest.raises(ValueError):
-            pc.EnvironmentSpec(lam=1e15, temperature=300.0, m_air=5e-26,
-                               number_density=1e12, molecule_size=7e-10)
-
-    def test_environment_consistent_tuple(self):
-        lam = pc.lambda_from_temperature(0.442, 5e-26, 1e12, 7e-10)
-        spec = pc.EnvironmentSpec(lam=lam, temperature=0.442, m_air=5e-26,
-                                  number_density=1e12, molecule_size=7e-10)
-        assert spec.lam == lam
-
-    def test_air_environment_round_trip(self):
-        spec = pc.air_environment(1e15)
-        assert spec.lam == 1e15
-        assert spec.temperature is not None
 
     def test_kernel_params_invariants(self):
         with pytest.raises(ValueError):
@@ -136,13 +122,6 @@ class TestCovariance:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             pc.covariance(FULLERENE, env(0.0), -1e-9)
-
-    def test_matrix_views(self):
-        cov = pc.covariance(FULLERENE.with_gamma(2.0), env(1e15), 1e-5)
-        arr = cov.as_array()
-        assert arr[0, 1] == arr[1, 0] == cov.sxp
-        adj = cov.adjugate()
-        assert_allclose(arr @ adj, cov.det * np.eye(2), rtol=1e-10, atol=1e-9)
 
 
 class TestPurity:
@@ -309,3 +288,13 @@ def test_monotone_decoherence(gamma, lam, t, step):
 def test_minimum_uncertainty_at_start(gamma):
     probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0, gamma=gamma)
     assert_allclose(pc.covariance(probe, env(0.0), 0.0).det, 1.0, rtol=1e-12)
+
+
+def test_model_imports_only_constants_and_dd():
+    # model is the bottom layer: fisher, thermometry and cli build on it, never the reverse
+    tree = ast.parse(Path(pc.model.__file__).read_text(encoding="utf-8"))
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.update([node.module] if node.module else [a.name for a in node.names])
+    assert relative <= {"constants", "_dd"}

@@ -115,6 +115,12 @@ class TestDecoherenceTime:
         with pytest.raises(ValueError):
             pc.decoherence_time(1e15, 0.0)
 
+    @pytest.mark.parametrize("lam,delta_x", [(math.nan, 1e-9), (math.inf, 1e-9), (1.0, math.inf),
+                                             (1.0, math.nan)])
+    def test_rejects_non_finite(self, lam, delta_x):
+        with pytest.raises(ValueError, match="must be .*finite"):
+            pc.decoherence_time(lam, delta_x)
+
 
 class TestRelativePurityRate:
     @pytest.mark.parametrize("gamma,t,rate", [(0.0, 2.284e-4, 4377.0), (-50.0, 1.71e-5, 58488.0)])
