@@ -13,7 +13,6 @@ from .fisher import (
     ConvergenceError,
     EstimationTarget,
     FisherResult,
-    PhiCoefficients,
     cfi_closed,
     cfi_quadrature,
     cramer_rao_bound,

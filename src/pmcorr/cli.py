@@ -66,20 +66,6 @@ _TIME_UNITS = (("ns", 1e-9), ("us", 1e-6), ("ms", 1e-3), ("s", 1.0))
 #: resolves to lam = 9.93e14
 TABLE1_LAMBDA_RTOL = 0.01
 
-#: recognized flat key = value configuration keys
-CONFIG_KEYS = (
-    "mass_kg",
-    "sigma0_m",
-    "ell0_m",
-    "gamma",
-    "lambda_m2s",
-    "temperature_k",
-    "m_air_kg",
-    "number_density_m3",
-    "molecule_size_m",
-    "t_s",
-)
-
 
 def parse_time(text: str) -> float:
     """Time in seconds from a number with an optional ns/us/ms/s suffix."""
@@ -90,12 +76,32 @@ def parse_time(text: str) -> float:
     return float(s)
 
 
+#: scenario parameters: (dest, flag, flat config key, parser, built-in default, help)
+_SCENARIO_PARAMS = (
+    ("mass", "--mass", "mass_kg", float, FULLERENE_MASS, "probe mass, kg"),
+    ("sigma0", "--sigma0", "sigma0_m", float, FULLERENE_SIGMA0, "initial width, m"),
+    ("ell0", "--ell0", "ell0_m", float, FULLERENE_ELL0,
+     "coherence length, m ('inf' for a fully coherent source)"),
+    ("gamma", "--gamma", "gamma", float, 0.0, "correlation parameter"),
+    ("lam", "--lambda", "lambda_m2s", float, None, "scattering constant, m^-2 s^-1"),
+    ("temperature", "--temperature", "temperature_k", float, None,
+     "bath temperature, K (alternative to --lambda)"),
+    ("m_air", "--m-air", "m_air_kg", float, AIR_MOLECULE_MASS, "gas molecule mass, kg"),
+    ("number_density", "--number-density", "number_density_m3", float, AIR_NUMBER_DENSITY,
+     "gas density, m^-3"),
+    ("molecule_size", "--molecule-size", "molecule_size_m", float, FULLERENE_MOLECULE_SIZE,
+     "probe molecule size, m"),
+    ("t", "--t", "t_s", parse_time, None, "interaction time (accepts ns/us/ms/s suffix)"),
+)
+
+
 def fmt(x: float) -> str:
     """Deterministic float formatting: 17 significant digits."""
     return format(float(x), ".17g")
 
 
 def load_config(path: str) -> dict[str, float]:
+    parsers = {key: parse for _, _, key, parse, _, _ in _SCENARIO_PARAMS}
     values: dict[str, float] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -106,14 +112,9 @@ def load_config(path: str) -> dict[str, float]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "ell0_m" and value.lower() in ("inf", "infinity"):
-            values[key] = math.inf
-        elif key == "t_s":
-            values[key] = parse_time(value)
-        else:
-            values[key] = float(value)
+        values[key] = parsers[key](value)
     return values
 
 
@@ -154,30 +155,16 @@ class Scenario:
 
 def _resolve(args: argparse.Namespace) -> Scenario:
     cfg = load_config(args.config) if args.config else {}
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return cfg.get(key, default)
-
-    mass = pick(getattr(args, "mass", None), "mass_kg", FULLERENE_MASS)
-    sigma0 = pick(getattr(args, "sigma0", None), "sigma0_m", FULLERENE_SIGMA0)
-    ell0 = pick(getattr(args, "ell0", None), "ell0_m", FULLERENE_ELL0)
-    gamma = pick(getattr(args, "gamma", None), "gamma", 0.0)
-    m_air = pick(getattr(args, "m_air", None), "m_air_kg", AIR_MOLECULE_MASS)
-    density = pick(getattr(args, "number_density", None), "number_density_m3", AIR_NUMBER_DENSITY)
-    size = pick(getattr(args, "molecule_size", None), "molecule_size_m", FULLERENE_MOLECULE_SIZE)
-
-    lam = pick(getattr(args, "lam", None), "lambda_m2s", None)
-    temperature = pick(getattr(args, "temperature", None), "temperature_k", None)
-    if lam is None and temperature is not None:
-        lam = lambda_from_temperature(temperature, m_air, density, size)
-
-    t = pick(getattr(args, "t", None), "t_s", None)
-
-    probe = ProbeSpec(mass=mass, sigma0=sigma0, ell0=ell0, gamma=gamma)
-    return Scenario(probe=probe, lam=lam, m_air=m_air, number_density=density,
-                    molecule_size=size, t=t)
+    p = {}
+    for dest, _, key, _, default, _ in _SCENARIO_PARAMS:
+        given = getattr(args, dest, None)
+        p[dest] = given if given is not None else cfg.get(key, default)
+    gas = (p["m_air"], p["number_density"], p["molecule_size"])
+    lam = p["lam"]
+    if lam is None and p["temperature"] is not None:
+        lam = lambda_from_temperature(p["temperature"], *gas)
+    probe = ProbeSpec(mass=p["mass"], sigma0=p["sigma0"], ell0=p["ell0"], gamma=p["gamma"])
+    return Scenario(probe, lam, *gas, p["t"])
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +540,19 @@ def cmd_lens(args, started: float) -> int:
                     detuning=args.detuning, v_cm=args.vcm, t_int=args.tint)
     mass = scenario.probe.mass
     pot = optical_potential(lens, args.x, args.z)
-    print(f"rabi_frequency_rad_s = {fmt(rabi_profile(lens, args.x, args.z))}")
-    print(f"optical_potential_rad_s = {fmt(pot.full)}")
-    print(f"harmonic_potential_rad_s = {fmt(pot.harmonic)}")
-    print(f"focal_length_m = {fmt(focal_length(lens, mass))}")
-    print(f"de_broglie_m = {fmt(de_broglie(mass, args.vcm))}")
+    # every value is computed, and so validated, before anything is printed
+    results = [
+        ("rabi_frequency_rad_s", rabi_profile(lens, args.x, args.z)),
+        ("optical_potential_rad_s", pot.full),
+        ("harmonic_potential_rad_s", pot.harmonic),
+        ("focal_length_m", focal_length(lens, mass)),
+        ("de_broglie_m", de_broglie(mass, args.vcm)),
+    ]
     if args.curvature_radius is not None:
-        g = gamma_from_curvature(mass, args.vcm, args.curvature_radius, scenario.probe.sigma0)
-        print(f"gamma = {fmt(g)}")
+        results.append(("gamma", gamma_from_curvature(
+            mass, args.vcm, args.curvature_radius, scenario.probe.sigma0)))
+    for name, value in results:
+        print(f"{name} = {fmt(value)}")
     return 0
 
 
@@ -626,18 +618,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False) -
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser, with_t: bool = True) -> None:
-    sub.add_argument("--mass", type=float, help="probe mass, kg")
-    sub.add_argument("--sigma0", type=float, help="initial width, m")
-    sub.add_argument("--ell0", type=lambda s: math.inf if s.lower() in ("inf", "infinity") else float(s),
-                     help="coherence length, m ('inf' for a fully coherent source)")
-    sub.add_argument("--gamma", type=float, help="correlation parameter")
-    sub.add_argument("--lambda", dest="lam", type=float, help="scattering constant, m^-2 s^-1")
-    sub.add_argument("--temperature", type=float, help="bath temperature, K (alternative to --lambda)")
-    sub.add_argument("--m-air", dest="m_air", type=float, help="gas molecule mass, kg")
-    sub.add_argument("--number-density", dest="number_density", type=float, help="gas density, m^-3")
-    sub.add_argument("--molecule-size", dest="molecule_size", type=float, help="probe molecule size, m")
-    if with_t:
-        sub.add_argument("--t", type=parse_time, help="interaction time (accepts ns/us/ms/s suffix)")
+    for dest, flag, _, parse, _, help_text in _SCENARIO_PARAMS:
+        if with_t or dest != "t":
+            sub.add_argument(flag, dest=dest, type=parse, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,7 +45,6 @@ from .model import (
 __all__ = [
     "ConvergenceError",
     "EstimationTarget",
-    "PhiCoefficients",
     "FisherResult",
     "CfiQuadrature",
     "phi_gamma",
@@ -82,24 +81,6 @@ _ADJ_TRACE_RESCALE = 16.0
 
 
 @dataclass(frozen=True)
-class PhiCoefficients:
-    """Coefficients of the trace polynomial sum_k c_k lam^k and its value.
-
-    The common coherence-length power (ell0^2 for the gamma target, ell0^4
-    for the lam target) is cancelled between the coefficients and the overall
-    prefactor, so fully coherent sources stay finite.  For the lam target
-    ``big_gamma`` carries the combination 2 (sigma0/ell0)^2 + gamma^2 + 1.
-    """
-
-    target: EstimationTarget
-    c0: float
-    c1: float
-    c2: float
-    value: float
-    big_gamma: float | None = None
-
-
-@dataclass(frozen=True)
 class CfiQuadrature:
     """The two independent position-readout CFI oracles."""
 
@@ -128,8 +109,12 @@ _REL_TOL = 1e-6
 _SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e12}
 
 
-def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficients:
-    """Trace polynomial for correlation estimation, with its c-coefficients."""
+def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
+    """Trace polynomial value (c0 + c1 lam + c2 lam^2) / (72 tau0^4) for correlation estimation.
+
+    The ell0^2 common to the c_k and the prefactor is cancelled, so fully
+    coherent sources stay finite.
+    """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
@@ -139,12 +124,14 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficien
     c0 = 9.0 * tau**4 * (1.0 + 2.0 * eps)
     c1 = 12.0 * s0**2 * tau**2 * t**3 * ((2.0 * eps + g**2 + 1.0) + 3.0 * g * r + 3.0 * r**2)
     c2 = 32.0 * s0**4 * t**6 * (g**2 + 3.0 * g * r + (21.0 / 8.0) * r**2)
-    value = (c0 + c1 * lam + c2 * lam**2) / (72.0 * tau**4)
-    return PhiCoefficients(target=EstimationTarget.GAMMA, c0=c0, c1=c1, c2=c2, value=value)
+    return (c0 + c1 * lam + c2 * lam**2) / (72.0 * tau**4)
 
 
-def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficients:
-    """Trace polynomial for coupling estimation, with its c-coefficients."""
+def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
+    """Trace polynomial value (c0 + c1 lam + c2 lam^2) / (18 tau0^4) for coupling estimation.
+
+    The ell0^4 common to the c_k and the prefactor is cancelled, as in `phi_gamma`.
+    """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
@@ -161,10 +148,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> PhiCoefficie
     )
     c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
     c2 = 4.0 * s0**8 * t**8
-    value = (c0 + c1 * lam + c2 * lam**2) / (18.0 * tau**4)
-    return PhiCoefficients(
-        target=EstimationTarget.LAMBDA, c0=c0, c1=c1, c2=c2, value=value, big_gamma=big_gamma
-    )
+    return (c0 + c1 * lam + c2 * lam**2) / (18.0 * tau**4)
 
 
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -198,7 +182,7 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
         raise ValueError(f"t must be positive and finite, got {t}")
     mu = purity_exact(probe, env, t)
     phi = phi_gamma(probe, env, t) if target is EstimationTarget.GAMMA else phi_lambda(probe, env, t)
-    first = mu**4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi.value
+    first = mu**4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi
     return first + _second_term(mu, purity_derivative(target, probe, env, t))
 
 

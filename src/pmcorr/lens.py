@@ -44,7 +44,12 @@ def rabi_profile(lens: LensSpec, x: float, z: float) -> float:
     """Rabi frequency of the standing wave at transverse x, longitudinal z."""
     if not (math.isfinite(x) and math.isfinite(z)):
         raise ValueError(f"position must be finite, got x={x}, z={z}")
-    envelope = math.exp(-math.pi * z**2 / (lens.v_cm * lens.t_int) ** 2)
+    width_sq = (lens.v_cm * lens.t_int) ** 2
+    if width_sq == 0.0:
+        raise ArithmeticError(
+            f"(v_cm*t_int)^2 underflows to 0 (v_cm={lens.v_cm:g} m/s, t_int={lens.t_int:g} s)"
+        )
+    envelope = math.exp(-math.pi * z**2 / width_sq)
     return lens.omega0 * math.cos(2.0 * math.pi * x / lens.wavelength) * envelope
 
 
@@ -64,7 +69,10 @@ def de_broglie(mass: float, v_cm: float) -> float:
     """de Broglie wavelength h/(m v) of the beam particles."""
     if not (mass > 0 and v_cm > 0):
         raise ValueError("mass and v_cm must be positive")
-    return PLANCK_H / (mass * v_cm)
+    momentum = mass * v_cm
+    if momentum == 0.0:
+        raise ArithmeticError(f"m*v_cm underflows to 0 (mass={mass:g} kg, v_cm={v_cm:g} m/s)")
+    return PLANCK_H / momentum
 
 
 def focal_length(lens: LensSpec, mass: float) -> float:

@@ -341,8 +341,13 @@ def purity_from_covariance(cov: CovarianceMatrix) -> float:
 
 def position_density_variance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Variance (m^2) of the position readout density rho(x, x, t)."""
-    cov = covariance(probe, env, t)
-    return probe.sigma0**2 * cov.sxx / 2.0
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    terms = _covariance_terms_dd(
+        probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
+    )
+    sxx = _dd.dd_sum(terms[:5])
+    return probe.sigma0**2 * (sxx[0] + sxx[1]) / 2.0
 
 
 def pearson_from_gamma(gamma: float) -> float:

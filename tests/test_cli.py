@@ -1,4 +1,5 @@
 """Command-line interface: parsing, CSV contracts, exit codes, presets."""
+import itertools
 import json
 import math
 import os
@@ -45,6 +46,39 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown key"):
             load_config(str(cfg))
 
+    @staticmethod
+    def _manifest_parameters(tmp_path, name, args, config=""):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "sweep", "--axis", "gamma", "--min", "-1", "--max", "1",
+                     "--points", "2", "--out", str(out), "--quiet", *args]) == 0
+        return json.loads(out.with_name(out.name + ".manifest.json").read_text())["parameters"]
+
+    @pytest.mark.parametrize("flag,key,value", [
+        ("--mass", "mass_kg", "2e-24"), ("--sigma0", "sigma0_m", "2e-8"),
+        ("--ell0", "ell0_m", "3e-8"), ("--gamma", "gamma", "2.5"),
+        ("--lambda", "lambda_m2s", "3e14"), ("--temperature", "temperature_k", "0.5"),
+        ("--m-air", "m_air_kg", "3e-26"), ("--number-density", "number_density_m3", "1e20"),
+        ("--molecule-size", "molecule_size_m", "1e-9"), ("--t", "t_s", "20us"),
+    ])
+    def test_flag_and_config_key_agree(self, flag, key, value, tmp_path):
+        # every run needs a coupling and a time; the parameter under test replaces its own
+        base = {"--lambda": "1e15", "--t": "1us"}
+        default = self._manifest_parameters(tmp_path, "default", [*itertools.chain(*base.items())])
+        base.pop("--lambda" if flag == "--temperature" else flag, None)
+        base = [*itertools.chain(*base.items())]
+        by_flag = self._manifest_parameters(tmp_path, "flag", [*base, flag, value])
+        by_key = self._manifest_parameters(tmp_path, "key", base, f"{key} = {value}\n")
+        assert by_flag == by_key
+        assert by_flag != default
+
+    def test_ell0_infinity_spellings_are_coherent(self, tmp_path):
+        base = ["--lambda", "1e15", "--t", "1us"]
+        by_flag = self._manifest_parameters(tmp_path, "flag", [*base, "--ell0", "Infinity"])
+        by_key = self._manifest_parameters(tmp_path, "key", base, "ell0_m = INF\n")
+        assert by_flag["ell0_m"] is None
+        assert by_flag == by_key
+
 
 class TestSweep:
     def test_row_count_and_header(self, tmp_path):
@@ -87,7 +121,7 @@ class TestSweep:
         for g, qfi in zip(data["gamma"], data["qfi_analytic"]):
             probe = pc.fullerene_probe(gamma=float(g))
             mu = pc.purity_exact(probe, env, 1e-6)
-            first = mu**4 / (2 * (1 + mu**2)) * 16.0 * pc.phi_gamma(probe, env, 1e-6).value
+            first = mu**4 / (2 * (1 + mu**2)) * 16.0 * pc.phi_gamma(probe, env, 1e-6)
             assert qfi == pytest.approx(first, rel=1e-12)
 
     def test_weak_coupling_optimum_away_from_zero(self, tmp_path):
@@ -291,6 +325,16 @@ class TestScalarCommands:
         assert main(["lens", *(item for pair in base.items() for item in pair)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags,code", [
+        (["--curvature-radius", "nan"], 2),
+        (["--vcm", "1e-30", "--mass", "1e-300"], 3),  # m*v_cm underflows in de_broglie
+    ])
+    def test_lens_failure_prints_nothing(self, flags, code, capsys):
+        base = {"--omega0": "2e8", "--wavelength": "532e-9", "--vcm": "100", "--tint": "1us"}
+        base.update(zip(flags[::2], flags[1::2]))
+        assert main(["lens", *itertools.chain(*base.items())]) == code
+        assert capsys.readouterr().out == ""
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
 
@@ -328,7 +372,8 @@ class TestScalarCommands:
             (["tgi", "--lambda", "1e200"], "numerical failure: "),
             (["convert", "--to-lambda", "1e300"], "numerical failure: "),
             (["lens", "--omega0", "1e300", "--wavelength", "532e-9", "--vcm", "1e-300",
-              "--tint", "1us"], "numerical failure: "),  # division by an underflowed zero
+              "--tint", "1us"],
+             "numerical failure: (v_cm*t_int)^2 underflows to 0 (v_cm=1e-300 m/s, t_int=1e-06 s)\n"),
             (["sweep", "--axis", "lambda", "--log", "--min", "1e10", "--max", "1e200",
               "--points", "3", "--t", "1us"], "sweep row 2 (lambda_per_m2s=1e+200) failed: "),
             # the Richardson column is one array call, where overflow gives inf, not an error

@@ -26,13 +26,15 @@ def env(lam):
 class TestPhiGamma:
     def test_reference_value_free_coherent(self):
         probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0)
-        assert_allclose(pc.phi_gamma(probe, env(0.0), 1e-6).value, 1.0 / 8.0, rtol=1e-14)
+        assert_allclose(pc.phi_gamma(probe, env(0.0), 1e-6), 1.0 / 8.0, rtol=1e-14)
 
     def test_no_coupling_single_term(self):
+        # at lam = 0 only c0 = 9 tau0^4 (1 + 2 eps) survives
         phi = pc.phi_gamma(FULLERENE, env(0.0), 5e-5)
         tau = pc.tau0(FULLERENE)
-        assert_allclose(phi.value, phi.c0 / (72.0 * tau**4), rtol=1e-14)
-        assert_allclose(phi.value, (1.0 + 2 * FULLERENE.coherence_ratio_sq) / 8.0, rtol=1e-12)
+        c0 = 9.0 * tau**4 * (1.0 + 2.0 * FULLERENE.coherence_ratio_sq)
+        assert_allclose(phi, c0 / (72.0 * tau**4), rtol=1e-14)
+        assert_allclose(phi, (1.0 + 2 * FULLERENE.coherence_ratio_sq) / 8.0, rtol=1e-12)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
@@ -48,13 +50,26 @@ class TestPhiGamma:
 
 class TestPhiLambda:
     def test_big_gamma_free_coherent(self):
+        # a free, fully coherent, uncorrelated probe has big_gamma = 2 eps + gamma^2 + 1 = 1,
+        # so at lam = 0 the value is 2 sigma0^4 t^6 (1 + 15 r^2 (3/10) + 9 r^4) / (18 tau0^4)
         probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0)
-        assert pc.phi_lambda(probe, env(0.0), 1e-6).big_gamma == 1.0
+        t = 1e-6
+        tau = pc.tau0(probe)
+        r = tau / t
+        c0 = 2.0 * probe.sigma0**4 * t**6 * (1.0 + 15.0 * r**2 * (3.0 / 10.0) + 9.0 * r**4)
+        assert_allclose(pc.phi_lambda(probe, env(0.0), t), c0 / (18.0 * tau**4), rtol=1e-14)
 
     def test_no_coupling_single_term(self):
-        phi = pc.phi_lambda(FULLERENE, env(0.0), 5e-5)
+        # at lam = 0 only c0 survives; FULLERENE is uncorrelated, so gamma = 0 drops its odd terms
+        t = 5e-5
+        phi = pc.phi_lambda(FULLERENE, env(0.0), t)
         tau = pc.tau0(FULLERENE)
-        assert_allclose(phi.value, phi.c0 / (18.0 * tau**4), rtol=1e-14)
+        eps = FULLERENE.coherence_ratio_sq
+        r = tau / t
+        c0 = 2.0 * FULLERENE.sigma0**4 * t**6 * (
+            (2.0 * eps + 1.0) ** 2 + 15.0 * r**2 * ((3.0 / 5.0) * eps + 3.0 / 10.0) + 9.0 * r**4
+        )
+        assert_allclose(phi, c0 / (18.0 * tau**4), rtol=1e-14)
 
     def test_assembled_matches_numeric_oracle(self):
         probe = FULLERENE.with_gamma(-10.0)
@@ -70,7 +85,7 @@ class TestQfiAnalytic:
         probe = FULLERENE.with_gamma(7.0)
         assert pc.purity_derivative(GAMMA, probe, env(0.0), 1e-6) == 0.0
         mu = pc.purity_exact(probe, env(0.0), 1e-6)
-        phi = pc.phi_gamma(probe, env(0.0), 1e-6).value
+        phi = pc.phi_gamma(probe, env(0.0), 1e-6)
         expected = mu**4 / (2 * (1 + mu**2)) * _ADJ_TRACE_RESCALE * phi
         assert_allclose(pc.qfi_analytic(GAMMA, probe, env(0.0), 1e-6), expected, rtol=1e-14)
 
@@ -338,8 +353,8 @@ class TestInvariants:
     def test_phi_nonnegative(self, gamma):
         probe = FULLERENE.with_gamma(gamma)
         for lam in (0.0, 1e15, 1e22):
-            assert pc.phi_gamma(probe, env(lam), 1e-5).value >= 0.0
-            assert pc.phi_lambda(probe, env(lam), 1e-5).value >= 0.0
+            assert pc.phi_gamma(probe, env(lam), 1e-5) >= 0.0
+            assert pc.phi_lambda(probe, env(lam), 1e-5) >= 0.0
 
     def test_phi_monotone_on_positive_quadrant(self):
         gammas = [0.0, 1.0, 5.0, 20.0, 100.0]
@@ -348,15 +363,15 @@ class TestInvariants:
         for phi in (pc.phi_gamma, pc.phi_lambda):
             for lam in lams:
                 for t in times:
-                    vals = [phi(FULLERENE.with_gamma(g), env(lam), t).value for g in gammas]
+                    vals = [phi(FULLERENE.with_gamma(g), env(lam), t) for g in gammas]
                     assert all(b >= a for a, b in zip(vals, vals[1:]))
             for g in gammas:
                 probe = FULLERENE.with_gamma(g)
                 for t in times:
-                    vals = [phi(probe, env(lam), t).value for lam in lams]
+                    vals = [phi(probe, env(lam), t) for lam in lams]
                     assert all(b >= a for a, b in zip(vals, vals[1:]))
                 for lam in lams:
-                    vals = [phi(probe, env(lam), t).value for t in times]
+                    vals = [phi(probe, env(lam), t) for t in times]
                     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_high_noise_cfi_comparable_to_qfi(self):

@@ -17,6 +17,11 @@ class TestRabiProfile:
         for z in (0.0, 1e-4, -3e-5):
             assert abs(pc.rabi_profile(LENS, LENS.wavelength / 4, z)) < 1e-8 * LENS.omega0
 
+    def test_underflowed_envelope_width_named(self):
+        lens = pc.LensSpec(omega0=2e8, wavelength=532e-9, detuning=0.0, v_cm=1e-300, t_int=1e-6)
+        with pytest.raises(ArithmeticError, match=r"\(v_cm\*t_int\)\^2 underflows to 0"):
+            pc.rabi_profile(lens, 0.0, 0.0)
+
     def test_longitudinal_envelope(self):
         z = LENS.v_cm * LENS.t_int
         assert_allclose(pc.rabi_profile(LENS, 0.0, z), LENS.omega0 * math.exp(-math.pi), rtol=1e-12)
@@ -105,6 +110,10 @@ class TestDeBroglie:
 
     def test_mass_scaling(self):
         assert_allclose(pc.de_broglie(0.6e-24, 100.0), 2 * pc.de_broglie(1.2e-24, 100.0), rtol=1e-15)
+
+    def test_underflowed_momentum_named(self):
+        with pytest.raises(ArithmeticError, match=r"m\*v_cm underflows to 0 \(mass=1e-300 kg, v_cm=1e-30 m/s\)"):
+            pc.de_broglie(1e-300, 1e-30)
 
 
 class TestGammaFromCurvature:
