@@ -114,7 +114,10 @@ def load_config(path: str) -> dict[str, float]:
         key, value = key.strip(), value.strip()
         if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = parsers[key](value)
+        try:
+            values[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -124,10 +127,9 @@ class Scenario:
 
     probe: ProbeSpec
     lam: float | None
-    m_air: float
-    number_density: float
-    molecule_size: float
+    gas: tuple[float, float, float]  # m_air, number_density, molecule_size
     t: float | None
+    parameters: dict  # the manifest's record, by config key
 
     def env(self) -> EnvironmentSpec:
         if self.lam is None:
@@ -139,19 +141,6 @@ class Scenario:
             raise ValueError("no interaction time given: set --t (or t_s in the config)")
         return self.t
 
-    def as_dict(self) -> dict:
-        return {
-            "mass_kg": self.probe.mass,
-            "sigma0_m": self.probe.sigma0,
-            "ell0_m": None if self.probe.is_fully_coherent else self.probe.ell0,
-            "gamma": self.probe.gamma,
-            "lambda_m2s": self.lam,
-            "m_air_kg": self.m_air,
-            "number_density_m3": self.number_density,
-            "molecule_size_m": self.molecule_size,
-            "t_s": self.t,
-        }
-
 
 def _resolve(args: argparse.Namespace) -> Scenario:
     cfg = load_config(args.config) if args.config else {}
@@ -160,11 +149,14 @@ def _resolve(args: argparse.Namespace) -> Scenario:
         given = getattr(args, dest, None)
         p[dest] = given if given is not None else cfg.get(key, default)
     gas = (p["m_air"], p["number_density"], p["molecule_size"])
-    lam = p["lam"]
-    if lam is None and p["temperature"] is not None:
-        lam = lambda_from_temperature(p["temperature"], *gas)
+    if p["lam"] is None and p["temperature"] is not None:
+        p["lam"] = lambda_from_temperature(p["temperature"], *gas)
     probe = ProbeSpec(mass=p["mass"], sigma0=p["sigma0"], ell0=p["ell0"], gamma=p["gamma"])
-    return Scenario(probe, lam, *gas, p["t"])
+    if probe.is_fully_coherent:
+        p["ell0"] = None  # recorded as null
+    # the manifest records the resolved coupling, not the temperature it came from
+    parameters = {key: p[dest] for dest, _, key, *_ in _SCENARIO_PARAMS if dest != "temperature"}
+    return Scenario(probe, p["lam"], gas, p["t"], parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +423,7 @@ def cmd_sweep(args, started: float) -> int:
                 cfi_closed(target, probe, env, t),
             ]
         if target is _LAMBDA:
-            gas = (scenario.m_air, scenario.number_density, scenario.molecule_size)
-            row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *gas)]
+            row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *scenario.gas)]
         return row
 
     # the Richardson oracle runs over the whole axis in one array call
@@ -442,7 +433,7 @@ def cmd_sweep(args, started: float) -> int:
     except ConvergenceError as exc:  # _grid names the failing row
         print(f"sweep {exc}", file=sys.stderr)
         return 3
-    _emit_csv(header, rows, args.out, "sweep", scenario.as_dict(), started,
+    _emit_csv(header, rows, args.out, "sweep", scenario.parameters, started,
               svg=args.format == "svg", quiet=args.quiet)
     return 0
 
@@ -478,7 +469,7 @@ def cmd_table1(args, started: float) -> int:
         ] if ref else [float("nan")] * 8))
 
     if args.out:
-        _emit_csv(_TABLE1_HEADER, table, args.out, "table1", scenario.as_dict(), started,
+        _emit_csv(_TABLE1_HEADER, table, args.out, "table1", scenario.parameters, started,
                   svg=False, quiet=args.quiet)
     else:
         print(f"{'gamma':>8} {'tau_max(us)':>12} {'purity':>8} {'rate(1/s)':>12} "
@@ -491,7 +482,7 @@ def cmd_table1(args, started: float) -> int:
 
 def cmd_convert(args, started: float) -> int:
     scenario = _resolve(args)
-    m_air, density, size = scenario.m_air, scenario.number_density, scenario.molecule_size
+    m_air, density, size = scenario.gas
     if args.to_lambda is not None:
         value = lambda_from_temperature(args.to_lambda, m_air, density, size)
     else:
@@ -521,7 +512,7 @@ def cmd_figures(args, started: float) -> int:
 
     def write(name: str, header: list[str], rows: list[list[float]]) -> None:
         _emit_csv(header, rows, str(outdir / name), f"figures:{args.preset}",
-                  scenario.as_dict(), started, svg=args.format == "svg", quiet=args.quiet)
+                  scenario.parameters, started, svg=args.format == "svg", quiet=args.quiet)
 
     for name, columns, axes, lam, t, groups in _FIGURES[args.preset]:
         header = [_AXIS_COLUMN[kind] for kind, _ in axes] + columns
@@ -569,9 +560,11 @@ def cmd_qfi(args, started: float) -> int:
     scenario = _resolve(args)
     probe, env, t = scenario.probe, scenario.env(), scenario.require_t()
     target = EstimationTarget(args.target)
+    # both routes are computed, and so validated, before anything is printed
     analytic = qfi_analytic(target, probe, env, t)
+    numeric = qfi_numeric(target, probe, env, t)
     print(f"qfi_analytic = {fmt(analytic)}")
-    print(f"qfi_numeric = {fmt(qfi_numeric(target, probe, env, t))}")
+    print(f"qfi_numeric = {fmt(numeric)}")
     if target is EstimationTarget.LAMBDA:
         print(f"lambda_sq_qfi = {fmt(env.lam**2 * analytic)}")
     return 0

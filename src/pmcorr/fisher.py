@@ -32,6 +32,7 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _covariance_terms_dd,
+    _lambda_sq,
     _purity_bracket,
     _purity_bracket_dgamma,
     _purity_bracket_dlam,
@@ -124,7 +125,7 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     c0 = 9.0 * tau**4 * (1.0 + 2.0 * eps)
     c1 = 12.0 * s0**2 * tau**2 * t**3 * ((2.0 * eps + g**2 + 1.0) + 3.0 * g * r + 3.0 * r**2)
     c2 = 32.0 * s0**4 * t**6 * (g**2 + 3.0 * g * r + (21.0 / 8.0) * r**2)
-    return (c0 + c1 * lam + c2 * lam**2) / (72.0 * tau**4)
+    return (c0 + c1 * lam + c2 * _lambda_sq(lam)) / (72.0 * tau**4)
 
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -148,7 +149,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     )
     c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
     c2 = 4.0 * s0**8 * t**8
-    return (c0 + c1 * lam + c2 * lam**2) / (18.0 * tau**4)
+    return (c0 + c1 * lam + c2 * _lambda_sq(lam)) / (18.0 * tau**4)
 
 
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:

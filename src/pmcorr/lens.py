@@ -10,6 +10,7 @@ gamma = m V_cm sigma0^2 / (hbar R).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,7 +45,14 @@ def rabi_profile(lens: LensSpec, x: float, z: float) -> float:
     """Rabi frequency of the standing wave at transverse x, longitudinal z."""
     if not (math.isfinite(x) and math.isfinite(z)):
         raise ValueError(f"position must be finite, got x={x}, z={z}")
-    width_sq = (lens.v_cm * lens.t_int) ** 2
+    try:
+        width_sq = (lens.v_cm * lens.t_int) ** 2
+    except OverflowError:
+        raise OverflowError(
+            f"(v_cm*t_int)^2 overflows the float range: v_cm*t_int needs to stay below "
+            f"~{math.sqrt(sys.float_info.max):.2g} m "
+            f"(v_cm={lens.v_cm:g} m/s, t_int={lens.t_int:g} s)"
+        ) from None
     if width_sq == 0.0:
         raise ArithmeticError(
             f"(v_cm*t_int)^2 underflows to 0 (v_cm={lens.v_cm:g} m/s, t_int={lens.t_int:g} s)"

@@ -6,7 +6,7 @@ source is described by a finite coherence length ``ell0``.  Free flight plus
 collisional decoherence of strength ``lam`` (m^-2 s^-1) keeps the state
 Gaussian, so it is carried either by its second moments (`covariance`) or by
 the Gaussian kernel of the position-space density matrix (`kernel_params`,
-which returns the coefficients the position readout needs).
+which returns the coefficient the closed-form CFI needs).
 
 Covariance convention: entries are dimensionless (x in units of sigma0, p in
 units of hbar/sigma0) and scaled so a pure uncorrelated probe at t=0 has unit
@@ -82,24 +82,17 @@ class EnvironmentSpec:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Coefficients of the evolved density-matrix Gaussian kernel.
+    """Coefficient b_sq (m^-4) of the evolved density-matrix Gaussian kernel.
 
-    a1 fixes the diagonal density rho(x, x) = n_t * exp(-2 a1 x^2), the
-    position readout; b_sq enters the closed-form CFI.  The off-diagonal
-    coefficients are not computed, since no route reads them.
+    b_sq is the one coefficient the closed-form CFI reads; the readout
+    variance is V = 2 hbar^2 t^2 sigma0^2 b_sq / m^2.
     """
 
-    a1: float    # m^-2
-    b_sq: float  # m^-4
-    n_t: float   # m^-1
+    b_sq: float
 
     def __post_init__(self):
-        if not self.a1 > 0:
-            raise ValueError(f"a1 must be positive, got {self.a1}")
         if not self.b_sq > 0:
             raise ValueError(f"b_sq must be positive, got {self.b_sq}")
-        if not math.isclose(self.n_t, math.sqrt(2 * self.a1 / math.pi), rel_tol=1e-12):
-            raise ValueError("n_t must equal sqrt(2 a1 / pi)")
 
 
 @dataclass(frozen=True)
@@ -174,22 +167,26 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
 _LAMBDA_SQ_LIMIT = math.sqrt(sys.float_info.max)
 
 
-def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
-    """Coefficients of `_purity_bracket` in ascending powers of t."""
-    tau = _tau0(mass, sigma0)
+def _lambda_sq(lam):
+    """lam**2, raising a named OverflowError where it leaves the float range."""
     try:
-        lam_sq = lam**2
+        return lam**2
     except OverflowError:
         raise OverflowError(
             f"lambda={lam:g} overflows the float range: lambda^2 needs lambda below "
             f"~{_LAMBDA_SQ_LIMIT:.2g} m^-2 s^-1"
         ) from None
+
+
+def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """Coefficients of `_purity_bracket` in ascending powers of t."""
+    tau = _tau0(mass, sigma0)
     return (
         1.0 + 2.0 * eps,
         4.0 * sigma0**2 * lam,
         4.0 * gamma * lam * HBAR / mass,
         4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-        4.0 * lam_sq * HBAR**2 / (3.0 * mass**2),
+        4.0 * _lambda_sq(lam) * HBAR**2 / (3.0 * mass**2),
     )
 
 
@@ -205,7 +202,7 @@ def _purity_bracket_dt(mass, sigma0, eps, gamma, lam, t):
         4.0 * sigma0**2 * lam
         + (8.0 * gamma * lam * HBAR / mass) * t
         + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass)) * t**2
-        + (16.0 * lam**2 * HBAR**2 / (3.0 * mass**2)) * t**3
+        + (16.0 * _lambda_sq(lam) * HBAR**2 / (3.0 * mass**2)) * t**3
     )
 
 
@@ -267,10 +264,10 @@ def tau0(probe: ProbeSpec) -> float:
 
 
 def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelParams:
-    """Kernel coefficients a1, b_sq, n_t of the evolved density matrix at time t > 0.
+    """Kernel coefficient b_sq of the evolved density matrix at time t > 0.
 
-    The coefficients contain 1/t factors, so the initial state is not
-    reachable here; use `covariance` for t = 0.
+    b_sq contains a 1/t factor, so the initial state is not reachable here;
+    use `covariance` for t = 0.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(
@@ -290,8 +287,7 @@ def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelPar
         raise OverflowError(
             f"b_sq overflows the float range (lambda={lam:g} m^-2 s^-1, t={t:g} s)"
         )
-    a1 = m**2 / (8.0 * HBAR**2 * t**2 * s0**2 * b_sq)
-    return KernelParams(a1=a1, b_sq=b_sq, n_t=math.sqrt(2.0 * a1 / math.pi))
+    return KernelParams(b_sq=b_sq)
 
 
 def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMatrix:
@@ -347,7 +343,13 @@ def position_density_variance(probe: ProbeSpec, env: EnvironmentSpec, t: float) 
         probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
     )
     sxx = _dd.dd_sum(terms[:5])
-    return probe.sigma0**2 * (sxx[0] + sxx[1]) / 2.0
+    variance = probe.sigma0**2 * (sxx[0] + sxx[1]) / 2.0
+    if not math.isfinite(variance):
+        raise OverflowError(
+            f"readout variance overflows the float range at t/tau0={t / tau0(probe):g}: "
+            f"its sxx sum is not finite (mass={probe.mass:g} kg, t={t:g} s)"
+        )
+    return variance
 
 
 def pearson_from_gamma(gamma: float) -> float:

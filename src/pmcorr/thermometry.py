@@ -66,13 +66,26 @@ def lambda_from_temperature(
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if not (m_air > 0 and number_density > 0 and molecule_size > 0):
         raise ValueError("m_air, number_density and molecule_size must be positive")
-    return (
+    try:
+        thermal = (K_BOLTZMANN * temperature) ** 1.5
+    except OverflowError:
+        raise OverflowError(
+            f"temperature={temperature:g} K overflows the float range: (k_B*T)^1.5 needs T "
+            f"below ~{sys.float_info.max ** (2.0 / 3.0) / K_BOLTZMANN:.2g} K"
+        ) from None
+    lam = (
         (8.0 / (3.0 * HBAR**2))
         * math.sqrt(2.0 * math.pi * m_air)
-        * (K_BOLTZMANN * temperature) ** 1.5
+        * thermal
         * number_density
         * molecule_size**2
     )
+    if lam == math.inf:
+        raise OverflowError(
+            f"the coupling at temperature={temperature:g} K overflows the float range: "
+            f"a product in it exceeds ~{sys.float_info.max:.2g}"
+        )
+    return lam
 
 
 def temperature_from_lambda(
@@ -101,16 +114,12 @@ def decoherence_time(lam: float, delta_x: float) -> float:
     return 1.0 / (lam * delta_x**2)
 
 
-def _rate(probe: ProbeSpec, lam: float, t: float) -> float:
-    args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, lam, t)
-    return abs(_purity_bracket_dt(*args)) / (2.0 * _purity_bracket(*args))
-
-
 def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """(1/mu)|dmu/dt| in s^-1, from the analytic time derivative."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    return _rate(probe, env.lam, t)
+    args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t)
+    return abs(_purity_bracket_dt(*args)) / (2.0 * _purity_bracket(*args))
 
 
 def _polyval(coefficients, x: float) -> float:

@@ -46,6 +46,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown key"):
             load_config(str(cfg))
 
+    def test_load_config_names_bad_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 2\nell0_m = abc\n")
+        assert main(["--config", str(cfg), "purity", "--lambda", "1e15", "--t", "1us"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {cfg}:2: ell0_m: could not convert string to float: 'abc'\n"
+
     @staticmethod
     def _manifest_parameters(tmp_path, name, args, config=""):
         cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
@@ -398,6 +406,29 @@ class TestScalarCommands:
     def test_arithmetic_error_is_numerical_failure(self, args, stderr_prefix, capsys):
         assert main(args) == 3
         assert capsys.readouterr().err.startswith(stderr_prefix)
+
+    @pytest.mark.parametrize(
+        "args,stderr",
+        [
+            (["cfi", "--target", "gamma", "--lambda", "1e15", "--t", "1us", "--mass", "1e-170"],
+             "readout variance overflows the float range at t/tau0=1.73335e+146: its sxx sum is "
+             "not finite (mass=1e-170 kg, t=1e-06 s)"),
+            (["lens", "--omega0", "2e8", "--wavelength", "532e-9", "--vcm", "1e200", "--tint", "1"],
+             "(v_cm*t_int)^2 overflows the float range: v_cm*t_int needs to stay below ~1.3e+154 m "
+             "(v_cm=1e+200 m/s, t_int=1 s)"),
+            (["convert", "--to-lambda", "1e300"],
+             "temperature=1e+300 K overflows the float range: (k_B*T)^1.5 needs T below "
+             "~2.3e+228 K"),
+            (["qfi", "--target", "lambda", "--lambda", "1e152", "--t", "1us"],
+             "derivative failed to converge: relative spread nan"),
+        ],
+        ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152"],
+    )
+    def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
+        assert main(args) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"numerical failure: {stderr}\n"
 
     def test_oracle_column_names_lowest_failing_row(self, capsys):
         # the Richardson oracle does not converge at row 1 (lambda = 10**-3.5); the

@@ -79,6 +79,13 @@ class TestPhiLambda:
         assert abs(a - n) <= 1e-6 * abs(a)
 
 
+@pytest.mark.parametrize("phi", [pc.phi_gamma, pc.phi_lambda])
+def test_phi_lambda_sq_overflow_named(phi):
+    with pytest.raises(OverflowError, match=r"lambda=1e\+200 overflows the float range: "
+                       r"lambda\^2 needs lambda below ~1\.3e\+154"):
+        phi(FULLERENE, env(1e200), 1e-6)
+
+
 class TestQfiAnalytic:
     def test_no_coupling_first_term_only(self):
         # purity is gamma-independent at lam = 0, so the derivative term vanishes
@@ -257,6 +264,14 @@ class TestCfi:
         quad = pc.cfi_quadrature(target, FULLERENE, env(1e150), 2e-5)
         assert 0.0 < quad.gaussian_identity < 1e-260
         assert abs(quad.quadrature - quad.gaussian_identity) <= 1e-12 * quad.gaussian_identity
+
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_quadrature_overflowed_variance_raises(self, target):
+        # at mass 1e-170, t/tau0 ~ 1.7e146: the readout variance is not a float, and
+        # the quadrature raises rather than returning the NaN it would be built from
+        probe = pc.ProbeSpec(mass=1e-170, sigma0=FULLERENE.sigma0, ell0=FULLERENE.ell0)
+        with pytest.raises(OverflowError, match="readout variance overflows the float range"):
+            pc.cfi_quadrature(target, probe, env(1e15), 1e-6)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_quadrature_across_envelope(self, seed):

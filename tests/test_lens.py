@@ -22,6 +22,12 @@ class TestRabiProfile:
         with pytest.raises(ArithmeticError, match=r"\(v_cm\*t_int\)\^2 underflows to 0"):
             pc.rabi_profile(lens, 0.0, 0.0)
 
+    def test_overflowed_envelope_width_named(self):
+        lens = pc.LensSpec(omega0=2e8, wavelength=532e-9, detuning=0.0, v_cm=1e200, t_int=1.0)
+        with pytest.raises(OverflowError, match=r"\(v_cm\*t_int\)\^2 overflows the float range: "
+                           r"v_cm\*t_int needs to stay below ~1\.3e\+154 m"):
+            pc.rabi_profile(lens, 0.0, 0.0)
+
     def test_longitudinal_envelope(self):
         z = LENS.v_cm * LENS.t_int
         assert_allclose(pc.rabi_profile(LENS, 0.0, z), LENS.omega0 * math.exp(-math.pi), rtol=1e-12)

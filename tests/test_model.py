@@ -18,6 +18,11 @@ def env(lam=0.0):
     return pc.EnvironmentSpec(lam=lam)
 
 
+def kernel_variance(probe, k, t):
+    """Readout variance from the kernel: V = 2 hbar^2 t^2 sigma0^2 b_sq / m^2 (= 1/(4 a1))."""
+    return 2.0 * HBAR**2 * t**2 * probe.sigma0**2 * k.b_sq / probe.mass**2
+
+
 class TestSpecs:
     def test_probe_validation(self):
         with pytest.raises(ValueError):
@@ -45,10 +50,9 @@ class TestSpecs:
             pc.EnvironmentSpec(lam=-1.0)
 
     def test_kernel_params_invariants(self):
-        with pytest.raises(ValueError):
-            pc.KernelParams(a1=-1.0, b_sq=1.0, n_t=1.0)
-        with pytest.raises(ValueError):
-            pc.KernelParams(a1=1.0, b_sq=1.0, n_t=1.0)
+        for b_sq in (0.0, -1.0):
+            with pytest.raises(ValueError, match="b_sq must be positive"):
+                pc.KernelParams(b_sq=b_sq)
 
 
 class TestTau0:
@@ -72,16 +76,14 @@ class TestKernelParams:
             expected = 1.0 / (4 * probe.sigma0**4) + probe.mass**2 / (4 * HBAR**2 * t**2)
             assert_allclose(k.b_sq, expected, rtol=1e-14)
 
-    def test_normalization_identity(self):
-        k = pc.kernel_params(FULLERENE, env(1e15), 1e-6)
-        assert_allclose(k.n_t, math.sqrt(2 * k.a1 / math.pi), rtol=1e-12)
-
     def test_diagonal_variance_matches_covariance(self):
         probe = FULLERENE.with_gamma(5.0)
         e = env(1e20)
         t = 1e-6
         k = pc.kernel_params(probe, e, t)
-        assert_allclose(1.0 / (4 * k.a1), pc.position_density_variance(probe, e, t), rtol=1e-9)
+        assert_allclose(
+            kernel_variance(probe, k, t), pc.position_density_variance(probe, e, t), rtol=1e-9
+        )
 
     @pytest.mark.parametrize("t", [0.0, -1e-6])
     def test_rejects_nonpositive_time(self, t):
@@ -189,8 +191,16 @@ class TestPositionDensityVariance:
         t = pc.tau0(FULLERENE)
         k = pc.kernel_params(FULLERENE, env(0.0), t)
         assert_allclose(
-            pc.position_density_variance(FULLERENE, env(0.0), t), 1.0 / (4 * k.a1), rtol=1e-9
+            pc.position_density_variance(FULLERENE, env(0.0), t),
+            kernel_variance(FULLERENE, k, t),
+            rtol=1e-9,
         )
+
+    def test_overflow_named(self):
+        probe = pc.ProbeSpec(mass=1e-170, sigma0=FULLERENE.sigma0)
+        with pytest.raises(OverflowError, match=r"readout variance overflows the float range at "
+                           r"t/tau0=1\.73\d*e\+146"):
+            pc.position_density_variance(probe, env(1e15), 1e-6)
 
     def test_width_scaling(self):
         # double sigma0 holding all dimensionless ratios fixed: theta, eps, lam*sigma0^2*tau0

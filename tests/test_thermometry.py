@@ -92,6 +92,17 @@ class TestConversions:
             pc.temperature_from_lambda(value, *AIR)
 
 
+    def test_thermal_power_overflow_named(self):
+        with pytest.raises(OverflowError, match=r"temperature=1e\+300 K overflows the float range: "
+                           r"\(k_B\*T\)\^1\.5 needs T below ~2\.3e\+228 K"):
+            pc.lambda_from_temperature(1e300, *AIR)
+
+    def test_coupling_overflow_named(self):
+        # (k_B T)^1.5 is finite here, but the coupling's product is not
+        with pytest.raises(OverflowError, match=r"the coupling at temperature=1e\+220 K overflows"):
+            pc.lambda_from_temperature(1e220, *AIR)
+
+
 class TestDecoherenceTime:
     def test_reference(self):
         assert_allclose(pc.decoherence_time(1e15, 1e-7), 0.1, rtol=1e-15)
@@ -137,6 +148,10 @@ class TestRelativePurityRate:
     def test_rejects_invalid_time(self, t):
         with pytest.raises(ValueError, match="positive and finite"):
             pc.relative_purity_rate(FULLERENE, ENV15, t)
+
+    def test_lambda_sq_overflow_named(self):
+        with pytest.raises(OverflowError, match=r"lambda\^2 needs lambda below ~1\.3e\+154"):
+            pc.relative_purity_rate(FULLERENE, pc.EnvironmentSpec(lam=1e200), 1e-6)
 
 
 class TestTauMax:
