@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .constants import (
     AIR_MOLECULE_MASS,
@@ -331,13 +329,28 @@ def _per_gamma(gammas, *groups):
     return cells
 
 
-_GAMMA_AXIS = ("gamma", np.linspace(-150.0, 150.0, 301))
+def _axis(kind: str, spacing: str, *args):
+    """A preset axis whose values numpy's `spacing` function builds when the preset runs.
+
+    Only the commands that need arrays load numpy; `import pmcorr` and the
+    one-point commands do not.
+    """
+    def values():
+        import numpy as np
+
+        return getattr(np, spacing)(*args)
+
+    return kind, values
+
+
+_GAMMA_AXIS = _axis("gamma", "linspace", -150.0, 150.0, 301)
 _FIG4_GAMMAS = (0.0, 10.0, 50.0)
-_FIG4_TIMES = ("time", np.logspace(-6, math.log10(5e-3), 220))
+_FIG4_TIMES = _axis("time", "logspace", -6, math.log10(5e-3), 220)
 _FIGE_GAMMAS = (-10.0, 0.0, 5.0)
 
-#: figure preset -> files, each (name, group columns, axes, lam, t, groups); a
-#: None lam is the scenario's coupling (default 1e15), a None t is on an axis or unused
+#: figure preset -> files, each (name, group columns, axes, lam, t, groups),
+#: axes as made by `_axis`; a None lam is the scenario's coupling (default
+#: 1e15), a None t is on an axis or unused
 _FIGURES = {
     "fig2": [
         (f"fig2{panel}.csv", ["qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
@@ -367,14 +380,15 @@ _FIGURES = {
               [lambda p, e, t: [tgi_approx(p.gamma)]])],
     "figD": [
         ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
-         [("gamma", np.linspace(-150.0, 150.0, 61)), ("time", np.logspace(-7, -4, 41))], 1e22, None,
+         [_axis("gamma", "linspace", -150.0, 150.0, 61), _axis("time", "logspace", -7, -4, 41)],
+         1e22, None,
          [lambda p, e, t: [qfi_analytic(_GAMMA, p, e, t)], _purity_slope(_GAMMA)]),
     ],
     "figE": [
         ("figE.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIGE_GAMMAS]
          + [f"{column}_gamma{g:g}" for g in _FIGE_GAMMAS
             for column in ("purity", "rel_purity_slope_lambda")],
-         [("lambda", np.logspace(13, 22, 181))], None, 50e-6,
+         [_axis("lambda", "logspace", 13, 22, 181)], None, 50e-6,
          [_per_gamma(_FIGE_GAMMAS, _lambda_sq_qfi, _purity_slope(_LAMBDA))]),
     ],
 }
@@ -394,6 +408,8 @@ def cmd_sweep(args, started: float) -> int:
         raise ValueError("min must be < max")
     if args.log and args.min <= 0:
         raise ValueError("log axis requires min > 0")
+    import numpy as np  # deferred: only the array commands load numpy
+
     if args.log:
         values = np.logspace(math.log10(args.min), math.log10(args.max), args.points)
     else:
@@ -516,6 +532,7 @@ def cmd_figures(args, started: float) -> int:
 
     for name, columns, axes, lam, t, groups in _FIGURES[args.preset]:
         header = [_AXIS_COLUMN[kind] for kind, _ in axes] + columns
+        axes = [(kind, values()) for kind, values in axes]
         write(name, header, _grid(scenario.probe, coupling if lam is None else lam, t, axes, groups))
     if args.preset == "fig5":
         if not coupling > 0:

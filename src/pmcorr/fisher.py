@@ -24,19 +24,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import _dd
 from .constants import HBAR
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _covariance_terms_dd,
-    _lambda_sq,
     _purity_bracket,
     _purity_bracket_dgamma,
     _purity_bracket_dlam,
     _purity_bracket_terms_dd,
+    _square,
+    _SQUARE_LIMIT,
     kernel_params,
     position_density_variance,
     purity_exact,
@@ -125,7 +124,7 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     c0 = 9.0 * tau**4 * (1.0 + 2.0 * eps)
     c1 = 12.0 * s0**2 * tau**2 * t**3 * ((2.0 * eps + g**2 + 1.0) + 3.0 * g * r + 3.0 * r**2)
     c2 = 32.0 * s0**4 * t**6 * (g**2 + 3.0 * g * r + (21.0 / 8.0) * r**2)
-    return (c0 + c1 * lam + c2 * _lambda_sq(lam)) / (72.0 * tau**4)
+    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (72.0 * tau**4)
 
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -149,7 +148,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     )
     c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
     c2 = 4.0 * s0**8 * t**8
-    return (c0 + c1 * lam + c2 * _lambda_sq(lam)) / (18.0 * tau**4)
+    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (18.0 * tau**4)
 
 
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -214,6 +213,8 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     assembled per point in scalar double-double, where a handful of
     operations cost less than array dispatch and CPython rounds the powers.
     """
+    import numpy as np  # deferred: only the array commands load numpy
+
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
     n = max((len(v) for v in (gamma, lam, t) if isinstance(v, list)), default=1)
@@ -341,16 +342,53 @@ def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> floa
 
 #: node counts of the two Gauss-Hermite rules; their difference is the error estimate
 _RULES = (16, 32)
+#: the rules for the weight e^(-u^2), as numpy.polynomial.hermite.hermgauss
+#: gives them, by node count: (nodes, weights) at the positive nodes, ascending;
+#: each rule is symmetric about u = 0
+_HERMITE_HALVES = {
+    16: (
+        (
+            0.27348104613815244, 0.8229514491446559, 1.3802585391988809, 1.9517879909162539,
+            2.5462021578474814, 3.176999161979956, 3.869447904860123, 4.688738939305819,
+        ),
+        (
+            0.5079294790166137, 0.2806474585285337, 0.08381004139898583, 0.012880311535509989,
+            0.0009322840086241807, 2.7118600925378892e-05, 2.3209808448652032e-07,
+            2.6548074740111673e-10,
+        ),
+    ),
+    32: (
+        (
+            0.19484074156939934, 0.5849787654359324, 0.9765004635896828, 1.3703764109528718,
+            1.7676541094632015, 2.169499183606112, 2.5772495377323175, 2.992490825002374,
+            3.417167492818571, 3.853755485471445, 4.305547953351199, 4.777164503502596,
+            5.2755509865158805, 5.812225949515914, 6.409498149269661, 7.125813909830728,
+        ),
+        (
+            0.37523835259280247, 0.27745814230252996, 0.15126973407664232, 0.06045813095591269,
+            0.017553428831573438, 0.003654890326654426, 0.000536268365527972,
+            5.416584061819991e-05, 3.650585129562378e-06, 1.5741677925455882e-07,
+            4.098832164770879e-09, 5.933291463396676e-11, 4.2150102113264155e-13,
+            1.1973440170928503e-15, 9.231736536518258e-19, 7.310676427384096e-23,
+        ),
+    ),
+}
+
+
+def _hermgauss(n: int) -> tuple[list[float], list[float]]:
+    """Nodes, ascending, and weights of the n-node rule, equal to hermgauss(n)."""
+    nodes, weights = _HERMITE_HALVES[n]
+    return [-u for u in reversed(nodes)] + list(nodes), list(reversed(weights)) + list(weights)
 
 
 @functools.cache
 def _hermite_nodes() -> tuple:
     """u^2 at the nodes of both rules (weight e^(-u^2)), and each rule's weights / sqrt(pi)."""
-    from numpy.polynomial.hermite import hermgauss  # deferred: only cfi_quadrature needs it
+    import numpy as np
 
-    rules = [hermgauss(n) for n in _RULES]
-    u = np.concatenate([nodes for nodes, _ in rules])
-    return u * u, [weights / math.sqrt(math.pi) for _, weights in rules]
+    rules = [_hermgauss(n) for n in _RULES]
+    u = np.array([node for nodes, _ in rules for node in nodes])
+    return u * u, [np.array(weights) / math.sqrt(math.pi) for _, weights in rules]
 
 
 def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CfiQuadrature:
@@ -371,6 +409,8 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     over four halved steps, and a 16-node and a 32-node rule give the value
     and its error estimate.
     """
+    import numpy as np  # deferred: only the array commands load numpy
+
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -385,7 +425,7 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         d2V = s0**2 * th**2
         x0 = g
     else:
-        dV = (2.0 / 3.0) * HBAR**2 * t**3 / probe.mass**2
+        dV = (2.0 / 3.0) * HBAR**2 * t**3 / _square(probe.mass, "mass", "kg")
         dV_terms = dV
         d2V = 0.0
         x0 = lam
@@ -400,6 +440,12 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         3e-4 * V / (2.0 * abs(dV)) if dV else math.inf,
         math.sqrt(2e-3 * V / d2V) if d2V else math.inf,
     )
+    if target is EstimationTarget.GAMMA and not abs(x0) + h < _SQUARE_LIMIT:
+        # the covariance monomials square gamma +- h
+        raise OverflowError(
+            f"quadrature step h={h:g} overflows the float range: (gamma+-h)^2 needs |gamma|+h "
+            f"below ~{_SQUARE_LIMIT:.2g} (dV/dgamma is {dV / V:.2g} V at t/tau0={th:g})"
+        )
     steps = [h / 2.0**i for i in range(4)]
     x = np.array([x0 + hh for hh in steps] + [x0 - hh for hh in steps])
     u2, weights = _hermite_nodes()

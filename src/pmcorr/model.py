@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import _dd
 from .constants import FULLERENE_ELL0, FULLERENE_MASS, FULLERENE_SIGMA0, HBAR
@@ -62,7 +60,7 @@ class ProbeSpec:
         return 0.0 if math.isinf(self.ell0) else (self.sigma0 / self.ell0) ** 2
 
     def with_gamma(self, gamma: float) -> "ProbeSpec":
-        return replace(self, gamma=gamma)
+        return ProbeSpec(self.mass, self.sigma0, self.ell0, gamma)
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,11 @@ def _cpow(x, k):
     """x**k by CPython's pow, elementwise for an array.
 
     numpy's ** rounds differently on a few percent of inputs, and array
-    evaluations must match the one-point ones bit for bit.
+    evaluations must match the one-point ones bit for bit.  An array exists
+    only once numpy is loaded, so numpy is looked up, never imported, here.
     """
-    if isinstance(x, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.ndarray):
         return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
     return x**k
 
@@ -163,18 +163,18 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     ]
 
 
-#: largest coupling whose square is a finite double (~1.3e154)
-_LAMBDA_SQ_LIMIT = math.sqrt(sys.float_info.max)
+#: largest magnitude whose square is a finite double (~1.3e154)
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)
 
 
-def _lambda_sq(lam):
-    """lam**2, raising a named OverflowError where it leaves the float range."""
+def _square(value, name: str, unit: str):
+    """value**2, raising an OverflowError that names the quantity and its limit."""
     try:
-        return lam**2
+        return value**2
     except OverflowError:
         raise OverflowError(
-            f"lambda={lam:g} overflows the float range: lambda^2 needs lambda below "
-            f"~{_LAMBDA_SQ_LIMIT:.2g} m^-2 s^-1"
+            f"{name}={value:g} overflows the float range: {name}^2 needs {name} below "
+            f"~{_SQUARE_LIMIT:.2g} {unit}"
         ) from None
 
 
@@ -186,7 +186,7 @@ def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
         4.0 * sigma0**2 * lam,
         4.0 * gamma * lam * HBAR / mass,
         4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-        4.0 * _lambda_sq(lam) * HBAR**2 / (3.0 * mass**2),
+        4.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * _square(mass, "mass", "kg")),
     )
 
 
@@ -202,7 +202,7 @@ def _purity_bracket_dt(mass, sigma0, eps, gamma, lam, t):
         4.0 * sigma0**2 * lam
         + (8.0 * gamma * lam * HBAR / mass) * t
         + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass)) * t**2
-        + (16.0 * _lambda_sq(lam) * HBAR**2 / (3.0 * mass**2)) * t**3
+        + (16.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass**2)) * t**3
     )
 
 

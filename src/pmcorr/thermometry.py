@@ -9,11 +9,10 @@ decibel scale (TGI).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .constants import HBAR, K_BOLTZMANN
 from .fisher import ConvergenceError, EstimationTarget, qfi_analytic
@@ -23,6 +22,7 @@ from .model import (
     _purity_bracket,
     _purity_bracket_coefficients,
     _purity_bracket_dt,
+    _square,
     purity_exact,
     tau0,
 )
@@ -31,7 +31,9 @@ from .model import (
 #: neighbouring extrema, far above the ~1e-15 rounding of the rate, so a
 #: maximum that rounding could invent or hide is not reported
 _KNEE_PROMINENCE = 1e-12
-_EPS = sys.float_info.epsilon
+#: Newton stops once its step is below this fraction of x: convergence is
+#: quadratic there, so that last step leaves x correct to rounding
+_NEWTON_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def lambda_from_temperature(
         * math.sqrt(2.0 * math.pi * m_air)
         * thermal
         * number_density
-        * molecule_size**2
+        * _square(molecule_size, "molecule_size", "m")
     )
     if lam == math.inf:
         raise OverflowError(
@@ -98,7 +100,8 @@ def temperature_from_lambda(
         raise ValueError("m_air, number_density and molecule_size must be positive")
     base = (
         3.0 * HBAR**2 * lam
-        / (8.0 * math.sqrt(2.0 * math.pi * m_air) * number_density * molecule_size**2)
+        / (8.0 * math.sqrt(2.0 * math.pi * m_air) * number_density
+           * _square(molecule_size, "molecule_size", "m"))
     )
     return base ** (2.0 / 3.0) / K_BOLTZMANN
 
@@ -130,22 +133,137 @@ def _polyval(coefficients, x: float) -> float:
     return acc
 
 
-def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
-    """Interaction time of the knee: the interior maximum of the purity rate.
+def _horner(p, x: float) -> tuple[float, float]:
+    """p(x) and p'(x) in one Horner pass; p in ascending powers."""
+    value = p[-1]
+    slope = 0.0
+    for c in p[-2::-1]:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
 
-    With B = 1/purity^2, the quartic purity bracket, the rate is |B'|/(2B)
-    and d(B'/B)/dt = P/B^2 with P = B''B - B'^2 of degree 6.  The extrema are
-    the real positive roots of P, solved in x = t / `tau_max_approx`, where
-    the coefficients are of order one.  The real roots (eigenvalues with a
-    zero imaginary part) are polished by Newton steps on P.  A root is a
-    local maximum of the rate exactly when sign(P') sign(B') < 0; the knee is
-    the maximum with the largest rate among those whose rate exceeds that of
-    the neighbouring extrema by more than rounding.  Where no such maximum
-    exists (gamma = 0 at lam = 1e33, gamma = 35 at 1e25) this raises
-    ConvergenceError.
+
+def _newton(p, x: float, lo: float, hi: float, positive_below: bool):
+    """(root, p'(root)) for the one sign change of p in (lo, hi), from the guess x.
+
+    p has the sign ``positive_below`` between lo and the root.  Newton steps
+    are kept while they stay inside the bracket and at least halve; otherwise
+    the step bisects the bracket in log x, or, towards an open end (lo = 0 or
+    hi = inf), moves by a factor 4, 16, 256, ...  Returns None when the root
+    lies beyond the float range.
     """
-    if not env.lam > 0:
-        raise ValueError("tau_max requires lam > 0")
+    factor = 4.0
+    last = math.inf
+    while True:
+        value, slope = _horner(p, x)
+        if value == 0.0:
+            return x, slope
+        if (value > 0.0) == positive_below:
+            lo = x
+        else:
+            hi = x
+        step = value / slope if slope else math.nan
+        nxt = x - step
+        if abs(step) <= _NEWTON_RTOL * x:
+            return (nxt if lo < nxt < hi else x), slope
+        if not (lo < nxt < hi and abs(step) < 0.5 * last):
+            if hi == math.inf:
+                nxt, factor = x * factor, factor * factor
+            elif lo == 0.0:
+                nxt, factor = x / factor, factor * factor
+            else:
+                nxt = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < nxt < hi:  # the bracket is two adjacent floats, or left the range
+                return (x, slope) if lo > 0.0 and hi < math.inf else None
+        last = abs(nxt - x)
+        x = nxt
+
+
+def _positive_roots(p) -> list[tuple[float, float]]:
+    """(root, p'(root)) for each positive real root of p, ascending; p in ascending powers.
+
+    Derivative sequence (Collins & Loos, "Real zeros of polynomials", 1982):
+    the positive roots of p' cut (0, inf) into pieces on which p is
+    monotone, so a piece holds one root exactly when p changes sign across
+    it.  Degrees 1 and 2 are solved in closed form, and by Descartes' rule of
+    signs a p with no sign change among its coefficients has no positive
+    root and one with a single change has exactly one, found without p'.
+    Newton starts from the quadratic Taylor model at a critical end of the
+    piece where that model puts the root within half the end's abscissa,
+    else from 1, where the knee of `tau_max_exact` sits.  A root of even
+    multiplicity is found only where p evaluates to exactly zero.
+    """
+    n = len(p) - 1
+    while n > 0 and p[n] == 0.0:
+        n -= 1
+    if n == 0:
+        return []
+    if n == 1:
+        root = -p[0] / p[1]
+        return [(root, p[1])] if 0.0 < root < math.inf else []
+    if n == 2:
+        c, b, a = p[:3]
+        disc = b * b - 4.0 * a * c
+        if not disc >= 0.0:
+            return []
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        if q == 0.0:
+            return []
+        roots = sorted({r for r in (q / a, c / q) if 0.0 < r < math.inf})
+        return [(r, 2.0 * a * r + b) for r in roots]
+    signs = [c > 0.0 for c in p[:n + 1] if c]
+    changes = sum(map(operator.ne, signs, signs[1:]))
+    if changes == 0:
+        return []
+    if changes == 1:
+        root = _newton(p, 1.0, 0.0, math.inf, signs[0])
+        return [] if root is None else [root]
+
+    # pieces between 0, the critical points and inf, each end with p and p'' there
+    critical = _positive_roots([k * p[k] for k in range(1, n + 1)])
+    ends = (
+        [(0.0, 1.0 if signs[0] else -1.0, 0.0)]
+        + [(c, _polyval(p, c), curvature) for c, curvature in critical]
+        + [(math.inf, p[n], 0.0)]
+    )
+    roots = []
+    for (a, fa, ka), (b, fb, kb) in zip(ends, ends[1:]):
+        if fb == 0.0:
+            roots.append((b, 0.0))
+            continue
+        if fa == 0.0 or (fa > 0.0) == (fb > 0.0):
+            continue
+        # squared distance from each end to the root of its Taylor model
+        ha = -2.0 * fa / ka if ka else -1.0
+        hb = -2.0 * fb / kb if kb else -1.0
+        a_near = 0.0 < ha <= 0.25 * a * a
+        b_near = 0.0 < hb <= 0.25 * b * b
+        if a_near and not (b_near and hb < ha):
+            x = a + math.sqrt(ha)
+        elif b_near:
+            x = b - math.sqrt(hb)
+        elif a < 1.0 < b:
+            x = 1.0
+        elif b == math.inf:
+            x = 2.0 * a
+        elif a == 0.0:
+            x = 0.5 * b
+        else:
+            x = math.sqrt(a) * math.sqrt(b)
+        if not a < x < b:
+            x = math.sqrt(a) * math.sqrt(b)
+        root = _newton(p, x, a, b, fa > 0.0)
+        if root is not None:
+            roots.append(root)
+    return roots
+
+
+def _stationarity_polynomial(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
+    """(scale, B, B', P) with x = t / scale, each polynomial in ascending powers of x.
+
+    B = 1/purity^2 is the quartic purity bracket and P = B''B - B'^2 is of
+    degree 6; scale is `tau_max_approx`, so the coefficients are of order one.
+    """
     scale = tau_max_approx(probe, env)
     coefficients = _purity_bracket_coefficients(
         probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam
@@ -158,44 +276,61 @@ def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
         ) from None
     d1 = [k * b[k] for k in range(1, 5)]   # B'
     d2 = [k * d1[k] for k in range(1, 4)]  # B''
-    p = [0.0] * 7
-    for i, u in enumerate(d2):
-        for j, v in enumerate(b):
-            p[i + j] += u * v
-    for i, u in enumerate(d1):
-        for j, v in enumerate(d1):
-            p[i + j] -= u * v
-    dp = [k * p[k] for k in range(1, 7)]
+    # each coefficient sums the B''B products, then subtracts the B'B' ones,
+    # in ascending powers of the first factor
+    p = [
+        d2[0] * b[0] - d1[0] * d1[0],
+        d2[0] * b[1] + d2[1] * b[0] - d1[0] * d1[1] - d1[1] * d1[0],
+        d2[0] * b[2] + d2[1] * b[1] + d2[2] * b[0] - d1[0] * d1[2] - d1[1] * d1[1] - d1[2] * d1[0],
+        d2[0] * b[3] + d2[1] * b[2] + d2[2] * b[1]
+        - d1[0] * d1[3] - d1[1] * d1[2] - d1[2] * d1[1] - d1[3] * d1[0],
+        d2[0] * b[4] + d2[1] * b[3] + d2[2] * b[2] - d1[1] * d1[3] - d1[2] * d1[2] - d1[3] * d1[1],
+        d2[1] * b[4] + d2[2] * b[3] - d1[2] * d1[3] - d1[3] * d1[2],
+        d2[2] * b[4] - d1[3] * d1[3],
+    ]
+    if not all(map(math.isfinite, p)):
+        raise OverflowError(
+            f"the stationarity polynomial B''B - B'^2 overflows the float range at "
+            f"lam={env.lam:g}"
+        )
+    return scale, b, d1, p
 
-    # Leading coefficients below the rounding of the largest only add roots far
-    # from x ~ 1; left in, they stretch the companion matrix so far that the
-    # eigenvalue solver loses the roots near 1 (weak coupling, lam < ~1e-3).
-    negligible = _EPS * max(map(abs, p))
-    degree = 6
-    while abs(p[degree]) <= negligible:
-        degree -= 1
-    companion = np.eye(degree, k=-1)
-    companion[0] = [-c / p[degree] for c in p[degree - 1::-1]]
-    roots = np.linalg.eigvals(companion)
 
-    extrema = []
-    for z in roots:
-        if not (z.real > 0 and z.imag == 0.0):
-            continue
-        x = float(z.real)
+def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
+    """Interaction time of the knee: the interior maximum of the purity rate.
+
+    With B = 1/purity^2, the quartic purity bracket, the rate is |B'|/(2B)
+    and d(B'/B)/dt = P/B^2 with P = B''B - B'^2 of degree 6.  The extrema are
+    the positive real roots of P, solved in x = t / `tau_max_approx`, where
+    the coefficients are of order one.  `_positive_roots` finds them in pure
+    Python from the roots of P', P'', ... (between two consecutive roots of
+    a derivative the polynomial has at most one root), and two more Newton
+    steps on P polish each.  A root is a local maximum of the rate exactly
+    when sign(P') sign(B') < 0; the knee is the maximum with the largest rate
+    among those whose rate exceeds that of the neighbouring extrema by more
+    than rounding.  Where no such maximum exists (gamma = 0 at lam = 1e33,
+    gamma = 35 at 1e25) this raises ConvergenceError.
+    """
+    if not env.lam > 0:
+        raise ValueError("tau_max requires lam > 0")
+    scale, b, d1, p = _stationarity_polynomial(probe, env)
+
+    extrema = []  # (x, P'(x))
+    for x, _ in _positive_roots(p):
         for _ in range(2):
-            slope = _polyval(dp, x)
+            value, slope = _horner(p, x)
             if slope == 0.0:
                 break
-            x -= _polyval(p, x) / slope
+            x -= value / slope
         if 0.0 < x < math.inf:
-            extrema.append(x)
+            extrema.append((x, slope))
     extrema.sort()
-    rates = [abs(_polyval(d1, x)) / (2.0 * _polyval(b, x)) for x in extrema]
+    db = [_polyval(d1, x) for x, _ in extrema]
+    rates = [abs(v) / (2.0 * _polyval(b, x)) for (x, _), v in zip(extrema, db)]
 
     knee = None
-    for i, x in enumerate(extrema):
-        if _polyval(dp, x) * _polyval(d1, x) >= 0.0:
+    for i, (x, slope) in enumerate(extrema):
+        if slope * db[i] >= 0.0:
             continue  # a minimum of the rate
         neighbours = rates[max(i - 1, 0):i] + rates[i + 1:i + 2]
         if any(rates[i] <= r * (1.0 + _KNEE_PROMINENCE) for r in neighbours):
@@ -206,15 +341,15 @@ def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
         raise ConvergenceError(
             f"no interior maximum of the purity rate at gamma={probe.gamma:g}, lam={env.lam:g}"
         )
-    return extrema[knee] * scale
+    return extrema[knee][0] * scale
 
 
 def tau_max_approx(probe: ProbeSpec, env: EnvironmentSpec) -> float:
     """Closed-form maximizer of the cubic-term purity approximation."""
     if not env.lam > 0:
         raise ValueError("tau_max requires lam > 0")
-    tau = tau0(probe)
-    return (3.0 * tau**2 / (2.0 * (1.0 + probe.gamma**2) * env.lam * probe.sigma0**2)) ** (1.0 / 3.0)
+    tau_sq = _square(tau0(probe), "tau0", "s")
+    return (3.0 * tau_sq / (2.0 * (1.0 + probe.gamma**2) * env.lam * probe.sigma0**2)) ** (1.0 / 3.0)
 
 
 def _tgi_db(t_gamma: float, t_ref: float) -> float:

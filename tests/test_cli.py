@@ -421,8 +421,22 @@ class TestScalarCommands:
              "~2.3e+228 K"),
             (["qfi", "--target", "lambda", "--lambda", "1e152", "--t", "1us"],
              "derivative failed to converge: relative spread nan"),
+            (["purity", "--mass", "1e200", "--lambda", "1e15", "--t", "1us"],
+             "mass=1e+200 overflows the float range: mass^2 needs mass below ~1.3e+154 kg"),
+            (["tgi", "--mass", "1e200", "--lambda", "1e15"],
+             "tau0=5.76917e+217 overflows the float range: tau0^2 needs tau0 below ~1.3e+154 s"),
+            (["convert", "--to-lambda", "1", "--molecule-size", "1e200"],
+             "molecule_size=1e+200 overflows the float range: molecule_size^2 needs "
+             "molecule_size below ~1.3e+154 m"),
+            (["cfi", "--target", "gamma", "--mass", "1e200", "--lambda", "1e15", "--t", "1us"],
+             "quadrature step h=4.32687e+219 overflows the float range: (gamma+-h)^2 needs "
+             "|gamma|+h below ~1.3e+154 (dV/dgamma is 3.5e-224 V at t/tau0=1.73335e-224)"),
+            (["tgi", "--lambda", "1e154"],
+             "the stationarity polynomial B''B - B'^2 overflows the float range at lam=1e+154"),
         ],
-        ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152"],
+        ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
+             "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
+             "cfi-gamma-mass-1e200", "tgi-lambda-1e154"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3

@@ -273,6 +273,33 @@ class TestCfi:
         with pytest.raises(OverflowError, match="readout variance overflows the float range"):
             pc.cfi_quadrature(target, probe, env(1e15), 1e-6)
 
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            (GAMMA, r"quadrature step h=4\.32687e\+219 overflows the float range: "
+                    r"\(gamma\+-h\)\^2 needs \|gamma\|\+h below ~1\.3e\+154"),
+            (LAMBDA, r"mass=1e\+200 overflows the float range: mass\^2 needs mass below "
+                     r"~1\.3e\+154 kg"),
+        ],
+        ids=["gamma", "lambda"],
+    )
+    def test_quadrature_huge_mass_named(self, target, message):
+        # at mass 1e200, t/tau0 ~ 1.7e-224: V barely depends on gamma, so the
+        # gamma step leaves the float range, and the lambda route squares the mass
+        probe = pc.ProbeSpec(mass=1e200, sigma0=FULLERENE.sigma0, ell0=FULLERENE.ell0)
+        with pytest.raises(OverflowError, match=message):
+            pc.cfi_quadrature(target, probe, env(1e15), 1e-6)
+
+    def test_hermite_rules_are_hermgauss(self):
+        # the hard-coded rules are numpy's, float for float
+        from numpy.polynomial.hermite import hermgauss
+
+        for n in fisher._RULES:
+            nodes, weights = fisher._hermgauss(n)
+            expected_nodes, expected_weights = hermgauss(n)
+            assert nodes == expected_nodes.tolist()
+            assert weights == expected_weights.tolist()
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_quadrature_across_envelope(self, seed):
         # 3,000 draws over the whole envelope, both targets: the quadrature

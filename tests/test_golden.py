@@ -122,7 +122,7 @@ GOLDEN = {
     'fig5-coherent': {
         'fig5_curve.csv': 'f97d60f81d68dd15e6201051ac51b7814225ab5a312078d0b705d059cd2522fc',
         'fig5_curve.csv.manifest.json': '14adf54954cb0777550327acb6850893eebf012f9c64b539ebff3c04572e6e55',
-        'fig5_points.csv': 'ed7195264a5356ba160b50b877a088bf61c1c74f46e3f828bd3e36becbe11fd2',
+        'fig5_points.csv': 'd04c121cfce28f573d9faa720eb4a8845599462896a35bbddf105f8758334a18',
         'fig5_points.csv.manifest.json': '14adf54954cb0777550327acb6850893eebf012f9c64b539ebff3c04572e6e55',
     },
     'figD-coherent': {

@@ -1,15 +1,18 @@
 """Coupling-temperature map, purity-rate maximizer, and the gain table."""
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import pmcorr as pc
+from pmcorr import thermometry
 from pmcorr.constants import (
     AIR_MOLECULE_MASS,
     AIR_NUMBER_DENSITY,
@@ -21,6 +24,7 @@ FULLERENE = pc.fullerene_probe()
 ENV15 = pc.EnvironmentSpec(lam=1e15)
 AIR = (AIR_MOLECULE_MASS, AIR_NUMBER_DENSITY, FULLERENE_MOLECULE_SIZE)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = sys.float_info.epsilon
 
 
 def scan_knee(probe, env, lo=1e-10, hi=1.0, per_decade=200):
@@ -247,6 +251,134 @@ class TestTauMax:
             pc.tau_max_exact(FULLERENE, pc.EnvironmentSpec(lam=1e-300))
 
 
+def positive_roots(p):
+    return [x for x, _ in thermometry._positive_roots(p)]
+
+
+def ascending(roots):
+    """Float coefficients, in ascending powers, of the monic polynomial with these roots."""
+    return [float(c) for c in np.poly(roots)[::-1]]
+
+
+class TestPositiveRoots:
+    @pytest.mark.parametrize("lam", [1e-3, 1e5, 1e15, 1e20])
+    @pytest.mark.parametrize("ell0", [5e-8, math.inf])
+    def test_uncorrelated_knee_is_exactly_one(self, lam, ell0):
+        # at gamma = 0 the scale tau_max_approx is an exact root of P: x = 1
+        env = pc.EnvironmentSpec(lam=lam)
+        _, _, _, p = thermometry._stationarity_polynomial(pc.fullerene_probe(ell0=ell0), env)
+        assert min(abs(x - 1.0) for x in positive_roots(p)) <= 4 * EPS
+
+    @pytest.mark.parametrize(
+        "p,roots",
+        [
+            ([-3.0, 7.0, -5.0, 1.0], [1.0, 3.0]),            # (x - 1)^2 (x - 3)
+            ([-1.0, 4.25, -5.0, 1.0], [0.5, 4.0]),           # (x - 0.5)^2 (x - 4)
+            ([4.0, -4.0, 5.0, -4.0, 1.0], [2.0]),            # (x - 2)^2 (x^2 + 1)
+            ([-4.0, 4.0, -1.0, 0.0, 0.0], [2.0]),            # -(x - 2)^2, zero leading terms
+        ],
+    )
+    def test_double_root_found_once(self, p, roots):
+        assert positive_roots(p) == roots
+
+    def test_roots_spread_over_decades(self):
+        # five positive roots over thirteen decades, plus a negative root and a complex pair
+        roots = [1e-6, 1e-2, 1.0, 1e3, 1e7]
+        p = ascending(roots + [-5.0, 1j, -1j])
+        assert_allclose(positive_roots(p), roots, rtol=1e-13)
+
+    def test_no_positive_root(self):
+        assert positive_roots(ascending([-1.0, -3.0, 2j, -2j])) == []
+        assert positive_roots([1.0, 0.0, 1.0]) == []
+        assert positive_roots([1.0]) == []
+
+    def test_negligible_leading_coefficient(self):
+        # (x - 1)(x - 2)(1 - 1e-20 x): the leading coefficient lies far below
+        # the rounding of the largest, and the root it adds sits at 1e20
+        p = [-2.0, 3.0 + 2e-20, -1.0 - 3e-20, 1e-20]
+        assert abs(p[-1]) < EPS * max(map(abs, p))
+        assert_allclose(positive_roots(p), [1.0, 2.0, 1e20], rtol=1e-13)
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-3])
+    @pytest.mark.parametrize("gamma", [0.0, 35.0, -150.0])
+    def test_weak_coupling_polynomial(self, lam, gamma):
+        # lam <~ 1e-3: P's top coefficients sit ~30 orders below the rest; each
+        # root found is a root, and the knee near x = 1 is among them
+        probe = FULLERENE.with_gamma(gamma)
+        env = pc.EnvironmentSpec(lam=lam)
+        scale, _, _, p = thermometry._stationarity_polynomial(probe, env)
+        assert abs(p[-1]) < EPS * max(map(abs, p))
+        roots = positive_roots(p)
+        for x in roots:
+            terms = sum(abs(c) * x**k for k, c in enumerate(p))
+            assert abs(thermometry._polyval(p, x)) <= 64 * EPS * terms
+        knee = pc.tau_max_exact(probe, env) / scale
+        assert min(abs(x - knee) for x in roots) <= 4 * EPS * knee
+        assert abs(knee - 1.0) < 0.05
+
+
+def eigenvalue_roots(p):
+    """Independent float reference for `_positive_roots`.
+
+    numpy's companion-matrix eigenvalues, after dropping leading coefficients
+    below the rounding of the largest (the eigenvalue solver loses the roots
+    near 1 otherwise), and each real positive one taken to the root of p in
+    mpmath at 40 digits.
+    """
+    negligible = EPS * max(map(abs, p))
+    degree = len(p) - 1
+    while abs(p[degree]) <= negligible:
+        degree -= 1
+    descending = [mpmath.mpf(c) for c in reversed(p)]
+    roots = []
+    with mpmath.workdps(40):
+        for z in np.roots(p[degree::-1]):
+            if z.imag != 0.0 or not z.real > 0.0:
+                continue
+            x = mpmath.mpf(float(z.real))
+            for _ in range(3):
+                value, slope = mpmath.polyval(descending, x, derivative=True)
+                x -= value / slope
+            roots.append((float(x), None))
+    return sorted(roots)
+
+
+def test_tau_max_across_envelope(monkeypatch):
+    # 6,000 seeded draws over lam in {0} u 1e-3..1e30, |gamma| in {0} u 1e-3..1e4,
+    # ell0 in {50 nm, inf}: the same outcome, value or named error, as with the
+    # eigenvalue reference in place of the pure-Python roots, and the same value
+    # to 1e-12
+    rng = random.Random(10)
+    draws = []
+    for _ in range(6000):
+        lam = 0.0 if rng.random() < 0.02 else 10 ** rng.uniform(-3, 30)
+        gamma = 0.0 if rng.random() < 0.05 else rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 4)
+        probe = pc.fullerene_probe(gamma=gamma, ell0=rng.choice((5e-8, math.inf)))
+        draws.append((probe, pc.EnvironmentSpec(lam=lam)))
+
+    def outcomes():
+        results = []
+        for probe, env in draws:
+            try:
+                results.append(pc.tau_max_exact(probe, env))
+            except (ValueError, ConvergenceError) as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+        return results
+
+    found = outcomes()
+    monkeypatch.setattr(thermometry, "_positive_roots", eigenvalue_roots)
+    reference = outcomes()
+    kinds = {type(r) for r in found}
+    assert kinds == {float, str}  # the draws reach both values and named errors
+    for (probe, env), value, ref in zip(draws, found, reference):
+        where = f"gamma={probe.gamma!r}, lam={env.lam!r}, ell0={probe.ell0!r}"
+        if isinstance(ref, str):
+            assert value == ref, where
+        else:
+            assert isinstance(value, float), where
+            assert abs(value - ref) <= 1e-12 * ref, where
+
+
 class TestTgi:
     def test_uncorrelated_is_zero(self):
         value = pc.tgi(FULLERENE.with_gamma(0.0), ENV15)
@@ -310,6 +442,30 @@ class TestReferenceTable:
         assert [r.gamma for r in pc.TABLE1_REFERENCE] == [-50.0, -25.0, -1.0, 0.0, 35.0, 70.0, 150.0]
         zero = next(r for r in pc.TABLE1_REFERENCE if r.gamma == 0.0)
         assert zero.tgi_db == 0.0
+
+
+def test_one_point_commands_load_no_numpy():
+    # `import pmcorr`, and one launch of each command that needs no arrays
+    src = Path(pc.__file__).resolve().parents[1]
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    launches = [
+        ["purity", "--lambda", "1e15", "--t", "1us"],
+        ["tgi", "--lambda", "1e15", "--gamma", "3"],
+        ["table1"],
+        ["convert", "--to-lambda", "0.442", "--quiet"],
+        ["lens", "--omega0", "2e8", "--wavelength", "532e-9", "--vcm", "100", "--tint", "1us"],
+    ]
+    codes = ["import sys, pmcorr"] + [
+        f"import sys; sys.argv = ['pmcorr', *{argv!r}]\n"
+        "from pmcorr.cli import console_entry\n"
+        "try:\n    console_entry()\nexcept SystemExit as exc:\n    assert exc.code == 0, exc.code"
+        for argv in launches
+    ]
+    for code in codes:
+        out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                             timeout=60)
+        assert out.stdout.strip().splitlines()[-1] == "[]", code
 
 
 def test_import_loads_no_scipy():
