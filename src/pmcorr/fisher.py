@@ -19,8 +19,9 @@ for this channel and is omitted throughout.
 """
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,123 +190,179 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
 #: stencil components: model._covariance_terms_dd (sxx [:5], sxp [5:9],
 #: spp [9:12]) then model._purity_bracket_terms_dd [12:]
 _N_TERMS = 18
+#: largest (|m00^2| + |m11^2| + 2|m01 m10|) / |Tr| the adjugate trace may cancel
+#: by: below it the oracle stays within 1.5e-8 of qfi_analytic on 3,000 seeded
+#: envelope draws; above 1e20 every value drawn was wrong, some of them negative
+_MAX_TRACE_CANCELLATION = 1e16
+
+
+def _fmax(a, b):
+    """numpy.maximum for floats: the larger, or NaN if either is NaN; elementwise for arrays."""
+    if type(a) is float and type(b) is float:
+        return a if a > b or a != a else b
+    return sys.modules["numpy"].maximum(a, b)
 
 
 def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
-    """`qfi_numeric` at n points in one array evaluation.
+    """`qfi_numeric` at one point, or at n points along an axis.
 
     gamma, lam and t are each a number, or a list with one value per point;
     the probe supplies mass, sigma0 and ell0.  Each value equals the
     one-point result bit for bit, and a failure raises what the lowest
     failing point raises on its own.
 
-    All 2*_LEVELS stencil points and the centre go through one pass of the
-    monomial split (model._covariance_terms_dd, _purity_bracket_terms_dd) in
+    The 2*_LEVELS stencil points and the centre each go through the monomial
+    split (model._covariance_terms_dd, _purity_bracket_terms_dd) in
     double-double: the huge theta-independent parts then cancel exactly, and
     the adjugate trace below keeps enough consistent digits to survive its
-    own cancellation (it can collapse by twelve orders of magnitude).
-    Monomials free of theta come back without the stencil axis; their
-    difference is exactly zero, so the Richardson tableau T[level][order]
-    runs on the others only, column by column, keeping two columns.
-    Convergence requires T[L-1][L-1] to agree with T[L-2][L-3] to _REL_TOL
-    componentwise; estimates at the roundoff floor of the central difference
-    count as converged zeros.  The adjugate trace and the purity terms are
-    assembled per point in scalar double-double, where a handful of
-    operations cost less than array dispatch and CPython rounds the powers.
+    own cancellation (it can collapse by twelve orders of magnitude).  The
+    stencil and the Richardson tableau T[level][order] are Python lists over
+    the stencil points.  Each entry is a float at one point, so `qfi` runs
+    on the standard library alone; along an axis it is a numpy array, and
+    only then is numpy loaded.  The same elementwise IEEE operations run
+    either way.  A monomial that is finite and equal at every stencil point
+    differences to exactly zero, so the tableau runs on the others only
+    (along an axis, on all of them stacked at once).  Convergence requires
+    T[L-1][L-1] to agree with T[L-2][L-3] to _REL_TOL componentwise;
+    estimates at the roundoff floor of the central difference count as
+    converged zeros.  The adjugate trace is assembled the same way; a trace
+    that cancels by more than _MAX_TRACE_CANCELLATION raises, and the purity
+    map takes its powers per point with CPython's pow.
     """
-    import numpy as np  # deferred: only the array commands load numpy
-
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
-    n = max((len(v) for v in (gamma, lam, t) if isinstance(v, list)), default=1)
-    g, ll, tt = (np.array(v, dtype=float) if isinstance(v, list) else v for v in (gamma, lam, t))
+    axes = [len(v) for v in (gamma, lam, t) if isinstance(v, list)]
+    if axes:
+        import numpy as np  # deferred: only an axis loads numpy
 
-    # CPython float semantics: overflow and NaN pass silently (and then fail
-    # the convergence test), division by zero raises
-    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-        x0 = np.atleast_1d(np.asarray(g if target is EstimationTarget.GAMMA else ll, dtype=float))
-        h0 = _REL_STEP * np.maximum(np.abs(x0), _SCALE_FLOOR[target])
+        n = max(axes)
+        g, ll, tt = (
+            np.array(v, dtype=float) if isinstance(v, list) else float(v) for v in (gamma, lam, t)
+        )
+
+        def stack(values):
+            """Floats or arrays of n as the rows of one array."""
+            rows = np.empty((len(values), n))
+            for row, v in zip(rows, values):
+                row[...] = v
+            return rows
+
+        def still(pairs) -> bool:
+            parts = [stack(part) for part in zip(*pairs)]  # hi and lo, one row per stencil point
+            return all(bool((p == p[-1]).all() and np.isfinite(p[-1]).all()) for p in parts)
+
+        def per_point(v) -> list:
+            return np.broadcast_to(v, (n,)).tolist()
+
+        # CPython float semantics: overflow and NaN pass silently (and then fail
+        # the convergence test), division by zero raises
+        arithmetic = np.errstate(over="ignore", invalid="ignore", divide="raise")
+    else:
+        n = 1
+        g, ll, tt = float(gamma), float(lam), float(t)
+
+        def still(pairs) -> bool:
+            centre = pairs[-1]
+            return all(p == centre for p in pairs) and math.isfinite(centre[0] + centre[1])
+
+        def per_point(v) -> list:
+            return [v]
+
+        arithmetic = contextlib.nullcontext()
+
+    with arithmetic:
+        x0 = g if target is EstimationTarget.GAMMA else ll
+        h0 = _REL_STEP * _fmax(abs(x0), _SCALE_FLOOR[target])
         steps = [h0]
         for _ in range(_LEVELS - 1):
             steps.append(steps[-1] / 2.0)
-        h = np.array(steps)
-        x = np.concatenate([x0 + h, x0 - h, x0[None]])
-        gg, lx = (x, ll) if target is EstimationTarget.GAMMA else (g, x)
-        terms = _covariance_terms_dd(m, s0, eps, gg, lx, tt) + _purity_bracket_terms_dd(
-            m, s0, eps, gg, lx, tt
-        )
-        moving = [k for k, (hi, _) in enumerate(terms) if np.ndim(hi) == 2]
-        still = [k for k in range(_N_TERMS) if k not in moving]
-        f = np.empty((2, len(moving), 2 * _LEVELS + 1, n))
-        centre = np.empty((2, _N_TERMS, n))
-        for j, k in enumerate(moving):
-            f[0, j], f[1, j] = terms[k]
-        for k in still:
-            centre[0, k], centre[1, k] = terms[k]
-        del terms
-        centre[:, moving] = f[:, :, -1]
-        # a non-finite still monomial has a NaN difference, which fails its point
-        bad = ~np.isfinite(centre[:, still]).all(axis=(0, 1))
-
-        fp = f[0, :, :_LEVELS], f[1, :, :_LEVELS]
-        fm = f[0, :, _LEVELS:-1], f[1, :, _LEVELS:-1]
-        fscale = np.maximum(np.abs(fp[0]), np.abs(fm[0])).max(axis=1)
-        width = (x0 + h) - (x0 - h)  # exact in float arithmetic
-        column = _dd.dd_mul_d(_dd.dd_sub(fp, fm), 1.0 / width)
-        for j in range(1, _LEVELS):
-            if j == _LEVELS - 2:
-                prev = column[0][:, 1], column[1][:, 1]
-            fac = 4.0**j
-            column = _dd.dd_mul_d(
-                _dd.dd_sub(
-                    _dd.dd_mul_d((column[0][:, 1:], column[1][:, 1:]), fac),
-                    (column[0][:, :-1], column[1][:, :-1]),
-                ),
-                1.0 / (fac - 1.0),
+        stencil = []
+        for x in [x0 + h for h in steps] + [x0 - h for h in steps] + [x0]:
+            gg, lx = (x, ll) if target is EstimationTarget.GAMMA else (g, x)
+            stencil.append(
+                _covariance_terms_dd(m, s0, eps, gg, lx, tt)
+                + _purity_bracket_terms_dd(m, s0, eps, gg, lx, tt)
             )
-        last = column[0][:, 0], column[1][:, 0]
+        centre = stencil[-1]
+        moving = [k for k in range(_N_TERMS) if not still([f[k] for f in stencil])]
+        # a list over the stencil per moving monomial; along an axis, one list
+        # whose entries stack them all, (len(moving), n)
+        rows = [[f[k] for f in stencil] for k in moving]
+        if axes and rows:
+            rows = [[tuple(stack(part) for part in zip(*entry)) for entry in zip(*rows)]]
+        ok, spread, lasts = True, 0.0, []
+        for pairs in rows:
+            # a non-finite monomial has a NaN difference, which fails its point
+            fp, fm = pairs[:_LEVELS], pairs[_LEVELS:-1]
+            fscale = 0.0
+            for p, q in zip(fp, fm):
+                fscale = _fmax(fscale, _fmax(abs(p[0]), abs(q[0])))
+            column = [
+                # the width (x0 + h) - (x0 - h) is exact in float arithmetic
+                _dd.dd_mul_d(_dd.dd_sub(p, q), 1.0 / ((x0 + h) - (x0 - h)))
+                for p, q, h in zip(fp, fm, steps)
+            ]
+            for j in range(1, _LEVELS):
+                if j == _LEVELS - 2:
+                    prev = column[1]
+                fac = 4.0**j
+                column = [
+                    _dd.dd_mul_d(_dd.dd_sub(_dd.dd_mul_d(upper, fac), lower), 1.0 / (fac - 1.0))
+                    for lower, upper in zip(column[:-1], column[1:])
+                ]
+            last = column[0]
+            lasts.append(last)
 
-        err = np.abs(last[0] - prev[0])
-        mag = np.maximum(np.abs(last[0]), np.abs(prev[0]))
-        # cancellation noise of the smallest-step plain-float difference, with headroom;
-        # the dd evaluation sits far below it, so this is deliberately conservative
-        noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (_LEVELS - 1) / h0
-        ok = ((err <= _REL_TOL * mag) | (mag <= noise_floor)).all(axis=0) & ~bad
-        spread = np.where(bad, np.nan, np.max(err / np.maximum(mag, 1e-300), axis=0))
+            err = abs(last[0] - prev[0])
+            mag = _fmax(abs(last[0]), abs(prev[0]))
+            # cancellation noise of the smallest-step plain-float difference, with headroom;
+            # the dd evaluation sits far below it, so this is deliberately conservative
+            noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (_LEVELS - 1) / h0
+            ok = ok & ((err <= _REL_TOL * mag) | (mag <= noise_floor))
+            spread = _fmax(spread, err / _fmax(mag, 1e-300))
+        if axes and rows:
+            ok, spread, lasts = ok.all(axis=0), spread.max(axis=0), list(zip(*lasts[0]))
 
-    d = np.zeros((2, _N_TERMS, n))  # the still monomials' differences are exactly (0, 0)
-    d[0, moving], d[1, moving] = last
-    per_point = [v if isinstance(v, list) else [v] * n for v in (gamma, lam, t)]
-    point_terms = zip(
-        centre[0, :12].T.tolist(), centre[1, :12].T.tolist(), d[0].T.tolist(), d[1].T.tolist()
-    )
-    values = []
-    for i, (converged, (c_hi, c_lo, d_hi, d_lo), gi, li, ti) in enumerate(
-        zip(ok.tolist(), point_terms, *per_point)
-    ):
-        if not converged:
-            raise ConvergenceError(f"derivative failed to converge: relative spread {spread[i]:.3e}")
-        s_terms, dd = list(zip(c_hi, c_lo)), list(zip(d_hi, d_lo))
-        sxx, sxp, spp = _dd.dd_sum(s_terms[:5]), _dd.dd_sum(s_terms[5:9]), _dd.dd_sum(s_terms[9:])
-        dsxx, dsxp, dspp = _dd.dd_sum(dd[:5]), _dd.dd_sum(dd[5:9]), _dd.dd_sum(dd[9:12])
+        d = [(0.0, 0.0)] * _N_TERMS  # the still monomials' differences are exactly (0, 0)
+        for k, last in zip(moving, lasts):
+            d[k] = last
+        sxx, sxp, spp = _dd.dd_sum(centre[:5]), _dd.dd_sum(centre[5:9]), _dd.dd_sum(centre[9:12])
+        dsxx, dsxp, dspp = _dd.dd_sum(d[:5]), _dd.dd_sum(d[5:9]), _dd.dd_sum(d[9:12])
 
         # trace of (adj(S) dS)^2 for the symmetric 2x2 pair, in double-double
         m00 = _dd.dd_sub(_dd.dd_mul(spp, dsxx), _dd.dd_mul(sxp, dsxp))
         m01 = _dd.dd_sub(_dd.dd_mul(spp, dsxp), _dd.dd_mul(sxp, dspp))
         m10 = _dd.dd_sub(_dd.dd_mul(sxx, dsxp), _dd.dd_mul(sxp, dsxx))
         m11 = _dd.dd_sub(_dd.dd_mul(sxx, dspp), _dd.dd_mul(sxp, dsxp))
-        trace_dd = _dd.dd_sum(
+        trace = _dd.dd_sum(
             [_dd.dd_mul(m00, m00), _dd.dd_mul(m11, m11), _dd.dd_mul_d(_dd.dd_mul(m01, m10), 2.0)]
         )
+        # double-double keeps ~32 digits of these terms, and the trace loses as
+        # many as they cancel
+        terms = abs(m00[0] * m00[0]) + abs(m11[0] * m11[0]) + 2.0 * abs(m01[0] * m10[0])
+        dbracket = _dd.dd_sum(d[12:])
+        trace, dbracket = trace[0] + trace[1], dbracket[0] + dbracket[1]
+        columns = [per_point(v) for v in (ok, spread, trace, terms, dbracket)]
 
+    values = []
+    for converged, spread, trace, terms, dbracket, gi, li, ti in zip(
+        *columns, *(v if isinstance(v, list) else [v] * n for v in (gamma, lam, t))
+    ):
+        if not converged:
+            raise ConvergenceError(f"derivative failed to converge: relative spread {spread:.3e}")
         # the purity derivative follows from the differenced bracket through
-        # the exact map mu = D^(-1/2)
+        # the exact map mu = D^(-1/2); CPython rounds the powers
         bracket = _purity_bracket(m, s0, eps, gi, li, ti)
         mu = bracket**-0.5
-        dbracket = _dd.dd_sum(dd[12:])
-        dmu = -0.5 * (dbracket[0] + dbracket[1]) * bracket**-1.5
-        first = mu**4 / (2.0 * (1.0 + mu**2)) * (trace_dd[0] + trace_dd[1])
-        values.append(first + _second_term(mu, dmu))
+        dmu = -0.5 * dbracket * bracket**-1.5
+        value = mu**4 / (2.0 * (1.0 + mu**2)) * trace + _second_term(mu, dmu)
+        if terms > _MAX_TRACE_CANCELLATION * abs(trace):
+            raise ConvergenceError(
+                f"adjugate trace cancels by {terms / abs(trace) if trace else math.inf:.3e}, "
+                f"beyond {_MAX_TRACE_CANCELLATION:.0e}: its terms are {terms:.3e} for a trace "
+                f"of {trace:.3e}"
+            )
+        values.append(value)
     return values
 
 
@@ -381,14 +438,8 @@ def _hermgauss(n: int) -> tuple[list[float], list[float]]:
     return [-u for u in reversed(nodes)] + list(nodes), list(reversed(weights)) + list(weights)
 
 
-@functools.cache
-def _hermite_nodes() -> tuple:
-    """u^2 at the nodes of both rules (weight e^(-u^2)), and each rule's weights / sqrt(pi)."""
-    import numpy as np
-
-    rules = [_hermgauss(n) for n in _RULES]
-    u = np.array([node for nodes, _ in rules for node in nodes])
-    return u * u, [np.array(weights) / math.sqrt(math.pi) for _, weights in rules]
+#: u^2 and w / sqrt(pi) at each node u of the two rules, the 16-node rule first
+_NODES = [(u * u, w / math.sqrt(math.pi)) for n in _RULES for u, w in zip(*_hermgauss(n))]
 
 
 def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CfiQuadrature:
@@ -407,10 +458,9 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     taken in double-double, monomial by monomial, before anything is
     rounded: the step can leave dv/V as small as 1e-67.  r is extrapolated
     over four halved steps, and a 16-node and a 32-node rule give the value
-    and its error estimate.
+    and its error estimate.  The 8 abscissae and the 48 nodes are plain
+    floats through `math`; each rule's weighted sum is a `math.fsum`.
     """
-    import numpy as np  # deferred: only the array commands load numpy
-
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -425,7 +475,7 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         d2V = s0**2 * th**2
         x0 = g
     else:
-        dV = (2.0 / 3.0) * HBAR**2 * t**3 / _square(probe.mass, "mass", "kg")
+        dV = (2.0 / 3.0) * HBAR**2 * t**3 / _square(probe.mass, "mass", "kg", divisor=True)
         dV_terms = dV
         d2V = 0.0
         x0 = lam
@@ -447,29 +497,50 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
             f"below ~{_SQUARE_LIMIT:.2g} (dV/dgamma is {dV / V:.2g} V at t/tau0={th:g})"
         )
     steps = [h / 2.0**i for i in range(4)]
-    x = np.array([x0 + hh for hh in steps] + [x0 - hh for hh in steps])
-    u2, weights = _hermite_nodes()
+    x = [x0 + hh for hh in steps] + [x0 - hh for hh in steps]
+    sxx = []
+    for xk in x:
+        gg, ll = (xk, lam) if target is EstimationTarget.GAMMA else (g, xk)
+        sxx.append(_covariance_terms_dd(probe.mass, s0, probe.coherence_ratio_sq, gg, ll, t)[:5])
+    # monomials free of theta difference to exactly (0, 0)
+    diff = [[_dd.dd_sub(p, q) for p, q in zip(sxx[i], sxx[i + 4])] for i in range(4)]
+    v, dv = (
+        [hi + lo for hi, lo in (_dd.dd_mul_d(_dd.dd_sum(terms), s0**2 / 2.0) for terms in part)]
+        for part in (sxx, diff)
+    )
+    if not all(map(math.isfinite, v + dv)):
+        raise OverflowError(
+            f"quadrature step h={h:g} takes the readout variance out of the float range: "
+            f"V(theta+-h) is {v[0]:g}, {v[4]:g} at V={V:g} (t/tau0={th:g})"
+        )
 
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        gg, ll = (x, lam) if target is EstimationTarget.GAMMA else (g, x)
-        sxx = _covariance_terms_dd(probe.mass, s0, probe.coherence_ratio_sq, gg, ll, t)[:5]
-        # monomials free of theta are scalars; their difference is exactly zero
-        diff = [_dd.dd_sub((hi[:4], lo[:4]), (hi[4:], lo[4:])) for hi, lo in sxx if np.ndim(hi)]
-        v, dv = (_dd.dd_mul_d(_dd.dd_sum(terms), s0**2 / 2.0) for terms in (sxx, diff))
-        v, dv = v[0] + v[1], dv[0] + dv[1]
-        vp, vm = v[:4], v[4:]
-        width = x[:4] - x[4:]
-        # P+ - P- = P- expm1(log(P+/P-)) and P-/P0, both as exponentials of
-        # quantities that stay small where dv/V does
-        ratio = np.expm1(u2 * ((dv / vp) * (V / vm))[:, None] - 0.5 * np.log1p(dv / vm)[:, None])
-        r = ratio * np.exp(u2 * ((vm - V) / vm)[:, None] - 0.5 * np.log(vm / V)[:, None])
-        r /= width[:, None]  # the rounded x0 +- h, close to 2h
-        for j in range(1, 4):
-            fac = 4.0**j
-            r = (fac * r[1:] - r[:-1]) / (fac - 1.0)
-        r2 = r[0] * r[0]
-        coarse = float(weights[0] @ r2[: _RULES[0]])
-        quad_value = float(weights[1] @ r2[_RULES[0] :])
+    # per step: P+ - P- = P- expm1(log(P+/P-)) and P-/P0, both as exponentials
+    # of quantities that stay small where dv/V does, over the width x+ - x-,
+    # the rounded x0 +- h, close to 2h
+    levels = []
+    for dvk, vp, vm, width in zip(dv, v[:4], v[4:], (xp - xm for xp, xm in zip(x[:4], x[4:]))):
+        rel, ratio = dvk / vm, vm / V
+        if not (rel > -1.0 and ratio > 0.0):  # the domains of math.log1p and math.log
+            raise FloatingPointError(
+                f"quadrature step h={h:g} leaves the domain of the log: dv/V(theta-h)={rel:g}, "
+                f"V(theta-h)/V={ratio:g}"
+            )
+        a, b = (dvk / vp) * (V / vm), 0.5 * math.log1p(rel)
+        c, e = (vm - V) / vm, 0.5 * math.log(ratio)
+        levels.append([math.expm1(u2 * a - b) * math.exp(u2 * c - e) / width for u2, _ in _NODES])
+    for j in range(1, 4):
+        fac = 4.0**j
+        levels = [
+            [(fac * p - q) / (fac - 1.0) for p, q in zip(upper, lower)]
+            for lower, upper in zip(levels[:-1], levels[1:])
+        ]
+    terms = [w * r * r for (_, w), r in zip(_NODES, levels[0])]
+    coarse, quad_value = math.fsum(terms[: _RULES[0]]), math.fsum(terms[_RULES[0] :])
+    if not (math.isfinite(coarse) and math.isfinite(quad_value)):
+        raise OverflowError(
+            f"quadrature sum leaves the float range: (dP/P)^2 reaches {max(terms):g} "
+            f"at dV/V={dV / V:g} (step h={h:g})"
+        )
 
     scale = max(abs(quad_value), identity)
     error = abs(quad_value - coarse)

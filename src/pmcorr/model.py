@@ -57,7 +57,9 @@ class ProbeSpec:
     @property
     def coherence_ratio_sq(self) -> float:
         """(sigma0/ell0)^2; exactly zero for a fully coherent source."""
-        return 0.0 if math.isinf(self.ell0) else (self.sigma0 / self.ell0) ** 2
+        if math.isinf(self.ell0):
+            return 0.0
+        return _square(self.sigma0 / self.ell0, "(sigma0/ell0)", "")
 
     def with_gamma(self, gamma: float) -> "ProbeSpec":
         return ProbeSpec(self.mass, self.sigma0, self.ell0, gamma)
@@ -159,34 +161,52 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
             (4.0 * HBAR / (3.0 * tau * mass)) * _cpow(t, 3),
         ),
         _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * _cpow(t, 3)),
-        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass**2)) * _cpow(t, 4)),
+        _dd.dd_mul_d(
+            _dd.dd_mul(lam_dd, lam_dd),
+            (4.0 * HBAR**2 / (3.0 * _square(mass, "mass", "kg", divisor=True))) * _cpow(t, 4),
+        ),
     ]
 
 
 #: largest magnitude whose square is a finite double (~1.3e154)
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
+#: magnitude below which a square rounds to 0 (~1.6e-162)
+_SQUARE_FLOOR = math.sqrt(math.ulp(0.0)) / math.sqrt(2.0)
 
 
-def _square(value, name: str, unit: str):
-    """value**2, raising an OverflowError that names the quantity and its limit."""
+def _square(value, name: str, unit: str, divisor: bool = False):
+    """value**2, raising an ArithmeticError that names the quantity and its limit.
+
+    An overflow raises OverflowError; a square that is to divide raises
+    ZeroDivisionError where it rounds to 0.
+    """
     try:
-        return value**2
+        square = value**2
     except OverflowError:
         raise OverflowError(
             f"{name}={value:g} overflows the float range: {name}^2 needs {name} below "
-            f"~{_SQUARE_LIMIT:.2g} {unit}"
+            f"~{_SQUARE_LIMIT:.2g} {unit}".rstrip()
         ) from None
+    if divisor and not square:
+        raise ZeroDivisionError(
+            f"{name}={value:g} underflows the float range: {name}^2, a divisor, needs {name} "
+            f"above ~{_SQUARE_FLOOR:.2g} {unit}".rstrip()
+        )
+    return square
 
 
 def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket` in ascending powers of t."""
     tau = _tau0(mass, sigma0)
+    # first, so that a mass^2 rounding to 0 is named before tau * mass
+    # (mass^2 sigma0^2 / hbar) divides
+    mass_sq = _square(mass, "mass", "kg", divisor=True)
     return (
         1.0 + 2.0 * eps,
         4.0 * sigma0**2 * lam,
         4.0 * gamma * lam * HBAR / mass,
         4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-        4.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * _square(mass, "mass", "kg")),
+        4.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
     )
 
 
@@ -198,11 +218,12 @@ def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
 
 def _purity_bracket_dt(mass, sigma0, eps, gamma, lam, t):
     tau = _tau0(mass, sigma0)
+    mass_sq = _square(mass, "mass", "kg", divisor=True)  # as in _purity_bracket_coefficients
     return (
         4.0 * sigma0**2 * lam
         + (8.0 * gamma * lam * HBAR / mass) * t
         + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass)) * t**2
-        + (16.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass**2)) * t**3
+        + (16.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq)) * t**3
     )
 
 

@@ -101,7 +101,7 @@ def temperature_from_lambda(
     base = (
         3.0 * HBAR**2 * lam
         / (8.0 * math.sqrt(2.0 * math.pi * m_air) * number_density
-           * _square(molecule_size, "molecule_size", "m"))
+           * _square(molecule_size, "molecule_size", "m", divisor=True))
     )
     return base ** (2.0 / 3.0) / K_BOLTZMANN
 

@@ -433,16 +433,41 @@ class TestScalarCommands:
              "|gamma|+h below ~1.3e+154 (dV/dgamma is 3.5e-224 V at t/tau0=1.73335e-224)"),
             (["tgi", "--lambda", "1e154"],
              "the stationarity polynomial B''B - B'^2 overflows the float range at lam=1e+154"),
+            (["purity", "--sigma0", "1e200", "--lambda", "1e15", "--t", "1us"],
+             "(sigma0/ell0)=2e+207 overflows the float range: (sigma0/ell0)^2 needs "
+             "(sigma0/ell0) below ~1.3e+154"),
+            (["purity", "--mass", "1e-200", "--lambda", "1e15", "--t", "1us"],
+             "mass=1e-200 underflows the float range: mass^2, a divisor, needs mass above "
+             "~1.6e-162 kg"),
+            (["convert", "--to-temp", "1", "--molecule-size", "1e-200"],
+             "molecule_size=1e-200 underflows the float range: molecule_size^2, a divisor, needs "
+             "molecule_size above ~1.6e-162 m"),
+            # at mass 1e100 dV/dlambda is so small that the step lambda +- h leaves the range
+            (["cfi", "--target", "lambda", "--mass", "1e100", "--lambda", "1e-4", "--t", "1",
+              "--gamma", "-5920", "--ell0", "inf"],
+             "quadrature step h=6.15445e+247 takes the readout variance out of the float range: "
+             "V(theta+-h) is nan, nan at V=3.042e-17 (t/tau0=1.73335e-118)"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
-             "cfi-gamma-mass-1e200", "tgi-lambda-1e154"],
+             "cfi-gamma-mass-1e200", "tgi-lambda-1e154", "purity-sigma0-1e200",
+             "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"numerical failure: {stderr}\n"
+
+    def test_cancelled_adjugate_trace_fails_and_prints_nothing(self, capsys):
+        # the gamma-target trace cancels by ~5e24 here; the value it left was
+        # qfi_numeric = -2.37 beside qfi_analytic = 0.5
+        assert main(["qfi", "--target", "gamma", "--lambda", "0", "--gamma", "-5920",
+                     "--t", "70.4ms", "--ell0", "inf"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("numerical failure: adjugate trace cancels by 5.")
+        assert "beyond 1e+16" in out.err
 
     def test_oracle_column_names_lowest_failing_row(self, capsys):
         # the Richardson oracle does not converge at row 1 (lambda = 10**-3.5); the

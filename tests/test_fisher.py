@@ -202,6 +202,30 @@ class TestQfiNumericPins:
         if not failures:
             assert all(type(v) is float for v in whole)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_numeric_across_envelope(self, seed):
+        # 1,500 draws over the whole envelope, both targets: the oracle matches
+        # qfi_analytic to 1e-6 or raises a named error, such as the cancelled
+        # adjugate trace that once returned a negative QFI for the gamma target
+        rng = np.random.default_rng(seed)
+        wrong, raised = [], 0
+        for _ in range(1500):
+            lam = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 30.0)
+            gamma = 0.0 if rng.random() < 0.1 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 4)
+            t = 10.0 ** rng.uniform(-12.0, 0.0)
+            probe = pc.fullerene_probe(gamma=float(gamma), ell0=(5e-8, math.inf)[rng.integers(2)])
+            for target in (GAMMA, LAMBDA):
+                try:
+                    numeric = pc.qfi_numeric(target, probe, env(lam), t)
+                except (pc.ConvergenceError, ArithmeticError, ValueError):
+                    raised += 1
+                    continue
+                analytic = pc.qfi_analytic(target, probe, env(lam), t)
+                if not abs(numeric - analytic) <= 1e-6 * max(abs(numeric), abs(analytic)):
+                    wrong.append((target.value, lam, probe.gamma, t, probe.ell0, numeric, analytic))
+        assert wrong == []
+        assert raised < 600  # most draws give a value
+
 
 class TestCfi:
     def test_gamma_zero_crossing(self):

@@ -157,6 +157,20 @@ class TestRelativePurityRate:
         with pytest.raises(OverflowError, match=r"lambda\^2 needs lambda below ~1\.3e\+154"):
             pc.relative_purity_rate(FULLERENE, pc.EnvironmentSpec(lam=1e200), 1e-6)
 
+    @pytest.mark.parametrize(
+        "mass,error,message",
+        [
+            (1e200, OverflowError, r"mass=1e\+200 overflows the float range: mass\^2 needs mass "
+                                   r"below ~1\.3e\+154 kg"),
+            (1e-200, ZeroDivisionError, r"mass=1e-200 underflows the float range: mass\^2, a "
+                                        r"divisor, needs mass above ~1\.6e-162 kg"),
+        ],
+    )
+    def test_mass_sq_out_of_range_named(self, mass, error, message):
+        probe = pc.ProbeSpec(mass=mass, sigma0=FULLERENE.sigma0, ell0=FULLERENE.ell0)
+        with pytest.raises(error, match=message):
+            pc.relative_purity_rate(probe, ENV15, 1e-6)
+
 
 class TestTauMax:
     def test_uncorrelated_reference(self):
@@ -445,7 +459,7 @@ class TestReferenceTable:
 
 
 def test_one_point_commands_load_no_numpy():
-    # `import pmcorr`, and one launch of each command that needs no arrays
+    # `import pmcorr`, and one launch of each one-point command (all but sweep and figures)
     src = Path(pc.__file__).resolve().parents[1]
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     launches = [
@@ -454,6 +468,11 @@ def test_one_point_commands_load_no_numpy():
         ["table1"],
         ["convert", "--to-lambda", "0.442", "--quiet"],
         ["lens", "--omega0", "2e8", "--wavelength", "532e-9", "--vcm", "100", "--tint", "1us"],
+        *(
+            [command, "--target", target, "--lambda", "1e15", "--gamma", "3", "--t", "20us"]
+            for command in ("qfi", "cfi")
+            for target in ("gamma", "lambda")
+        ),
     ]
     codes = ["import sys, pmcorr"] + [
         f"import sys; sys.argv = ['pmcorr', *{argv!r}]\n"
