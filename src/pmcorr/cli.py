@@ -272,7 +272,7 @@ def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) ->
     naming its index and point.
     """
     build = {"gamma": probe.with_gamma, "lambda": lambda v: EnvironmentSpec(lam=v), "time": float}
-    levels = [[(kind, v, build[kind](v)) for v in map(float, values)] for kind, values in axes]
+    levels = [[(kind, v, build[kind](v)) for v in values] for kind, values in axes]
     on_axis = any(kind == "lambda" for kind, _ in axes)
     args = [probe, None if on_axis else EnvironmentSpec(lam=lam), t]
     points = list(itertools.product(*levels))
@@ -329,23 +329,33 @@ def _per_gamma(gammas, *groups):
     return cells
 
 
-def _axis(kind: str, spacing: str, *args):
-    """A preset axis whose values numpy's `spacing` function builds when the preset runs.
+def _spaced(start: float, stop: float, num: int, log: bool = False) -> list[float]:
+    """`num` evenly spaced values from `start` to `stop`, or 10**v of each if `log`.
 
-    Only the commands that need arrays load numpy; `import pmcorr` and the
-    one-point commands do not.
+    The values are numpy.linspace's, bit for bit: i*step + start, the last one
+    `stop`.  A log axis raises 10.0 to each through the C library's pow, as every
+    other power here does; numpy's logspace would round by whichever SIMD
+    kernels numpy dispatches to on the running CPU.
     """
-    def values():
-        import numpy as np
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # a subnormal width: numpy scales i/div instead
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return [10.0**v for v in values] if log else values
 
-        return getattr(np, spacing)(*args)
 
-    return kind, values
+def _axis(kind: str, *spacing):
+    """A preset axis whose `_spaced` values are built when the preset runs, not at launch."""
+    return kind, functools.partial(_spaced, *spacing)
 
 
-_GAMMA_AXIS = _axis("gamma", "linspace", -150.0, 150.0, 301)
+_GAMMA_AXIS = _axis("gamma", -150.0, 150.0, 301)
 _FIG4_GAMMAS = (0.0, 10.0, 50.0)
-_FIG4_TIMES = _axis("time", "logspace", -6, math.log10(5e-3), 220)
+_FIG4_TIMES = _axis("time", -6.0, math.log10(5e-3), 220, True)
 _FIGE_GAMMAS = (-10.0, 0.0, 5.0)
 
 #: figure preset -> files, each (name, group columns, axes, lam, t, groups),
@@ -380,7 +390,7 @@ _FIGURES = {
               [lambda p, e, t: [tgi_approx(p.gamma)]])],
     "figD": [
         ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
-         [_axis("gamma", "linspace", -150.0, 150.0, 61), _axis("time", "logspace", -7, -4, 41)],
+         [_axis("gamma", -150.0, 150.0, 61), _axis("time", -7.0, -4.0, 41, True)],
          1e22, None,
          [lambda p, e, t: [qfi_analytic(_GAMMA, p, e, t)], _purity_slope(_GAMMA)]),
     ],
@@ -388,7 +398,7 @@ _FIGURES = {
         ("figE.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIGE_GAMMAS]
          + [f"{column}_gamma{g:g}" for g in _FIGE_GAMMAS
             for column in ("purity", "rel_purity_slope_lambda")],
-         [_axis("lambda", "logspace", 13, 22, 181)], None, 50e-6,
+         [_axis("lambda", 13.0, 22.0, 181, True)], None, 50e-6,
          [_per_gamma(_FIGE_GAMMAS, _lambda_sq_qfi, _purity_slope(_LAMBDA))]),
     ],
 }
@@ -408,12 +418,14 @@ def cmd_sweep(args, started: float) -> int:
         raise ValueError("min must be < max")
     if args.log and args.min <= 0:
         raise ValueError("log axis requires min > 0")
-    import numpy as np  # deferred: only the array commands load numpy
-
     if args.log:
-        values = np.logspace(math.log10(args.min), math.log10(args.max), args.points)
+        try:
+            values = _spaced(math.log10(args.min), math.log10(args.max), args.points, log=True)
+        except OverflowError:  # 10**log10(max) rounds past the largest double
+            raise ValueError(f"log axis max={args.max!r} leaves the float range as 10**log10(max): "
+                             "max needs to stay below ~1.7976931348622e+308") from None
     else:
-        values = np.linspace(args.min, args.max, args.points)
+        values = _spaced(args.min, args.max, args.points)
     if args.axis != "lambda":
         scenario.env()  # a coupling is needed off the lambda axis
     times = values if args.axis == "time" else [scenario.t]
@@ -567,9 +579,14 @@ def cmd_lens(args, started: float) -> int:
 def cmd_purity(args, started: float) -> int:
     scenario = _resolve(args)
     probe, env, t = scenario.probe, scenario.env(), scenario.require_t()
-    print(f"purity_exact = {fmt(purity_exact(probe, env, t))}")
-    print(f"purity_approx = {fmt(purity_approx(probe, env, t))}")
-    print(f"purity_from_covariance = {fmt(purity_from_covariance(covariance(probe, env, t)))}")
+    # every value is computed, and so validated, before anything is printed
+    results = [
+        ("purity_exact", purity_exact(probe, env, t)),
+        ("purity_approx", purity_approx(probe, env, t)),
+        ("purity_from_covariance", purity_from_covariance(covariance(probe, env, t))),
+    ]
+    for name, value in results:
+        print(f"{name} = {fmt(value)}")
     return 0
 
 

@@ -201,13 +201,21 @@ def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     # first, so that a mass^2 rounding to 0 is named before tau * mass
     # (mass^2 sigma0^2 / hbar) divides
     mass_sq = _square(mass, "mass", "kg", divisor=True)
-    return (
-        1.0 + 2.0 * eps,
-        4.0 * sigma0**2 * lam,
-        4.0 * gamma * lam * HBAR / mass,
-        4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-        4.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
-    )
+    try:
+        return (
+            1.0 + 2.0 * eps,
+            4.0 * sigma0**2 * lam,
+            4.0 * gamma * lam * HBAR / mass,
+            4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
+            4.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
+        )
+    except ZeroDivisionError:  # with mass^2 nonzero, only 3 tau0 mass can round to 0
+        # its floor, 2**-1075 / 3, lies below the smallest double, so it is spelled out
+        raise ZeroDivisionError(
+            f"tau0*mass={tau * mass:g} underflows the float range: tau0*mass = "
+            f"mass^2 sigma0^2/hbar, a divisor, needs to stay above ~8.2e-325 kg s "
+            f"(mass={mass:g} kg, sigma0={sigma0:g} m)"
+        ) from None
 
 
 def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
@@ -322,12 +330,19 @@ def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMa
     sxp = _dd.dd_sum(terms[5:9])
     spp = _dd.dd_sum(terms[9:])
     det = _dd.dd_sub(_dd.dd_mul(sxx, spp), _dd.dd_mul(sxp, sxp))
-    return CovarianceMatrix(
+    cov = CovarianceMatrix(
         sxx=sxx[0] + sxx[1],
         sxp=sxp[0] + sxp[1],
         spp=spp[0] + spp[1],
         det_hint=det[0] + det[1],
     )
+    if not all(map(math.isfinite, (cov.sxx, cov.sxp, cov.spp, cov.det_hint))):
+        raise OverflowError(
+            f"covariance overflows the float range at t/tau0={t / tau0(probe):g}: (sxx, sxp, spp, "
+            f"det) = ({cov.sxx:g}, {cov.sxp:g}, {cov.spp:g}, {cov.det_hint:g}) are not all finite "
+            f"(mass={probe.mass:g} kg, t={t:g} s)"
+        )
+    return cov
 
 
 def purity_exact(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:

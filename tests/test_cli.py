@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import pmcorr as pc
-from pmcorr.cli import fmt, load_config, main, parse_time
+from pmcorr.cli import _FIGURES, _spaced, fmt, load_config, main, parse_time
 
 
 def read_csv(path):
@@ -183,6 +184,53 @@ class TestSweep:
         assert main(["sweep", "--axis", "time", "--min", "1us", "--max", "inf", "--points", "3",
                      "--lambda", "1e15"]) == 2
         assert capsys.readouterr().err == "error: axis bounds must be finite, got min=1e-06 max=inf\n"
+
+
+class TestAxes:
+    def test_linear_axis_is_numpy_linspace(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            start, stop = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-300.0, 300.0, 2)
+            num = int(rng.integers(2, 400))
+            expected = np.linspace(start, stop, num).tolist()
+            assert [v.hex() for v in _spaced(start, stop, num)] == [v.hex() for v in expected]
+
+    def test_subnormal_width_takes_the_zero_step_branch(self):
+        tiny = math.ulp(0.0)
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            start = float(rng.integers(-1000, 1000)) * tiny
+            num = int(rng.integers(5, 400))
+            stop = start + float(rng.integers(1, (num - 1) // 2)) * tiny
+            assert (stop - start) / (num - 1) == 0.0
+            expected = np.linspace(start, stop, num).tolist()
+            assert [v.hex() for v in _spaced(start, stop, num)] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("preset,axis,exponents", [
+        ("fig4", 0, (-6.0, math.log10(5e-3), 220)),
+        ("figD", 1, (-7.0, -4.0, 41)),
+        ("figE", 0, (13.0, 22.0, 181)),
+    ])
+    def test_preset_log_axis_is_libm_accurate(self, preset, axis, exponents):
+        # against 10**y to 200 bits, each value is off by at most 0.51 ulp: the
+        # correctly rounded double, or its neighbour only where 10**y lies within
+        # 0.01 ulp of the midpoint between the two.  At figE's y = 17.15, 10**y lies
+        # 0.0006 ulp from one, and glibc's FMA pow rounds it the other way; numpy's
+        # AVX-512 logspace erred by up to 0.60 ulp on these axes
+        kind, values = _FIGURES[preset][0][2][axis]
+        assert kind in ("time", "lambda")
+        with mpmath.workprec(200):
+            errors = [abs(mpmath.mpf(v) - mpmath.power(10, mpmath.mpf(y))) / math.ulp(v)
+                      for v, y in zip(values(), _spaced(*exponents), strict=True)]
+        assert max(errors) < 0.51
+
+    def test_log_axis_overflow_named(self, capsys):
+        # 10**log10(max) rounds past the largest double for the top ~500 doubles
+        assert main(["sweep", "--axis", "lambda", "--log", "--min", "1",
+                     "--max", "1.7976931348623157e308", "--points", "3", "--t", "1us"]) == 2
+        assert capsys.readouterr().err == (
+            "error: log axis max=1.7976931348623157e+308 leaves the float range as "
+            "10**log10(max): max needs to stay below ~1.7976931348622e+308\n")
 
 
 class TestTable1:
@@ -396,7 +444,7 @@ class TestScalarCommands:
              "(lambda=1e+150 m^-2 s^-1, t=2e-05 s)\n"),
             (["sweep", "--target", "lambda", "--axis", "lambda", "--log", "--min", "1e-4",
               "--max", "1e200", "--points", "5", "--t", "20us", "--gamma", "3", "--ell0", "5e-8"],
-             "sweep row 3 (lambda_per_m2s=9.999999999999999e+148) failed: b_sq=1.09577e+160 m^-4 "
+             "sweep row 3 (lambda_per_m2s=1e+149) failed: b_sq=1.09577e+160 m^-4 "
              "overflows the float range when squared (lambda=1e+149 m^-2 s^-1, t=2e-05 s)\n"),
             # ... and b_sq itself overflows once lambda t passes ~5e292
             (["cfi", "--target", "lambda", "--lambda", "1e300", "--t", "1"],
@@ -447,11 +495,19 @@ class TestScalarCommands:
               "--gamma", "-5920", "--ell0", "inf"],
              "quadrature step h=6.15445e+247 takes the readout variance out of the float range: "
              "V(theta+-h) is nan, nan at V=3.042e-17 (t/tau0=1.73335e-118)"),
+            # the double-double sxx overflows, and its NaN used to print as the purity
+            (["purity", "--mass", "1e-160", "--lambda", "1e15", "--t", "1us"],
+             "covariance overflows the float range at t/tau0=1.73335e+136: (sxx, sxp, spp, det) "
+             "= (nan, 1.81772e+136, 1.04867, nan) are not all finite (mass=1e-160 kg, t=1e-06 s)"),
+            (["purity", "--mass", "1e-100", "--sigma0", "1e-100", "--lambda", "1e15", "--t", "1us"],
+             "tau0*mass=0 underflows the float range: tau0*mass = mass^2 sigma0^2/hbar, a divisor, "
+             "needs to stay above ~8.2e-325 kg s (mass=1e-100 kg, sigma0=1e-100 m)"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
              "cfi-gamma-mass-1e200", "tgi-lambda-1e154", "purity-sigma0-1e200",
-             "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100"],
+             "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100",
+             "purity-mass-1e-160", "purity-tau0-mass-1e-366"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3
@@ -472,7 +528,7 @@ class TestScalarCommands:
     def test_oracle_column_names_lowest_failing_row(self, capsys):
         # the Richardson oracle does not converge at row 1 (lambda = 10**-3.5); the
         # rows from ~1e149 on fail too, and the report is row 1's own failure
-        lam = float(np.logspace(-4, 200, 409)[1])
+        lam = _spaced(math.log10(1e-4), math.log10(1e200), 409, log=True)[1]
         probe = pc.fullerene_probe(gamma=3.0, ell0=5e-8)
         with pytest.raises(pc.ConvergenceError) as point:
             pc.qfi_numeric("lambda", probe, pc.EnvironmentSpec(lam=lam), 2e-5)

@@ -78,9 +78,9 @@ GOLDEN = {
         'fig3b.csv.manifest.json': '7c355cee7436bd35eafd9e34dba569b036262791a40194f00bf246fbdb45b687',
     },
     'fig4-defaults': {
-        'fig4a.csv': '6523c67a3b460248d122eeff7b9a48749675089abd8d349ef6d67b5659b76826',
+        'fig4a.csv': '0cb61e489d08c7b2034927f882db814bf2199662c3a5523b0c016c3dbc060def',
         'fig4a.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
-        'fig4b.csv': 'bbd3fc7d918d5f06e057633cd0a5b8ffef926db2901cc86a9dfba909b5210d02',
+        'fig4b.csv': '9b56860948bfa2daacc3206736d81e0ce14834b74082ec5c454787cea4d55b9b',
         'fig4b.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
     },
     'fig5-defaults': {
@@ -90,11 +90,11 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '82b0719ad8d7fe8a4db0b569ecaa69dc174a82e269a0a88e8e4ea39499c3bde6',
     },
     'figD-defaults': {
-        'figD_grid.csv': '81c4bfaa82e6dddeb9ef4d38d0c4c9fdc9594629412638083fcc81ba284fd7ee',
+        'figD_grid.csv': '04a60987da18ab527b9850f1b0c60f519b30ae921a6fed7cba43d0c31e6c06c5',
         'figD_grid.csv.manifest.json': '40dc020722da1ac65e66ffdec1f01d15c201ace721a0cc5c6fc7b0f39bfc0153',
     },
     'figE-defaults': {
-        'figE.csv': '16402f3e6b3197f1c28d441c6c04117d502cba0dd0bbe198ee95f0a6f00369bc',
+        'figE.csv': '86be321e137906490243fd15605b6c2f805351b36b1110da95acef738cce11ef',
         'figE.csv.manifest.json': 'ab2c85428b3f67c0607cad02b719de3162067cbcf152c5af81ce8dcdef9bb3bd',
     },
     'fig2-coherent': {
@@ -114,9 +114,9 @@ GOLDEN = {
         'fig3b.csv.manifest.json': 'fba2dbebb2e1c26e3f8d477436b6d2385056ef1f7708ce7f427a133356d0f1f2',
     },
     'fig4-coherent': {
-        'fig4a.csv': 'edbdd801d9ce09d7738d8d9da06a492f0d48d3ba784e31d2ddc8135a656c7462',
+        'fig4a.csv': '9ba623f14ae1e8311b157f8621a0764cfd60db093f9eb4d13cda919c542b08c3',
         'fig4a.csv.manifest.json': 'afc33d93368d59e8dc23a2a3da838fc3daa0cfa2d9e2951840b7c3fe7a1a5af1',
-        'fig4b.csv': 'c8af9c1e5f751d790610c4d4d63bc18e86e7c546db35b702b6be4ab6d5248a24',
+        'fig4b.csv': 'c5ebdd6678bdc4fbe70e355b799497023acbcc10a4925bc16c0cc936edfee30c',
         'fig4b.csv.manifest.json': 'afc33d93368d59e8dc23a2a3da838fc3daa0cfa2d9e2951840b7c3fe7a1a5af1',
     },
     'fig5-coherent': {
@@ -126,23 +126,23 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '14adf54954cb0777550327acb6850893eebf012f9c64b539ebff3c04572e6e55',
     },
     'figD-coherent': {
-        'figD_grid.csv': '8e67493117e563a50ffb6e7c56adfdb614284f273f4224903c0c9cd889e392b9',
+        'figD_grid.csv': 'f820723418adf050086a6b29b10cf6ce922024549f6da6db67f19edb21a57ec8',
         'figD_grid.csv.manifest.json': 'bae1d172a92cefd7f30a77fcefdb6038f571e784bb843775a80ab1db003860b1',
     },
     'figE-coherent': {
-        'figE.csv': 'b197b709657cfdcc4e22ca0aa1fb2ef95f72a5f9aa524ff39f51b545c71765f8',
+        'figE.csv': '361e4b46f9c8bdabb10e2e1df3867ec47931213df7f45fa64617f733ae74edee',
         'figE.csv.manifest.json': '54a3ec537a1ad5dfd04aa0b3bdf0c206516f048d8e952bf33bbb52343c7b475f',
     },
     'fig4-defaults-svg': {
-        'fig4a.csv': '6523c67a3b460248d122eeff7b9a48749675089abd8d349ef6d67b5659b76826',
+        'fig4a.csv': '0cb61e489d08c7b2034927f882db814bf2199662c3a5523b0c016c3dbc060def',
         'fig4a.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
         'fig4a.svg': '2dff909021c4e3f5df48a03e06f0f5bacf8f9f75938ba87d456124d1771a4c77',
-        'fig4b.csv': 'bbd3fc7d918d5f06e057633cd0a5b8ffef926db2901cc86a9dfba909b5210d02',
+        'fig4b.csv': '9b56860948bfa2daacc3206736d81e0ce14834b74082ec5c454787cea4d55b9b',
         'fig4b.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
         'fig4b.svg': '9bbdf6b7ddec0b88cb9d164f11eb65f76d330f036f49c50a2c3f1b2edc7fc59d',
     },
     'sweep-purity-time-log': {
-        'sweep.csv': '2d5c1044f929cb02e98911de62d9b4e04fd4be09572cfa857ac29b74dfe2e776',
+        'sweep.csv': '18bec635c59da80db47cac2045f7310eb0ef4823645efeccf7cb62550a0964c4',
         'sweep.csv.manifest.json': '87e39d97f0374debe51155d31bfea6f022af6c36844046e714f66c7cb2273c9c',
     },
     'sweep-purity-gamma': {

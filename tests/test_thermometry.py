@@ -458,8 +458,9 @@ class TestReferenceTable:
         assert zero.tgi_db == 0.0
 
 
-def test_one_point_commands_load_no_numpy():
-    # `import pmcorr`, and one launch of each one-point command (all but sweep and figures)
+def test_one_point_commands_load_no_numpy(tmp_path):
+    # `import pmcorr`, one launch of each one-point command, a figure preset and a
+    # purity sweep; only the Richardson column of a gamma or lambda sweep loads numpy
     src = Path(pc.__file__).resolve().parents[1]
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     launches = [
@@ -473,6 +474,9 @@ def test_one_point_commands_load_no_numpy():
             for command in ("qfi", "cfi")
             for target in ("gamma", "lambda")
         ),
+        ["figures", "--preset", "fig4", "--outdir", str(tmp_path), "--quiet"],
+        ["sweep", "--axis", "time", "--min", "1us", "--max", "1ms", "--points", "5", "--log",
+         "--lambda", "1e15"],
     ]
     codes = ["import sys, pmcorr"] + [
         f"import sys; sys.argv = ['pmcorr', *{argv!r}]\n"
