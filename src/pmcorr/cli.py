@@ -408,8 +408,7 @@ _FIGURES = {
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_sweep(args, scenario: Scenario, started: float) -> int:
     if args.points < 2:
         raise ValueError("points must be >= 2")
     if not (-math.inf < args.min < math.inf and -math.inf < args.max < math.inf):
@@ -474,8 +473,7 @@ _TABLE1_HEADER = [
 ]
 
 
-def cmd_table1(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_table1(args, scenario: Scenario, started: float) -> int:
     lam = scenario.lam if scenario.lam is not None else 1e15
     gammas = args.gammas if args.gammas is not None else [r.gamma for r in TABLE1_REFERENCE]
     rows = build_table1(scenario.probe, lam, gammas)
@@ -508,8 +506,7 @@ def cmd_table1(args, started: float) -> int:
     return 0
 
 
-def cmd_convert(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_convert(args, scenario: Scenario, started: float) -> int:
     m_air, density, size = scenario.gas
     if args.to_lambda is not None:
         value = lambda_from_temperature(args.to_lambda, m_air, density, size)
@@ -525,8 +522,7 @@ def cmd_convert(args, started: float) -> int:
     return 0
 
 
-def cmd_figures(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_figures(args, scenario: Scenario, started: float) -> int:
     # every preset's manifests record the coupling and t, so both must be valid
     coupling = scenario.lam if scenario.lam is not None else 1e15
     EnvironmentSpec(lam=coupling)
@@ -554,13 +550,22 @@ def cmd_figures(args, started: float) -> int:
     return 0
 
 
-def cmd_lens(args, started: float) -> int:
-    scenario = _resolve(args)
+def _print_values(values: list[tuple[str, float]]) -> int:
+    """Print each (name, value) pair as `name = value`; return exit code 0.
+
+    Every value is computed, and so validated, before anything is printed: a
+    command builds the whole list first, so one that fails leaves stdout empty.
+    """
+    for name, value in values:
+        print(f"{name} = {fmt(value)}")
+    return 0
+
+
+def cmd_lens(args, scenario: Scenario, started: float) -> int:
     lens = LensSpec(omega0=args.omega0, wavelength=args.wavelength,
                     detuning=args.detuning, v_cm=args.vcm, t_int=args.tint)
     mass = scenario.probe.mass
     pot = optical_potential(lens, args.x, args.z)
-    # every value is computed, and so validated, before anything is printed
     results = [
         ("rabi_frequency_rad_s", rabi_profile(lens, args.x, args.z)),
         ("optical_potential_rad_s", pot.full),
@@ -571,60 +576,49 @@ def cmd_lens(args, started: float) -> int:
     if args.curvature_radius is not None:
         results.append(("gamma", gamma_from_curvature(
             mass, args.vcm, args.curvature_radius, scenario.probe.sigma0)))
-    for name, value in results:
-        print(f"{name} = {fmt(value)}")
-    return 0
+    return _print_values(results)
 
 
-def cmd_purity(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_purity(args, scenario: Scenario, started: float) -> int:
     probe, env, t = scenario.probe, scenario.env(), scenario.require_t()
-    # every value is computed, and so validated, before anything is printed
-    results = [
+    return _print_values([
         ("purity_exact", purity_exact(probe, env, t)),
         ("purity_approx", purity_approx(probe, env, t)),
         ("purity_from_covariance", purity_from_covariance(covariance(probe, env, t))),
-    ]
-    for name, value in results:
-        print(f"{name} = {fmt(value)}")
-    return 0
+    ])
 
 
-def cmd_qfi(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_qfi(args, scenario: Scenario, started: float) -> int:
     probe, env, t = scenario.probe, scenario.env(), scenario.require_t()
     target = EstimationTarget(args.target)
-    # both routes are computed, and so validated, before anything is printed
     analytic = qfi_analytic(target, probe, env, t)
-    numeric = qfi_numeric(target, probe, env, t)
-    print(f"qfi_analytic = {fmt(analytic)}")
-    print(f"qfi_numeric = {fmt(numeric)}")
-    if target is EstimationTarget.LAMBDA:
-        print(f"lambda_sq_qfi = {fmt(env.lam**2 * analytic)}")
-    return 0
+    values = [("qfi_analytic", analytic), ("qfi_numeric", qfi_numeric(target, probe, env, t))]
+    if target is _LAMBDA:
+        values.append(("lambda_sq_qfi", env.lam**2 * analytic))
+    return _print_values(values)
 
 
-def cmd_cfi(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_cfi(args, scenario: Scenario, started: float) -> int:
     probe, env, t = scenario.probe, scenario.env(), scenario.require_t()
     target = EstimationTarget(args.target)
     quad = cfi_quadrature(target, probe, env, t)
-    print(f"cfi_closed = {fmt(cfi_closed(target, probe, env, t))}")
-    print(f"cfi_quadrature = {fmt(quad.quadrature)}")
-    print(f"cfi_gaussian_identity = {fmt(quad.gaussian_identity)}")
-    return 0
+    return _print_values([
+        ("cfi_closed", cfi_closed(target, probe, env, t)),
+        ("cfi_quadrature", quad.quadrature),
+        ("cfi_gaussian_identity", quad.gaussian_identity),
+    ])
 
 
-def cmd_tgi(args, started: float) -> int:
-    scenario = _resolve(args)
+def cmd_tgi(args, scenario: Scenario, started: float) -> int:
     probe, env = scenario.probe, scenario.env()
     approx = tau_max_approx(probe, env)
     row = build_table1(probe, env.lam, [probe.gamma])[0]
-    print(f"tau_max_us = {fmt(row.tau_max * 1e6)}")
-    print(f"tau_max_approx_us = {fmt(approx * 1e6)}")
-    print(f"tgi_db = {fmt(row.tgi_db)}")
-    print(f"tgi_approx_db = {fmt(tgi_approx(probe.gamma))}")
-    return 0
+    return _print_values([
+        ("tau_max_us", row.tau_max * 1e6),
+        ("tau_max_approx_us", approx * 1e6),
+        ("tgi_db", row.tgi_db),
+        ("tgi_approx_db", tgi_approx(probe.gamma)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +719,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     started = time.monotonic()
     try:
-        return args.func(args, started)
+        return args.func(args, _resolve(args), started)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

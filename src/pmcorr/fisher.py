@@ -36,6 +36,7 @@ from .model import (
     _purity_bracket_dlam,
     _purity_bracket_terms_dd,
     _square,
+    _SQUARE_FLOOR,
     _SQUARE_LIMIT,
     kernel_params,
     position_density_variance,
@@ -110,6 +111,23 @@ _REL_TOL = 1e-6
 _SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e12}
 
 
+def _tau0_fourth_power(tau: float) -> float:
+    """tau0^4, which divides the trace polynomials, with its float-range failures named."""
+    try:
+        tau4 = tau**4
+    except OverflowError:
+        raise OverflowError(
+            f"tau0={tau:g} overflows the float range: tau0^4 needs tau0 below "
+            f"~{math.sqrt(_SQUARE_LIMIT):.2g} s"
+        ) from None
+    if not tau4:
+        raise ZeroDivisionError(
+            f"tau0={tau:g} underflows the float range: tau0^4, a divisor, needs tau0 above "
+            f"~{math.sqrt(_SQUARE_FLOOR):.2g} s"
+        )
+    return tau4
+
+
 def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Trace polynomial value (c0 + c1 lam + c2 lam^2) / (72 tau0^4) for correlation estimation.
 
@@ -121,11 +139,12 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
     eps = probe.coherence_ratio_sq
     tau = tau0(probe)
+    tau4 = _tau0_fourth_power(tau)
     r = tau / t
-    c0 = 9.0 * tau**4 * (1.0 + 2.0 * eps)
+    c0 = 9.0 * tau4 * (1.0 + 2.0 * eps)
     c1 = 12.0 * s0**2 * tau**2 * t**3 * ((2.0 * eps + g**2 + 1.0) + 3.0 * g * r + 3.0 * r**2)
     c2 = 32.0 * s0**4 * t**6 * (g**2 + 3.0 * g * r + (21.0 / 8.0) * r**2)
-    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (72.0 * tau**4)
+    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (72.0 * tau4)
 
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -138,6 +157,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
     eps = probe.coherence_ratio_sq
     tau = tau0(probe)
+    tau4 = _tau0_fourth_power(tau)
     r = tau / t
     big_gamma = 2.0 * eps + g**2 + 1.0
     c0 = 2.0 * s0**4 * t**6 * (
@@ -149,7 +169,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     )
     c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
     c2 = 4.0 * s0**8 * t**8
-    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (18.0 * tau**4)
+    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (18.0 * tau4)
 
 
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -166,13 +186,23 @@ def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) 
     return -0.5 * dbracket * bracket**-1.5
 
 
-def _second_term(mu: float, dmu: float) -> float:
-    """2 (dmu)^2 / (1 - mu^4), with the removable dmu = 0 limit."""
+def _second_term(mu: float, dmu: float, pure: bool) -> float:
+    """2 (dmu)^2 / (1 - mu^4), with the removable dmu = 0 limit.
+
+    `pure` marks the exactly pure state, lam = 0 and (sigma0/ell0)^2 = 0, where
+    the purity bracket is identically 1.  Elsewhere the state is mixed, and a
+    1 - mu^4 that rounds to 0 or below is a numerical failure.
+    """
     if dmu == 0.0:
         return 0.0
     denom = 1.0 - mu**4
     if denom <= 0.0:
-        raise ValueError("pure-state limit: purity derivative nonzero at purity 1")
+        if pure:
+            raise ValueError("pure-state limit: purity derivative nonzero at purity 1")
+        raise FloatingPointError(
+            f"1 - purity^4 rounds to {denom:g} in a mixed state (purity={mu!r}): the term "
+            f"2 (dpurity)^2/(1 - purity^4) is lost to rounding (dpurity={dmu:g})"
+        )
     return 2.0 * dmu**2 / denom
 
 
@@ -184,7 +214,8 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     mu = purity_exact(probe, env, t)
     phi = phi_gamma(probe, env, t) if target is EstimationTarget.GAMMA else phi_lambda(probe, env, t)
     first = mu**4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi
-    return first + _second_term(mu, purity_derivative(target, probe, env, t))
+    pure = env.lam == 0.0 and probe.coherence_ratio_sq == 0.0
+    return first + _second_term(mu, purity_derivative(target, probe, env, t), pure)
 
 
 #: stencil components: model._covariance_terms_dd (sxx [:5], sxp [5:9],
@@ -201,6 +232,11 @@ def _fmax(a, b):
     if type(a) is float and type(b) is float:
         return a if a > b or a != a else b
     return sys.modules["numpy"].maximum(a, b)
+
+
+def _every(test) -> bool:
+    """A bool as it is, or whether it holds at every entry of an array."""
+    return test if isinstance(test, bool) else bool(test.all())
 
 
 def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
@@ -232,10 +268,10 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
     axes = [len(v) for v in (gamma, lam, t) if isinstance(v, list)]
+    n = max(axes, default=1)
     if axes:
         import numpy as np  # deferred: only an axis loads numpy
 
-        n = max(axes)
         g, ll, tt = (
             np.array(v, dtype=float) if isinstance(v, list) else float(v) for v in (gamma, lam, t)
         )
@@ -247,28 +283,22 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
                 row[...] = v
             return rows
 
-        def still(pairs) -> bool:
-            parts = [stack(part) for part in zip(*pairs)]  # hi and lo, one row per stencil point
-            return all(bool((p == p[-1]).all() and np.isfinite(p[-1]).all()) for p in parts)
-
-        def per_point(v) -> list:
-            return np.broadcast_to(v, (n,)).tolist()
-
         # CPython float semantics: overflow and NaN pass silently (and then fail
         # the convergence test), division by zero raises
         arithmetic = np.errstate(over="ignore", invalid="ignore", divide="raise")
     else:
-        n = 1
         g, ll, tt = float(gamma), float(lam), float(t)
-
-        def still(pairs) -> bool:
-            centre = pairs[-1]
-            return all(p == centre for p in pairs) and math.isfinite(centre[0] + centre[1])
-
-        def per_point(v) -> list:
-            return [v]
-
         arithmetic = contextlib.nullcontext()
+
+    def still(pairs) -> bool:
+        """Whether a monomial is finite and the same at every stencil point."""
+        hi, lo = pairs[-1]
+        return _every(abs(hi + lo) < math.inf) and all(
+            _every(p[0] == hi) and _every(p[1] == lo) for p in pairs
+        )
+
+    def per_point(v) -> list:
+        return [v] * n if isinstance(v, (float, bool)) else v.tolist()
 
     with arithmetic:
         x0 = g if target is EstimationTarget.GAMMA else ll
@@ -355,7 +385,8 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         bracket = _purity_bracket(m, s0, eps, gi, li, ti)
         mu = bracket**-0.5
         dmu = -0.5 * dbracket * bracket**-1.5
-        value = mu**4 / (2.0 * (1.0 + mu**2)) * trace + _second_term(mu, dmu)
+        pure = li == 0.0 and eps == 0.0
+        value = mu**4 / (2.0 * (1.0 + mu**2)) * trace + _second_term(mu, dmu, pure)
         if terms > _MAX_TRACE_CANCELLATION * abs(trace):
             raise ConvergenceError(
                 f"adjugate trace cancels by {terms / abs(trace) if trace else math.inf:.3e}, "
@@ -432,14 +463,8 @@ _HERMITE_HALVES = {
 }
 
 
-def _hermgauss(n: int) -> tuple[list[float], list[float]]:
-    """Nodes, ascending, and weights of the n-node rule, equal to hermgauss(n)."""
-    nodes, weights = _HERMITE_HALVES[n]
-    return [-u for u in reversed(nodes)] + list(nodes), list(reversed(weights)) + list(weights)
-
-
-#: u^2 and w / sqrt(pi) at each node u of the two rules, the 16-node rule first
-_NODES = [(u * u, w / math.sqrt(math.pi)) for n in _RULES for u, w in zip(*_hermgauss(n))]
+#: u^2 and w / sqrt(pi) at each positive node u of the two rules, the 16-node rule first
+_NODES = [(u * u, w / math.sqrt(math.pi)) for n in _RULES for u, w in zip(*_HERMITE_HALVES[n])]
 
 
 def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CfiQuadrature:
@@ -458,17 +483,17 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     taken in double-double, monomial by monomial, before anything is
     rounded: the step can leave dv/V as small as 1e-67.  r is extrapolated
     over four halved steps, and a 16-node and a 32-node rule give the value
-    and its error estimate.  The 8 abscissae and the 48 nodes are plain
-    floats through `math`; each rule's weighted sum is a `math.fsum`.
+    and its error estimate.  r depends on u only through u^2 and each rule
+    is symmetric about u = 0, so r is evaluated at the positive nodes alone,
+    as plain floats through `math`; each rule's sum is the `math.fsum` of
+    its half taken twice, which rounds the full rule's exact sum once.
     """
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     g, lam, s0 = probe.gamma, env.lam, probe.sigma0
-    tau = tau0(probe)
-    th = t / tau
-
-    V = position_density_variance(probe, env, t)
+    V = position_density_variance(probe, env, t)  # first: it names a tau0 that rounds to 0
+    th = t / tau0(probe)
     if target is EstimationTarget.GAMMA:
         dV = s0**2 * (th + g * th**2)
         dV_terms = s0**2 * (th + abs(g) * th**2)
@@ -535,7 +560,8 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
             for lower, upper in zip(levels[:-1], levels[1:])
         ]
     terms = [w * r * r for (_, w), r in zip(_NODES, levels[0])]
-    coarse, quad_value = math.fsum(terms[: _RULES[0]]), math.fsum(terms[_RULES[0] :])
+    half = _RULES[0] // 2
+    coarse, quad_value = math.fsum(terms[:half] * 2), math.fsum(terms[half:] * 2)
     if not (math.isfinite(coarse) and math.isfinite(quad_value)):
         raise OverflowError(
             f"quadrature sum leaves the float range: (dP/P)^2 reaches {max(terms):g} "

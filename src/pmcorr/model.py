@@ -150,22 +150,27 @@ def _cpow(x, k):
 def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
     tau = _tau0(mass, sigma0)
+    mass_sq = _square(mass, "mass", "kg", divisor=True)  # as in _purity_bracket_coefficients
     g_dd = _dd.dd(gamma)
     lam_dd = _dd.dd(lam)
-    return [
-        _dd.dd(1.0 + 2.0 * eps),
-        _dd.dd_mul_d(lam_dd, 4.0 * sigma0**2 * t),
-        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * _cpow(t, 2)),
-        _dd.dd_mul_d(
-            _dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd),
-            (4.0 * HBAR / (3.0 * tau * mass)) * _cpow(t, 3),
-        ),
-        _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * _cpow(t, 3)),
-        _dd.dd_mul_d(
-            _dd.dd_mul(lam_dd, lam_dd),
-            (4.0 * HBAR**2 / (3.0 * _square(mass, "mass", "kg", divisor=True))) * _cpow(t, 4),
-        ),
-    ]
+    try:
+        return [
+            _dd.dd(1.0 + 2.0 * eps),
+            _dd.dd_mul_d(lam_dd, 4.0 * sigma0**2 * t),
+            _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * _cpow(t, 2)),
+            _dd.dd_mul_d(
+                _dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd),
+                (4.0 * HBAR / (3.0 * tau * mass)) * _cpow(t, 3),
+            ),
+            _dd.dd_mul_d(
+                lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * _cpow(t, 3)
+            ),
+            _dd.dd_mul_d(
+                _dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass_sq)) * _cpow(t, 4)
+            ),
+        ]
+    except ZeroDivisionError:
+        raise _tau0_mass_underflow(mass, sigma0) from None
 
 
 #: largest magnitude whose square is a finite double (~1.3e154)
@@ -195,11 +200,24 @@ def _square(value, name: str, unit: str, divisor: bool = False):
     return square
 
 
+def _tau0_mass_underflow(mass, sigma0) -> ZeroDivisionError:
+    """The error for a division by tau0 * mass that rounds to 0.
+
+    The purity bracket's copies and `purity_approx` divide by it.  The copies
+    square the mass first, so a mass^2 rounding to 0 is named before it.
+    """
+    # the floor of 3 tau0 mass, 2**-1075 / 3, lies below the smallest double,
+    # so it is spelled out
+    return ZeroDivisionError(
+        f"tau0*mass={_tau0(mass, sigma0) * mass:g} underflows the float range: tau0*mass = "
+        f"mass^2 sigma0^2/hbar, a divisor, needs to stay above ~8.2e-325 kg s "
+        f"(mass={mass:g} kg, sigma0={sigma0:g} m)"
+    )
+
+
 def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket` in ascending powers of t."""
     tau = _tau0(mass, sigma0)
-    # first, so that a mass^2 rounding to 0 is named before tau * mass
-    # (mass^2 sigma0^2 / hbar) divides
     mass_sq = _square(mass, "mass", "kg", divisor=True)
     try:
         return (
@@ -210,12 +228,7 @@ def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
             4.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
         )
     except ZeroDivisionError:  # with mass^2 nonzero, only 3 tau0 mass can round to 0
-        # its floor, 2**-1075 / 3, lies below the smallest double, so it is spelled out
-        raise ZeroDivisionError(
-            f"tau0*mass={tau * mass:g} underflows the float range: tau0*mass = "
-            f"mass^2 sigma0^2/hbar, a divisor, needs to stay above ~8.2e-325 kg s "
-            f"(mass={mass:g} kg, sigma0={sigma0:g} m)"
-        ) from None
+        raise _tau0_mass_underflow(mass, sigma0) from None
 
 
 def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
@@ -227,27 +240,39 @@ def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
 def _purity_bracket_dt(mass, sigma0, eps, gamma, lam, t):
     tau = _tau0(mass, sigma0)
     mass_sq = _square(mass, "mass", "kg", divisor=True)  # as in _purity_bracket_coefficients
-    return (
-        4.0 * sigma0**2 * lam
-        + (8.0 * gamma * lam * HBAR / mass) * t
-        + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass)) * t**2
-        + (16.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq)) * t**3
-    )
+    try:
+        return (
+            4.0 * sigma0**2 * lam
+            + (8.0 * gamma * lam * HBAR / mass) * t
+            + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass)) * t**2
+            + (16.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq)) * t**3
+        )
+    except ZeroDivisionError:
+        raise _tau0_mass_underflow(mass, sigma0) from None
 
 
 def _purity_bracket_dgamma(mass, sigma0, eps, gamma, lam, t):
     tau = _tau0(mass, sigma0)
-    return (4.0 * lam * HBAR / mass) * t**2 + (8.0 * gamma * HBAR * lam / (3.0 * tau * mass)) * t**3
+    try:
+        return (
+            (4.0 * lam * HBAR / mass) * t**2 + (8.0 * gamma * HBAR * lam / (3.0 * tau * mass)) * t**3
+        )
+    except ZeroDivisionError:
+        raise _tau0_mass_underflow(mass, sigma0) from None
 
 
 def _purity_bracket_dlam(mass, sigma0, eps, gamma, lam, t):
     tau = _tau0(mass, sigma0)
-    return (
-        4.0 * sigma0**2 * t
-        + (4.0 * gamma * HBAR / mass) * t**2
-        + (4.0 * HBAR * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t**3
-        + (8.0 * lam * HBAR**2 / (3.0 * mass**2)) * t**4
-    )
+    mass_sq = _square(mass, "mass", "kg", divisor=True)  # as in _purity_bracket_coefficients
+    try:
+        return (
+            4.0 * sigma0**2 * t
+            + (4.0 * gamma * HBAR / mass) * t**2
+            + (4.0 * HBAR * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t**3
+            + (8.0 * lam * HBAR**2 / (3.0 * mass_sq)) * t**4
+        )
+    except ZeroDivisionError:
+        raise _tau0_mass_underflow(mass, sigma0) from None
 
 
 def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
@@ -260,7 +285,13 @@ def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     rounding.  Constants shared between evaluations round identically.
     """
     tau = _tau0(mass, sigma0)
-    th = t / tau
+    try:
+        th = t / tau
+    except (ZeroDivisionError, FloatingPointError):  # numpy's error, where t is an array
+        raise ZeroDivisionError(
+            f"tau0={tau:g} underflows the float range: tau0 = mass sigma0^2/hbar, a divisor, "
+            f"rounds to 0 (mass={mass:g} kg, sigma0={sigma0:g} m)"
+        ) from None
     e2 = 1.0 + 2.0 * eps
     th_dd = _dd.dd(th)
     th2 = _dd.dd_mul(th_dd, th_dd)
@@ -359,7 +390,10 @@ def purity_approx(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
     tau = tau0(probe)
-    term = (4.0 * HBAR * env.lam * (probe.gamma**2 + 1.0) / (3.0 * tau * probe.mass)) * t**3
+    try:
+        term = (4.0 * HBAR * env.lam * (probe.gamma**2 + 1.0) / (3.0 * tau * probe.mass)) * t**3
+    except ZeroDivisionError:
+        raise _tau0_mass_underflow(probe.mass, probe.sigma0) from None
     return (1.0 + term) ** -0.5
 
 

@@ -258,6 +258,24 @@ def _positive_roots(p) -> list[tuple[float, float]]:
     return roots
 
 
+def _stationarity_coefficients(b) -> tuple[list, list]:
+    """B' and P = B''B - B'^2 from the coefficients b of the quartic B, in ascending powers."""
+    d1 = [k * b[k] for k in range(1, 5)]   # B'
+    d2 = [k * d1[k] for k in range(1, 4)]  # B''
+    # each coefficient sums the B''B products, then subtracts the B'B' ones,
+    # in ascending powers of the first factor
+    return d1, [
+        d2[0] * b[0] - d1[0] * d1[0],
+        d2[0] * b[1] + d2[1] * b[0] - d1[0] * d1[1] - d1[1] * d1[0],
+        d2[0] * b[2] + d2[1] * b[1] + d2[2] * b[0] - d1[0] * d1[2] - d1[1] * d1[1] - d1[2] * d1[0],
+        d2[0] * b[3] + d2[1] * b[2] + d2[2] * b[1]
+        - d1[0] * d1[3] - d1[1] * d1[2] - d1[2] * d1[1] - d1[3] * d1[0],
+        d2[0] * b[4] + d2[1] * b[3] + d2[2] * b[2] - d1[1] * d1[3] - d1[2] * d1[2] - d1[3] * d1[1],
+        d2[1] * b[4] + d2[2] * b[3] - d1[2] * d1[3] - d1[3] * d1[2],
+        d2[2] * b[4] - d1[3] * d1[3],
+    ]
+
+
 def _stationarity_polynomial(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
     """(scale, B, B', P) with x = t / scale, each polynomial in ascending powers of x.
 
@@ -274,20 +292,7 @@ def _stationarity_polynomial(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
         raise ConvergenceError(
             f"no interior maximum of the purity rate: t^4 overflows at lam={env.lam:g}"
         ) from None
-    d1 = [k * b[k] for k in range(1, 5)]   # B'
-    d2 = [k * d1[k] for k in range(1, 4)]  # B''
-    # each coefficient sums the B''B products, then subtracts the B'B' ones,
-    # in ascending powers of the first factor
-    p = [
-        d2[0] * b[0] - d1[0] * d1[0],
-        d2[0] * b[1] + d2[1] * b[0] - d1[0] * d1[1] - d1[1] * d1[0],
-        d2[0] * b[2] + d2[1] * b[1] + d2[2] * b[0] - d1[0] * d1[2] - d1[1] * d1[1] - d1[2] * d1[0],
-        d2[0] * b[3] + d2[1] * b[2] + d2[2] * b[1]
-        - d1[0] * d1[3] - d1[1] * d1[2] - d1[2] * d1[1] - d1[3] * d1[0],
-        d2[0] * b[4] + d2[1] * b[3] + d2[2] * b[2] - d1[1] * d1[3] - d1[2] * d1[2] - d1[3] * d1[1],
-        d2[1] * b[4] + d2[2] * b[3] - d1[2] * d1[3] - d1[3] * d1[2],
-        d2[2] * b[4] - d1[3] * d1[3],
-    ]
+    d1, p = _stationarity_coefficients(b)
     if not all(map(math.isfinite, p)):
         raise OverflowError(
             f"the stationarity polynomial B''B - B'^2 overflows the float range at "

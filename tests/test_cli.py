@@ -502,12 +502,34 @@ class TestScalarCommands:
             (["purity", "--mass", "1e-100", "--sigma0", "1e-100", "--lambda", "1e15", "--t", "1us"],
              "tau0*mass=0 underflows the float range: tau0*mass = mass^2 sigma0^2/hbar, a divisor, "
              "needs to stay above ~8.2e-325 kg s (mass=1e-100 kg, sigma0=1e-100 m)"),
+            # mass sigma0^2 rounds to 0, so tau0 does, and the quadrature divides t by it
+            (["cfi", "--target", "gamma", "--mass", "1e-150", "--sigma0", "1e-100", "--lambda",
+              "1e15", "--t", "1us"],
+             "tau0=0 underflows the float range: tau0 = mass sigma0^2/hbar, a divisor, rounds to 0 "
+             "(mass=1e-150 kg, sigma0=1e-100 m)"),
+            (["qfi", "--target", "gamma", "--mass", "1e-30", "--sigma0", "1e-60", "--lambda", "1e15",
+              "--t", "1us"],
+             "tau0=9.48252e-117 underflows the float range: tau0^4, a divisor, needs tau0 above "
+             "~1.3e-81 s"),
+            (["qfi", "--target", "lambda", "--mass", "1e30", "--sigma0", "1e30", "--lambda", "1e15",
+              "--t", "1us"],
+             "tau0=9.48252e+123 overflows the float range: tau0^4 needs tau0 below ~1.2e+77 s"),
+            # valid mixed states whose 1 - purity^4 rounds to 0: not a validation error
+            (["qfi", "--target", "lambda", "--lambda", "1e-3", "--t", "1us", "--ell0", "inf"],
+             "1 - purity^4 rounds to 0 in a mixed state (purity=1.0): the term "
+             "2 (dpurity)^2/(1 - purity^4) is lost to rounding (dpurity=-2.06307e-22)"),
+            (["qfi", "--target", "gamma", "--gamma", "2", "--lambda", "1e-3", "--t", "1us",
+              "--ell0", "inf"],
+             "1 - purity^4 rounds to 0 in a mixed state (purity=1.0): the term "
+             "2 (dpurity)^2/(1 - purity^4) is lost to rounding (dpurity=-5.1427e-25)"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
              "cfi-gamma-mass-1e200", "tgi-lambda-1e154", "purity-sigma0-1e200",
              "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100",
-             "purity-mass-1e-160", "purity-tau0-mass-1e-366"],
+             "purity-mass-1e-160", "purity-tau0-mass-1e-366", "cfi-tau0-1e-350",
+             "qfi-tau0-fourth-underflow", "qfi-tau0-fourth-overflow", "qfi-lambda-mixed-purity-1",
+             "qfi-gamma-mixed-purity-1"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3

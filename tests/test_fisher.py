@@ -86,6 +86,24 @@ def test_phi_lambda_sq_overflow_named(phi):
         phi(FULLERENE, env(1e200), 1e-6)
 
 
+@pytest.mark.parametrize("phi", [pc.phi_gamma, pc.phi_lambda])
+@pytest.mark.parametrize(
+    "mass,sigma0,error,message",
+    [
+        (1e-30, 1e-60, ZeroDivisionError,
+         r"tau0=9\.48252e-117 underflows the float range: tau0\^4, a divisor, needs tau0 above "
+         r"~1\.3e-81 s"),
+        (1e30, 1e30, OverflowError,
+         r"tau0=9\.48252e\+123 overflows the float range: tau0\^4 needs tau0 below ~1\.2e\+77 s"),
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_phi_tau0_fourth_power_named(phi, mass, sigma0, error, message):
+    probe = pc.ProbeSpec(mass=mass, sigma0=sigma0)
+    with pytest.raises(error, match=message):
+        phi(probe, env(1e15), 1e-6)
+
+
 class TestQfiAnalytic:
     def test_no_coupling_first_term_only(self):
         # purity is gamma-independent at lam = 0, so the derivative term vanishes
@@ -109,6 +127,16 @@ class TestQfiAnalytic:
         probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0)
         with pytest.raises(ValueError, match="pure-state limit"):
             pc.qfi_analytic(LAMBDA, probe, env(0.0), 1e-6)
+
+
+    @pytest.mark.parametrize("qfi", [pc.qfi_analytic, pc.qfi_numeric])
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_mixed_state_at_purity_one_is_numerical_failure(self, qfi, target):
+        # lambda = 1e-3 leaves 1 - purity^4 below rounding, but the state is mixed
+        probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0, gamma=2.0)
+        with pytest.raises(FloatingPointError, match=r"1 - purity\^4 rounds to 0 in a mixed state "
+                           r"\(purity=1\.0\)"):
+            qfi(target, probe, env(1e-3), 1e-6)
 
 
 class TestQfiNumeric:
@@ -227,6 +255,18 @@ class TestQfiNumericPins:
         assert raised < 600  # most draws give a value
 
 
+#: (target, ell0, lam, gamma, t, quadrature, gaussian_identity) recorded from
+#: cfi_quadrature; the oracle must keep reproducing them bit for bit
+QUADRATURE_PINS = [
+    ("gamma", 5e-08, 1e15, 5.0, 1e-05, 0.07184621954790905, 0.07184621954790914),
+    ("gamma", math.inf, 1e20, -10.0, 1e-06, 0.022557772739499105, 0.02255777273949911),
+    ("gamma", math.inf, 0.0, 3.0, 1e-06, 0.12733638542791612, 0.1273363854279161),
+    ("lambda", 5e-08, 1e15, 0.0, 5e-05, 7.476948993986926e-42, 7.476948993986916e-42),
+    ("lambda", math.inf, 1e10, 35.0, 0.001, 2.1888228555499186e-45, 2.1888228555499167e-45),
+    ("lambda", 5e-08, 1e22, -50.0, 1e-07, 9.543669362471981e-54, 9.543669362471985e-54),
+]
+
+
 class TestCfi:
     def test_gamma_zero_crossing(self):
         t = 1e-6
@@ -314,12 +354,19 @@ class TestCfi:
         with pytest.raises(OverflowError, match=message):
             pc.cfi_quadrature(target, probe, env(1e15), 1e-6)
 
+    @pytest.mark.parametrize("target,ell0,lam,gamma,t,quadrature,identity", QUADRATURE_PINS)
+    def test_quadrature_pinned_value(self, target, ell0, lam, gamma, t, quadrature, identity):
+        probe = pc.ProbeSpec(mass=FULLERENE.mass, sigma0=FULLERENE.sigma0, ell0=ell0, gamma=gamma)
+        assert pc.cfi_quadrature(target, probe, env(lam), t) == pc.CfiQuadrature(quadrature, identity)
+
     def test_hermite_rules_are_hermgauss(self):
         # the hard-coded rules are numpy's, float for float
         from numpy.polynomial.hermite import hermgauss
 
         for n in fisher._RULES:
-            nodes, weights = fisher._hermgauss(n)
+            half_nodes, half_weights = fisher._HERMITE_HALVES[n]
+            nodes = [-u for u in reversed(half_nodes)] + list(half_nodes)
+            weights = list(reversed(half_weights)) + list(half_weights)
             expected_nodes, expected_weights = hermgauss(n)
             assert nodes == expected_nodes.tolist()
             assert weights == expected_weights.tolist()

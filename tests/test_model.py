@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import pmcorr as pc
+from pmcorr import model
 from pmcorr.constants import HBAR
 
 FULLERENE = pc.fullerene_probe()
@@ -16,6 +17,10 @@ FULLERENE = pc.fullerene_probe()
 
 def env(lam=0.0):
     return pc.EnvironmentSpec(lam=lam)
+
+
+def _bracket_args(probe, e, t):
+    return probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, e.lam, t
 
 
 def kernel_variance(probe, k, t):
@@ -201,6 +206,47 @@ class TestPositionDensityVariance:
         with pytest.raises(OverflowError, match=r"readout variance overflows the float range at "
                            r"t/tau0=1\.73\d*e\+146"):
             pc.position_density_variance(probe, env(1e15), 1e-6)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pc.purity_exact, pc.purity_approx, pc.relative_purity_rate,
+            lambda p, e, t: pc.qfi_numeric("gamma", p, e, t),
+            lambda p, e, t: pc.qfi_numeric("lambda", p, e, t),
+            lambda p, e, t: model._purity_bracket_dt(*_bracket_args(p, e, t)),
+            lambda p, e, t: model._purity_bracket_dgamma(*_bracket_args(p, e, t)),
+            lambda p, e, t: model._purity_bracket_dlam(*_bracket_args(p, e, t)),
+            lambda p, e, t: model._purity_bracket_terms_dd(*_bracket_args(p, e, t)),
+        ],
+        ids=["purity_exact", "purity_approx", "relative_purity_rate", "qfi_numeric-gamma",
+             "qfi_numeric-lambda", "dt", "dgamma", "dlam", "terms_dd"],
+    )
+    def test_tau0_mass_underflow_named(self, call):
+        # tau0*mass = mass^2 sigma0^2/hbar ~ 1e-366 rounds to 0 while mass^2 does not
+        probe = pc.ProbeSpec(mass=1e-100, sigma0=1e-100)
+        with pytest.raises(ZeroDivisionError, match=r"tau0\*mass=0 underflows the float range: "
+                           r"tau0\*mass = mass\^2 sigma0\^2/hbar, a divisor, needs to stay above "
+                           r"~8\.2e-325 kg s \(mass=1e-100 kg, sigma0=1e-100 m\)"):
+            call(probe, env(1e15), 1e-6)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pc.covariance, pc.position_density_variance,
+            lambda p, e, t: pc.cfi_quadrature("gamma", p, e, t),
+            lambda p, e, t: pc.cfi_quadrature("lambda", p, e, t),
+            lambda p, e, t: pc.qfi_numeric("gamma", p, e, t),
+        ],
+        ids=["covariance", "position_density_variance", "cfi_quadrature-gamma",
+             "cfi_quadrature-lambda", "qfi_numeric"],
+    )
+    def test_tau0_underflow_named(self, call):
+        # mass sigma0^2 ~ 1e-350 rounds to 0, so tau0 does
+        probe = pc.ProbeSpec(mass=1e-150, sigma0=1e-100)
+        with pytest.raises(ZeroDivisionError, match=r"tau0=0 underflows the float range: tau0 = "
+                           r"mass sigma0\^2/hbar, a divisor, rounds to 0 \(mass=1e-150 kg, "
+                           r"sigma0=1e-100 m\)"):
+            call(probe, env(1e15), 1e-6)
 
     def test_width_scaling(self):
         # double sigma0 holding all dimensionless ratios fixed: theta, eps, lam*sigma0^2*tau0

@@ -6,12 +6,14 @@ splitting error cancels to zero), so evaluating it with symbols for the
 parameters, and `model.HBAR` patched to a symbol, yields the covariance
 entries exactly.  Their determinant B = sxx spp - sxp^2 is 1/purity^2, and
 each copy of B or of its derivatives kept in `model` must equal it after its
-float coefficients are rationalised.
+float coefficients are rationalised.  The hand-expanded stationarity
+polynomial P = B''B - B'^2 of `thermometry` is checked on symbolic
+coefficients of a general quartic.
 """
 import pytest
 import sympy as sp
 
-from pmcorr import model
+from pmcorr import model, thermometry
 
 M, S0, EPS, G, LAM, T, HBAR = sp.symbols("m sigma0 epsilon gamma lambda t hbar", positive=True)
 ARGS = (M, S0, EPS, G, LAM, T)
@@ -73,3 +75,14 @@ def test_bracket_coefficients(bracket):
 )
 def test_bracket_derivatives(bracket, copy, variable):
     assert sp.expand(exact(copy(*ARGS)) - sp.diff(bracket, variable)) == 0
+
+
+def test_stationarity_coefficients():
+    # B' and P = B''B - B'^2 of a general quartic B, coefficient by coefficient
+    b = sp.symbols("b0:5")
+    x = sp.Symbol("x")
+    quartic = sum(c * x**k for k, c in enumerate(b))
+    d1, p = thermometry._stationarity_coefficients(list(b))
+    stationarity = sp.expand(sp.diff(quartic, x, 2) * quartic - sp.diff(quartic, x) ** 2)
+    assert [sp.expand(c) for c in d1] == [sp.diff(quartic, x).coeff(x, k) for k in range(4)]
+    assert [sp.expand(c) for c in p] == [stationarity.coeff(x, k) for k in range(7)]
