@@ -15,11 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -119,8 +117,7 @@ def load_config(path: str) -> dict[str, float]:
     return values
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """Fully resolved parameter set: defaults < config file < CLI flags."""
 
     probe: ProbeSpec
@@ -163,6 +160,8 @@ def _resolve(args: argparse.Namespace) -> Scenario:
 
 def _write_manifest(out_path: Path, command: str, scenario_dict: dict, started: float) -> None:
     """Provenance sidecar: tool version, constants, resolved parameters, duration."""
+    import json  # deferred: only commands that write a file need it
+
     manifest = {
         "tool": "pmcorr",
         "version": __version__,

@@ -22,8 +22,8 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import _dd
 from .constants import HBAR
@@ -82,16 +82,14 @@ def _as_target(target) -> EstimationTarget:
 _ADJ_TRACE_RESCALE = 16.0
 
 
-@dataclass(frozen=True)
-class CfiQuadrature:
+class CfiQuadrature(NamedTuple):
     """The two independent position-readout CFI oracles."""
 
     quadrature: float
     gaussian_identity: float
 
 
-@dataclass(frozen=True)
-class FisherResult:
+class FisherResult(NamedTuple):
     """All Fisher routes at one parameter point."""
 
     qfi_analytic: float
@@ -128,6 +126,17 @@ def _tau0_fourth_power(tau: float) -> float:
     return tau4
 
 
+def _eighth_power(value: float, name: str, unit: str) -> float:
+    """value**8, the top power of sigma0 and of t in `phi_lambda`, with its overflow named."""
+    try:
+        return value**8
+    except OverflowError:
+        raise OverflowError(
+            f"{name}={value:g} overflows the float range: {name}^8, in the lambda^2 term of "
+            f"phi_lambda, needs {name} below ~{math.sqrt(math.sqrt(_SQUARE_LIMIT)):.2g} {unit}"
+        ) from None
+
+
 def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Trace polynomial value (c0 + c1 lam + c2 lam^2) / (72 tau0^4) for correlation estimation.
 
@@ -158,6 +167,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     eps = probe.coherence_ratio_sq
     tau = tau0(probe)
     tau4 = _tau0_fourth_power(tau)
+    s0_8, t_8 = _eighth_power(s0, "sigma0", "m"), _eighth_power(t, "t", "s")
     r = tau / t
     big_gamma = 2.0 * eps + g**2 + 1.0
     c0 = 2.0 * s0**4 * t**6 * (
@@ -168,7 +178,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
         + 9.0 * r**4
     )
     c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
-    c2 = 4.0 * s0**8 * t**8
+    c2 = 4.0 * s0_8 * t_8
     return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (18.0 * tau4)
 
 

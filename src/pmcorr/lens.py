@@ -11,29 +11,33 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import HBAR, PLANCK_H
+from .model import _Frozen
 
 
-@dataclass(frozen=True)
-class LensSpec:
+class LensSpec(_Frozen):
     """Laser and beam parameters of the focusing stage."""
 
-    omega0: float      # rad/s, peak Rabi frequency
-    wavelength: float  # m
-    detuning: float    # rad/s, laser frequency minus resonance
-    v_cm: float        # m/s, center-of-mass speed
-    t_int: float       # s, effective interaction time
+    __slots__ = (
+        "omega0",      # rad/s, peak Rabi frequency
+        "wavelength",  # m
+        "detuning",    # rad/s, laser frequency minus resonance
+        "v_cm",        # m/s, center-of-mass speed
+        "t_int",       # s, effective interaction time
+    )
 
-    def __post_init__(self):
-        for name in ("omega0", "wavelength", "v_cm", "t_int"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+    def __init__(self, omega0: float, wavelength: float, detuning: float, v_cm: float,
+                 t_int: float):
+        values = (omega0, wavelength, detuning, v_cm, t_int)
+        for name, value in zip(self.__slots__, values):
+            if name != "detuning" and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not math.isfinite(self.detuning):
-            raise ValueError(f"detuning must be finite, got {self.detuning}")
+        if not math.isfinite(detuning):
+            raise ValueError(f"detuning must be finite, got {detuning}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 class OpticalPotential(NamedTuple):

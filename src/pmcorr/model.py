@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _dd
 from .constants import FULLERENE_ELL0, FULLERENE_MASS, FULLERENE_SIGMA0, HBAR
@@ -26,29 +26,67 @@ from .constants import FULLERENE_ELL0, FULLERENE_MASS, FULLERENE_SIGMA0, HBAR
 DET_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class _Frozen:
+    """Immutable record: slots, with equality, hash and repr by field.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    validating ``__init__`` through ``object.__setattr__``; copies and pickles
+    are rebuilt through that ``__init__`` too.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ProbeSpec(_Frozen):
     """Matter-wave probe: mass, initial width, coherence length, correlation.
 
     Pass ``ell0=math.inf`` for a fully coherent (ideally collimated) source;
     the 1/ell0^2 terms are then dropped exactly instead of through a large
-    float, so the pure-state limit is free of cancellation error.
+    float, so the pure-state limit is free of cancellation error.  A gamma
+    whose square leaves the float range raises OverflowError.
     """
 
-    mass: float
-    sigma0: float
-    ell0: float = math.inf
-    gamma: float = 0.0
+    __slots__ = ("mass", "sigma0", "ell0", "gamma")
 
-    def __post_init__(self):
-        if not (self.mass > 0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not (self.sigma0 > 0 and math.isfinite(self.sigma0)):
-            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        if not self.ell0 > 0:
-            raise ValueError(f"ell0 must be positive (math.inf allowed), got {self.ell0}")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
+    def __init__(self, mass: float, sigma0: float, ell0: float = math.inf, gamma: float = 0.0):
+        if not (mass > 0 and math.isfinite(mass)):
+            raise ValueError(f"mass must be positive and finite, got {mass}")
+        if not (sigma0 > 0 and math.isfinite(sigma0)):
+            raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
+        if not ell0 > 0:
+            raise ValueError(f"ell0 must be positive (math.inf allowed), got {ell0}")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
+        if abs(gamma) > _SQUARE_LIMIT:  # every purity and Fisher route squares gamma
+            _square(gamma, "gamma", "")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "sigma0", sigma0)
+        object.__setattr__(self, "ell0", ell0)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def is_fully_coherent(self) -> bool:
@@ -65,38 +103,37 @@ class ProbeSpec:
         return ProbeSpec(self.mass, self.sigma0, self.ell0, gamma)
 
 
-@dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(_Frozen):
     """Scattering environment, characterized by the effective constant ``lam``.
 
     `pmcorr.thermometry` maps ``lam`` to and from the temperature of a
     thermal gas.
     """
 
-    lam: float
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
-        if not (self.lam >= 0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+    def __init__(self, lam: float):
+        if not (lam >= 0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(_Frozen):
     """Coefficient b_sq (m^-4) of the evolved density-matrix Gaussian kernel.
 
     b_sq is the one coefficient the closed-form CFI reads; the readout
     variance is V = 2 hbar^2 t^2 sigma0^2 b_sq / m^2.
     """
 
-    b_sq: float
+    __slots__ = ("b_sq",)
 
-    def __post_init__(self):
-        if not self.b_sq > 0:
-            raise ValueError(f"b_sq must be positive, got {self.b_sq}")
+    def __init__(self, b_sq: float):
+        if not b_sq > 0:
+            raise ValueError(f"b_sq must be positive, got {b_sq}")
+        object.__setattr__(self, "b_sq", b_sq)
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
+class CovarianceMatrix(NamedTuple):
     """Dimensionless 2x2 second-moment matrix (see module docstring).
 
     First moments vanish identically for this channel and are not stored.
@@ -127,7 +164,7 @@ def fullerene_probe(gamma: float = 0.0, ell0: float = FULLERENE_ELL0) -> ProbeSp
 #
 # These take bare floats (gamma and lam possibly outside their physical
 # domain) so that numerical differentiation can probe them analytically
-# continued; the public API validates through the spec dataclasses.
+# continued; the public API validates through `ProbeSpec` and `EnvironmentSpec`.
 # ---------------------------------------------------------------------------
 
 def _tau0(mass: float, sigma0: float) -> float:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constants import HBAR, K_BOLTZMANN
 from .fisher import ConvergenceError, EstimationTarget, qfi_analytic
@@ -36,8 +35,7 @@ _KNEE_PROMINENCE = 1e-12
 _NEWTON_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TgiRow:
+class TgiRow(NamedTuple):
     """One row of the information-gain table."""
 
     gamma: float

@@ -522,6 +522,21 @@ class TestScalarCommands:
               "--ell0", "inf"],
              "1 - purity^4 rounds to 0 in a mixed state (purity=1.0): the term "
              "2 (dpurity)^2/(1 - purity^4) is lost to rounding (dpurity=-5.1427e-25)"),
+            # every purity and Fisher route squares gamma, so the probe names its overflow
+            (["qfi", "--target", "gamma", "--gamma", "1e200", "--lambda", "1e15", "--t", "1us"],
+             "gamma=1e+200 overflows the float range: gamma^2 needs gamma below ~1.3e+154"),
+            (["tgi", "--gamma", "1e200", "--lambda", "1e15"],
+             "gamma=1e+200 overflows the float range: gamma^2 needs gamma below ~1.3e+154"),
+            (["purity", "--gamma=-1e200", "--lambda", "1e15", "--t", "1us"],
+             "gamma=-1e+200 overflows the float range: gamma^2 needs gamma below ~1.3e+154"),
+            # the cfi launch at this point prints its three values
+            (["qfi", "--target", "lambda", "--mass", "1e-100", "--sigma0", "1e40", "--ell0", "inf",
+              "--lambda", "1e15", "--t", "1us"],
+             "sigma0=1e+40 overflows the float range: sigma0^8, in the lambda^2 term of "
+             "phi_lambda, needs sigma0 below ~3.4e+38 m"),
+            (["qfi", "--target", "lambda", "--lambda", "1e15", "--t", "1e39"],
+             "t=1e+39 overflows the float range: t^8, in the lambda^2 term of phi_lambda, needs t "
+             "below ~3.4e+38 s"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
@@ -529,7 +544,8 @@ class TestScalarCommands:
              "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100",
              "purity-mass-1e-160", "purity-tau0-mass-1e-366", "cfi-tau0-1e-350",
              "qfi-tau0-fourth-underflow", "qfi-tau0-fourth-overflow", "qfi-lambda-mixed-purity-1",
-             "qfi-gamma-mixed-purity-1"],
+             "qfi-gamma-mixed-purity-1", "qfi-gamma-1e200", "tgi-gamma-1e200", "purity-gamma-minus-1e200",
+             "qfi-lambda-sigma0-eighth", "qfi-lambda-t-eighth"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3

@@ -1,6 +1,7 @@
 """Probe/environment specs, kernel parameters, covariance, and purity."""
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,16 @@ class TestSpecs:
             pc.ProbeSpec(mass=1e-24, sigma0=1e-9, ell0=0.0)
         with pytest.raises(ValueError):
             pc.ProbeSpec(mass=1e-24, sigma0=1e-9, gamma=math.inf)
+
+    def test_gamma_whose_square_overflows_is_named(self):
+        message = "gamma=1e+200 overflows the float range: gamma^2 needs gamma below ~1.3e+154"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            pc.ProbeSpec(mass=1e-24, sigma0=1e-9, gamma=1e200)
+        with pytest.raises(OverflowError, match="^gamma=-2e[+]154 overflows"):
+            FULLERENE.with_gamma(-2e154)
+        # the largest gamma accepted has a finite square
+        edge = FULLERENE.with_gamma(model._SQUARE_LIMIT)
+        assert math.isfinite(edge.gamma**2)
 
     def test_fully_coherent_probe(self):
         probe = pc.ProbeSpec(mass=1e-24, sigma0=1e-9, ell0=math.inf, gamma=3.0)

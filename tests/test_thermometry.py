@@ -491,6 +491,35 @@ def test_one_point_commands_load_no_numpy(tmp_path):
         assert out.stdout.strip().splitlines()[-1] == "[]", code
 
 
+def test_one_point_commands_load_no_dataclasses_inspect_or_json():
+    # `import pmcorr` and one launch of each one-point command; the modules are
+    # compared before and after, so a `site` that preloads one does not count
+    src = Path(pc.__file__).resolve().parents[1]
+    launches = [
+        ["purity", "--lambda", "1e15", "--t", "1us"],
+        ["qfi", "--target", "gamma", "--lambda", "1e15", "--gamma", "3", "--t", "20us"],
+        ["cfi", "--target", "lambda", "--lambda", "1e15", "--gamma", "3", "--t", "20us"],
+        ["tgi", "--lambda", "1e15", "--gamma", "3"],
+        ["table1"],
+        ["convert", "--to-lambda", "0.442", "--quiet"],
+        ["lens", "--omega0", "2e8", "--wavelength", "532e-9", "--vcm", "100", "--tint", "1us"],
+    ]
+    codes = ["import pmcorr"] + [
+        f"sys.argv = ['pmcorr', *{argv!r}]\n"
+        "from pmcorr.cli import console_entry\n"
+        "try:\n    console_entry()\nexcept SystemExit as exc:\n    assert exc.code == 0, exc.code"
+        for argv in launches
+    ]
+    for code in codes:
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys\nbefore = set(sys.modules)\n{code}\n"
+             "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]", code
+
+
 def test_import_loads_no_scipy():
     # neither the import nor a cfi launch, which runs the quadrature oracle
     src = Path(pc.__file__).resolve().parents[1]
