@@ -19,7 +19,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from .constants import (
@@ -246,56 +246,26 @@ _AXIS_COLUMN = {"gamma": "gamma", "lambda": "lambda_per_m2s", "time": "time_s"}
 _AXIS_ARG = {"gamma": 0, "lambda": 1, "time": 2}
 
 
-class _Column(NamedTuple):
-    """A group whose cells also take this row's entry of a column of values.
-
-    `values(probe, gamma, lam, t)` computes the column for every row in one
-    call before the row loop; each parameter is a number, or a list with one
-    entry per row where an axis varies it.  If that call fails, every entry
-    is None and `cells` computes its row's value itself, so the row loop
-    reports the lowest failing row as it does for any other group.
-    """
-
-    cells: Callable
-    values: Callable
-
-
 def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) -> list[list[float]]:
     """Rows of axis values followed by group cells, over the product of `axes`.
 
     Each axis is a (kind, values) pair, kind "gamma", "lambda" or "time", the
     first axis varying slowest; an axis overrides the fixed `lam` or `t` of its
-    kind.  Each group maps (probe, env, t) to a list of cells, or is a
-    `_Column`.  Probes and environments are built once per axis value, not
-    once per row.  A row whose groups fail numerically raises ConvergenceError
-    naming its index and point.
+    kind.  Each group maps (probe, env, t) to a list of cells and is called
+    once per row, in row order.  Probes and environments are built once per
+    axis value, not once per row.  A row whose groups fail numerically raises
+    ConvergenceError naming its index and point.
     """
     build = {"gamma": probe.with_gamma, "lambda": lambda v: EnvironmentSpec(lam=v), "time": float}
     levels = [[(kind, v, build[kind](v)) for v in values] for kind, values in axes]
     on_axis = any(kind == "lambda" for kind, _ in axes)
     args = [probe, None if on_axis else EnvironmentSpec(lam=lam), t]
-    points = list(itertools.product(*levels))
-    params = {"gamma": probe.gamma, "lambda": lam, "time": t}
-    params.update({kind: [point[j][1] for point in points] for j, (kind, _) in enumerate(axes)})
-    columns = []
-    for group in groups:
-        column = None
-        if isinstance(group, _Column):
-            try:
-                column = group.values(probe, params["gamma"], params["lambda"], params["time"])
-            except (ConvergenceError, ArithmeticError, ValueError):
-                column = [None] * len(points)
-        columns.append(column)
     rows = []
-    for point in points:
+    for point in itertools.product(*levels):
         for kind, _, arg in point:
             args[_AXIS_ARG[kind]] = arg
         try:
-            cells = [
-                cell
-                for group, column in zip(groups, columns)
-                for cell in (group(*args) if column is None else group.cells(*args, column[len(rows)]))
-            ]
+            cells = [cell for group in groups for cell in group(*args)]
         except (ConvergenceError, ArithmeticError) as exc:
             where = ", ".join(f"{_AXIS_COLUMN[kind]}={v!r}" for kind, v, _ in point)
             raise ConvergenceError(f"row {len(rows)} ({where}) failed: {exc}") from exc
@@ -440,22 +410,33 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
             "lambda_sq_qfi", "temperature_equivalent_k",
         ]
 
-    def cells(probe, env, t, numeric=None):
+    # the Richardson oracle runs over the whole axis in one array call; where that
+    # fails, each row runs it alone, so the row loop names the lowest failing row
+    numeric = [None] * len(values)
+    if target is not None:
+        point = {"gamma": scenario.probe.gamma, "lambda": scenario.lam, "time": scenario.t}
+        point[args.axis] = values
+        try:
+            numeric = _qfi_numeric_points(target, scenario.probe, *point.values())
+        except (ConvergenceError, ArithmeticError, ValueError):
+            pass
+    numeric = iter(numeric)  # _grid calls `cells` once per row, in row order
+
+    def cells(probe, env, t):
+        value = next(numeric)
         row = [purity_exact(probe, env, t), relative_purity_rate(probe, env, t)]
         if target is not None:
             row += [
                 qfi_analytic(target, probe, env, t),
-                qfi_numeric(target, probe, env, t) if numeric is None else numeric,
+                qfi_numeric(target, probe, env, t) if value is None else value,
                 cfi_closed(target, probe, env, t),
             ]
         if target is _LAMBDA:
             row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *scenario.gas)]
         return row
 
-    # the Richardson oracle runs over the whole axis in one array call
-    group = cells if target is None else _Column(cells, functools.partial(_qfi_numeric_points, target))
     try:
-        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [group])
+        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [cells])
     except ConvergenceError as exc:  # _grid names the failing row
         print(f"sweep {exc}", file=sys.stderr)
         return 3

@@ -35,8 +35,7 @@ from .model import (
     _purity_bracket_dgamma,
     _purity_bracket_dlam,
     _purity_bracket_terms_dd,
-    _square,
-    _SQUARE_FLOOR,
+    _power,
     _SQUARE_LIMIT,
     kernel_params,
     position_density_variance,
@@ -109,34 +108,6 @@ _REL_TOL = 1e-6
 _SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e12}
 
 
-def _tau0_fourth_power(tau: float) -> float:
-    """tau0^4, which divides the trace polynomials, with its float-range failures named."""
-    try:
-        tau4 = tau**4
-    except OverflowError:
-        raise OverflowError(
-            f"tau0={tau:g} overflows the float range: tau0^4 needs tau0 below "
-            f"~{math.sqrt(_SQUARE_LIMIT):.2g} s"
-        ) from None
-    if not tau4:
-        raise ZeroDivisionError(
-            f"tau0={tau:g} underflows the float range: tau0^4, a divisor, needs tau0 above "
-            f"~{math.sqrt(_SQUARE_FLOOR):.2g} s"
-        )
-    return tau4
-
-
-def _eighth_power(value: float, name: str, unit: str) -> float:
-    """value**8, the top power of sigma0 and of t in `phi_lambda`, with its overflow named."""
-    try:
-        return value**8
-    except OverflowError:
-        raise OverflowError(
-            f"{name}={value:g} overflows the float range: {name}^8, in the lambda^2 term of "
-            f"phi_lambda, needs {name} below ~{math.sqrt(math.sqrt(_SQUARE_LIMIT)):.2g} {unit}"
-        ) from None
-
-
 def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Trace polynomial value (c0 + c1 lam + c2 lam^2) / (72 tau0^4) for correlation estimation.
 
@@ -148,12 +119,13 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
     eps = probe.coherence_ratio_sq
     tau = tau0(probe)
-    tau4 = _tau0_fourth_power(tau)
+    tau4 = _power(tau, 4, "tau0", "s", divisor=True)
+    t_6 = _power(t, 6, "t", "s", where=", in the lambda^2 term of phi_gamma,")
     r = tau / t
     c0 = 9.0 * tau4 * (1.0 + 2.0 * eps)
     c1 = 12.0 * s0**2 * tau**2 * t**3 * ((2.0 * eps + g**2 + 1.0) + 3.0 * g * r + 3.0 * r**2)
-    c2 = 32.0 * s0**4 * t**6 * (g**2 + 3.0 * g * r + (21.0 / 8.0) * r**2)
-    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (72.0 * tau4)
+    c2 = 32.0 * s0**4 * t_6 * (g**2 + 3.0 * g * r + (21.0 / 8.0) * r**2)
+    return (c0 + c1 * lam + c2 * _power(lam, 2, "lambda", "m^-2 s^-1")) / (72.0 * tau4)
 
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -166,12 +138,13 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     s0, g, lam = probe.sigma0, probe.gamma, env.lam
     eps = probe.coherence_ratio_sq
     tau = tau0(probe)
-    tau4 = _tau0_fourth_power(tau)
-    s0_8, t_8 = _eighth_power(s0, "sigma0", "m"), _eighth_power(t, "t", "s")
+    tau4 = _power(tau, 4, "tau0", "s", divisor=True)
+    where = ", in the lambda^2 term of phi_lambda,"
+    s0_8, t_8 = _power(s0, 8, "sigma0", "m", where=where), _power(t, 8, "t", "s", where=where)
     r = tau / t
     big_gamma = 2.0 * eps + g**2 + 1.0
     c0 = 2.0 * s0**4 * t**6 * (
-        big_gamma**2
+        _power(big_gamma, 2, "(2eps+gamma^2+1)", where=", in the lambda-free term of phi_lambda,")
         + 6.0 * g * r * big_gamma
         + 15.0 * r**2 * ((3.0 / 5.0) * eps + g**2 + 3.0 / 10.0)
         + 18.0 * g * r**3
@@ -179,7 +152,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     )
     c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
     c2 = 4.0 * s0_8 * t_8
-    return (c0 + c1 * lam + c2 * _square(lam, "lambda", "m^-2 s^-1")) / (18.0 * tau4)
+    return (c0 + c1 * lam + c2 * _power(lam, 2, "lambda", "m^-2 s^-1")) / (18.0 * tau4)
 
 
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -223,9 +196,17 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
         raise ValueError(f"t must be positive and finite, got {t}")
     mu = purity_exact(probe, env, t)
     phi = phi_gamma(probe, env, t) if target is EstimationTarget.GAMMA else phi_lambda(probe, env, t)
-    first = mu**4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi
     pure = env.lam == 0.0 and probe.coherence_ratio_sq == 0.0
-    return first + _second_term(mu, purity_derivative(target, probe, env, t), pure)
+    second = _second_term(mu, purity_derivative(target, probe, env, t), pure)
+    if not phi < math.inf:  # its products overflow to inf, or to NaN in inf - inf, silently
+        raise OverflowError(
+            f"phi_{target.value}={phi} overflows the float range (gamma={probe.gamma:g}, "
+            f"lambda={env.lam:g} m^-2 s^-1, t={t:g} s)"
+        )
+    mu4 = mu**4
+    if mu4 < sys.float_info.min:  # mu^4 underflows: fold mu^2 into phi so the term keeps its digits
+        mu4, phi = mu**2, mu**2 * phi
+    return mu4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi + second
 
 
 #: stencil components: model._covariance_terms_dd (sxx [:5], sxp [5:9],
@@ -272,8 +253,8 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     T[L-1][L-1] to agree with T[L-2][L-3] to _REL_TOL componentwise;
     estimates at the roundoff floor of the central difference count as
     converged zeros.  The adjugate trace is assembled the same way; a trace
-    that cancels by more than _MAX_TRACE_CANCELLATION raises, and the purity
-    map takes its powers per point with CPython's pow.
+    that is not finite or cancels by more than _MAX_TRACE_CANCELLATION
+    raises, and the purity map takes its powers per point with CPython's pow.
     """
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
@@ -396,7 +377,15 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         mu = bracket**-0.5
         dmu = -0.5 * dbracket * bracket**-1.5
         pure = li == 0.0 and eps == 0.0
-        value = mu**4 / (2.0 * (1.0 + mu**2)) * trace + _second_term(mu, dmu, pure)
+        mu4, scaled = mu**4, trace
+        if mu4 < sys.float_info.min:  # as in qfi_analytic
+            mu4, scaled = mu**2, mu**2 * trace
+        value = mu4 / (2.0 * (1.0 + mu**2)) * scaled + _second_term(mu, dmu, pure)
+        if not math.isfinite(trace):  # a double-double product left the float range
+            raise ConvergenceError(
+                f"adjugate trace is {trace} beside terms of {terms:.3e}: its double-double "
+                f"products leave the float range"
+            )
         if terms > _MAX_TRACE_CANCELLATION * abs(trace):
             raise ConvergenceError(
                 f"adjugate trace cancels by {terms / abs(trace) if trace else math.inf:.3e}, "
@@ -510,7 +499,7 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         d2V = s0**2 * th**2
         x0 = g
     else:
-        dV = (2.0 / 3.0) * HBAR**2 * t**3 / _square(probe.mass, "mass", "kg", divisor=True)
+        dV = (2.0 / 3.0) * HBAR**2 * t**3 / _power(probe.mass, 2, "mass", "kg", divisor=True)
         dV_terms = dV
         d2V = 0.0
         x0 = lam

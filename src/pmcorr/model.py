@@ -82,7 +82,7 @@ class ProbeSpec(_Frozen):
         if not math.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         if abs(gamma) > _SQUARE_LIMIT:  # every purity and Fisher route squares gamma
-            _square(gamma, "gamma", "")
+            _power(gamma, 2, "gamma")
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "sigma0", sigma0)
         object.__setattr__(self, "ell0", ell0)
@@ -97,7 +97,7 @@ class ProbeSpec(_Frozen):
         """(sigma0/ell0)^2; exactly zero for a fully coherent source."""
         if math.isinf(self.ell0):
             return 0.0
-        return _square(self.sigma0 / self.ell0, "(sigma0/ell0)", "")
+        return _power(self.sigma0 / self.ell0, 2, "(sigma0/ell0)")
 
     def with_gamma(self, gamma: float) -> "ProbeSpec":
         return ProbeSpec(self.mass, self.sigma0, self.ell0, gamma)
@@ -184,88 +184,89 @@ def _cpow(x, k):
     return x**k
 
 
-def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
-    """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
-    tau = _tau0(mass, sigma0)
-    mass_sq = _square(mass, "mass", "kg", divisor=True)  # as in _purity_bracket_coefficients
-    g_dd = _dd.dd(gamma)
-    lam_dd = _dd.dd(lam)
-    try:
-        return [
-            _dd.dd(1.0 + 2.0 * eps),
-            _dd.dd_mul_d(lam_dd, 4.0 * sigma0**2 * t),
-            _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * _cpow(t, 2)),
-            _dd.dd_mul_d(
-                _dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd),
-                (4.0 * HBAR / (3.0 * tau * mass)) * _cpow(t, 3),
-            ),
-            _dd.dd_mul_d(
-                lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * _cpow(t, 3)
-            ),
-            _dd.dd_mul_d(
-                _dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass_sq)) * _cpow(t, 4)
-            ),
-        ]
-    except ZeroDivisionError:
-        raise _tau0_mass_underflow(mass, sigma0) from None
-
-
 #: largest magnitude whose square is a finite double (~1.3e154)
 _SQUARE_LIMIT = math.sqrt(sys.float_info.max)
-#: magnitude below which a square rounds to 0 (~1.6e-162)
-_SQUARE_FLOOR = math.sqrt(math.ulp(0.0)) / math.sqrt(2.0)
 
 
-def _square(value, name: str, unit: str, divisor: bool = False):
-    """value**2, raising an ArithmeticError that names the quantity and its limit.
+def _power(value, k, name: str, unit: str = "", divisor: bool = False, where: str = ""):
+    """value**k, raising an ArithmeticError that names the quantity and its limit.
 
-    An overflow raises OverflowError; a square that is to divide raises
-    ZeroDivisionError where it rounds to 0.
+    An overflow raises OverflowError; a power that is to divide raises
+    ZeroDivisionError where it rounds to 0.  ``where`` (", in ...,") says
+    where the power sits.  The limits are worked out only for the message: the
+    k-th root of the largest double, and that of half the smallest one, which
+    is taken root by root because 2**-1075 itself rounds to 0.
     """
     try:
-        square = value**2
+        power = value**k
     except OverflowError:
         raise OverflowError(
-            f"{name}={value:g} overflows the float range: {name}^2 needs {name} below "
-            f"~{_SQUARE_LIMIT:.2g} {unit}".rstrip()
+            f"{name}={value:g} overflows the float range: {name}^{k:g}{where} needs {name} "
+            f"below ~{sys.float_info.max ** (1 / k):.2g} {unit}".rstrip()
         ) from None
-    if divisor and not square:
+    if divisor and not power:
         raise ZeroDivisionError(
-            f"{name}={value:g} underflows the float range: {name}^2, a divisor, needs {name} "
-            f"above ~{_SQUARE_FLOOR:.2g} {unit}".rstrip()
+            f"{name}={value:g} underflows the float range: {name}^{k:g}{where or ','} a divisor, "
+            f"needs {name} above ~{math.ulp(0.0) ** (1 / k) / 2 ** (1 / k):.2g} {unit}".rstrip()
         )
-    return square
+    return power
 
 
-def _tau0_mass_underflow(mass, sigma0) -> ZeroDivisionError:
-    """The error for a division by tau0 * mass that rounds to 0.
+#: the error where a division by tau0 mass rounds to 0; the floor of 3 tau0
+#: mass, 2**-1075 / 3, lies below the smallest double, so it is spelled out
+_TAU0_MASS_UNDERFLOW = (
+    "tau0*mass={:g} underflows the float range: tau0*mass = mass^2 sigma0^2/hbar, a divisor, "
+    "needs to stay above ~8.2e-325 kg s (mass={:g} kg, sigma0={:g} m)"
+)
 
-    The purity bracket's copies and `purity_approx` divide by it.  The copies
-    square the mass first, so a mass^2 rounding to 0 is named before it.
+
+def _bracket_scales(mass, sigma0) -> tuple:
+    """(tau0, mass^2) for the purity bracket's copies, which divide by mass^2 and 3 tau0 mass.
+
+    A mass^2 that leaves the float range or a 3 tau0 mass that rounds to 0
+    raises a named ArithmeticError here, so the copies need no wrapper of
+    their own; `_purity_bracket_dt` alone divides by tau0 mass, which rounds
+    to 0 a little above 3 tau0 mass, and names that itself.
     """
-    # the floor of 3 tau0 mass, 2**-1075 / 3, lies below the smallest double,
-    # so it is spelled out
-    return ZeroDivisionError(
-        f"tau0*mass={_tau0(mass, sigma0) * mass:g} underflows the float range: tau0*mass = "
-        f"mass^2 sigma0^2/hbar, a divisor, needs to stay above ~8.2e-325 kg s "
-        f"(mass={mass:g} kg, sigma0={sigma0:g} m)"
-    )
+    tau = mass * sigma0**2 / HBAR  # `_tau0` and `_power`, inlined: this runs once per point
+    try:
+        mass_sq = mass**2
+    except OverflowError:
+        mass_sq = 0.0  # named below
+    if not (mass_sq and 3.0 * tau * mass):
+        _power(mass, 2, "mass", "kg", divisor=True)  # raises where mass^2 fails
+        raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau * mass, mass, sigma0))
+    return tau, mass_sq
+
+
+def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
+    """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
+    tau, mass_sq = _bracket_scales(mass, sigma0)
+    g_dd = _dd.dd(gamma)
+    lam_dd = _dd.dd(lam)
+    return [
+        _dd.dd(1.0 + 2.0 * eps),
+        _dd.dd_mul_d(lam_dd, 4.0 * sigma0**2 * t),
+        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * _cpow(t, 2)),
+        _dd.dd_mul_d(
+            _dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd),
+            (4.0 * HBAR / (3.0 * tau * mass)) * _cpow(t, 3),
+        ),
+        _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * _cpow(t, 3)),
+        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass_sq)) * _cpow(t, 4)),
+    ]
 
 
 def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket` in ascending powers of t."""
-    tau = _tau0(mass, sigma0)
-    mass_sq = _square(mass, "mass", "kg", divisor=True)
-    try:
-        return (
-            1.0 + 2.0 * eps,
-            4.0 * sigma0**2 * lam,
-            4.0 * gamma * lam * HBAR / mass,
-            4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-            4.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
-        )
-    except ZeroDivisionError:  # with mass^2 nonzero, only 3 tau0 mass can round to 0
-        raise _tau0_mass_underflow(mass, sigma0) from None
+    tau, mass_sq = _bracket_scales(mass, sigma0)
+    return (
+        1.0 + 2.0 * eps,
+        4.0 * sigma0**2 * lam,
+        4.0 * gamma * lam * HBAR / mass,
+        4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
+        4.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
+    )
 
 
 def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
@@ -275,41 +276,31 @@ def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
 
 
 def _purity_bracket_dt(mass, sigma0, eps, gamma, lam, t):
-    tau = _tau0(mass, sigma0)
-    mass_sq = _square(mass, "mass", "kg", divisor=True)  # as in _purity_bracket_coefficients
+    tau, mass_sq = _bracket_scales(mass, sigma0)
     try:
         return (
             4.0 * sigma0**2 * lam
             + (8.0 * gamma * lam * HBAR / mass) * t
             + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass)) * t**2
-            + (16.0 * _square(lam, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq)) * t**3
+            + (16.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq)) * t**3
         )
-    except ZeroDivisionError:
-        raise _tau0_mass_underflow(mass, sigma0) from None
+    except ZeroDivisionError:  # tau0 mass, unlike 3 tau0 mass, rounds to 0
+        raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau * mass, mass, sigma0)) from None
 
 
 def _purity_bracket_dgamma(mass, sigma0, eps, gamma, lam, t):
-    tau = _tau0(mass, sigma0)
-    try:
-        return (
-            (4.0 * lam * HBAR / mass) * t**2 + (8.0 * gamma * HBAR * lam / (3.0 * tau * mass)) * t**3
-        )
-    except ZeroDivisionError:
-        raise _tau0_mass_underflow(mass, sigma0) from None
+    tau, _ = _bracket_scales(mass, sigma0)
+    return (4.0 * lam * HBAR / mass) * t**2 + (8.0 * gamma * HBAR * lam / (3.0 * tau * mass)) * t**3
 
 
 def _purity_bracket_dlam(mass, sigma0, eps, gamma, lam, t):
-    tau = _tau0(mass, sigma0)
-    mass_sq = _square(mass, "mass", "kg", divisor=True)  # as in _purity_bracket_coefficients
-    try:
-        return (
-            4.0 * sigma0**2 * t
-            + (4.0 * gamma * HBAR / mass) * t**2
-            + (4.0 * HBAR * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t**3
-            + (8.0 * lam * HBAR**2 / (3.0 * mass_sq)) * t**4
-        )
-    except ZeroDivisionError:
-        raise _tau0_mass_underflow(mass, sigma0) from None
+    tau, mass_sq = _bracket_scales(mass, sigma0)
+    return (
+        4.0 * sigma0**2 * t
+        + (4.0 * gamma * HBAR / mass) * t**2
+        + (4.0 * HBAR * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t**3
+        + (8.0 * lam * HBAR**2 / (3.0 * mass_sq)) * t**4
+    )
 
 
 def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
@@ -426,11 +417,8 @@ def purity_approx(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Cubic-term approximation of the purity, valid for microsecond-scale flights."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    tau = tau0(probe)
-    try:
-        term = (4.0 * HBAR * env.lam * (probe.gamma**2 + 1.0) / (3.0 * tau * probe.mass)) * t**3
-    except ZeroDivisionError:
-        raise _tau0_mass_underflow(probe.mass, probe.sigma0) from None
+    tau, _ = _bracket_scales(probe.mass, probe.sigma0)
+    term = (4.0 * HBAR * env.lam * (probe.gamma**2 + 1.0) / (3.0 * tau * probe.mass)) * t**3
     return (1.0 + term) ** -0.5
 
 

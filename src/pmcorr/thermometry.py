@@ -21,7 +21,7 @@ from .model import (
     _purity_bracket,
     _purity_bracket_coefficients,
     _purity_bracket_dt,
-    _square,
+    _power,
     purity_exact,
     tau0,
 )
@@ -78,7 +78,7 @@ def lambda_from_temperature(
         * math.sqrt(2.0 * math.pi * m_air)
         * thermal
         * number_density
-        * _square(molecule_size, "molecule_size", "m")
+        * _power(molecule_size, 2, "molecule_size", "m")
     )
     if lam == math.inf:
         raise OverflowError(
@@ -99,7 +99,7 @@ def temperature_from_lambda(
     base = (
         3.0 * HBAR**2 * lam
         / (8.0 * math.sqrt(2.0 * math.pi * m_air) * number_density
-           * _square(molecule_size, "molecule_size", "m", divisor=True))
+           * _power(molecule_size, 2, "molecule_size", "m", divisor=True))
     )
     return base ** (2.0 / 3.0) / K_BOLTZMANN
 
@@ -121,14 +121,6 @@ def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
         raise ValueError(f"t must be positive and finite, got {t}")
     args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t)
     return abs(_purity_bracket_dt(*args)) / (2.0 * _purity_bracket(*args))
-
-
-def _polyval(coefficients, x: float) -> float:
-    """Horner evaluation of a polynomial given in ascending powers."""
-    acc = 0.0
-    for c in reversed(coefficients):
-        acc = acc * x + c
-    return acc
 
 
 def _horner(p, x: float) -> tuple[float, float]:
@@ -221,7 +213,7 @@ def _positive_roots(p) -> list[tuple[float, float]]:
     critical = _positive_roots([k * p[k] for k in range(1, n + 1)])
     ends = (
         [(0.0, 1.0 if signs[0] else -1.0, 0.0)]
-        + [(c, _polyval(p, c), curvature) for c, curvature in critical]
+        + [(c, _horner(p, c)[0], curvature) for c, curvature in critical]
         + [(math.inf, p[n], 0.0)]
     )
     roots = []
@@ -328,8 +320,8 @@ def tau_max_exact(probe: ProbeSpec, env: EnvironmentSpec) -> float:
         if 0.0 < x < math.inf:
             extrema.append((x, slope))
     extrema.sort()
-    db = [_polyval(d1, x) for x, _ in extrema]
-    rates = [abs(v) / (2.0 * _polyval(b, x)) for (x, _), v in zip(extrema, db)]
+    db = [_horner(d1, x)[0] for x, _ in extrema]
+    rates = [abs(v) / (2.0 * _horner(b, x)[0]) for (x, _), v in zip(extrema, db)]
 
     knee = None
     for i, (x, slope) in enumerate(extrema):
@@ -351,7 +343,7 @@ def tau_max_approx(probe: ProbeSpec, env: EnvironmentSpec) -> float:
     """Closed-form maximizer of the cubic-term purity approximation."""
     if not env.lam > 0:
         raise ValueError("tau_max requires lam > 0")
-    tau_sq = _square(tau0(probe), "tau0", "s")
+    tau_sq = _power(tau0(probe), 2, "tau0", "s")
     return (3.0 * tau_sq / (2.0 * (1.0 + probe.gamma**2) * env.lam * probe.sigma0**2)) ** (1.0 / 3.0)
 
 

@@ -537,6 +537,28 @@ class TestScalarCommands:
             (["qfi", "--target", "lambda", "--lambda", "1e15", "--t", "1e39"],
              "t=1e+39 overflows the float range: t^8, in the lambda^2 term of phi_lambda, needs t "
              "below ~3.4e+38 s"),
+            # gamma^2 is finite, but Gamma^2 = (2 eps + gamma^2 + 1)^2 is not
+            (["qfi", "--target", "lambda", "--gamma", "1e100", "--lambda", "1e15", "--t", "1us"],
+             "(2eps+gamma^2+1)=1e+200 overflows the float range: (2eps+gamma^2+1)^2, in the "
+             "lambda-free term of phi_lambda, needs (2eps+gamma^2+1) below ~1.3e+154"),
+            # ... which the gain table reaches through its lambda^2 QFI column
+            (["tgi", "--gamma", "1e100", "--lambda", "1e15"],
+             "(2eps+gamma^2+1)=1e+200 overflows the float range: (2eps+gamma^2+1)^2, in the "
+             "lambda-free term of phi_lambda, needs (2eps+gamma^2+1) below ~1.3e+154"),
+            (["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "1e60"],
+             "t=1e+60 overflows the float range: t^6, in the lambda^2 term of phi_gamma, needs t "
+             "below ~2.4e+51 s"),
+            # the oracle's double-double products overflow into a NaN trace, once printed
+            (["qfi", "--target", "gamma", "--gamma", "1e60", "--lambda", "1e15", "--t", "1us"],
+             "adjugate trace is nan beside terms of 2.678e+307: its double-double products leave "
+             "the float range"),
+            (["qfi", "--target", "gamma", "--gamma", "1e100", "--lambda", "1e15", "--t", "1us"],
+             "adjugate trace is nan beside terms of inf: its double-double products leave the "
+             "float range"),
+            # the trace polynomial's float products overflow without raising; both routes printed nan
+            (["qfi", "--target", "gamma", "--gamma", "1e60", "--lambda", "1e15", "--t", "1e30"],
+             "phi_gamma=inf overflows the float range (gamma=1e+60, lambda=1e+15 m^-2 s^-1, "
+             "t=1e+30 s)"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
@@ -545,7 +567,9 @@ class TestScalarCommands:
              "purity-mass-1e-160", "purity-tau0-mass-1e-366", "cfi-tau0-1e-350",
              "qfi-tau0-fourth-underflow", "qfi-tau0-fourth-overflow", "qfi-lambda-mixed-purity-1",
              "qfi-gamma-mixed-purity-1", "qfi-gamma-1e200", "tgi-gamma-1e200", "purity-gamma-minus-1e200",
-             "qfi-lambda-sigma0-eighth", "qfi-lambda-t-eighth"],
+             "qfi-lambda-sigma0-eighth", "qfi-lambda-t-eighth", "qfi-lambda-big-gamma-square",
+             "tgi-big-gamma-square", "qfi-gamma-t-sixth", "qfi-gamma-nan-trace-1e60",
+             "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3

@@ -2,12 +2,13 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import pmcorr as pc
-from pmcorr import fisher
+from pmcorr import fisher, model
 from pmcorr.constants import HBAR
 from pmcorr.fisher import _ADJ_TRACE_RESCALE
 
@@ -128,6 +129,26 @@ class TestQfiAnalytic:
         with pytest.raises(ValueError, match="pure-state limit"):
             pc.qfi_analytic(LAMBDA, probe, env(0.0), 1e-6)
 
+
+    def test_purity_fourth_power_underflow_keeps_the_first_term(self):
+        # purity^4 ~ 3.5e-388 rounds to 0 while the first term, ~6e-195, is a normal
+        # double; it used to come out as 0
+        probe, e, t = FULLERENE.with_gamma(1e100), env(1e15), 1e-6
+        assert pc.purity_exact(probe, e, t) ** 4 == 0.0
+        c = model._purity_bracket_coefficients(
+            probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, e.lam
+        )
+        with mpmath.workdps(30):
+            mu = mpmath.fsum(mpmath.mpf(ck) * mpmath.mpf(t) ** k for k, ck in enumerate(c)) ** -0.5
+            first = mu**4 / (2 * (1 + mu**2)) * _ADJ_TRACE_RESCALE * pc.phi_gamma(probe, e, t)
+        assert_allclose(pc.qfi_analytic(GAMMA, probe, e, t), float(first), rtol=1e-13)
+
+    def test_routes_agree_where_purity_fourth_power_underflows(self):
+        # lambda = 1e105: purity ~ 1e-83, so purity^4 rounds to 0; both routes used to give 0
+        e, t = env(1e105), 1e-6
+        analytic = pc.qfi_analytic(LAMBDA, FULLERENE, e, t)
+        assert analytic >= pc.cfi_closed(LAMBDA, FULLERENE, e, t) > 0.0
+        assert abs(pc.qfi_numeric(LAMBDA, FULLERENE, e, t) - analytic) <= 1e-6 * analytic
 
     @pytest.mark.parametrize("qfi", [pc.qfi_analytic, pc.qfi_numeric])
     @pytest.mark.parametrize("target", [GAMMA, LAMBDA])

@@ -2,6 +2,7 @@
 import ast
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,22 @@ class TestPositionDensityVariance:
                            r"sigma0=1e-100 m\)"):
             call(probe, env(1e15), 1e-6)
 
+    def test_tau0_mass_band_fails_only_where_tau0_mass_divides(self):
+        # tau0*mass ~ 1.6e-324 rounds to 0, but 3 tau0 mass rounds to 5e-324: only
+        # _purity_bracket_dt divides by the former, so only the purity rate fails
+        probe = pc.ProbeSpec(mass=1e-100, sigma0=1.3e-79)
+        e, t = env(1e15), 1e-6
+        args = _bracket_args(probe, e, t)
+        tau = pc.tau0(probe)
+        assert tau * probe.mass == 0.0 < 3.0 * tau * probe.mass
+        assert pc.purity_exact(probe, e, t) == 3.422348660947088e-144
+        assert pc.purity_approx(probe, e, t) == 3.422348660947088e-144
+        assert model._purity_bracket_dgamma(*args) == 4.218287267999999e+69
+        assert model._purity_bracket_dlam(*args) == 8.537908481407391e+271
+        assert model._purity_bracket_terms_dd(*args)[4][0] == 8.537908481407391e+286
+        with pytest.raises(ZeroDivisionError, match=r"^tau0\*mass=0 underflows the float range"):
+            pc.relative_purity_rate(probe, e, t)
+
     def test_width_scaling(self):
         # double sigma0 holding all dimensionless ratios fixed: theta, eps, lam*sigma0^2*tau0
         probe2 = pc.ProbeSpec(
@@ -273,6 +290,21 @@ class TestPositionDensityVariance:
         v1 = pc.position_density_variance(probe1, env(lam1), t1)
         v2 = pc.position_density_variance(probe2, env(lam2), t2)
         assert_allclose(v2, 4 * v1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_power_names_the_float_range_limits(k):
+    # a power overflows just above the limit it names, and rounds to 0 just below its floor
+    limit = sys.float_info.max ** (1 / k)
+    floor = math.ulp(0.0) ** (1 / k) / 2 ** (1 / k)
+    assert math.isfinite(model._power(0.999 * limit, k, "x"))
+    with pytest.raises(OverflowError, match=rf"^x=\S+ overflows the float range: x\^{k} needs x "
+                       rf"below ~{re.escape(f'{limit:.2g}')} s$"):
+        model._power(1.001 * limit, k, "x", "s")
+    assert model._power(1.001 * floor, k, "x", divisor=True) > 0.0
+    with pytest.raises(ZeroDivisionError, match=rf"^x=\S+ underflows the float range: x\^{k}, a "
+                       rf"divisor, needs x above ~{re.escape(f'{floor:.2g}')}$"):
+        model._power(0.999 * floor, k, "x", divisor=True)
 
 
 class TestPearson:

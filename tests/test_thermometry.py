@@ -325,7 +325,7 @@ class TestPositiveRoots:
         roots = positive_roots(p)
         for x in roots:
             terms = sum(abs(c) * x**k for k, c in enumerate(p))
-            assert abs(thermometry._polyval(p, x)) <= 64 * EPS * terms
+            assert abs(thermometry._horner(p, x)[0]) <= 64 * EPS * terms
         knee = pc.tau_max_exact(probe, env) / scale
         assert min(abs(x - knee) for x in roots) <= 4 * EPS * knee
         assert abs(knee - 1.0) < 0.05
