@@ -36,20 +36,33 @@ from .constants import (
 from .fisher import (
     ConvergenceError,
     EstimationTarget,
+    _dbracket_coefficients,
+    _purity_derivative_at,
+    _qfi_analytic_at,
     _qfi_numeric_points,
     cfi_closed,
     cfi_quadrature,
-    purity_derivative,
     qfi_analytic,
     qfi_numeric,
 )
 from .lens import LensSpec, de_broglie, focal_length, gamma_from_curvature, optical_potential, rabi_profile
-from .model import EnvironmentSpec, ProbeSpec, purity_approx, purity_exact, purity_from_covariance, covariance
+from .model import (
+    EnvironmentSpec,
+    ProbeSpec,
+    _bracket_args,
+    _purity_at,
+    _purity_bracket_coefficients,
+    _purity_bracket_dt_coefficients,
+    covariance,
+    purity_approx,
+    purity_exact,
+    purity_from_covariance,
+)
 from .thermometry import (
     TABLE1_REFERENCE,
+    _relative_purity_rate_at,
     build_table1,
     lambda_from_temperature,
-    relative_purity_rate,
     tau_max_approx,
     temperature_from_lambda,
     tgi_approx,
@@ -242,7 +255,7 @@ def _write_svg(path: Path, header: list[str], rows: list[list[float]]) -> None:
 _GAMMA, _LAMBDA = EstimationTarget.GAMMA, EstimationTarget.LAMBDA
 
 _AXIS_COLUMN = {"gamma": "gamma", "lambda": "lambda_per_m2s", "time": "time_s"}
-#: position of each axis kind among a group's (probe, env, t) arguments
+#: position of each axis kind among the (probe, env, t) of a row
 _AXIS_ARG = {"gamma": 0, "lambda": 1, "time": 2}
 
 
@@ -251,21 +264,26 @@ def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) ->
 
     Each axis is a (kind, values) pair, kind "gamma", "lambda" or "time", the
     first axis varying slowest; an axis overrides the fixed `lam` or `t` of its
-    kind.  Each group maps (probe, env, t) to a list of cells and is called
-    once per row, in row order.  Probes and environments are built once per
-    axis value, not once per row.  A row whose groups fail numerically raises
+    kind.  Each group maps (probe, env) to a function of t that returns a list
+    of cells: the group is called once per (probe, env) that a run of rows
+    shares, so what depends on them alone is built once, and its function once
+    per row, in row order.  Probes and environments are built once per axis
+    value, not once per row.  A row whose groups fail numerically raises
     ConvergenceError naming its index and point.
     """
     build = {"gamma": probe.with_gamma, "lambda": lambda v: EnvironmentSpec(lam=v), "time": float}
     levels = [[(kind, v, build[kind](v)) for v in values] for kind, values in axes]
     on_axis = any(kind == "lambda" for kind, _ in axes)
     args = [probe, None if on_axis else EnvironmentSpec(lam=lam), t]
-    rows = []
+    rows, held, evaluators = [], [None, None], []
     for point in itertools.product(*levels):
         for kind, _, arg in point:
             args[_AXIS_ARG[kind]] = arg
         try:
-            cells = [cell for group in groups for cell in group(*args)]
+            if args[0] is not held[0] or args[1] is not held[1]:
+                evaluators = [group(args[0], args[1]) for group in groups]
+                held = args[:2]
+            cells = [cell for at in evaluators for cell in at(args[2])]
         except (ConvergenceError, ArithmeticError) as exc:
             where = ", ".join(f"{_AXIS_COLUMN[kind]}={v!r}" for kind, v, _ in point)
             raise ConvergenceError(f"row {len(rows)} ({where}) failed: {exc}") from exc
@@ -273,29 +291,58 @@ def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) ->
     return rows
 
 
-def _lambda_sq_qfi(probe, env, t):
-    return [env.lam**2 * qfi_analytic(_LAMBDA, probe, env, t)]
+def _analytic(target, qfi: bool = True, cfi: bool = False, slope: bool = False):
+    """Group of analytic columns for `target`, each where asked: its QFI, its
+    position-readout CFI, then the purity and its relative slope
+    |d purity / d target| / purity.
+
+    Lambda's QFI and CFI are scaled by lambda^2, as the figures plot them.  The
+    purity bracket's coefficients are built once per (probe, env).
+    """
+    def at(probe, env):
+        lam_sq = env.lam**2 if target is _LAMBDA else 1.0
+        args = _bracket_args(probe, env)
+        b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
+
+        def cells(t):
+            row = [lam_sq * _qfi_analytic_at(target, probe, env, b, db, t)] if qfi else []
+            if cfi:
+                row.append(lam_sq * cfi_closed(target, probe, env, t))
+            if slope:
+                mu = _purity_at(b, t)
+                row += [mu, abs(_purity_derivative_at(target, b, db, t)) / mu]
+            return row
+
+        return cells
+
+    return at
 
 
-def _purity_slope(target):
-    """Group of purity and its relative slope |d purity / d theta| / purity, from one purity."""
-    def cells(probe, env, t):
-        mu = purity_exact(probe, env, t)
-        return [mu, abs(purity_derivative(target, probe, env, t)) / mu]
+def _purity(probe, env):
+    """Group of the purity."""
+    b = _purity_bracket_coefficients(*_bracket_args(probe, env))
+    return lambda t: [_purity_at(b, t)]
 
-    return cells
+
+def _purity_rate(probe, env):
+    """Group of the relative purity rate (1/purity)|d purity / dt|."""
+    args = _bracket_args(probe, env)
+    dt = _purity_bracket_dt_coefficients(*args)
+    b = _purity_bracket_coefficients(*args)
+    return lambda t: [_relative_purity_rate_at(b, dt, t)]
 
 
 def _per_gamma(gammas, *groups):
     """Group of wide columns: each group in turn, evaluated at each fixed gamma in turn."""
     memo = [None, []]  # the last row probe and its fixed-gamma copies, shared by its rows
 
-    def cells(probe, env, t):
+    def at(probe, env):
         if memo[0] is not probe:
             memo[:] = probe, [probe.with_gamma(g) for g in gammas]
-        return [cell for group in groups for p in memo[1] for cell in group(p, env, t)]
+        evaluators = [group(p, env) for group in groups for p in memo[1]]
+        return lambda t: [cell for cells in evaluators for cell in cells(t)]
 
-    return cells
+    return at
 
 
 def _spaced(start: float, stop: float, num: int, log: bool = False) -> list[float]:
@@ -333,42 +380,37 @@ _FIGE_GAMMAS = (-10.0, 0.0, 5.0)
 _FIGURES = {
     "fig2": [
         (f"fig2{panel}.csv", ["qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
-         [_GAMMA_AXIS], lam, 1e-6,
-         [lambda p, e, t: [qfi_analytic(_GAMMA, p, e, t), cfi_closed(_GAMMA, p, e, t)],
-          _purity_slope(_GAMMA)])
+         [_GAMMA_AXIS], lam, 1e-6, [_analytic(_GAMMA, cfi=True, slope=True)])
         for panel, lam in (("a", 0.0), ("b", 1e20), ("c", 1e22), ("d", 1e23))
     ],
     "fig3": [
         (f"fig3{panel}.csv", ["lambda_sq_qfi", "lambda_sq_cfi", "purity", "rel_purity_slope_gamma"],
          [_GAMMA_AXIS], lam, 50e-6,
-         [_lambda_sq_qfi, lambda p, e, t: [e.lam**2 * cfi_closed(_LAMBDA, p, e, t)],
-          _purity_slope(_GAMMA)])
+         [_analytic(_LAMBDA, cfi=True), _analytic(_GAMMA, qfi=False, slope=True)])
         for panel, lam in (("a", 1e15), ("b", 1e21))
     ],
     "fig4": [
         ("fig4a.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIG4_GAMMAS],
-         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _lambda_sq_qfi)]),
+         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _analytic(_LAMBDA))]),
         ("fig4b.csv", [f"purity_gamma{g:g}" for g in _FIG4_GAMMAS]
          + [f"purity_rate_per_s_gamma{g:g}" for g in _FIG4_GAMMAS],
-         [_FIG4_TIMES], 1e15, None,
-         [_per_gamma(_FIG4_GAMMAS, lambda p, e, t: [purity_exact(p, e, t)],
-                     lambda p, e, t: [relative_purity_rate(p, e, t)])]),
+         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _purity, _purity_rate)]),
     ],
     # fig5 also writes fig5_points.csv from the gain table, see cmd_figures
     "fig5": [("fig5_curve.csv", ["tgi_approx_db"], [_GAMMA_AXIS], None, None,
-              [lambda p, e, t: [tgi_approx(p.gamma)]])],
+              [lambda p, e: lambda t: [tgi_approx(p.gamma)]])],
     "figD": [
         ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
          [_axis("gamma", -150.0, 150.0, 61), _axis("time", -7.0, -4.0, 41, True)],
-         1e22, None,
-         [lambda p, e, t: [qfi_analytic(_GAMMA, p, e, t)], _purity_slope(_GAMMA)]),
+         1e22, None, [_analytic(_GAMMA, slope=True)]),
     ],
     "figE": [
         ("figE.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIGE_GAMMAS]
          + [f"{column}_gamma{g:g}" for g in _FIGE_GAMMAS
             for column in ("purity", "rel_purity_slope_lambda")],
          [_axis("lambda", 13.0, 22.0, 181, True)], None, 50e-6,
-         [_per_gamma(_FIGE_GAMMAS, _lambda_sq_qfi, _purity_slope(_LAMBDA))]),
+         [_per_gamma(_FIGE_GAMMAS, _analytic(_LAMBDA),
+                     _analytic(_LAMBDA, qfi=False, slope=True))]),
     ],
 }
 
@@ -422,21 +464,28 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
             pass
     numeric = iter(numeric)  # _grid calls `cells` once per row, in row order
 
-    def cells(probe, env, t):
-        value = next(numeric)
-        row = [purity_exact(probe, env, t), relative_purity_rate(probe, env, t)]
-        if target is not None:
-            row += [
-                qfi_analytic(target, probe, env, t),
-                qfi_numeric(target, probe, env, t) if value is None else value,
-                cfi_closed(target, probe, env, t),
-            ]
-        if target is _LAMBDA:
-            row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *scenario.gas)]
-        return row
+    def at(probe, env):
+        bracket = _bracket_args(probe, env)  # not `args`, which holds the command line
+        b, dt = _purity_bracket_coefficients(*bracket), _purity_bracket_dt_coefficients(*bracket)
+        db = None if target is None else _dbracket_coefficients(target, bracket)
+
+        def cells(t):
+            value = next(numeric)
+            row = [_purity_at(b, t), _relative_purity_rate_at(b, dt, t)]
+            if target is not None:
+                row += [
+                    _qfi_analytic_at(target, probe, env, b, db, t),
+                    qfi_numeric(target, probe, env, t) if value is None else value,
+                    cfi_closed(target, probe, env, t),
+                ]
+            if target is _LAMBDA:
+                row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *scenario.gas)]
+            return row
+
+        return cells
 
     try:
-        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [cells])
+        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [at])
     except ConvergenceError as exc:  # _grid names the failing row
         print(f"sweep {exc}", file=sys.stderr)
         return 3
@@ -624,21 +673,38 @@ def _add_scenario_flags(sub: argparse.ArgumentParser, with_t: bool = True) -> No
             sub.add_argument(flag, dest=dest, type=parse, help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pmcorr",
-        description="Correlated Gaussian probe metrology: purity, Fisher information, thermometry.",
-    )
-    _add_global_flags(parser)
-    parser.add_argument("--version", action="version", version=f"pmcorr {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, whose arguments are added when it first parses or formats.
 
-    def _sub(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = subs.add_parser(name, help=help_text)
-        _add_global_flags(p, suppress=True)
-        return p
+    `build_parser` registers every command with its help string, so the
+    top-level help lists them all, but only the command that argv names is
+    populated; ``build(parser)`` adds its arguments.
+    """
 
-    sweep = _sub("sweep", "sweep one axis, tabulating purity and Fisher information")
+    def __init__(self, *args, build=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def _populate(self) -> None:
+        build, self._build = self._build, None
+        if build is not None:
+            _add_global_flags(self, suppress=True)
+            build(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._populate()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._populate()
+        return super().format_usage()
+
+    def format_help(self):
+        self._populate()
+        return super().format_help()
+
+
+def _build_sweep(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--target", choices=("gamma", "lambda", "purity"), default="purity")
     sweep.add_argument("--axis", choices=("gamma", "lambda", "time"), required=True)
     sweep.add_argument("--min", type=parse_time, required=True,
@@ -648,27 +714,27 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, required=True)
     sweep.add_argument("--log", action="store_true", help="logarithmic axis spacing")
     _add_scenario_flags(sweep)
-    sweep.set_defaults(func=cmd_sweep)
 
-    table1 = _sub("table1", "information-gain table with reference residuals")
+
+def _build_table1(table1: argparse.ArgumentParser) -> None:
     table1.add_argument("--gammas", type=float, nargs="+")
     _add_scenario_flags(table1, with_t=False)
-    table1.set_defaults(func=cmd_table1)
 
-    convert = _sub("convert", "temperature <-> scattering constant")
+
+def _build_convert(convert: argparse.ArgumentParser) -> None:
     group = convert.add_mutually_exclusive_group(required=True)
     group.add_argument("--to-lambda", type=float, metavar="KELVIN")
     group.add_argument("--to-temp", type=float, metavar="LAMBDA")
     _add_scenario_flags(convert, with_t=False)
-    convert.set_defaults(func=cmd_convert)
 
-    figures = _sub("figures", "write figure-preset CSV data sets")
+
+def _build_figures(figures: argparse.ArgumentParser) -> None:
     figures.add_argument("--preset", choices=tuple(_FIGURES), required=True)
     figures.add_argument("--outdir", default=".")
     _add_scenario_flags(figures)
-    figures.set_defaults(func=cmd_figures)
 
-    lens = _sub("lens", "standing-wave lens calculator")
+
+def _build_lens(lens: argparse.ArgumentParser) -> None:
     lens.add_argument("--omega0", type=float, required=True, help="peak Rabi frequency, rad/s")
     lens.add_argument("--wavelength", type=float, required=True, help="laser wavelength, m")
     lens.add_argument("--detuning", type=float, default=0.0, help="laser detuning, rad/s")
@@ -679,15 +745,38 @@ def build_parser() -> argparse.ArgumentParser:
     lens.add_argument("--curvature-radius", dest="curvature_radius", type=float,
                       help="wavefront curvature radius, m (reports the matching gamma)")
     _add_scenario_flags(lens, with_t=False)
-    lens.set_defaults(func=cmd_lens)
 
-    for name, func in (("purity", cmd_purity), ("qfi", cmd_qfi), ("cfi", cmd_cfi), ("tgi", cmd_tgi)):
-        sub = _sub(name, f"evaluate {name} at one parameter point")
-        if name in ("qfi", "cfi"):
-            sub.add_argument("--target", choices=("gamma", "lambda"), required=True)
-        _add_scenario_flags(sub, with_t=name != "tgi")
-        sub.set_defaults(func=func)
 
+def _build_fisher(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--target", choices=("gamma", "lambda"), required=True)
+    _add_scenario_flags(sub)
+
+
+#: command -> (help, function that adds its arguments, function that runs it)
+_COMMANDS = {
+    "sweep": ("sweep one axis, tabulating purity and Fisher information", _build_sweep, cmd_sweep),
+    "table1": ("information-gain table with reference residuals", _build_table1, cmd_table1),
+    "convert": ("temperature <-> scattering constant", _build_convert, cmd_convert),
+    "figures": ("write figure-preset CSV data sets", _build_figures, cmd_figures),
+    "lens": ("standing-wave lens calculator", _build_lens, cmd_lens),
+    "purity": ("evaluate purity at one parameter point", _add_scenario_flags, cmd_purity),
+    "qfi": ("evaluate qfi at one parameter point", _build_fisher, cmd_qfi),
+    "cfi": ("evaluate cfi at one parameter point", _build_fisher, cmd_cfi),
+    "tgi": ("evaluate tgi at one parameter point",
+            functools.partial(_add_scenario_flags, with_t=False), cmd_tgi),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pmcorr",
+        description="Correlated Gaussian probe metrology: purity, Fisher information, thermometry.",
+    )
+    _add_global_flags(parser)
+    parser.add_argument("--version", action="version", version=f"pmcorr {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, (help_text, build, func) in _COMMANDS.items():
+        subs.add_parser(name, help=help_text, build=build).set_defaults(func=func)
     return parser
 
 

@@ -30,10 +30,15 @@ from .constants import HBAR
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
+    _bracket_args,
     _covariance_terms_dd,
+    _purity_at,
     _purity_bracket,
+    _purity_bracket_coefficients,
     _purity_bracket_dgamma,
+    _purity_bracket_dgamma_coefficients,
     _purity_bracket_dlam,
+    _purity_bracket_dlam_coefficients,
     _purity_bracket_terms_dd,
     _power,
     _SQUARE_LIMIT,
@@ -155,18 +160,30 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     return (c0 + c1 * lam + c2 * _power(lam, 2, "lambda", "m^-2 s^-1")) / (18.0 * tau4)
 
 
+def _dbracket_coefficients(target: EstimationTarget, args: tuple) -> tuple:
+    """Coefficients in t of d(purity bracket)/d(target), from its `model._bracket_args`."""
+    if target is EstimationTarget.GAMMA:
+        return _purity_bracket_dgamma_coefficients(*args)
+    return _purity_bracket_dlam_coefficients(*args)
+
+
+def _purity_derivative_at(target: EstimationTarget, b: tuple, db: tuple, t: float) -> float:
+    """d(purity)/d(theta) at t from the bracket coefficients b and db of its (probe, env)."""
+    if target is EstimationTarget.GAMMA:
+        dbracket = _purity_bracket_dgamma(db, t)
+    else:
+        dbracket = _purity_bracket_dlam(db, t)
+    return -0.5 * dbracket * _purity_bracket(b, t) ** -1.5
+
+
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Analytic d(purity)/d(theta) for theta in {gamma, lam}."""
     target = _as_target(target)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t)
-    bracket = _purity_bracket(*args)
-    if target is EstimationTarget.GAMMA:
-        dbracket = _purity_bracket_dgamma(*args)
-    else:
-        dbracket = _purity_bracket_dlam(*args)
-    return -0.5 * dbracket * bracket**-1.5
+    args = _bracket_args(probe, env)
+    b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
+    return _purity_derivative_at(target, b, db, t)
 
 
 def _second_term(mu: float, dmu: float, pure: bool) -> float:
@@ -186,7 +203,11 @@ def _second_term(mu: float, dmu: float, pure: bool) -> float:
             f"1 - purity^4 rounds to {denom:g} in a mixed state (purity={mu!r}): the term "
             f"2 (dpurity)^2/(1 - purity^4) is lost to rounding (dpurity={dmu:g})"
         )
-    return 2.0 * dmu**2 / denom
+    try:
+        return 2.0 * dmu**2 / denom
+    except OverflowError:
+        _power(abs(dmu), 2, "|dpurity|", where=", in 2 (dpurity)^2/(1 - purity^4),")
+        raise
 
 
 def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -194,10 +215,18 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    mu = purity_exact(probe, env, t)
+    args = _bracket_args(probe, env)
+    b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
+    return _qfi_analytic_at(target, probe, env, b, db, t)
+
+
+def _qfi_analytic_at(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec,
+                     b: tuple, db: tuple, t: float) -> float:
+    """`qfi_analytic` at t from the bracket coefficients b and db of its (probe, env)."""
+    mu = _purity_at(b, t)
     phi = phi_gamma(probe, env, t) if target is EstimationTarget.GAMMA else phi_lambda(probe, env, t)
     pure = env.lam == 0.0 and probe.coherence_ratio_sq == 0.0
-    second = _second_term(mu, purity_derivative(target, probe, env, t), pure)
+    second = _second_term(mu, _purity_derivative_at(target, b, db, t), pure)
     if not phi < math.inf:  # its products overflow to inf, or to NaN in inf - inf, silently
         raise OverflowError(
             f"phi_{target.value}={phi} overflows the float range (gamma={probe.gamma:g}, "
@@ -373,7 +402,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
             raise ConvergenceError(f"derivative failed to converge: relative spread {spread:.3e}")
         # the purity derivative follows from the differenced bracket through
         # the exact map mu = D^(-1/2); CPython rounds the powers
-        bracket = _purity_bracket(m, s0, eps, gi, li, ti)
+        bracket = _purity_bracket(_purity_bracket_coefficients(m, s0, eps, gi, li), ti)
         mu = bracket**-0.5
         dmu = -0.5 * dbracket * bracket**-1.5
         pure = li == 0.0 and eps == 0.0

@@ -257,8 +257,19 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     ]
 
 
+def _bracket_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
+    """(mass, sigma0, eps, gamma, lam), the arguments of the purity bracket's coefficients.
+
+    Each copy of the bracket is a coefficient tuple, which depends on these
+    alone, and an evaluation at t.  A caller that evaluates many t at one
+    (probe, env) builds the tuples once; the public functions build them per
+    call, and both evaluate through the same functions.
+    """
+    return probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam
+
+
 def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
-    """Coefficients of `_purity_bracket` in ascending powers of t."""
+    """Coefficients of `_purity_bracket`, the factors of t^0 to t^4."""
     tau, mass_sq = _bracket_scales(mass, sigma0)
     return (
         1.0 + 2.0 * eps,
@@ -269,38 +280,56 @@ def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     )
 
 
-def _purity_bracket(mass, sigma0, eps, gamma, lam, t):
-    """1/purity^2 as a quartic in t; eps = (sigma0/ell0)^2."""
-    c0, c1, c2, c3, c4 = _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam)
+def _purity_bracket(c, t):
+    """1/purity^2 as a quartic in t, from its `_purity_bracket_coefficients` c."""
+    c0, c1, c2, c3, c4 = c
     return c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
 
 
-def _purity_bracket_dt(mass, sigma0, eps, gamma, lam, t):
+def _purity_bracket_dt_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """Coefficients of `_purity_bracket_dt`, the factors of t^0 to t^3."""
     tau, mass_sq = _bracket_scales(mass, sigma0)
     try:
         return (
-            4.0 * sigma0**2 * lam
-            + (8.0 * gamma * lam * HBAR / mass) * t
-            + (4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass)) * t**2
-            + (16.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq)) * t**3
+            4.0 * sigma0**2 * lam,
+            8.0 * gamma * lam * HBAR / mass,
+            4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass),
+            16.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
         )
     except ZeroDivisionError:  # tau0 mass, unlike 3 tau0 mass, rounds to 0
         raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau * mass, mass, sigma0)) from None
 
 
-def _purity_bracket_dgamma(mass, sigma0, eps, gamma, lam, t):
+def _purity_bracket_dt(c, t):
+    c0, c1, c2, c3 = c
+    return c0 + c1 * t + c2 * t**2 + c3 * t**3
+
+
+def _purity_bracket_dgamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """Coefficients of `_purity_bracket_dgamma`, the factors of t^2 and t^3."""
     tau, _ = _bracket_scales(mass, sigma0)
-    return (4.0 * lam * HBAR / mass) * t**2 + (8.0 * gamma * HBAR * lam / (3.0 * tau * mass)) * t**3
+    return 4.0 * lam * HBAR / mass, 8.0 * gamma * HBAR * lam / (3.0 * tau * mass)
 
 
-def _purity_bracket_dlam(mass, sigma0, eps, gamma, lam, t):
+def _purity_bracket_dgamma(c, t):
+    c2, c3 = c
+    return c2 * t**2 + c3 * t**3
+
+
+def _purity_bracket_dlam_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """Coefficients of `_purity_bracket_dlam`, the factors of t^1 to t^4."""
     tau, mass_sq = _bracket_scales(mass, sigma0)
     return (
-        4.0 * sigma0**2 * t
-        + (4.0 * gamma * HBAR / mass) * t**2
-        + (4.0 * HBAR * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t**3
-        + (8.0 * lam * HBAR**2 / (3.0 * mass_sq)) * t**4
+        4.0 * sigma0**2,
+        4.0 * gamma * HBAR / mass,
+        4.0 * HBAR * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
+        8.0 * lam * HBAR**2 / (3.0 * mass_sq),
     )
+
+
+def _purity_bracket_dlam(c, t):
+    c1, c2, c3, c4 = c
+    return c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
 
 
 def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
@@ -408,9 +437,12 @@ def purity_exact(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Tr[rho^2] of the evolved state; always in (0, 1]."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    return _purity_bracket(
-        probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
-    ) ** -0.5
+    return _purity_at(_purity_bracket_coefficients(*_bracket_args(probe, env)), t)
+
+
+def _purity_at(b, t) -> float:
+    """Purity at t from the `_purity_bracket_coefficients` b of its (probe, env)."""
+    return _purity_bracket(b, t) ** -0.5
 
 
 def purity_approx(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:

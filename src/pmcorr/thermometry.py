@@ -18,9 +18,11 @@ from .fisher import ConvergenceError, EstimationTarget, qfi_analytic
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
+    _bracket_args,
     _purity_bracket,
     _purity_bracket_coefficients,
     _purity_bracket_dt,
+    _purity_bracket_dt_coefficients,
     _power,
     purity_exact,
     tau0,
@@ -119,8 +121,14 @@ def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     """(1/mu)|dmu/dt| in s^-1, from the analytic time derivative."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t)
-    return abs(_purity_bracket_dt(*args)) / (2.0 * _purity_bracket(*args))
+    args = _bracket_args(probe, env)
+    dt = _purity_bracket_dt_coefficients(*args)
+    return _relative_purity_rate_at(_purity_bracket_coefficients(*args), dt, t)
+
+
+def _relative_purity_rate_at(b: tuple, dt: tuple, t: float) -> float:
+    """`relative_purity_rate` at t from the bracket coefficients b and dt of its (probe, env)."""
+    return abs(_purity_bracket_dt(dt, t)) / (2.0 * _purity_bracket(b, t))
 
 
 def _horner(p, x: float) -> tuple[float, float]:
@@ -273,9 +281,7 @@ def _stationarity_polynomial(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
     degree 6; scale is `tau_max_approx`, so the coefficients are of order one.
     """
     scale = tau_max_approx(probe, env)
-    coefficients = _purity_bracket_coefficients(
-        probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam
-    )
+    coefficients = _purity_bracket_coefficients(*_bracket_args(probe, env))
     try:
         b = [c * scale**k for k, c in enumerate(coefficients)]
     except OverflowError:  # scale**4 leaves the float range for lam < ~1e-215

@@ -326,6 +326,15 @@ class TestFigures:
             t95.append(data["time_s"][np.argmax(series >= 0.95 * plateau)])
         assert t95[0] > t95[1] > t95[2]
 
+    def test_time_axis_builds_bracket_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
+        # each coefficient tuple of the purity bracket passes through _bracket_scales once;
+        # fig4 needs five per fixed gamma (B and dB/dlambda, B, B and dB/dt), not five per row
+        calls = []
+        scales = pc.model._bracket_scales
+        monkeypatch.setattr(pc.model, "_bracket_scales", lambda *a: calls.append(a) or scales(*a))
+        assert main(["figures", "--preset", "fig4", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert 0 < len(calls) <= 5 * 3
+
     def test_svg_emission(self, tmp_path):
         assert main(["figures", "--preset", "fig5", "--outdir", str(tmp_path),
                      "--format", "svg", "--quiet"]) == 0
@@ -559,6 +568,10 @@ class TestScalarCommands:
             (["qfi", "--target", "gamma", "--gamma", "1e60", "--lambda", "1e15", "--t", "1e30"],
              "phi_gamma=inf overflows the float range (gamma=1e+60, lambda=1e+15 m^-2 s^-1, "
              "t=1e+30 s)"),
+            # dpurity/dlambda = -7.9e216: its square in the second QFI term once failed bare
+            (["qfi", "--target", "lambda", "--lambda", "0", "--gamma", "1e58", "--t", "1e35"],
+             "|dpurity|=7.88043e+216 overflows the float range: |dpurity|^2, in "
+             "2 (dpurity)^2/(1 - purity^4), needs |dpurity| below ~1.3e+154"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
@@ -569,7 +582,7 @@ class TestScalarCommands:
              "qfi-gamma-mixed-purity-1", "qfi-gamma-1e200", "tgi-gamma-1e200", "purity-gamma-minus-1e200",
              "qfi-lambda-sigma0-eighth", "qfi-lambda-t-eighth", "qfi-lambda-big-gamma-square",
              "tgi-big-gamma-square", "qfi-gamma-t-sixth", "qfi-gamma-nan-trace-1e60",
-             "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf"],
+             "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf", "qfi-lambda-dpurity-square"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3

@@ -25,6 +25,12 @@ def _bracket_args(probe, e, t):
     return probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, e.lam, t
 
 
+def _bracket_copy(name, probe, e, t):
+    """model's bracket copy `name` at (probe, e, t): its coefficients, then its value at t."""
+    coefficients = getattr(model, f"{name}_coefficients")(*_bracket_args(probe, e, t)[:-1])
+    return getattr(model, name)(coefficients, t)
+
+
 def kernel_variance(probe, k, t):
     """Readout variance from the kernel: V = 2 hbar^2 t^2 sigma0^2 b_sq / m^2 (= 1/(4 a1))."""
     return 2.0 * HBAR**2 * t**2 * probe.sigma0**2 * k.b_sq / probe.mass**2
@@ -225,9 +231,9 @@ class TestPositionDensityVariance:
             pc.purity_exact, pc.purity_approx, pc.relative_purity_rate,
             lambda p, e, t: pc.qfi_numeric("gamma", p, e, t),
             lambda p, e, t: pc.qfi_numeric("lambda", p, e, t),
-            lambda p, e, t: model._purity_bracket_dt(*_bracket_args(p, e, t)),
-            lambda p, e, t: model._purity_bracket_dgamma(*_bracket_args(p, e, t)),
-            lambda p, e, t: model._purity_bracket_dlam(*_bracket_args(p, e, t)),
+            lambda p, e, t: _bracket_copy("_purity_bracket_dt", p, e, t),
+            lambda p, e, t: _bracket_copy("_purity_bracket_dgamma", p, e, t),
+            lambda p, e, t: _bracket_copy("_purity_bracket_dlam", p, e, t),
             lambda p, e, t: model._purity_bracket_terms_dd(*_bracket_args(p, e, t)),
         ],
         ids=["purity_exact", "purity_approx", "relative_purity_rate", "qfi_numeric-gamma",
@@ -270,8 +276,8 @@ class TestPositionDensityVariance:
         assert tau * probe.mass == 0.0 < 3.0 * tau * probe.mass
         assert pc.purity_exact(probe, e, t) == 3.422348660947088e-144
         assert pc.purity_approx(probe, e, t) == 3.422348660947088e-144
-        assert model._purity_bracket_dgamma(*args) == 4.218287267999999e+69
-        assert model._purity_bracket_dlam(*args) == 8.537908481407391e+271
+        assert _bracket_copy("_purity_bracket_dgamma", probe, e, t) == 4.218287267999999e+69
+        assert _bracket_copy("_purity_bracket_dlam", probe, e, t) == 8.537908481407391e+271
         assert model._purity_bracket_terms_dd(*args)[4][0] == 8.537908481407391e+286
         with pytest.raises(ZeroDivisionError, match=r"^tau0\*mass=0 underflows the float range"):
             pc.relative_purity_rate(probe, e, t)

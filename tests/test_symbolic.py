@@ -24,6 +24,12 @@ def exact(expr):
     return sp.nsimplify(expr, rational=True)
 
 
+def at(copy):
+    """A bracket copy of `model` as a function of (mass, sigma0, eps, gamma, lam, t)."""
+    coefficients = getattr(model, f"{copy.__name__}_coefficients")
+    return lambda *args: copy(coefficients(*args[:-1]), args[-1])
+
+
 def dd_total(terms):
     return exact(sum(hi + lo for hi, lo in terms))
 
@@ -49,7 +55,7 @@ def test_bracket_has_the_published_form(bracket):
 @pytest.mark.parametrize(
     "copy",
     [
-        model._purity_bracket,
+        at(model._purity_bracket),
         lambda *args: sum(hi + lo for hi, lo in model._purity_bracket_terms_dd(*args)),
     ],
     ids=["_purity_bracket", "_purity_bracket_terms_dd"],
@@ -67,9 +73,9 @@ def test_bracket_coefficients(bracket):
 @pytest.mark.parametrize(
     "copy, variable",
     [
-        (model._purity_bracket_dt, T),
-        (model._purity_bracket_dgamma, G),
-        (model._purity_bracket_dlam, LAM),
+        (at(model._purity_bracket_dt), T),
+        (at(model._purity_bracket_dgamma), G),
+        (at(model._purity_bracket_dlam), LAM),
     ],
     ids=["dt", "dgamma", "dlam"],
 )
