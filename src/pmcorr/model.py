@@ -225,10 +225,10 @@ def _bracket_scales(mass, sigma0) -> tuple:
 
     A mass^2 that leaves the float range or a 3 tau0 mass that rounds to 0
     raises a named ArithmeticError here, so the copies need no wrapper of
-    their own; `_purity_bracket_dt` alone divides by tau0 mass, which rounds
-    to 0 a little above 3 tau0 mass, and names that itself.
+    their own; `_purity_bracket_dt_coefficients` alone divides by tau0 mass,
+    which rounds to 0 a little above 3 tau0 mass, and names that itself.
     """
-    tau = mass * sigma0**2 / HBAR  # `_tau0` and `_power`, inlined: this runs once per point
+    tau = mass * sigma0**2 / HBAR  # `_tau0` and `_power`, inlined: this runs once per copy
     try:
         mass_sq = mass**2
     except OverflowError:
