@@ -21,11 +21,10 @@ from pmcorr import cli
 GOLDEN = Path(__file__).with_name("help_golden.json")
 
 COMMANDS = ("sweep", "table1", "convert", "figures", "lens", "purity", "qfi", "cfi", "tgi")
-#: argv of one usage error per command, plus the top-level ones
-USAGE_ERRORS = (
-    [],
-    ["bogus"],
-    ["purity", "--bogus"],
+#: argv of usage errors that the top-level parser reports
+TOP_LEVEL_ERRORS = ([], ["bogus"], ["purity", "--bogus"])
+#: argv of one usage error per command, which its own parser reports
+USAGE_ERRORS = TOP_LEVEL_ERRORS + (
     ["sweep"],
     ["table1", "--gammas"],
     ["convert"],
@@ -36,7 +35,7 @@ USAGE_ERRORS = (
     ["cfi", "--target", "mu"],
     ["tgi", "--gamma", "x"],
 )
-CASES = [["--help"]] + [[command, "--help"] for command in COMMANDS] + [list(a) for a in USAGE_ERRORS]
+CASES = [["--help"]] + [[command, "--help"] for command in COMMANDS] + list(USAGE_ERRORS)
 
 GLOBAL_FLAGS = ["-h", "--config", "--out", "--format", "--quiet"]
 COMMAND_FLAGS = {
@@ -114,7 +113,7 @@ def test_command_help_lists_global_then_command_then_scenario_flags(command):
 def test_usage_error_exits_2_with_usage(argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
-    prog = "pmcorr" if argv[:1] in ([], ["bogus"]) or "--bogus" in argv else f"pmcorr {argv[0]}"
+    prog = "pmcorr" if argv in TOP_LEVEL_ERRORS else f"pmcorr {argv[0]}"
     assert err.startswith(f"usage: {prog} [-h]")
     assert f"\n{prog}: error: " in err
 
