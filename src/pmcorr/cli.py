@@ -36,7 +36,11 @@ from .constants import (
 from .fisher import (
     ConvergenceError,
     EstimationTarget,
+    _cfi_closed_at,
+    _cfi_coefficients,
     _dbracket_coefficients,
+    _phi_at,
+    _phi_coefficients,
     _purity_derivative_at,
     _qfi_analytic_at,
     _qfi_numeric_points,
@@ -50,6 +54,7 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _bracket_args,
+    _kernel_args,
     _purity_at,
     _purity_bracket_coefficients,
     _purity_bracket_dt_coefficients,
@@ -192,7 +197,8 @@ def _emit_csv(header: list[str], rows: list[list[float]], out: str | None,
               command: str, scenario_dict: dict, started: float,
               svg: bool = False, quiet: bool = False) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    row_format = ",".join(["%.17g"] * len(header))  # each value as `fmt` writes it
+    lines.extend(row_format % tuple(row) for row in rows)
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -297,20 +303,25 @@ def _analytic(target, qfi: bool = True, cfi: bool = False, slope: bool = False):
     |d purity / d target| / purity.
 
     Lambda's QFI and CFI are scaled by lambda^2, as the figures plot them.  The
-    purity bracket's coefficients are built once per (probe, env).
+    coefficients of the purity bracket, of phi and of the CFI are built once
+    per (probe, env), and a row evaluates the purity and its derivative once.
     """
     def at(probe, env):
         lam_sq = env.lam**2 if target is _LAMBDA else 1.0
         args = _bracket_args(probe, env)
         b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
+        phi = _phi_coefficients(target, args) if qfi else None
+        closed = _cfi_coefficients(target, _kernel_args(probe, env)) if cfi else None
 
         def cells(t):
-            row = [lam_sq * _qfi_analytic_at(target, probe, env, b, db, t)] if qfi else []
+            mu = _purity_at(b, t)
+            phi_t = _phi_at(target, phi, t) if qfi else None
+            dmu = _purity_derivative_at(target, b, db, t)
+            row = [lam_sq * _qfi_analytic_at(target, probe, env, t, mu, phi_t, dmu)] if qfi else []
             if cfi:
-                row.append(lam_sq * cfi_closed(target, probe, env, t))
+                row.append(lam_sq * _cfi_closed_at(target, closed, t))
             if slope:
-                mu = _purity_at(b, t)
-                row += [mu, abs(_purity_derivative_at(target, b, db, t)) / mu]
+                row += [mu, abs(dmu) / mu]
             return row
 
         return cells
@@ -467,16 +478,21 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
     def at(probe, env):
         bracket = _bracket_args(probe, env)  # not `args`, which holds the command line
         b, dt = _purity_bracket_coefficients(*bracket), _purity_bracket_dt_coefficients(*bracket)
-        db = None if target is None else _dbracket_coefficients(target, bracket)
+        if target is not None:
+            db, phi = _dbracket_coefficients(target, bracket), _phi_coefficients(target, bracket)
+            closed = _cfi_coefficients(target, _kernel_args(probe, env))
 
         def cells(t):
             value = next(numeric)
-            row = [_purity_at(b, t), _relative_purity_rate_at(b, dt, t)]
+            mu = _purity_at(b, t)
+            row = [mu, _relative_purity_rate_at(b, dt, t)]
             if target is not None:
+                phi_t = _phi_at(target, phi, t)
+                dmu = _purity_derivative_at(target, b, db, t)
                 row += [
-                    _qfi_analytic_at(target, probe, env, b, db, t),
+                    _qfi_analytic_at(target, probe, env, t, mu, phi_t, dmu),
                     qfi_numeric(target, probe, env, t) if value is None else value,
-                    cfi_closed(target, probe, env, t),
+                    _cfi_closed_at(target, closed, t),
                 ]
             if target is _LAMBDA:
                 row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *scenario.gas)]

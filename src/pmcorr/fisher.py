@@ -32,6 +32,9 @@ from .model import (
     ProbeSpec,
     _bracket_args,
     _covariance_terms_dd,
+    _kernel_args,
+    _kernel_b_sq,
+    _kernel_coefficients,
     _purity_at,
     _purity_bracket,
     _purity_bracket_coefficients,
@@ -42,7 +45,7 @@ from .model import (
     _purity_bracket_terms_dd,
     _power,
     _SQUARE_LIMIT,
-    kernel_params,
+    _tau0,
     position_density_variance,
     purity_exact,
     tau0,
@@ -121,16 +124,53 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    s0, g, lam = probe.sigma0, probe.gamma, env.lam
-    eps = probe.coherence_ratio_sq
-    tau = tau0(probe)
+    return _phi_gamma_at(_phi_gamma_coefficients(*_bracket_args(probe, env)), t)
+
+
+def _square_or_none(value):
+    """value**2, or None where it leaves the float range.
+
+    A phi evaluation names such a square where its formula takes it, where
+    the None raises TypeError.  That is after the formula's power of t, so
+    where both overflow, the power of t is the one named.
+    """
+    try:
+        return value**2
+    except OverflowError:
+        return None
+
+
+def _phi_gamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """The parts of `phi_gamma` that depend on (probe, env) alone, from its `model._bracket_args`."""
+    tau = _tau0(mass, sigma0)
     tau4 = _power(tau, 4, "tau0", "s", divisor=True)
+    g_sq = gamma**2
+    return (
+        tau,
+        9.0 * tau4 * (1.0 + 2.0 * eps),
+        12.0 * sigma0**2 * tau**2,
+        2.0 * eps + g_sq + 1.0,
+        3.0 * gamma,
+        32.0 * sigma0**4,
+        g_sq,
+        lam,
+        _square_or_none(lam),
+        72.0 * tau4,
+    )
+
+
+def _phi_gamma_at(c, t):
+    """`phi_gamma` at t from its `_phi_gamma_coefficients` c."""
+    tau, c0, k1, big_gamma, g3, k2, g_sq, lam, lam_sq, denom = c
     t_6 = _power(t, 6, "t", "s", where=", in the lambda^2 term of phi_gamma,")
     r = tau / t
-    c0 = 9.0 * tau4 * (1.0 + 2.0 * eps)
-    c1 = 12.0 * s0**2 * tau**2 * t**3 * ((2.0 * eps + g**2 + 1.0) + 3.0 * g * r + 3.0 * r**2)
-    c2 = 32.0 * s0**4 * t_6 * (g**2 + 3.0 * g * r + (21.0 / 8.0) * r**2)
-    return (c0 + c1 * lam + c2 * _power(lam, 2, "lambda", "m^-2 s^-1")) / (72.0 * tau4)
+    c1 = k1 * t**3 * (big_gamma + g3 * r + 3.0 * r**2)
+    c2 = k2 * t_6 * (g_sq + g3 * r + (21.0 / 8.0) * r**2)
+    try:
+        return (c0 + c1 * lam + c2 * lam_sq) / denom
+    except TypeError:  # lambda^2 is None
+        _power(lam, 2, "lambda", "m^-2 s^-1")
+        raise
 
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -140,24 +180,66 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    s0, g, lam = probe.sigma0, probe.gamma, env.lam
-    eps = probe.coherence_ratio_sq
-    tau = tau0(probe)
+    return _phi_lambda_at(_phi_lambda_coefficients(*_bracket_args(probe, env)), t)
+
+
+def _phi_lambda_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """The parts of `phi_lambda` that depend on (probe, env) alone, from its `model._bracket_args`."""
+    tau = _tau0(mass, sigma0)
     tau4 = _power(tau, 4, "tau0", "s", divisor=True)
-    where = ", in the lambda^2 term of phi_lambda,"
-    s0_8, t_8 = _power(s0, 8, "sigma0", "m", where=where), _power(t, 8, "t", "s", where=where)
-    r = tau / t
-    big_gamma = 2.0 * eps + g**2 + 1.0
-    c0 = 2.0 * s0**4 * t**6 * (
-        _power(big_gamma, 2, "(2eps+gamma^2+1)", where=", in the lambda-free term of phi_lambda,")
-        + 6.0 * g * r * big_gamma
-        + 15.0 * r**2 * ((3.0 / 5.0) * eps + g**2 + 3.0 / 10.0)
-        + 18.0 * g * r**3
-        + 9.0 * r**4
+    s0_8 = _power(sigma0, 8, "sigma0", "m", where=", in the lambda^2 term of phi_lambda,")
+    g_sq = gamma**2
+    big_gamma = 2.0 * eps + g_sq + 1.0
+    return (
+        tau,
+        2.0 * sigma0**4,
+        _square_or_none(big_gamma),
+        6.0 * gamma,
+        big_gamma,
+        (3.0 / 5.0) * eps + g_sq + 3.0 / 10.0,
+        18.0 * gamma,
+        4.0 * sigma0**6,
+        3.0 * gamma,
+        4.0 * s0_8,
+        lam,
+        _square_or_none(lam),
+        18.0 * tau4,
     )
-    c1 = 4.0 * s0**6 * t**7 * (big_gamma + 3.0 * g * r + 3.0 * r**2)
-    c2 = 4.0 * s0_8 * t_8
-    return (c0 + c1 * lam + c2 * _power(lam, 2, "lambda", "m^-2 s^-1")) / (18.0 * tau4)
+
+
+def _phi_lambda_at(c, t):
+    """`phi_lambda` at t from its `_phi_lambda_coefficients` c."""
+    tau, k0, big_gamma_sq, g6, big_gamma, q, g18, k1, g3, k2, lam, lam_sq, denom = c
+    t_8 = _power(t, 8, "t", "s", where=", in the lambda^2 term of phi_lambda,")
+    r = tau / t
+    try:
+        c0 = k0 * t**6 * (
+            big_gamma_sq + g6 * r * big_gamma + 15.0 * r**2 * q + g18 * r**3 + 9.0 * r**4
+        )
+    except TypeError:  # Gamma^2 is None
+        _power(big_gamma, 2, "(2eps+gamma^2+1)", where=", in the lambda-free term of phi_lambda,")
+        raise
+    c1 = k1 * t**7 * (big_gamma + g3 * r + 3.0 * r**2)
+    c2 = k2 * t_8
+    try:
+        return (c0 + c1 * lam + c2 * lam_sq) / denom
+    except TypeError:  # lambda^2 is None
+        _power(lam, 2, "lambda", "m^-2 s^-1")
+        raise
+
+
+def _phi_coefficients(target: EstimationTarget, args: tuple) -> tuple:
+    """Coefficients of phi for the target, from its `model._bracket_args`."""
+    if target is EstimationTarget.GAMMA:
+        return _phi_gamma_coefficients(*args)
+    return _phi_lambda_coefficients(*args)
+
+
+def _phi_at(target: EstimationTarget, c: tuple, t: float) -> float:
+    """phi for the target at t from its `_phi_coefficients` c."""
+    if target is EstimationTarget.GAMMA:
+        return _phi_gamma_at(c, t)
+    return _phi_lambda_at(c, t)
 
 
 def _dbracket_coefficients(target: EstimationTarget, args: tuple) -> tuple:
@@ -217,16 +299,20 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
         raise ValueError(f"t must be positive and finite, got {t}")
     args = _bracket_args(probe, env)
     b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
-    return _qfi_analytic_at(target, probe, env, b, db, t)
-
-
-def _qfi_analytic_at(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec,
-                     b: tuple, db: tuple, t: float) -> float:
-    """`qfi_analytic` at t from the bracket coefficients b and db of its (probe, env)."""
     mu = _purity_at(b, t)
-    phi = phi_gamma(probe, env, t) if target is EstimationTarget.GAMMA else phi_lambda(probe, env, t)
+    phi = _phi_at(target, _phi_coefficients(target, args), t)
+    return _qfi_analytic_at(target, probe, env, t, mu, phi, _purity_derivative_at(target, b, db, t))
+
+
+def _qfi_analytic_at(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec, t: float,
+                     mu: float, phi: float, dmu: float) -> float:
+    """`qfi_analytic` at t from the purity mu, the trace polynomial phi and d(purity)/d(target).
+
+    A caller evaluates mu, phi and dmu in that order, as `qfi_analytic` does,
+    so a row that fails names the same error whichever caller runs it.
+    """
     pure = env.lam == 0.0 and probe.coherence_ratio_sq == 0.0
-    second = _second_term(mu, _purity_derivative_at(target, b, db, t), pure)
+    second = _second_term(mu, dmu, pure)
     if not phi < math.inf:  # its products overflow to inf, or to NaN in inf - inf, silently
         raise OverflowError(
             f"phi_{target.value}={phi} overflows the float range (gamma={probe.gamma:g}, "
@@ -442,17 +528,29 @@ def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> floa
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    s0 = probe.sigma0
-    b_sq = kernel_params(probe, env, t).b_sq
+    return _cfi_closed_at(target, _cfi_coefficients(target, _kernel_args(probe, env)), t)
+
+
+def _cfi_coefficients(target: EstimationTarget, args: tuple) -> tuple:
+    """The parts of `cfi_closed` that depend on (probe, env) alone, from its `model._kernel_args`."""
+    mass, s0, _, gamma, lam = args
+    scale = 8.0 * s0**4 if target is EstimationTarget.GAMMA else 18.0 * s0**4
+    return _kernel_coefficients(*args), mass, gamma / s0**2, scale, lam
+
+
+def _cfi_closed_at(target: EstimationTarget, c: tuple, t: float) -> float:
+    """`cfi_closed` at t from its `_cfi_coefficients` c."""
+    kernel, mass, g_term, scale, lam = c
+    b_sq = _kernel_b_sq(kernel, t)
     try:
         if target is EstimationTarget.GAMMA:
-            return (probe.mass / (HBAR * t) + probe.gamma / s0**2) ** 2 / (8.0 * s0**4 * b_sq**2)
+            return (mass / (HBAR * t) + g_term) ** 2 / (scale * b_sq**2)
         # 1/18 follows from (dV/dlam)^2/(2 V^2) with V = 2 hbar^2 t^2 sigma0^2 B^2 / m^2
-        return t**2 / (18.0 * s0**4 * b_sq**2)
+        return t**2 / (scale * b_sq**2)
     except OverflowError:
         raise OverflowError(
             f"b_sq={b_sq:g} m^-4 overflows the float range when squared "
-            f"(lambda={env.lam:g} m^-2 s^-1, t={t:g} s)"
+            f"(lambda={lam:g} m^-2 s^-1, t={t:g} s)"
         ) from None
 
 

@@ -280,10 +280,31 @@ def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     )
 
 
+def _name_time_power(t, degree: int, where: str) -> None:
+    """Raise the named OverflowError of the first of t**2 .. t**degree to leave the float range.
+
+    The bracket evaluations call it only once a bare t**k has raised, so
+    nothing is added where nothing fails.
+    """
+    for k in range(2, degree + 1):
+        _power(t, k, "t", "s", where=where)
+
+
 def _purity_bracket(c, t):
-    """1/purity^2 as a quartic in t, from its `_purity_bracket_coefficients` c."""
+    """1/purity^2 as a quartic in t, from its `_purity_bracket_coefficients` c.
+
+    Its terms can overflow to inf (or to NaN in inf - inf) without raising;
+    such a bracket raises a named OverflowError instead of giving purity 0.
+    """
     c0, c1, c2, c3, c4 = c
-    return c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
+    try:
+        bracket = c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
+    except OverflowError:
+        _name_time_power(t, 4, ", in the purity bracket 1/purity^2,")
+        raise
+    if bracket < math.inf:
+        return bracket
+    raise OverflowError(f"purity bracket 1/purity^2={bracket} overflows the float range at t={t:g} s")
 
 
 def _purity_bracket_dt_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
@@ -302,7 +323,11 @@ def _purity_bracket_dt_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
 
 def _purity_bracket_dt(c, t):
     c0, c1, c2, c3 = c
-    return c0 + c1 * t + c2 * t**2 + c3 * t**3
+    try:
+        return c0 + c1 * t + c2 * t**2 + c3 * t**3
+    except OverflowError:
+        _name_time_power(t, 3, ", in d(1/purity^2)/dt,")
+        raise
 
 
 def _purity_bracket_dgamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
@@ -313,7 +338,11 @@ def _purity_bracket_dgamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
 
 def _purity_bracket_dgamma(c, t):
     c2, c3 = c
-    return c2 * t**2 + c3 * t**3
+    try:
+        return c2 * t**2 + c3 * t**3
+    except OverflowError:
+        _name_time_power(t, 3, ", in d(1/purity^2)/dgamma,")
+        raise
 
 
 def _purity_bracket_dlam_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
@@ -329,7 +358,11 @@ def _purity_bracket_dlam_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
 
 def _purity_bracket_dlam(c, t):
     c1, c2, c3, c4 = c
-    return c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
+    try:
+        return c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
+    except OverflowError:
+        _name_time_power(t, 4, ", in d(1/purity^2)/dlambda,")
+        raise
 
 
 def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
@@ -391,20 +424,37 @@ def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelPar
             f"kernel undefined at t={t}: t must be positive and finite "
             "(use covariance() for the initial moments)"
         )
-    m, s0, g, lam = probe.mass, probe.sigma0, probe.gamma, env.lam
-    inv_l2 = 0.0 if probe.is_fully_coherent else 1.0 / probe.ell0**2
+    return KernelParams(b_sq=_kernel_b_sq(_kernel_coefficients(*_kernel_args(probe, env)), t))
 
-    b_sq = (
-        1.0 / (4.0 * s0**4)
-        + inv_l2 / (2.0 * s0**2)
-        + (m / (2.0 * HBAR * t) + g / (2.0 * s0**2)) ** 2
-        + lam * t / (3.0 * s0**2)
+
+def _kernel_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
+    """(mass, sigma0, 1/ell0^2, gamma, lam), the arguments of `_kernel_coefficients`."""
+    inv_l2 = 0.0 if probe.is_fully_coherent else 1.0 / probe.ell0**2
+    return probe.mass, probe.sigma0, inv_l2, probe.gamma, env.lam
+
+
+def _kernel_coefficients(mass, sigma0, inv_l2, gamma, lam) -> tuple:
+    """The parts of b_sq that depend on (probe, env) alone, for `_kernel_b_sq`."""
+    return (
+        1.0 / (4.0 * sigma0**4) + inv_l2 / (2.0 * sigma0**2),
+        mass,
+        gamma / (2.0 * sigma0**2),
+        lam,
+        3.0 * sigma0**2,
     )
+
+
+def _kernel_b_sq(c, t):
+    """b_sq at t from the `_kernel_coefficients` c of its (probe, env)."""
+    base, mass, g_term, lam, three_s0_sq = c
+    b_sq = base + (mass / (2.0 * HBAR * t) + g_term) ** 2 + lam * t / three_s0_sq
+    if 0.0 < b_sq < math.inf:
+        return b_sq
     if b_sq == math.inf:
         raise OverflowError(
             f"b_sq overflows the float range (lambda={lam:g} m^-2 s^-1, t={t:g} s)"
         )
-    return KernelParams(b_sq=b_sq)
+    raise ValueError(f"b_sq must be positive, got {b_sq}")  # KernelParams' check, for cfi_closed
 
 
 def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMatrix:

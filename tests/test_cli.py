@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import pmcorr as pc
-from pmcorr.cli import _FIGURES, _spaced, fmt, load_config, main, parse_time
+from pmcorr.cli import _FIGURES, _emit_csv, _spaced, fmt, load_config, main, parse_time
 
 
 def read_csv(path):
@@ -30,6 +32,19 @@ class TestParsing:
 
     def test_fmt_is_deterministic(self):
         assert fmt(1.0 / 3.0) == "0.33333333333333331"
+
+    def test_csv_rows_format_as_fmt(self, capsys):
+        # each row is formatted in one call; the bytes must be fmt's, value by value
+        rng = random.Random(1717)
+        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, sys.float_info.max,
+                   -sys.float_info.max, sys.float_info.min, 1.0 / 3.0]
+        draws = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(10_000)]
+        values = special + draws
+        rows = [values[i:i + 7] for i in range(0, len(values) - 6, 7)]
+        header = [f"c{k}" for k in range(7)]
+        _emit_csv(header, rows, None, "test", {}, 0.0)
+        expected = [",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_load_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -107,6 +122,15 @@ class TestSweep:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_overflowing_purity_bracket_names_the_row(self, capsys):
+        # the bracket's quartic term overflows to inf; the rows printed purity 0 and rate NaN
+        assert main(["sweep", "--axis", "time", "--min", "1e9", "--max", "1e10", "--points", "2",
+                     "--lambda", "1e150"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("sweep row 0 (time_s=1000000000.0) failed: purity bracket "
+                           "1/purity^2=inf overflows the float range at t=1e+09 s\n")
 
     def test_manifest_sidecar(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -334,6 +358,14 @@ class TestFigures:
         monkeypatch.setattr(pc.model, "_bracket_scales", lambda *a: calls.append(a) or scales(*a))
         assert main(["figures", "--preset", "fig4", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert 0 < len(calls) <= 5 * 3
+
+    def test_time_axis_builds_phi_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
+        # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis
+        calls = []
+        build = pc.cli._phi_coefficients
+        monkeypatch.setattr(pc.cli, "_phi_coefficients", lambda *a: calls.append(a) or build(*a))
+        assert main(["figures", "--preset", "figD", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert 0 < len(calls) <= 61
 
     def test_svg_emission(self, tmp_path):
         assert main(["figures", "--preset", "fig5", "--outdir", str(tmp_path),
@@ -572,6 +604,22 @@ class TestScalarCommands:
             (["qfi", "--target", "lambda", "--lambda", "0", "--gamma", "1e58", "--t", "1e35"],
              "|dpurity|=7.88043e+216 overflows the float range: |dpurity|^2, in "
              "2 (dpurity)^2/(1 - purity^4), needs |dpurity| below ~1.3e+154"),
+            # t^k in the purity bracket raised the bare (34, 'Numerical result out of range')
+            (["purity", "--lambda", "1e15", "--t", "1e78"],
+             "t=1e+78 overflows the float range: t^4, in the purity bracket 1/purity^2, needs t "
+             "below ~1.2e+77 s"),
+            (["purity", "--lambda", "1e15", "--t", "1e103"],
+             "t=1e+103 overflows the float range: t^3, in the purity bracket 1/purity^2, needs t "
+             "below ~5.6e+102 s"),
+            (["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "1e78"],
+             "t=1e+78 overflows the float range: t^4, in the purity bracket 1/purity^2, needs t "
+             "below ~1.2e+77 s"),
+            (["qfi", "--target", "lambda", "--lambda", "1e15", "--t", "1e78"],
+             "t=1e+78 overflows the float range: t^4, in the purity bracket 1/purity^2, needs t "
+             "below ~1.2e+77 s"),
+            # the bracket's terms overflow to inf silently; covariance() used to name it
+            (["purity", "--lambda", "1e150", "--t", "1e9"],
+             "purity bracket 1/purity^2=inf overflows the float range at t=1e+09 s"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
@@ -582,7 +630,9 @@ class TestScalarCommands:
              "qfi-gamma-mixed-purity-1", "qfi-gamma-1e200", "tgi-gamma-1e200", "purity-gamma-minus-1e200",
              "qfi-lambda-sigma0-eighth", "qfi-lambda-t-eighth", "qfi-lambda-big-gamma-square",
              "tgi-big-gamma-square", "qfi-gamma-t-sixth", "qfi-gamma-nan-trace-1e60",
-             "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf", "qfi-lambda-dpurity-square"],
+             "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf", "qfi-lambda-dpurity-square",
+             "purity-t-fourth", "purity-t-cube", "qfi-gamma-t-fourth", "qfi-lambda-t-fourth",
+             "purity-bracket-inf"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3

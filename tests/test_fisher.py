@@ -87,6 +87,63 @@ def test_phi_lambda_sq_overflow_named(phi):
         phi(FULLERENE, env(1e200), 1e-6)
 
 
+def _at(function, target):
+    return lambda probe, e, t: function(target, probe, e, t)
+
+
+BRACKET_ROUTES = {
+    "purity_exact": pc.purity_exact,
+    "relative_purity_rate": pc.relative_purity_rate,
+    "purity_derivative-gamma": _at(pc.purity_derivative, GAMMA),
+    "purity_derivative-lambda": _at(pc.purity_derivative, LAMBDA),
+    "qfi_analytic-gamma": _at(pc.qfi_analytic, GAMMA),
+    "qfi_analytic-lambda": _at(pc.qfi_analytic, LAMBDA),
+}
+
+
+@pytest.mark.parametrize(
+    "route,t,message",
+    [
+        ("purity_exact", 1e78, "t^4, in the purity bracket 1/purity^2, needs t below ~1.2e+77 s"),
+        ("purity_exact", 1e103, "t^3, in the purity bracket 1/purity^2, needs t below ~5.6e+102 s"),
+        ("purity_exact", 1e160, "t^2, in the purity bracket 1/purity^2, needs t below ~1.3e+154 s"),
+        ("relative_purity_rate", 1e78,
+         "t^4, in the purity bracket 1/purity^2, needs t below ~1.2e+77 s"),
+        ("relative_purity_rate", 1e103, "t^3, in d(1/purity^2)/dt, needs t below ~5.6e+102 s"),
+        ("purity_derivative-gamma", 1e78,
+         "t^4, in the purity bracket 1/purity^2, needs t below ~1.2e+77 s"),
+        ("purity_derivative-gamma", 1e103,
+         "t^3, in d(1/purity^2)/dgamma, needs t below ~5.6e+102 s"),
+        ("purity_derivative-lambda", 1e78,
+         "t^4, in d(1/purity^2)/dlambda, needs t below ~1.2e+77 s"),
+        ("qfi_analytic-lambda", 1e103,
+         "t^3, in the purity bracket 1/purity^2, needs t below ~5.6e+102 s"),
+    ],
+    ids=["purity-t4", "purity-t3", "purity-t2", "rate-t4", "rate-dt-t3", "dgamma-t4",
+         "dgamma-t3", "dlambda-t4", "qfi-lambda-t3"],
+)
+def test_bracket_time_power_overflow_named(route, t, message):
+    # each evaluation of the bracket or its derivatives names the first t^k to overflow
+    with pytest.raises(OverflowError) as error:
+        BRACKET_ROUTES[route](FULLERENE, env(1e15), t)
+    assert str(error.value) == f"t={t:g} overflows the float range: {message}"
+
+
+@pytest.mark.parametrize("route", list(BRACKET_ROUTES))
+@pytest.mark.parametrize(
+    "gamma,lam,t,bracket",
+    [(0.0, 1e150, 1e9, "inf"), (-1e150, 1e150, 1e10, "nan")],
+    ids=["inf", "inf-minus-inf"],
+)
+def test_overflowing_purity_bracket_named(route, gamma, lam, t, bracket):
+    # the quartic's terms overflow without raising; the purity was 0 and the rate NaN
+    with pytest.raises(OverflowError) as error:
+        BRACKET_ROUTES[route](FULLERENE.with_gamma(gamma), env(lam), t)
+    assert str(error.value) == (
+        f"purity bracket 1/purity^2={bracket} overflows the float range at t={t:g} s"
+    )
+
+
 @pytest.mark.parametrize("phi", [pc.phi_gamma, pc.phi_lambda])
 @pytest.mark.parametrize(
     "mass,sigma0,error,message",

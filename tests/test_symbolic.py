@@ -9,11 +9,16 @@ each copy of B or of its derivatives kept in `model` must equal it after its
 float coefficients are rationalised.  The hand-expanded stationarity
 polynomial P = B''B - B'^2 of `thermometry` is checked on symbolic
 coefficients of a general quartic.
+
+The same covariance S checks the closed forms of `fisher`: 16 phi_theta is
+Tr[(adj S dS/dtheta)^2] for theta in {gamma, lambda}, and `cfi_closed` is the
+Gaussian readout identity (d sxx/dtheta)^2 / (2 sxx^2).  Both are evaluated
+through their coefficient tuples, as the grid evaluates them.
 """
 import pytest
 import sympy as sp
 
-from pmcorr import model, thermometry
+from pmcorr import fisher, model, thermometry
 
 M, S0, EPS, G, LAM, T, HBAR = sp.symbols("m sigma0 epsilon gamma lambda t hbar", positive=True)
 ARGS = (M, S0, EPS, G, LAM, T)
@@ -35,14 +40,21 @@ def dd_total(terms):
 
 
 @pytest.fixture(scope="module")
-def bracket():
-    """B = det of the symbolic covariance, with model.HBAR a symbol for the whole module."""
+def covariance():
+    """(sxx, sxp, spp) of the symbolic covariance, with HBAR a symbol for the whole module."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "HBAR", HBAR)
+        patch.setattr(fisher, "HBAR", HBAR)
         terms = model._covariance_terms_dd(*ARGS)
         assert all(lo == 0 for _, lo in terms)
-        sxx, sxp, spp = dd_total(terms[:5]), dd_total(terms[5:9]), dd_total(terms[9:])
-        yield sp.expand(sxx * spp - sxp**2)
+        yield dd_total(terms[:5]), dd_total(terms[5:9]), dd_total(terms[9:])
+
+
+@pytest.fixture(scope="module")
+def bracket(covariance):
+    """B = det of the symbolic covariance."""
+    sxx, sxp, spp = covariance
+    return sp.expand(sxx * spp - sxp**2)
 
 
 def test_bracket_has_the_published_form(bracket):
@@ -92,3 +104,25 @@ def test_stationarity_coefficients():
     stationarity = sp.expand(sp.diff(quartic, x, 2) * quartic - sp.diff(quartic, x) ** 2)
     assert [sp.expand(c) for c in d1] == [sp.diff(quartic, x).coeff(x, k) for k in range(4)]
     assert [sp.expand(c) for c in p] == [stationarity.coeff(x, k) for k in range(7)]
+
+
+TARGETS = [(fisher.EstimationTarget.GAMMA, G), (fisher.EstimationTarget.LAMBDA, LAM)]
+
+
+@pytest.mark.parametrize("target, variable", TARGETS, ids=["gamma", "lambda"])
+def test_phi_is_the_adjugate_trace(covariance, target, variable):
+    sxx, sxp, spp = covariance
+    s = sp.Matrix([[sxx, sxp], [sxp, spp]])
+    product = s.adjugate() * s.diff(variable)
+    trace = (product * product).trace()
+    phi = fisher._phi_at(target, fisher._phi_coefficients(target, ARGS[:-1]), T)
+    assert sp.cancel(trace - exact(fisher._ADJ_TRACE_RESCALE * phi)) == 0
+
+
+@pytest.mark.parametrize("target, variable", TARGETS, ids=["gamma", "lambda"])
+def test_cfi_closed_is_the_readout_identity(covariance, target, variable):
+    # the readout variance is sigma0^2 sxx / 2, and 1/ell0^2 = eps/sigma0^2
+    sxx = covariance[0]
+    args = (M, S0, EPS / S0**2, G, LAM)
+    closed = fisher._cfi_closed_at(target, fisher._cfi_coefficients(target, args), T)
+    assert sp.cancel(exact(closed) - sp.diff(sxx, variable) ** 2 / (2 * sxx**2)) == 0
