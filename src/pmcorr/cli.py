@@ -36,13 +36,9 @@ from .constants import (
 from .fisher import (
     ConvergenceError,
     EstimationTarget,
+    _analytic_curve,
     _cfi_closed_at,
     _cfi_coefficients,
-    _dbracket_coefficients,
-    _phi_at,
-    _phi_coefficients,
-    _purity_derivative_at,
-    _qfi_analytic_at,
     _qfi_numeric_points,
     cfi_closed,
     cfi_quadrature,
@@ -55,8 +51,9 @@ from .model import (
     ProbeSpec,
     _bracket_args,
     _kernel_args,
-    _purity_at,
+    _purity_bracket,
     _purity_bracket_coefficients,
+    _purity_bracket_dt,
     _purity_bracket_dt_coefficients,
     covariance,
     purity_approx,
@@ -65,7 +62,7 @@ from .model import (
 )
 from .thermometry import (
     TABLE1_REFERENCE,
-    _relative_purity_rate_at,
+    _relative_purity_rate,
     build_table1,
     lambda_from_temperature,
     tau_max_approx,
@@ -303,21 +300,17 @@ def _analytic(target, qfi: bool = True, cfi: bool = False, slope: bool = False):
     |d purity / d target| / purity.
 
     Lambda's QFI and CFI are scaled by lambda^2, as the figures plot them.  The
-    coefficients of the purity bracket, of phi and of the CFI are built once
-    per (probe, env), and a row evaluates the purity and its derivative once.
+    purity, its derivative and the QFI come from `fisher._analytic_curve`, and
+    the CFI's coefficients are built beside it, once per (probe, env).
     """
     def at(probe, env):
         lam_sq = env.lam**2 if target is _LAMBDA else 1.0
-        args = _bracket_args(probe, env)
-        b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
-        phi = _phi_coefficients(target, args) if qfi else None
+        curve = _analytic_curve(target, probe, env, qfi)
         closed = _cfi_coefficients(target, _kernel_args(probe, env)) if cfi else None
 
         def cells(t):
-            mu = _purity_at(b, t)
-            phi_t = _phi_at(target, phi, t) if qfi else None
-            dmu = _purity_derivative_at(target, b, db, t)
-            row = [lam_sq * _qfi_analytic_at(target, probe, env, t, mu, phi_t, dmu)] if qfi else []
+            _, mu, dmu, value = curve(t)
+            row = [lam_sq * value] if qfi else []
             if cfi:
                 row.append(lam_sq * _cfi_closed_at(target, closed, t))
             if slope:
@@ -332,7 +325,7 @@ def _analytic(target, qfi: bool = True, cfi: bool = False, slope: bool = False):
 def _purity(probe, env):
     """Group of the purity."""
     b = _purity_bracket_coefficients(*_bracket_args(probe, env))
-    return lambda t: [_purity_at(b, t)]
+    return lambda t: [_purity_bracket(b, t) ** -0.5]
 
 
 def _purity_rate(probe, env):
@@ -340,7 +333,7 @@ def _purity_rate(probe, env):
     args = _bracket_args(probe, env)
     dt = _purity_bracket_dt_coefficients(*args)
     b = _purity_bracket_coefficients(*args)
-    return lambda t: [_relative_purity_rate_at(b, dt, t)]
+    return lambda t: [_relative_purity_rate(_purity_bracket_dt(dt, t), _purity_bracket(b, t))]
 
 
 def _per_gamma(gammas, *groups):
@@ -476,26 +469,29 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
     numeric = iter(numeric)  # _grid calls `cells` once per row, in row order
 
     def at(probe, env):
-        bracket = _bracket_args(probe, env)  # not `args`, which holds the command line
-        b, dt = _purity_bracket_coefficients(*bracket), _purity_bracket_dt_coefficients(*bracket)
-        if target is not None:
-            db, phi = _dbracket_coefficients(target, bracket), _phi_coefficients(target, bracket)
+        bracket_args = _bracket_args(probe, env)  # not `args`, which holds the command line
+        dt = _purity_bracket_dt_coefficients(*bracket_args)
+        if target is None:
+            b = _purity_bracket_coefficients(*bracket_args)
+        else:
+            curve = _analytic_curve(target, probe, env)
             closed = _cfi_coefficients(target, _kernel_args(probe, env))
 
         def cells(t):
             value = next(numeric)
-            mu = _purity_at(b, t)
-            row = [mu, _relative_purity_rate_at(b, dt, t)]
-            if target is not None:
-                phi_t = _phi_at(target, phi, t)
-                dmu = _purity_derivative_at(target, b, db, t)
-                row += [
-                    _qfi_analytic_at(target, probe, env, t, mu, phi_t, dmu),
-                    qfi_numeric(target, probe, env, t) if value is None else value,
-                    _cfi_closed_at(target, closed, t),
-                ]
+            if target is None:
+                bracket = _purity_bracket(b, t)
+                return [bracket**-0.5, _relative_purity_rate(_purity_bracket_dt(dt, t), bracket)]
+            # the rate cannot fail once its bracket B = 1/purity^2, which takes every
+            # power of t that dB/dt takes, is a finite positive number
+            bracket, mu, _, analytic = curve(t)
+            row = [
+                mu, _relative_purity_rate(_purity_bracket_dt(dt, t), bracket), analytic,
+                qfi_numeric(target, probe, env, t) if value is None else value,
+                _cfi_closed_at(target, closed, t),
+            ]
             if target is _LAMBDA:
-                row += [env.lam**2 * row[2], temperature_from_lambda(env.lam, *scenario.gas)]
+                row += [env.lam**2 * analytic, temperature_from_lambda(env.lam, *scenario.gas)]
             return row
 
         return cells

@@ -35,7 +35,6 @@ from .model import (
     _kernel_args,
     _kernel_b_sq,
     _kernel_coefficients,
-    _purity_at,
     _purity_bracket,
     _purity_bracket_coefficients,
     _purity_bracket_dgamma,
@@ -164,7 +163,11 @@ def _phi_gamma_at(c, t):
     tau, c0, k1, big_gamma, g3, k2, g_sq, lam, lam_sq, denom = c
     t_6 = _power(t, 6, "t", "s", where=", in the lambda^2 term of phi_gamma,")
     r = tau / t
-    c1 = k1 * t**3 * (big_gamma + g3 * r + 3.0 * r**2)
+    try:
+        c1 = k1 * t**3 * (big_gamma + g3 * r + 3.0 * r**2)
+    except OverflowError:  # a short t
+        _power(r, 2, "(tau0/t)", where=", in phi_gamma,")
+        raise
     c2 = k2 * t_6 * (g_sq + g3 * r + (21.0 / 8.0) * r**2)
     try:
         return (c0 + c1 * lam + c2 * lam_sq) / denom
@@ -219,6 +222,10 @@ def _phi_lambda_at(c, t):
     except TypeError:  # Gamma^2 is None
         _power(big_gamma, 2, "(2eps+gamma^2+1)", where=", in the lambda-free term of phi_lambda,")
         raise
+    except OverflowError:  # a short t
+        for k in (2, 3, 4):
+            _power(r, k, "(tau0/t)", where=", in phi_lambda,")
+        raise
     c1 = k1 * t**7 * (big_gamma + g3 * r + 3.0 * r**2)
     c2 = k2 * t_8
     try:
@@ -228,34 +235,9 @@ def _phi_lambda_at(c, t):
         raise
 
 
-def _phi_coefficients(target: EstimationTarget, args: tuple) -> tuple:
-    """Coefficients of phi for the target, from its `model._bracket_args`."""
-    if target is EstimationTarget.GAMMA:
-        return _phi_gamma_coefficients(*args)
-    return _phi_lambda_coefficients(*args)
-
-
-def _phi_at(target: EstimationTarget, c: tuple, t: float) -> float:
-    """phi for the target at t from its `_phi_coefficients` c."""
-    if target is EstimationTarget.GAMMA:
-        return _phi_gamma_at(c, t)
-    return _phi_lambda_at(c, t)
-
-
-def _dbracket_coefficients(target: EstimationTarget, args: tuple) -> tuple:
-    """Coefficients in t of d(purity bracket)/d(target), from its `model._bracket_args`."""
-    if target is EstimationTarget.GAMMA:
-        return _purity_bracket_dgamma_coefficients(*args)
-    return _purity_bracket_dlam_coefficients(*args)
-
-
-def _purity_derivative_at(target: EstimationTarget, b: tuple, db: tuple, t: float) -> float:
-    """d(purity)/d(theta) at t from the bracket coefficients b and db of its (probe, env)."""
-    if target is EstimationTarget.GAMMA:
-        dbracket = _purity_bracket_dgamma(db, t)
-    else:
-        dbracket = _purity_bracket_dlam(db, t)
-    return -0.5 * dbracket * _purity_bracket(b, t) ** -1.5
+def _purity_derivative(dbracket: float, bracket: float) -> float:
+    """d(purity)/d(theta) from d(bracket)/d(theta) and the bracket, purity = bracket^(-1/2)."""
+    return -0.5 * dbracket * bracket**-1.5
 
 
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
@@ -264,8 +246,12 @@ def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) 
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
     args = _bracket_args(probe, env)
-    b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
-    return _purity_derivative_at(target, b, db, t)
+    b = _purity_bracket_coefficients(*args)
+    if target is EstimationTarget.GAMMA:
+        dbracket = _purity_bracket_dgamma(_purity_bracket_dgamma_coefficients(*args), t)
+    else:
+        dbracket = _purity_bracket_dlam(_purity_bracket_dlam_coefficients(*args), t)
+    return _purity_derivative(dbracket, _purity_bracket(b, t))
 
 
 def _second_term(mu: float, dmu: float, pure: bool) -> float:
@@ -297,31 +283,48 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    args = _bracket_args(probe, env)
-    b, db = _purity_bracket_coefficients(*args), _dbracket_coefficients(target, args)
-    mu = _purity_at(b, t)
-    phi = _phi_at(target, _phi_coefficients(target, args), t)
-    return _qfi_analytic_at(target, probe, env, t, mu, phi, _purity_derivative_at(target, b, db, t))
+    return _analytic_curve(target, probe, env)(t)[3]
 
 
-def _qfi_analytic_at(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec, t: float,
-                     mu: float, phi: float, dmu: float) -> float:
-    """`qfi_analytic` at t from the purity mu, the trace polynomial phi and d(purity)/d(target).
+def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec,
+                    qfi: bool = True):
+    """The function t -> (bracket, purity, d(purity)/d(target), QFI or None) at one (probe, env).
 
-    A caller evaluates mu, phi and dmu in that order, as `qfi_analytic` does,
-    so a row that fails names the same error whichever caller runs it.
+    The coefficient tuples of the purity bracket, of its target derivative and,
+    where `qfi` is set, of phi are built here, once.  Each t evaluates the
+    bracket once, then phi, then the derivative, then the QFI's second term and
+    phi's range check, so `qfi_analytic` and a grid row that fail name the
+    same error.
     """
+    args = _bracket_args(probe, env)
+    b = _purity_bracket_coefficients(*args)
+    if target is EstimationTarget.GAMMA:
+        dbracket, db = _purity_bracket_dgamma, _purity_bracket_dgamma_coefficients(*args)
+        phi_at, phi = _phi_gamma_at, (_phi_gamma_coefficients(*args) if qfi else None)
+    else:
+        dbracket, db = _purity_bracket_dlam, _purity_bracket_dlam_coefficients(*args)
+        phi_at, phi = _phi_lambda_at, (_phi_lambda_coefficients(*args) if qfi else None)
     pure = env.lam == 0.0 and probe.coherence_ratio_sq == 0.0
-    second = _second_term(mu, dmu, pure)
-    if not phi < math.inf:  # its products overflow to inf, or to NaN in inf - inf, silently
-        raise OverflowError(
-            f"phi_{target.value}={phi} overflows the float range (gamma={probe.gamma:g}, "
-            f"lambda={env.lam:g} m^-2 s^-1, t={t:g} s)"
-        )
-    mu4 = mu**4
-    if mu4 < sys.float_info.min:  # mu^4 underflows: fold mu^2 into phi so the term keeps its digits
-        mu4, phi = mu**2, mu**2 * phi
-    return mu4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi + second
+
+    def curve(t):
+        bracket = _purity_bracket(b, t)
+        mu = bracket**-0.5
+        phi_t = phi_at(phi, t) if qfi else None
+        dmu = _purity_derivative(dbracket(db, t), bracket)
+        if not qfi:
+            return bracket, mu, dmu, None
+        second = _second_term(mu, dmu, pure)
+        if not phi_t < math.inf:  # its products overflow to inf, or to NaN in inf - inf, silently
+            raise OverflowError(
+                f"phi_{target.value}={phi_t} overflows the float range (gamma={probe.gamma:g}, "
+                f"lambda={env.lam:g} m^-2 s^-1, t={t:g} s)"
+            )
+        mu4 = mu**4
+        if mu4 < sys.float_info.min:  # mu^4 underflows: fold mu^2 into phi, keeping its digits
+            mu4, phi_t = mu**2, mu**2 * phi_t
+        return bracket, mu, dmu, mu4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi_t + second
+
+    return curve
 
 
 #: stencil components: model._covariance_terms_dd (sxx [:5], sxp [5:9],

@@ -242,18 +242,25 @@ def _bracket_scales(mass, sigma0) -> tuple:
 def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
     tau, mass_sq = _bracket_scales(mass, sigma0)
+    try:
+        t2, t3, t4 = _cpow(t, 2), _cpow(t, 3), _cpow(t, 4)
+    except OverflowError:
+        # along an axis t is an array, whose powers here raise nothing: the bare
+        # error stands, and the sweep reruns its rows one point at a time
+        _name_time_power(t, 4, ", in the purity bracket 1/purity^2,")
+        raise
     g_dd = _dd.dd(gamma)
     lam_dd = _dd.dd(lam)
     return [
         _dd.dd(1.0 + 2.0 * eps),
         _dd.dd_mul_d(lam_dd, 4.0 * sigma0**2 * t),
-        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * _cpow(t, 2)),
+        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * t2),
         _dd.dd_mul_d(
             _dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd),
-            (4.0 * HBAR / (3.0 * tau * mass)) * _cpow(t, 3),
+            (4.0 * HBAR / (3.0 * tau * mass)) * t3,
         ),
-        _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * _cpow(t, 3)),
-        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass_sq)) * _cpow(t, 4)),
+        _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t3),
+        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass_sq)) * t4),
     ]
 
 
@@ -447,7 +454,12 @@ def _kernel_coefficients(mass, sigma0, inv_l2, gamma, lam) -> tuple:
 def _kernel_b_sq(c, t):
     """b_sq at t from the `_kernel_coefficients` c of its (probe, env)."""
     base, mass, g_term, lam, three_s0_sq = c
-    b_sq = base + (mass / (2.0 * HBAR * t) + g_term) ** 2 + lam * t / three_s0_sq
+    try:
+        b_sq = base + (mass / (2.0 * HBAR * t) + g_term) ** 2 + lam * t / three_s0_sq
+    except OverflowError:  # a short t
+        _power(mass / (2.0 * HBAR * t) + g_term, 2, "(m/(2 hbar t) + gamma/(2 sigma0^2))", "m^-2",
+               where=", in b_sq,")
+        raise
     if 0.0 < b_sq < math.inf:
         return b_sq
     if b_sq == math.inf:
@@ -487,12 +499,7 @@ def purity_exact(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Tr[rho^2] of the evolved state; always in (0, 1]."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    return _purity_at(_purity_bracket_coefficients(*_bracket_args(probe, env)), t)
-
-
-def _purity_at(b, t) -> float:
-    """Purity at t from the `_purity_bracket_coefficients` b of its (probe, env)."""
-    return _purity_bracket(b, t) ** -0.5
+    return _purity_bracket(_purity_bracket_coefficients(*_bracket_args(probe, env)), t) ** -0.5
 
 
 def purity_approx(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:

@@ -123,12 +123,13 @@ def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
         raise ValueError(f"t must be positive and finite, got {t}")
     args = _bracket_args(probe, env)
     dt = _purity_bracket_dt_coefficients(*args)
-    return _relative_purity_rate_at(_purity_bracket_coefficients(*args), dt, t)
+    b = _purity_bracket_coefficients(*args)
+    return _relative_purity_rate(_purity_bracket_dt(dt, t), _purity_bracket(b, t))
 
 
-def _relative_purity_rate_at(b: tuple, dt: tuple, t: float) -> float:
-    """`relative_purity_rate` at t from the bracket coefficients b and dt of its (probe, env)."""
-    return abs(_purity_bracket_dt(dt, t)) / (2.0 * _purity_bracket(b, t))
+def _relative_purity_rate(dbracket_dt: float, bracket: float) -> float:
+    """(1/mu)|dmu/dt| from d(purity bracket)/dt and the bracket, mu = bracket^(-1/2)."""
+    return abs(dbracket_dt) / (2.0 * bracket)
 
 
 def _horner(p, x: float) -> tuple[float, float]:

@@ -104,6 +104,14 @@ class TestParsing:
         assert by_flag == by_key
 
 
+def count_brackets(monkeypatch) -> list:
+    """The calls to `model._purity_bracket` from every module that imports it, as they run."""
+    calls, bracket = [], pc.model._purity_bracket
+    for module in (pc.model, pc.fisher, pc.thermometry, pc.cli):
+        monkeypatch.setattr(module, "_purity_bracket", lambda *a: calls.append(a) or bracket(*a))
+    return calls
+
+
 class TestSweep:
     def test_row_count_and_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -131,6 +139,38 @@ class TestSweep:
         assert out.out == ""
         assert out.err == ("sweep row 0 (time_s=1000000000.0) failed: purity bracket "
                            "1/purity^2=inf overflows the float range at t=1e+09 s\n")
+
+    def test_short_time_row_names_its_overflow(self, capsys):
+        # (tau0/t)^2 in phi_gamma raised the bare (34, 'Numerical result out of range')
+        assert main(["sweep", "--target", "gamma", "--axis", "time", "--log", "--min", "1e-200",
+                     "--max", "1e-190", "--points", "2", "--lambda", "1e15"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("sweep row 0 (time_s=1e-200) failed: (tau0/t)=6.923e+193 overflows "
+                           "the float range: (tau0/t)^2, in phi_gamma, needs (tau0/t) below "
+                           "~1.3e+154\n")
+
+    @pytest.mark.parametrize("target", ["gamma", "lambda"])
+    def test_time_axis_evaluates_the_bracket_once_per_row(self, target, monkeypatch):
+        # outside the Richardson oracle a row's purity, rate and analytic QFI share one
+        # bracket value, and each coefficient tuple is built once for the whole axis
+        calls, scales = count_brackets(monkeypatch), []
+        bracket_scales = pc.model._bracket_scales
+        monkeypatch.setattr(pc.model, "_bracket_scales",
+                            lambda *a: scales.append(a) or bracket_scales(*a))
+        oracle = pc.cli._qfi_numeric_points
+
+        def uncounted(*args):
+            start, start_scales = len(calls), len(scales)
+            values = oracle(*args)
+            del calls[start:], scales[start_scales:]
+            return values
+
+        monkeypatch.setattr(pc.cli, "_qfi_numeric_points", uncounted)
+        assert main(["sweep", "--axis", "time", "--min", "1us", "--max", "1ms", "--points", "7",
+                     "--log", "--lambda", "1e15", "--gamma", "3", "--target", target]) == 0
+        assert len(calls) == 7
+        assert len(scales) == 3  # the bracket, dB/dt and dB/d(target)
 
     def test_manifest_sidecar(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -362,10 +402,17 @@ class TestFigures:
     def test_time_axis_builds_phi_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
         # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis
         calls = []
-        build = pc.cli._phi_coefficients
-        monkeypatch.setattr(pc.cli, "_phi_coefficients", lambda *a: calls.append(a) or build(*a))
+        build = pc.fisher._phi_gamma_coefficients
+        monkeypatch.setattr(pc.fisher, "_phi_gamma_coefficients",
+                            lambda *a: calls.append(a) or build(*a))
         assert main(["figures", "--preset", "figD", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert 0 < len(calls) <= 61
+
+    def test_figD_evaluates_the_purity_bracket_once_per_row(self, tmp_path, monkeypatch):
+        # a row's QFI, purity and slope share one bracket value: 2,501 rows, 2,501 evaluations
+        calls = count_brackets(monkeypatch)
+        assert main(["figures", "--preset", "figD", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 61 * 41 == 2501
 
     def test_svg_emission(self, tmp_path):
         assert main(["figures", "--preset", "fig5", "--outdir", str(tmp_path),
@@ -620,6 +667,13 @@ class TestScalarCommands:
             # the bracket's terms overflow to inf silently; covariance() used to name it
             (["purity", "--lambda", "1e150", "--t", "1e9"],
              "purity bracket 1/purity^2=inf overflows the float range at t=1e+09 s"),
+            # (tau0/t)^2 in phi raised the bare (34, 'Numerical result out of range')
+            (["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "1e-200"],
+             "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in phi_gamma, needs "
+             "(tau0/t) below ~1.3e+154"),
+            (["qfi", "--target", "lambda", "--lambda", "1e15", "--t", "1e-200"],
+             "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in phi_lambda, needs "
+             "(tau0/t) below ~1.3e+154"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
@@ -632,7 +686,7 @@ class TestScalarCommands:
              "tgi-big-gamma-square", "qfi-gamma-t-sixth", "qfi-gamma-nan-trace-1e60",
              "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf", "qfi-lambda-dpurity-square",
              "purity-t-fourth", "purity-t-cube", "qfi-gamma-t-fourth", "qfi-lambda-t-fourth",
-             "purity-bracket-inf"],
+             "purity-bracket-inf", "qfi-gamma-short-t", "qfi-lambda-short-t"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3

@@ -87,6 +87,65 @@ def test_phi_lambda_sq_overflow_named(phi):
         phi(FULLERENE, env(1e200), 1e-6)
 
 
+@pytest.mark.parametrize(
+    "call,t,message",
+    [
+        (pc.phi_gamma, 1e-200, "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in "
+         "phi_gamma, needs (tau0/t) below ~1.3e+154"),
+        (pc.phi_lambda, 1e-200, "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in "
+         "phi_lambda, needs (tau0/t) below ~1.3e+154"),
+        (pc.phi_lambda, 1e-100, "(tau0/t)=6.923e+93 overflows the float range: (tau0/t)^4, in "
+         "phi_lambda, needs (tau0/t) below ~1.2e+77"),
+        (lambda p, e, t: pc.qfi_analytic(GAMMA, p, e, t), 1e-200,
+         "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in phi_gamma, needs "
+         "(tau0/t) below ~1.3e+154"),
+        (lambda p, e, t: pc.qfi_analytic(LAMBDA, p, e, t), 1e-100,
+         "(tau0/t)=6.923e+93 overflows the float range: (tau0/t)^4, in phi_lambda, needs "
+         "(tau0/t) below ~1.2e+77"),
+        (lambda p, e, t: pc.cfi_closed(GAMMA, p, e, t), 1e-200,
+         "(m/(2 hbar t) + gamma/(2 sigma0^2))=5.68951e+209 overflows the float range: "
+         "(m/(2 hbar t) + gamma/(2 sigma0^2))^2, in b_sq, needs "
+         "(m/(2 hbar t) + gamma/(2 sigma0^2)) below ~1.3e+154 m^-2"),
+        (lambda p, e, t: pc.cfi_closed(LAMBDA, p, e, t), 1e-200,
+         "(m/(2 hbar t) + gamma/(2 sigma0^2))=5.68951e+209 overflows the float range: "
+         "(m/(2 hbar t) + gamma/(2 sigma0^2))^2, in b_sq, needs "
+         "(m/(2 hbar t) + gamma/(2 sigma0^2)) below ~1.3e+154 m^-2"),
+    ],
+    ids=["phi_gamma", "phi_lambda-t2", "phi_lambda-t4", "qfi_analytic-gamma",
+         "qfi_analytic-lambda", "cfi_closed-gamma", "cfi_closed-lambda"],
+)
+def test_short_time_overflow_named(call, t, message):
+    # tau0/t and m/(2 hbar t) grow without bound as t -> 0; their powers raised bare
+    with pytest.raises(OverflowError) as error:
+        call(FULLERENE, env(1e15), t)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize(
+    "target,t,message",
+    [
+        (GAMMA, 1e78, "t^4, in the purity bracket 1/purity^2, needs t below ~1.2e+77 s"),
+        (LAMBDA, 1e103, "t^3, in the purity bracket 1/purity^2, needs t below ~5.6e+102 s"),
+        (GAMMA, 1e160, "t^2, in the purity bracket 1/purity^2, needs t below ~1.3e+154 s"),
+    ],
+    ids=["gamma-t4", "lambda-t3", "gamma-t2"],
+)
+def test_qfi_numeric_time_power_overflow_named(target, t, message):
+    # the oracle's own double-double bracket names the first t^k to overflow, as the
+    # closed forms do
+    with pytest.raises(OverflowError) as error:
+        pc.qfi_numeric(target, FULLERENE, env(1e15), t)
+    assert str(error.value) == f"t={t:g} overflows the float range: {message}"
+
+
+def test_qfi_numeric_time_power_overflow_along_an_axis():
+    # along an axis the error stays an ArithmeticError, so a sweep reruns its rows one by
+    # one, and no message formats the array
+    with pytest.raises(ArithmeticError) as error:
+        fisher._qfi_numeric_points(GAMMA, FULLERENE, 0.0, 1e15, [1e-6, 1e78])
+    assert "[" not in str(error.value)
+
+
 def _at(function, target):
     return lambda probe, e, t: function(target, probe, e, t)
 

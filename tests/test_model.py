@@ -113,6 +113,16 @@ class TestKernelParams:
         with pytest.raises(ValueError, match="kernel undefined"):
             pc.kernel_params(FULLERENE, env(1e15), t)
 
+    def test_short_time_overflow_named(self):
+        # m/(2 hbar t) ~ 5.7e209 at t = 1e-200 s: its square raised bare
+        with pytest.raises(OverflowError) as error:
+            pc.kernel_params(FULLERENE, env(1e15), 1e-200)
+        assert str(error.value) == (
+            "(m/(2 hbar t) + gamma/(2 sigma0^2))=5.68951e+209 overflows the float range: "
+            "(m/(2 hbar t) + gamma/(2 sigma0^2))^2, in b_sq, needs "
+            "(m/(2 hbar t) + gamma/(2 sigma0^2)) below ~1.3e+154 m^-2"
+        )
+
 
 @pytest.mark.parametrize(
     "func", [pc.purity_exact, pc.purity_approx, pc.covariance, pc.kernel_params]

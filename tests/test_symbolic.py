@@ -13,7 +13,10 @@ coefficients of a general quartic.
 The same covariance S checks the closed forms of `fisher`: 16 phi_theta is
 Tr[(adj S dS/dtheta)^2] for theta in {gamma, lambda}, and `cfi_closed` is the
 Gaussian readout identity (d sxx/dtheta)^2 / (2 sxx^2).  Both are evaluated
-through their coefficient tuples, as the grid evaluates them.
+through their coefficient tuples, as the grid evaluates them: phi_theta as
+`_phi_<theta>_at` of `_phi_<theta>_coefficients`, the pair that
+`fisher._analytic_curve` picks for the target, and the CFI as
+`_cfi_closed_at` of `_cfi_coefficients`.
 """
 import pytest
 import sympy as sp
@@ -115,7 +118,8 @@ def test_phi_is_the_adjugate_trace(covariance, target, variable):
     s = sp.Matrix([[sxx, sxp], [sxp, spp]])
     product = s.adjugate() * s.diff(variable)
     trace = (product * product).trace()
-    phi = fisher._phi_at(target, fisher._phi_coefficients(target, ARGS[:-1]), T)
+    coefficients = getattr(fisher, f"_phi_{target.value}_coefficients")
+    phi = getattr(fisher, f"_phi_{target.value}_at")(coefficients(*ARGS[:-1]), T)
     assert sp.cancel(trace - exact(fisher._ADJ_TRACE_RESCALE * phi)) == 0
 
 
