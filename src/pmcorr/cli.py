@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -294,23 +295,23 @@ def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) ->
     return rows
 
 
-def _analytic(target, qfi: bool = True, cfi: bool = False, slope: bool = False):
-    """Group of analytic columns for `target`, each where asked: its QFI, its
-    position-readout CFI, then the purity and its relative slope
-    |d purity / d target| / purity.
+def _analytic(target, cfi: bool = False, slope=None):
+    """Group of analytic columns for `target`: its QFI, its position-readout CFI
+    where asked, then, where `slope` names a parameter, the purity and its
+    relative slope |d purity / d slope| / purity.
 
     Lambda's QFI and CFI are scaled by lambda^2, as the figures plot them.  The
-    purity, its derivative and the QFI come from `fisher._analytic_curve`, and
-    the CFI's coefficients are built beside it, once per (probe, env).
+    purity, its derivative and the QFI come from one `fisher._analytic_curve`,
+    and the CFI's coefficients are built beside it, once per (probe, env).
     """
     def at(probe, env):
         lam_sq = env.lam**2 if target is _LAMBDA else 1.0
-        curve = _analytic_curve(target, probe, env, qfi)
+        curve = _analytic_curve(target, probe, env, slope)
         closed = _cfi_coefficients(target, _kernel_args(probe, env)) if cfi else None
 
         def cells(t):
             _, mu, dmu, value = curve(t)
-            row = [lam_sq * value] if qfi else []
+            row = [lam_sq * value]
             if cfi:
                 row.append(lam_sq * _cfi_closed_at(target, closed, t))
             if slope:
@@ -322,29 +323,43 @@ def _analytic(target, qfi: bool = True, cfi: bool = False, slope: bool = False):
     return at
 
 
-def _purity(probe, env):
-    """Group of the purity."""
-    b = _purity_bracket_coefficients(*_bracket_args(probe, env))
-    return lambda t: [_purity_bracket(b, t) ** -0.5]
+def _purity_and_rate(probe, env):
+    """Group of the purity and the relative purity rate (1/purity)|d purity / dt|.
 
-
-def _purity_rate(probe, env):
-    """Group of the relative purity rate (1/purity)|d purity / dt|."""
+    dB/dt's tuple is built first, so where tau0 mass rounds to 0 and lambda^2
+    overflows, tau0 mass is named.
+    """
     args = _bracket_args(probe, env)
     dt = _purity_bracket_dt_coefficients(*args)
     b = _purity_bracket_coefficients(*args)
-    return lambda t: [_relative_purity_rate(_purity_bracket_dt(dt, t), _purity_bracket(b, t))]
+
+    def cells(t):
+        bracket = _purity_bracket(b, t)
+        return [bracket**-0.5, _relative_purity_rate(_purity_bracket_dt(dt, t), bracket)]
+
+    return cells
 
 
-def _per_gamma(gammas, *groups):
-    """Group of wide columns: each group in turn, evaluated at each fixed gamma in turn."""
+def _per_gamma(gammas, group, widths=(1,)):
+    """Group of wide columns: `group` evaluated at each fixed gamma in turn.
+
+    Its cells are cut into blocks of `widths`, and each block is laid out
+    for every gamma before the next block.
+    """
     memo = [None, []]  # the last row probe and its fixed-gamma copies, shared by its rows
+    ends = list(itertools.accumulate(widths))
+    blocks = list(zip([0] + ends[:-1], ends))
 
     def at(probe, env):
         if memo[0] is not probe:
             memo[:] = probe, [probe.with_gamma(g) for g in gammas]
-        evaluators = [group(p, env) for group in groups for p in memo[1]]
-        return lambda t: [cell for cells in evaluators for cell in cells(t)]
+        evaluators = [group(p, env) for p in memo[1]]
+
+        def cells(t):
+            rows = [at_gamma(t) for at_gamma in evaluators]
+            return [cell for start, end in blocks for row in rows for cell in row[start:end]]
+
+        return cells
 
     return at
 
@@ -384,13 +399,13 @@ _FIGE_GAMMAS = (-10.0, 0.0, 5.0)
 _FIGURES = {
     "fig2": [
         (f"fig2{panel}.csv", ["qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
-         [_GAMMA_AXIS], lam, 1e-6, [_analytic(_GAMMA, cfi=True, slope=True)])
+         [_GAMMA_AXIS], lam, 1e-6, [_analytic(_GAMMA, cfi=True, slope=_GAMMA)])
         for panel, lam in (("a", 0.0), ("b", 1e20), ("c", 1e22), ("d", 1e23))
     ],
     "fig3": [
         (f"fig3{panel}.csv", ["lambda_sq_qfi", "lambda_sq_cfi", "purity", "rel_purity_slope_gamma"],
          [_GAMMA_AXIS], lam, 50e-6,
-         [_analytic(_LAMBDA, cfi=True), _analytic(_GAMMA, qfi=False, slope=True)])
+         [_analytic(_LAMBDA, cfi=True, slope=_GAMMA)])
         for panel, lam in (("a", 1e15), ("b", 1e21))
     ],
     "fig4": [
@@ -398,7 +413,7 @@ _FIGURES = {
          [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _analytic(_LAMBDA))]),
         ("fig4b.csv", [f"purity_gamma{g:g}" for g in _FIG4_GAMMAS]
          + [f"purity_rate_per_s_gamma{g:g}" for g in _FIG4_GAMMAS],
-         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _purity, _purity_rate)]),
+         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _purity_and_rate, (1, 1))]),
     ],
     # fig5 also writes fig5_points.csv from the gain table, see cmd_figures
     "fig5": [("fig5_curve.csv", ["tgi_approx_db"], [_GAMMA_AXIS], None, None,
@@ -406,15 +421,14 @@ _FIGURES = {
     "figD": [
         ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
          [_axis("gamma", -150.0, 150.0, 61), _axis("time", -7.0, -4.0, 41, True)],
-         1e22, None, [_analytic(_GAMMA, slope=True)]),
+         1e22, None, [_analytic(_GAMMA, slope=_GAMMA)]),
     ],
     "figE": [
         ("figE.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIGE_GAMMAS]
          + [f"{column}_gamma{g:g}" for g in _FIGE_GAMMAS
             for column in ("purity", "rel_purity_slope_lambda")],
          [_axis("lambda", 13.0, 22.0, 181, True)], None, 50e-6,
-         [_per_gamma(_FIGE_GAMMAS, _analytic(_LAMBDA),
-                     _analytic(_LAMBDA, qfi=False, slope=True))]),
+         [_per_gamma(_FIGE_GAMMAS, _analytic(_LAMBDA, slope=_LAMBDA), (1, 2))]),
     ],
 }
 
@@ -469,19 +483,14 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
     numeric = iter(numeric)  # _grid calls `cells` once per row, in row order
 
     def at(probe, env):
-        bracket_args = _bracket_args(probe, env)  # not `args`, which holds the command line
-        dt = _purity_bracket_dt_coefficients(*bracket_args)
         if target is None:
-            b = _purity_bracket_coefficients(*bracket_args)
-        else:
-            curve = _analytic_curve(target, probe, env)
-            closed = _cfi_coefficients(target, _kernel_args(probe, env))
+            return _purity_and_rate(probe, env)
+        dt = _purity_bracket_dt_coefficients(*_bracket_args(probe, env))
+        curve = _analytic_curve(target, probe, env)
+        closed = _cfi_coefficients(target, _kernel_args(probe, env))
 
         def cells(t):
             value = next(numeric)
-            if target is None:
-                bracket = _purity_bracket(b, t)
-                return [bracket**-0.5, _relative_purity_rate(_purity_bracket_dt(dt, t), bracket)]
             # the rate cannot fail once its bracket B = 1/purity^2, which takes every
             # power of t that dB/dt takes, is a finite positive number
             bracket, mu, _, analytic = curve(t)
@@ -685,7 +694,20 @@ def _add_scenario_flags(sub: argparse.ArgumentParser, with_t: bool = True) -> No
             sub.add_argument(flag, dest=dest, type=parse, help=help_text)
 
 
-class _CommandParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every negative decimal number for a value.
+
+    argparse tells a negative number from a flag by a pattern that matches
+    -12 and -1.5 only, so `--gamma -1e3` would read -1e3 as a flag; this
+    pattern also takes an exponent, as in -1e3 and -2.5E+01.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _CommandParser(_Parser):
     """A subcommand's parser, whose arguments are added when it first parses or formats.
 
     `build_parser` registers every command with its help string, so the
@@ -780,7 +802,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pmcorr",
         description="Correlated Gaussian probe metrology: purity, Fisher information, thermometry.",
     )

@@ -31,7 +31,8 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _bracket_args,
-    _covariance_terms_dd,
+    _covariance_dd,
+    _covariance_factors,
     _kernel_args,
     _kernel_b_sq,
     _kernel_coefficients,
@@ -41,7 +42,8 @@ from .model import (
     _purity_bracket_dgamma_coefficients,
     _purity_bracket_dlam,
     _purity_bracket_dlam_coefficients,
-    _purity_bracket_terms_dd,
+    _purity_bracket_dd,
+    _purity_bracket_factors,
     _power,
     _SQUARE_LIMIT,
     _tau0,
@@ -287,32 +289,33 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
 
 
 def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec,
-                    qfi: bool = True):
-    """The function t -> (bracket, purity, d(purity)/d(target), QFI or None) at one (probe, env).
+                    slope: EstimationTarget | None = None):
+    """The function t -> (bracket, purity, d(purity)/d(slope), QFI) at one (probe, env).
 
-    The coefficient tuples of the purity bracket, of its target derivative and,
-    where `qfi` is set, of phi are built here, once.  Each t evaluates the
-    bracket once, then phi, then the derivative, then the QFI's second term and
-    phi's range check, so `qfi_analytic` and a grid row that fail name the
-    same error.
+    The QFI is the target's; `slope` names the parameter of the purity
+    derivative returned, the target itself by default.  The coefficient
+    tuples of the purity bracket, of its target derivative, of phi and, for
+    another `slope`, of its derivative are built here, once.  Each t
+    evaluates the bracket once, then phi, then the derivative, then the QFI's
+    second term and phi's range check, and last the other slope's
+    derivative, so `qfi_analytic` and a grid row that fail name the same
+    error.
     """
     args = _bracket_args(probe, env)
     b = _purity_bracket_coefficients(*args)
+    dbracket, db = _bracket_derivative(target, args)
     if target is EstimationTarget.GAMMA:
-        dbracket, db = _purity_bracket_dgamma, _purity_bracket_dgamma_coefficients(*args)
-        phi_at, phi = _phi_gamma_at, (_phi_gamma_coefficients(*args) if qfi else None)
+        phi_at, phi = _phi_gamma_at, _phi_gamma_coefficients(*args)
     else:
-        dbracket, db = _purity_bracket_dlam, _purity_bracket_dlam_coefficients(*args)
-        phi_at, phi = _phi_lambda_at, (_phi_lambda_coefficients(*args) if qfi else None)
+        phi_at, phi = _phi_lambda_at, _phi_lambda_coefficients(*args)
+    dslope, ds = (None, None) if slope in (None, target) else _bracket_derivative(slope, args)
     pure = env.lam == 0.0 and probe.coherence_ratio_sq == 0.0
 
     def curve(t):
         bracket = _purity_bracket(b, t)
         mu = bracket**-0.5
-        phi_t = phi_at(phi, t) if qfi else None
+        phi_t = phi_at(phi, t)
         dmu = _purity_derivative(dbracket(db, t), bracket)
-        if not qfi:
-            return bracket, mu, dmu, None
         second = _second_term(mu, dmu, pure)
         if not phi_t < math.inf:  # its products overflow to inf, or to NaN in inf - inf, silently
             raise OverflowError(
@@ -322,14 +325,30 @@ def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: Environment
         mu4 = mu**4
         if mu4 < sys.float_info.min:  # mu^4 underflows: fold mu^2 into phi, keeping its digits
             mu4, phi_t = mu**2, mu**2 * phi_t
-        return bracket, mu, dmu, mu4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi_t + second
+        value = mu4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi_t + second
+        if dslope is not None:
+            dmu = _purity_derivative(dslope(ds, t), bracket)
+        return bracket, mu, dmu, value
 
     return curve
 
 
-#: stencil components: model._covariance_terms_dd (sxx [:5], sxp [5:9],
-#: spp [9:12]) then model._purity_bracket_terms_dd [12:]
+def _bracket_derivative(target: EstimationTarget, args: tuple) -> tuple:
+    """(evaluation, coefficients) of d(1/purity^2)/d(target) at the `model._bracket_args` args."""
+    if target is EstimationTarget.GAMMA:
+        return _purity_bracket_dgamma, _purity_bracket_dgamma_coefficients(*args)
+    return _purity_bracket_dlam, _purity_bracket_dlam_coefficients(*args)
+
+
+#: stencil components: model._covariance_dd (sxx [:5], sxp [5:9], spp [9:12])
+#: then model._purity_bracket_dd [12:]
 _N_TERMS = 18
+#: the components that move with each target, in the order the two builders
+#: return them for ``moving=target.value``; every other one is free of the target
+_MOVING = {
+    EstimationTarget.GAMMA: (1, 3, 5, 7, 10, 14, 15),
+    EstimationTarget.LAMBDA: (4, 8, 11, 13, 14, 15, 16, 17),
+}
 #: largest (|m00^2| + |m11^2| + 2|m01 m10|) / |Tr| the adjugate trace may cancel
 #: by: below it the oracle stays within 1.5e-8 of qfi_analytic on 3,000 seeded
 #: envelope draws; above 1e20 every value drawn was wrong, some of them negative
@@ -348,6 +367,10 @@ def _every(test) -> bool:
     return test if isinstance(test, bool) else bool(test.all())
 
 
+def _not_converged(spread) -> ConvergenceError:
+    return ConvergenceError(f"derivative failed to converge: relative spread {spread:.3e}")
+
+
 def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     """`qfi_numeric` at one point, or at n points along an axis.
 
@@ -356,23 +379,27 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     one-point result bit for bit, and a failure raises what the lowest
     failing point raises on its own.
 
-    The 2*_LEVELS stencil points and the centre each go through the monomial
-    split (model._covariance_terms_dd, _purity_bracket_terms_dd) in
-    double-double: the huge theta-independent parts then cancel exactly, and
-    the adjugate trace below keeps enough consistent digits to survive its
-    own cancellation (it can collapse by twelve orders of magnitude).  The
-    stencil and the Richardson tableau T[level][order] are Python lists over
-    the stencil points.  Each entry is a float at one point, so `qfi` runs
-    on the standard library alone; along an axis it is a numpy array, and
-    only then is numpy loaded.  The same elementwise IEEE operations run
-    either way.  A monomial that is finite and equal at every stencil point
-    differences to exactly zero, so the tableau runs on the others only
-    (along an axis, on all of them stacked at once).  Convergence requires
-    T[L-1][L-1] to agree with T[L-2][L-3] to _REL_TOL componentwise;
-    estimates at the roundoff floor of the central difference count as
-    converged zeros.  The adjugate trace is assembled the same way; a trace
-    that is not finite or cancels by more than _MAX_TRACE_CANCELLATION
-    raises, and the purity map takes its powers per point with CPython's pow.
+    The covariance and the purity bracket are split into monomials in
+    double-double (model._covariance_dd, _purity_bracket_dd): the huge parts
+    free of theta then cancel exactly, and the adjugate trace below keeps
+    enough consistent digits to survive its own cancellation (it can collapse
+    by twelve orders of magnitude).  The full lists are built once, at the
+    centre.  A monomial free of theta differences to exactly zero where it is
+    finite, so at the 2*_LEVELS stencil points only the target's `_MOVING`
+    ones are built, from the centre's theta-free factors, and the Richardson
+    tableau T[level][order] runs on those alone.  Where a theta-free
+    monomial is not finite, its difference would be NaN: that point fails
+    with spread NaN, and no stencil is built where every point does.  The
+    stencil and the tableau are Python lists over the stencil points.  Each
+    entry is a float at one point, so `qfi` runs on the standard library
+    alone; along an axis it is a numpy array (the moving monomials stacked
+    at once), and only then is numpy loaded.  The same elementwise IEEE
+    operations run either way.  Convergence requires T[L-1][L-1] to agree
+    with T[L-2][L-3] to _REL_TOL componentwise; estimates at the roundoff
+    floor of the central difference count as converged zeros.  The adjugate
+    trace is assembled the same way; a trace that is not finite or cancels by
+    more than _MAX_TRACE_CANCELLATION raises, and the purity map takes its
+    powers per point with CPython's pow.
     """
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
@@ -399,40 +426,43 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         g, ll, tt = float(gamma), float(lam), float(t)
         arithmetic = contextlib.nullcontext()
 
-    def still(pairs) -> bool:
-        """Whether a monomial is finite and the same at every stencil point."""
-        hi, lo = pairs[-1]
-        return _every(abs(hi + lo) < math.inf) and all(
-            _every(p[0] == hi) and _every(p[1] == lo) for p in pairs
-        )
-
     def per_point(v) -> list:
         return [v] * n if isinstance(v, (float, bool)) else v.tolist()
 
     with arithmetic:
+        fc, fb = _covariance_factors(m, s0, eps, tt), _purity_bracket_factors(m, s0, eps, tt)
+        centre = _covariance_dd(fc, g, ll) + _purity_bracket_dd(fb, g, ll)
+        moving = _MOVING[target]
+        # per point, 0 where every theta-free monomial is finite and NaN where one is not
+        free = 0.0
+        for k in range(_N_TERMS):
+            if k not in moving:
+                hi, lo = centre[k]
+                free = free + (hi - hi) + (lo - lo)
+        if _every(free != free):
+            raise _not_converged(math.nan)
+
         x0 = g if target is EstimationTarget.GAMMA else ll
         h0 = _REL_STEP * _fmax(abs(x0), _SCALE_FLOOR[target])
         steps = [h0]
         for _ in range(_LEVELS - 1):
             steps.append(steps[-1] / 2.0)
         stencil = []
-        for x in [x0 + h for h in steps] + [x0 - h for h in steps] + [x0]:
+        for x in [x0 + h for h in steps] + [x0 - h for h in steps]:
             gg, lx = (x, ll) if target is EstimationTarget.GAMMA else (g, x)
             stencil.append(
-                _covariance_terms_dd(m, s0, eps, gg, lx, tt)
-                + _purity_bracket_terms_dd(m, s0, eps, gg, lx, tt)
+                _covariance_dd(fc, gg, lx, target.value)
+                + _purity_bracket_dd(fb, gg, lx, target.value)
             )
-        centre = stencil[-1]
-        moving = [k for k in range(_N_TERMS) if not still([f[k] for f in stencil])]
         # a list over the stencil per moving monomial; along an axis, one list
         # whose entries stack them all, (len(moving), n)
-        rows = [[f[k] for f in stencil] for k in moving]
-        if axes and rows:
+        rows = list(zip(*stencil))
+        if axes:
             rows = [[tuple(stack(part) for part in zip(*entry)) for entry in zip(*rows)]]
-        ok, spread, lasts = True, 0.0, []
+        ok, spread, lasts = free == 0.0, free, []
         for pairs in rows:
             # a non-finite monomial has a NaN difference, which fails its point
-            fp, fm = pairs[:_LEVELS], pairs[_LEVELS:-1]
+            fp, fm = pairs[:_LEVELS], pairs[_LEVELS:]
             fscale = 0.0
             for p, q in zip(fp, fm):
                 fscale = _fmax(fscale, _fmax(abs(p[0]), abs(q[0])))
@@ -459,10 +489,10 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
             noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (_LEVELS - 1) / h0
             ok = ok & ((err <= _REL_TOL * mag) | (mag <= noise_floor))
             spread = _fmax(spread, err / _fmax(mag, 1e-300))
-        if axes and rows:
+        if axes:
             ok, spread, lasts = ok.all(axis=0), spread.max(axis=0), list(zip(*lasts[0]))
 
-        d = [(0.0, 0.0)] * _N_TERMS  # the still monomials' differences are exactly (0, 0)
+        d = [(0.0, 0.0)] * _N_TERMS  # the theta-free monomials' differences are exactly (0, 0)
         for k, last in zip(moving, lasts):
             d[k] = last
         sxx, sxp, spp = _dd.dd_sum(centre[:5]), _dd.dd_sum(centre[5:9]), _dd.dd_sum(centre[9:12])
@@ -488,7 +518,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         *columns, *(v if isinstance(v, list) else [v] * n for v in (gamma, lam, t))
     ):
         if not converged:
-            raise ConvergenceError(f"derivative failed to converge: relative spread {spread:.3e}")
+            raise _not_converged(spread)
         # the purity derivative follows from the differenced bracket through
         # the exact map mu = D^(-1/2); CPython rounds the powers
         bracket = _purity_bracket(_purity_bracket_coefficients(m, s0, eps, gi, li), ti)
@@ -652,12 +682,22 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         )
     steps = [h / 2.0**i for i in range(4)]
     x = [x0 + hh for hh in steps] + [x0 - hh for hh in steps]
+    # sxx's monomials are built once at theta, and per step only those that move
+    # with theta; the others difference to exactly (0, 0), or make V not finite
+    f = _covariance_factors(probe.mass, s0, probe.coherence_ratio_sq, t)
+    centre = _covariance_dd(f, g, lam, sxx_only=True)
+    places = [k for k in _MOVING[target] if k < 5]
     sxx = []
     for xk in x:
         gg, ll = (xk, lam) if target is EstimationTarget.GAMMA else (g, xk)
-        sxx.append(_covariance_terms_dd(probe.mass, s0, probe.coherence_ratio_sq, gg, ll, t)[:5])
-    # monomials free of theta difference to exactly (0, 0)
-    diff = [[_dd.dd_sub(p, q) for p, q in zip(sxx[i], sxx[i + 4])] for i in range(4)]
+        terms = list(centre)
+        for k, term in zip(places, _covariance_dd(f, gg, ll, target.value, sxx_only=True)):
+            terms[k] = term
+        sxx.append(terms)
+    diff = [
+        [_dd.dd_sub(p, q) if k in places else (0.0, 0.0) for k, (p, q) in enumerate(zip(up, down))]
+        for up, down in zip(sxx[:4], sxx[4:])
+    ]
     v, dv = (
         [hi + lo for hi, lo in (_dd.dd_mul_d(_dd.dd_sum(terms), s0**2 / 2.0) for terms in part)]
         for part in (sxx, diff)

@@ -239,8 +239,13 @@ def _bracket_scales(mass, sigma0) -> tuple:
     return tau, mass_sq
 
 
-def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
-    """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
+def _purity_bracket_factors(mass, sigma0, eps, t) -> tuple:
+    """The factors of `_purity_bracket_dd`'s monomials free of gamma and lam.
+
+    Every power of t is taken here, so every named error of the monomials
+    is raised here: mass^2 and 3 tau0 mass (`_bracket_scales`), then the
+    first t^k to leave the float range.
+    """
     tau, mass_sq = _bracket_scales(mass, sigma0)
     try:
         t2, t3, t4 = _cpow(t, 2), _cpow(t, 3), _cpow(t, 4)
@@ -249,19 +254,44 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
         # error stands, and the sweep reruns its rows one point at a time
         _name_time_power(t, 4, ", in the purity bracket 1/purity^2,")
         raise
-    g_dd = _dd.dd(gamma)
-    lam_dd = _dd.dd(lam)
-    return [
-        _dd.dd(1.0 + 2.0 * eps),
-        _dd.dd_mul_d(lam_dd, 4.0 * sigma0**2 * t),
-        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), (4.0 * HBAR / mass) * t2),
-        _dd.dd_mul_d(
-            _dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd),
-            (4.0 * HBAR / (3.0 * tau * mass)) * t3,
-        ),
-        _dd.dd_mul_d(lam_dd, (4.0 * HBAR * (1.0 + 2.0 * eps) / (3.0 * tau * mass)) * t3),
-        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), (4.0 * HBAR**2 / (3.0 * mass_sq)) * t4),
+    e2 = 1.0 + 2.0 * eps
+    return (
+        e2,
+        4.0 * sigma0**2 * t,
+        (4.0 * HBAR / mass) * t2,
+        (4.0 * HBAR / (3.0 * tau * mass)) * t3,
+        (4.0 * HBAR * e2 / (3.0 * tau * mass)) * t3,
+        (4.0 * HBAR**2 / (3.0 * mass_sq)) * t4,
+    )
+
+
+def _purity_bracket_dd(f, gamma, lam, moving=None) -> list:
+    """Monomial split of 1/purity^2 from its `_purity_bracket_factors` f, as double-double pairs.
+
+    Every product touching gamma or lam is a compensated one, as in
+    `_covariance_dd`.  With `moving`, "gamma" or "lambda", only the
+    monomials in that parameter are built, in order.
+    """
+    c0, c1, c2, c3, c4, c5 = f
+    g_dd, lam_dd = _dd.dd(gamma), _dd.dd(lam)
+    mixed = [
+        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), c2),
+        _dd.dd_mul_d(_dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd), c3),
     ]
+    if moving == "gamma":
+        return mixed
+    terms = [
+        _dd.dd_mul_d(lam_dd, c1),
+        *mixed,
+        _dd.dd_mul_d(lam_dd, c4),
+        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), c5),
+    ]
+    return terms if moving else [_dd.dd(c0)] + terms
+
+
+def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
+    """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
+    return _purity_bracket_dd(_purity_bracket_factors(mass, sigma0, eps, t), gamma, lam)
 
 
 def _bracket_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
@@ -372,14 +402,11 @@ def _purity_bracket_dlam(c, t):
         raise
 
 
-def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
-    """Monomial split of the scaled covariance, as double-double pairs.
+def _covariance_factors(mass, sigma0, eps, t) -> tuple:
+    """The factors of `_covariance_dd`'s monomials free of gamma and lam.
 
-    Layout: sxx = sum([:5]), sxp = sum([5:9]), spp = sum([9:]).  Each term is
-    a monomial in gamma and lam, and every product touching gamma or lam is a
-    compensated one, so finite differences taken term-by-term cancel the
-    (possibly enormous) common parts exactly instead of losing them to float
-    rounding.  Constants shared between evaluations round identically.
+    (t/tau0, (t/tau0)^2, (t/tau0)^3) as double-double pairs, 1 + 2 eps, and
+    sigma0^2 tau0, the factor of lam.  A tau0 that rounds to 0 raises here.
     """
     tau = _tau0(mass, sigma0)
     try:
@@ -389,26 +416,51 @@ def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
             f"tau0={tau:g} underflows the float range: tau0 = mass sigma0^2/hbar, a divisor, "
             f"rounds to 0 (mass={mass:g} kg, sigma0={sigma0:g} m)"
         ) from None
-    e2 = 1.0 + 2.0 * eps
     th_dd = _dd.dd(th)
     th2 = _dd.dd_mul(th_dd, th_dd)
-    th3 = _dd.dd_mul(th2, th_dd)
-    g2 = _dd.dd_mul(_dd.dd(gamma), _dd.dd(gamma))
-    lt = _dd.dd_mul_d(_dd.dd(lam), sigma0**2 * tau)
-    return [
-        _dd.dd(1.0),
-        _dd.dd_mul_d(th_dd, 2.0 * gamma),
-        _dd.dd_mul_d(th2, e2),
-        _dd.dd_mul(g2, th2),
-        _dd.dd_mul_d(_dd.dd_mul(th3, lt), 4.0 / 3.0),
-        _dd.dd(gamma),
-        _dd.dd_mul_d(th_dd, e2),
-        _dd.dd_mul(g2, th_dd),
-        _dd.dd_mul_d(_dd.dd_mul(th2, lt), 2.0),
-        _dd.dd(e2),
-        g2,
-        _dd.dd_mul_d(_dd.dd_mul(th_dd, lt), 4.0),
+    return th_dd, th2, _dd.dd_mul(th2, th_dd), 1.0 + 2.0 * eps, sigma0**2 * tau
+
+
+def _covariance_dd(f, gamma, lam, moving=None, sxx_only=False) -> list:
+    """Monomial split of the scaled covariance from its `_covariance_factors` f.
+
+    Layout: sxx = sum([:5]), sxp = sum([5:9]), spp = sum([9:]).  Each term is
+    a monomial in gamma and lam, as a double-double pair, and every product
+    touching gamma or lam is a compensated one, so finite differences taken
+    term-by-term cancel the (possibly enormous) common parts exactly instead
+    of losing them to float rounding.  Constants shared between evaluations
+    round identically.  With `moving`, "gamma" or "lambda", only the
+    monomials in that parameter are built, in layout order; with `sxx_only`,
+    only those of sxx.
+    """
+    th, th2, th3, e2, lam_scale = f
+    if moving != "lambda":
+        g2 = _dd.dd_mul(_dd.dd(gamma), _dd.dd(gamma))
+        by_gamma = [_dd.dd_mul_d(th, 2.0 * gamma), _dd.dd_mul(g2, th2)]
+        if not sxx_only:
+            by_gamma += [_dd.dd(gamma), _dd.dd_mul(g2, th), g2]
+    if moving != "gamma":
+        lt = _dd.dd_mul_d(_dd.dd(lam), lam_scale)
+        by_lam = [_dd.dd_mul_d(_dd.dd_mul(th3, lt), 4.0 / 3.0)]
+        if not sxx_only:
+            by_lam += [
+                _dd.dd_mul_d(_dd.dd_mul(th2, lt), 2.0),
+                _dd.dd_mul_d(_dd.dd_mul(th, lt), 4.0),
+            ]
+    if moving:
+        return by_gamma if moving == "gamma" else by_lam
+    sxx = [_dd.dd(1.0), by_gamma[0], _dd.dd_mul_d(th2, e2), by_gamma[1], by_lam[0]]
+    if sxx_only:
+        return sxx
+    return sxx + [
+        by_gamma[2], _dd.dd_mul_d(th, e2), by_gamma[3], by_lam[1],  # sxp
+        _dd.dd(e2), by_gamma[4], by_lam[2],  # spp
     ]
+
+
+def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
+    """Monomial split of the scaled covariance at t, as double-double pairs (see `_covariance_dd`)."""
+    return _covariance_dd(_covariance_factors(mass, sigma0, eps, t), gamma, lam)
 
 
 # ---------------------------------------------------------------------------

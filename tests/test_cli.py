@@ -70,6 +70,40 @@ class TestParsing:
         assert out.out == ""
         assert out.err == f"error: {cfg}:2: ell0_m: could not convert string to float: 'abc'\n"
 
+    @pytest.mark.parametrize("command", [
+        ["qfi", "--target", "gamma", "--gamma", "-1e1", "--lambda", "1e15", "--t", "1us"],
+        ["purity", "--gamma", "-1e1", "--lambda", "1e15", "--t", "1us"],
+        ["sweep", "--axis", "gamma", "--min", "-1e2", "--max", "1e2", "--points", "3",
+         "--lambda", "1e15", "--t", "1us"],
+        ["sweep", "--axis", "gamma", "--min", "-2.5E+01", "--max", "-.5", "--points", "3",
+         "--lambda", "1e15", "--t", "1us"],
+    ], ids=["qfi", "purity", "sweep", "sweep-upper-case"])
+    def test_negative_value_in_exponent_notation(self, command, capsys):
+        # argparse took "-1e1" for a flag and exited 2 with "expected one argument";
+        # the same values attached by "=" always parsed
+        assert main(command) == 0
+        spaced = capsys.readouterr()
+        joined = []
+        for arg in command:
+            if arg[:1] == "-" and arg[1:2] in "0123456789.":
+                joined[-1] += f"={arg}"
+            else:
+                joined.append(arg)
+        assert main(joined) == 0
+        assert capsys.readouterr() == spaced
+        assert spaced.out and not spaced.err
+
+    def test_negative_value_in_exponent_notation_for_figures(self, tmp_path):
+        assert main(["figures", "--preset", "fig5", "--gamma", "-1e1", "--lambda", "1e15",
+                     "--outdir", str(tmp_path), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "fig5_curve.csv.manifest.json").read_text())
+        assert manifest["parameters"]["gamma"] == -10.0
+
+    def test_a_flag_is_still_a_flag(self, capsys):
+        # only numbers are taken for values: a missing value still names its flag
+        assert main(["qfi", "--target", "gamma", "--gamma", "--lambda", "1e15", "--t", "1us"]) == 2
+        assert "argument --gamma: expected one argument" in capsys.readouterr().err
+
     @staticmethod
     def _manifest_parameters(tmp_path, name, args, config=""):
         cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
@@ -407,6 +441,17 @@ class TestFigures:
                             lambda *a: calls.append(a) or build(*a))
         assert main(["figures", "--preset", "figD", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert 0 < len(calls) <= 61
+
+    @pytest.mark.parametrize("preset,evaluations", [
+        ("fig2", 4 * 301), ("fig3", 2 * 301), ("fig4", 2 * 220 * 3), ("figE", 181 * 3),
+    ])
+    def test_presets_evaluate_the_purity_bracket_once_per_row_and_gamma(
+            self, preset, evaluations, tmp_path, monkeypatch):
+        # each file's columns share one group per (probe, env): fig3's lambda columns
+        # and its gamma slope, fig4b's purity and its rate, figE's QFI and its slope
+        calls = count_brackets(monkeypatch)
+        assert main(["figures", "--preset", preset, "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == evaluations
 
     def test_figD_evaluates_the_purity_bracket_once_per_row(self, tmp_path, monkeypatch):
         # a row's QFI, purity and slope share one bracket value: 2,501 rows, 2,501 evaluations

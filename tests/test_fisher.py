@@ -392,6 +392,117 @@ class TestQfiNumericPins:
         assert raised < 600  # most draws give a value
 
 
+def _bits(values) -> list:
+    """The raw bits of floats, arrays or (hi, lo) pairs of them, so -0.0 and NaNs are told apart."""
+    if isinstance(values, (list, tuple)):
+        return [_bits(v) for v in values]
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _stencil_draws(seed: int, n: int) -> list:
+    """(probe, lam, t) over the envelope, as in test_numeric_across_envelope."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        lam = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 30.0)
+        gamma = 0.0 if rng.random() < 0.1 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 4)
+        t = 10.0 ** rng.uniform(-12.0, 0.0)
+        probe = pc.fullerene_probe(gamma=float(gamma), ell0=(5e-8, math.inf)[rng.integers(2)])
+        draws.append((probe, float(lam), float(t)))
+    return draws
+
+
+def _all_monomials(probe, gamma, lam, t) -> list:
+    args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, gamma, lam, t)
+    return model._covariance_terms_dd(*args) + model._purity_bracket_terms_dd(*args)
+
+
+class TestStencilClasses:
+    """The oracles build a target's moving monomials per stencil point and the rest once."""
+
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_monomials_outside_the_class_are_free_of_the_target(self, target):
+        # at x0 - h, x0 and x0 + h every monomial outside the class is bit for bit the
+        # same, and every one inside it moves at some draw
+        moving, moved = fisher._MOVING[target], set()
+        for probe, lam, t in _stencil_draws(11, 300):
+            x0 = probe.gamma if target is GAMMA else lam
+            h = fisher._REL_STEP * max(abs(x0), fisher._SCALE_FLOOR[target])
+            lists = [
+                _all_monomials(probe, x, lam, t) if target is GAMMA
+                else _all_monomials(probe, probe.gamma, x, t)
+                for x in (x0 - h, x0, x0 + h)
+            ]
+            for k in range(fisher._N_TERMS):
+                low, centre, high = (_bits(terms[k]) for terms in lists)
+                if k not in moving:
+                    assert low == centre == high, (k, probe, lam, t)
+                elif low != high:
+                    moved.add(k)
+        assert moved == set(moving)
+
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_class_lists_are_the_full_lists_entries(self, target):
+        moving = fisher._MOVING[target]
+        draws = _stencil_draws(12, 200)
+        columns = [[probe.gamma for probe, _, _ in draws], [lam for _, lam, _ in draws],
+                   [t for _, _, t in draws]]
+        points = [(probe.gamma, lam, t) for probe, lam, t in draws]
+        # one point at a time, then all of them along an axis as numpy arrays
+        for gamma, lam, t in points + [tuple(np.array(c) for c in columns)]:
+            args = (FULLERENE.mass, FULLERENE.sigma0, FULLERENE.coherence_ratio_sq, t)
+            fc, fb = model._covariance_factors(*args), model._purity_bracket_factors(*args)
+            full = model._covariance_dd(fc, gamma, lam) + model._purity_bracket_dd(fb, gamma, lam)
+            assert _bits(full) == _bits(_all_monomials(FULLERENE, gamma, lam, t))
+            part = (model._covariance_dd(fc, gamma, lam, target.value)
+                    + model._purity_bracket_dd(fb, gamma, lam, target.value))
+            assert _bits(part) == _bits([full[k] for k in moving])
+            sxx = model._covariance_dd(fc, gamma, lam, target.value, sxx_only=True)
+            assert _bits(sxx) == _bits([full[k] for k in moving if k < 5])
+            assert _bits(model._covariance_dd(fc, gamma, lam, sxx_only=True)) == _bits(full[:5])
+
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_non_finite_free_monomial_fails_its_point(self, target):
+        # gamma^2 (t/tau0)^2 overflows at every stencil point of both targets; the
+        # difference of such a monomial would be NaN, and so is the spread reported
+        probe = pc.fullerene_probe(gamma=-1e23, ell0=5e-8)
+        nan = r"^derivative failed to converge: relative spread nan$"
+        with pytest.raises(pc.ConvergenceError, match=nan):
+            pc.qfi_numeric(target, probe, env(1e63), 1e73)
+        with pytest.raises(pc.ConvergenceError, match=nan):
+            fisher._qfi_numeric_points(target, probe, [-1e23, -1e23], 1e63, 1e73)
+        # along a time axis the first point has a value and the second fails
+        assert math.isfinite(pc.qfi_numeric(target, probe, env(1e63), 1e-6))
+        with pytest.raises(pc.ConvergenceError, match=nan):
+            fisher._qfi_numeric_points(target, probe, -1e23, 1e63, [1e-6, 1e73])
+
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_oracles_build_the_full_lists_once(self, target, monkeypatch):
+        calls = []
+        for name in ("_covariance_dd", "_purity_bracket_dd"):
+            def spy(f, gamma, lam, moving=None, build=getattr(model, name), name=name, **kw):
+                calls.append((name, moving))
+                return build(f, gamma, lam, moving, **kw)
+
+            monkeypatch.setattr(fisher, name, spy)
+        probe = FULLERENE.with_gamma(5.0)
+        pc.qfi_numeric(target, probe, env(1e15), 2e-5)
+        # the centre's full lists, then the class at the ten stencil points
+        assert calls.count(("_covariance_dd", None)) == calls.count(("_purity_bracket_dd", None)) == 1
+        assert calls.count(("_covariance_dd", target.value)) == 2 * fisher._LEVELS
+        assert calls.count(("_purity_bracket_dd", target.value)) == 2 * fisher._LEVELS
+        calls.clear()
+        pc.cfi_quadrature(target, probe, env(1e15), 2e-5)
+        assert calls == [("_covariance_dd", None)] + [("_covariance_dd", target.value)] * 8
+        # where a monomial free of the target is not finite, no stencil is built: at the
+        # NaN reproducer for gamma (its lambda^2 term), at gamma^2 (t/tau0)^2 for lambda
+        gamma, lam, t = (-1e23, 1e63, 1e73) if target is GAMMA else (1e150, 1e15, 1.0)
+        calls.clear()
+        with pytest.raises(pc.ConvergenceError, match="relative spread nan$"):
+            pc.qfi_numeric(target, pc.fullerene_probe(gamma=gamma, ell0=5e-8), env(lam), t)
+        assert calls == [("_covariance_dd", None), ("_purity_bracket_dd", None)]
+
+
 #: (target, ell0, lam, gamma, t, quadrature, gaussian_identity) recorded from
 #: cfi_quadrature; the oracle must keep reproducing them bit for bit
 QUADRATURE_PINS = [
