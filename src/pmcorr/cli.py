@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure,
 """
 from __future__ import annotations
 
+import _thread
 import argparse
 import functools
 import itertools
@@ -694,17 +695,33 @@ def _add_scenario_flags(sub: argparse.ArgumentParser, with_t: bool = True) -> No
             sub.add_argument(flag, dest=dest, type=parse, help=help_text)
 
 
+#: a negative number as `float` reads it: digits with single underscores between them,
+#: an optional point and exponent, or inf, infinity or nan in any case
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-((?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?"
+    r"|(?i:inf|infinity|nan))$"
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that takes every negative decimal number for a value.
+    """An argument parser that takes every negative number `float` reads for a value.
 
     argparse tells a negative number from a flag by a pattern that matches
     -12 and -1.5 only, so `--gamma -1e3` would read -1e3 as a flag; this
-    pattern also takes an exponent, as in -1e3 and -2.5E+01.
+    pattern takes every spelling `float` reads after a minus sign: an
+    exponent, as in -1e3 and -2.5E+01, digits grouped by underscores, as in
+    -1_000, and -inf, -infinity and -nan in any case, which the flag's check
+    then names.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+#: held while a command's parser is populated, as calls in several threads may share it
+_POPULATE_LOCK = _thread.allocate_lock()
 
 
 class _CommandParser(_Parser):
@@ -720,10 +737,11 @@ class _CommandParser(_Parser):
         self._build = build
 
     def _populate(self) -> None:
-        build, self._build = self._build, None
-        if build is not None:
-            _add_global_flags(self, suppress=True)
-            build(self)
+        with _POPULATE_LOCK:  # one thread adds the arguments, and the others wait for them
+            build, self._build = self._build, None
+            if build is not None:
+                _add_global_flags(self, suppress=True)
+                build(self)
 
     def parse_known_args(self, args=None, namespace=None):
         self._populate()
@@ -814,10 +832,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built by the first `main` call and reused by every later one.
+
+    A parse keeps nothing: argparse fills a fresh namespace per call, and a
+    command's parser keeps only the arguments it was populated with, once.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     started = time.monotonic()

@@ -20,6 +20,7 @@ for this channel and is omitted throughout.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from enum import Enum
@@ -46,8 +47,8 @@ from .model import (
     _purity_bracket_factors,
     _power,
     _SQUARE_LIMIT,
+    _position_variance,
     _tau0,
-    position_density_variance,
     purity_exact,
     tau0,
 )
@@ -141,23 +142,27 @@ def _square_or_none(value):
         return None
 
 
-def _phi_gamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
-    """The parts of `phi_gamma` that depend on (probe, env) alone, from its `model._bracket_args`."""
+@functools.lru_cache(maxsize=1, typed=True)
+def _phi_gamma_fixed(mass, sigma0, eps) -> tuple:
+    """The part of `phi_gamma`'s coefficients free of gamma and lam, kept for the last probe.
+
+    (tau0, 9 tau0^4 (1 + 2 eps), 12 sigma0^2 tau0^2, 2 eps, 32 sigma0^4,
+    72 tau0^4), with tau0^4's named error.
+    """
+    eps2 = 2.0 * eps
     tau = _tau0(mass, sigma0)
     tau4 = _power(tau, 4, "tau0", "s", divisor=True)
-    g_sq = gamma**2
     return (
-        tau,
-        9.0 * tau4 * (1.0 + 2.0 * eps),
-        12.0 * sigma0**2 * tau**2,
-        2.0 * eps + g_sq + 1.0,
-        3.0 * gamma,
-        32.0 * sigma0**4,
-        g_sq,
-        lam,
-        _square_or_none(lam),
+        tau, 9.0 * tau4 * (1.0 + eps2), 12.0 * sigma0**2 * tau**2, eps2, 32.0 * sigma0**4,
         72.0 * tau4,
     )
+
+
+def _phi_gamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """The parts of `phi_gamma` that depend on (probe, env) alone, from its `model._bracket_args`."""
+    tau, c0, k1, eps2, k2, denom = _phi_gamma_fixed(mass, sigma0, eps)
+    g_sq = gamma**2
+    return (tau, c0, k1, eps2 + g_sq + 1.0, 3.0 * gamma, k2, g_sq, lam, _square_or_none(lam), denom)
 
 
 def _phi_gamma_at(c, t):
@@ -188,27 +193,41 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     return _phi_lambda_at(_phi_lambda_coefficients(*_bracket_args(probe, env)), t)
 
 
-def _phi_lambda_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
-    """The parts of `phi_lambda` that depend on (probe, env) alone, from its `model._bracket_args`."""
+@functools.lru_cache(maxsize=1, typed=True)
+def _phi_lambda_fixed(mass, sigma0, eps) -> tuple:
+    """The part of `phi_lambda`'s coefficients free of gamma and lam, kept for the last probe.
+
+    (tau0, 2 sigma0^4, 2 eps, (3/5) eps, 4 sigma0^6, 4 sigma0^8, 18 tau0^4),
+    with the named errors of tau0^4 and sigma0^8.
+    """
     tau = _tau0(mass, sigma0)
     tau4 = _power(tau, 4, "tau0", "s", divisor=True)
     s0_8 = _power(sigma0, 8, "sigma0", "m", where=", in the lambda^2 term of phi_lambda,")
+    return (
+        tau, 2.0 * sigma0**4, 2.0 * eps, (3.0 / 5.0) * eps, 4.0 * sigma0**6, 4.0 * s0_8,
+        18.0 * tau4,
+    )
+
+
+def _phi_lambda_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+    """The parts of `phi_lambda` that depend on (probe, env) alone, from its `model._bracket_args`."""
+    tau, k0, eps2, q0, k1, k2, denom = _phi_lambda_fixed(mass, sigma0, eps)
     g_sq = gamma**2
-    big_gamma = 2.0 * eps + g_sq + 1.0
+    big_gamma = eps2 + g_sq + 1.0
     return (
         tau,
-        2.0 * sigma0**4,
+        k0,
         _square_or_none(big_gamma),
         6.0 * gamma,
         big_gamma,
-        (3.0 / 5.0) * eps + g_sq + 3.0 / 10.0,
+        q0 + g_sq + 3.0 / 10.0,
         18.0 * gamma,
-        4.0 * sigma0**6,
+        k1,
         3.0 * gamma,
-        4.0 * s0_8,
+        k2,
         lam,
         _square_or_none(lam),
-        18.0 * tau4,
+        denom,
     )
 
 
@@ -651,7 +670,11 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     g, lam, s0 = probe.gamma, env.lam, probe.sigma0
-    V = position_density_variance(probe, env, t)  # first: it names a tau0 that rounds to 0
+    # sxx's monomials are built once at theta (its factors name a tau0 that rounds
+    # to 0), and give V; per step only those that move with theta are built
+    f = _covariance_factors(probe.mass, s0, probe.coherence_ratio_sq, t)
+    centre = _covariance_dd(f, g, lam, sxx_only=True)
+    V = _position_variance(probe, centre, t)
     th = t / tau0(probe)
     if target is EstimationTarget.GAMMA:
         dV = s0**2 * (th + g * th**2)
@@ -682,10 +705,7 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         )
     steps = [h / 2.0**i for i in range(4)]
     x = [x0 + hh for hh in steps] + [x0 - hh for hh in steps]
-    # sxx's monomials are built once at theta, and per step only those that move
-    # with theta; the others difference to exactly (0, 0), or make V not finite
-    f = _covariance_factors(probe.mass, s0, probe.coherence_ratio_sq, t)
-    centre = _covariance_dd(f, g, lam, sxx_only=True)
+    # the monomials free of theta difference to exactly (0, 0), or make V not finite
     places = [k for k in _MOVING[target] if k < 5]
     sxx = []
     for xk in x:

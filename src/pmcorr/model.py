@@ -15,6 +15,7 @@ which is what the Fisher-information formulas in `pmcorr.fisher` assume.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -228,7 +229,7 @@ def _bracket_scales(mass, sigma0) -> tuple:
     their own; `_purity_bracket_dt_coefficients` alone divides by tau0 mass,
     which rounds to 0 a little above 3 tau0 mass, and names that itself.
     """
-    tau = mass * sigma0**2 / HBAR  # `_tau0` and `_power`, inlined: this runs once per copy
+    tau = mass * sigma0**2 / HBAR  # `_tau0` and `_power`, inlined
     try:
         mass_sq = mass**2
     except OverflowError:
@@ -300,20 +301,38 @@ def _bracket_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
     Each copy of the bracket is a coefficient tuple, which depends on these
     alone, and an evaluation at t.  A caller that evaluates many t at one
     (probe, env) builds the tuples once; the public functions build them per
-    call, and both evaluate through the same functions.
+    call, and both evaluate through the same functions.  Each tuple's part
+    free of gamma and lam (`_purity_bracket_fixed`, phi's in `pmcorr.fisher`)
+    is kept for the last (mass, sigma0, eps), so calls at one probe build it
+    once.
     """
     return probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _purity_bracket_fixed(mass, sigma0, eps) -> tuple:
+    """The part of the bracket's coefficients free of gamma and lam, for it and its derivatives.
+
+    (1 + 2 eps, 4 sigma0^2, 2 eps, 3 tau0 mass, 3 mass^2, tau0), with
+    `_bracket_scales`' named errors.  A grid's probes differ in gamma alone,
+    so the last probe's tuple is kept and a run builds it once; an error is
+    not kept.  The cache is typed, so an int or a numpy scalar never takes a
+    float's tuple.
+    """
+    eps2 = 2.0 * eps
+    tau, mass_sq = _bracket_scales(mass, sigma0)
+    return 1.0 + eps2, 4.0 * sigma0**2, eps2, 3.0 * tau * mass, 3.0 * mass_sq, tau
+
+
 def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket`, the factors of t^0 to t^4."""
-    tau, mass_sq = _bracket_scales(mass, sigma0)
+    e2, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, eps)
     return (
-        1.0 + 2.0 * eps,
-        4.0 * sigma0**2 * lam,
+        e2,
+        s4 * lam,
         4.0 * gamma * lam * HBAR / mass,
-        4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-        4.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
+        4.0 * HBAR * lam * (gamma**2 + 1.0 + eps2) / tm3,
+        4.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / m3sq,
     )
 
 
@@ -346,16 +365,16 @@ def _purity_bracket(c, t):
 
 def _purity_bracket_dt_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket_dt`, the factors of t^0 to t^3."""
-    tau, mass_sq = _bracket_scales(mass, sigma0)
-    try:
-        return (
-            4.0 * sigma0**2 * lam,
-            8.0 * gamma * lam * HBAR / mass,
-            4.0 * HBAR * lam * (gamma**2 + 1.0 + 2.0 * eps) / (tau * mass),
-            16.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / (3.0 * mass_sq),
-        )
-    except ZeroDivisionError:  # tau0 mass, unlike 3 tau0 mass, rounds to 0
-        raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau * mass, mass, sigma0)) from None
+    _, s4, eps2, _, m3sq, tau = _purity_bracket_fixed(mass, sigma0, eps)
+    tau_mass = tau * mass
+    if not tau_mass:  # tau0 mass, unlike 3 tau0 mass, rounds to 0
+        raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau_mass, mass, sigma0))
+    return (
+        s4 * lam,
+        8.0 * gamma * lam * HBAR / mass,
+        4.0 * HBAR * lam * (gamma**2 + 1.0 + eps2) / tau_mass,
+        16.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / m3sq,
+    )
 
 
 def _purity_bracket_dt(c, t):
@@ -369,8 +388,8 @@ def _purity_bracket_dt(c, t):
 
 def _purity_bracket_dgamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket_dgamma`, the factors of t^2 and t^3."""
-    tau, _ = _bracket_scales(mass, sigma0)
-    return 4.0 * lam * HBAR / mass, 8.0 * gamma * HBAR * lam / (3.0 * tau * mass)
+    tm3 = _purity_bracket_fixed(mass, sigma0, eps)[3]
+    return 4.0 * lam * HBAR / mass, 8.0 * gamma * HBAR * lam / tm3
 
 
 def _purity_bracket_dgamma(c, t):
@@ -384,12 +403,12 @@ def _purity_bracket_dgamma(c, t):
 
 def _purity_bracket_dlam_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket_dlam`, the factors of t^1 to t^4."""
-    tau, mass_sq = _bracket_scales(mass, sigma0)
+    _, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, eps)
     return (
-        4.0 * sigma0**2,
+        s4,
         4.0 * gamma * HBAR / mass,
-        4.0 * HBAR * (gamma**2 + 1.0 + 2.0 * eps) / (3.0 * tau * mass),
-        8.0 * lam * HBAR**2 / (3.0 * mass_sq),
+        4.0 * HBAR * (gamma**2 + 1.0 + eps2) / tm3,
+        8.0 * lam * HBAR**2 / m3sq,
     )
 
 
@@ -575,10 +594,13 @@ def position_density_variance(probe: ProbeSpec, env: EnvironmentSpec, t: float) 
     """Variance (m^2) of the position readout density rho(x, x, t)."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    terms = _covariance_terms_dd(
-        probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
-    )
-    sxx = _dd.dd_sum(terms[:5])
+    f = _covariance_factors(probe.mass, probe.sigma0, probe.coherence_ratio_sq, t)
+    return _position_variance(probe, _covariance_dd(f, probe.gamma, env.lam, sxx_only=True), t)
+
+
+def _position_variance(probe: ProbeSpec, sxx_terms: list, t: float) -> float:
+    """sigma0^2 sxx / 2 from sxx's five `_covariance_dd` monomials, named where it overflows."""
+    sxx = _dd.dd_sum(sxx_terms)
     variance = probe.sigma0**2 * (sxx[0] + sxx[1]) / 2.0
     if not math.isfinite(variance):
         raise OverflowError(

@@ -77,7 +77,8 @@ class TestParsing:
          "--lambda", "1e15", "--t", "1us"],
         ["sweep", "--axis", "gamma", "--min", "-2.5E+01", "--max", "-.5", "--points", "3",
          "--lambda", "1e15", "--t", "1us"],
-    ], ids=["qfi", "purity", "sweep", "sweep-upper-case"])
+        ["purity", "--gamma", "-1_0.2_5e0_1", "--lambda", "1e15", "--t", "1us"],
+    ], ids=["qfi", "purity", "sweep", "sweep-upper-case", "purity-underscores"])
     def test_negative_value_in_exponent_notation(self, command, capsys):
         # argparse took "-1e1" for a flag and exited 2 with "expected one argument";
         # the same values attached by "=" always parsed
@@ -98,6 +99,35 @@ class TestParsing:
                      "--outdir", str(tmp_path), "--quiet"]) == 0
         manifest = json.loads((tmp_path / "fig5_curve.csv.manifest.json").read_text())
         assert manifest["parameters"]["gamma"] == -10.0
+
+    @pytest.mark.parametrize("command, message", [
+        (["purity", "--lambda", "-inf", "--t", "1us"], "lam must be finite and >= 0, got -inf"),
+        (["purity", "--lambda", "-Infinity", "--t", "1us"],
+         "lam must be finite and >= 0, got -inf"),
+        (["purity", "--gamma", "-NAN", "--lambda", "1e15", "--t", "1us"],
+         "gamma must be finite, got nan"),
+        (["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "-iNf"],
+         "t must be positive and finite, got -inf"),
+        (["sweep", "--axis", "gamma", "--min", "-INF", "--max", "1", "--points", "3",
+          "--lambda", "1e15", "--t", "1us"], "axis bounds must be finite, got min=-inf max=1.0"),
+    ], ids=["inf", "infinity", "nan", "t", "sweep-min"])
+    def test_negative_infinity_and_nan_are_values(self, command, message, capsys):
+        # argparse took "-inf" for a flag and exited 2 with "expected one argument"; now
+        # the value reaches its check, which names it, as "--flag=-inf" always did
+        assert main(command) == 2
+        spaced = capsys.readouterr()
+        assert spaced == ("", f"error: {message}\n")
+        flag = next(i for i, arg in enumerate(command) if arg[:2] == "--" and command[i + 1][:2] in
+                    ("-i", "-I", "-n", "-N"))
+        joined = command[:flag] + [f"{command[flag]}={command[flag + 1]}"] + command[flag + 2:]
+        assert main(joined) == 2
+        assert capsys.readouterr() == spaced
+
+    @pytest.mark.parametrize("word", ["-infx", "-1__0", "-1e"])
+    def test_a_word_after_a_flag_is_still_a_flag(self, word, capsys):
+        # only the spellings float() reads are values; the rest are flags
+        assert main(["purity", "--lambda", word, "--t", "1us"]) == 2
+        assert "argument --lambda: expected one argument" in capsys.readouterr().err
 
     def test_a_flag_is_still_a_flag(self, capsys):
         # only numbers are taken for values: a missing value still names its flag
@@ -146,6 +176,17 @@ def count_brackets(monkeypatch) -> list:
     return calls
 
 
+#: the builders of the coefficients' fixed parts, each of which keeps its last probe's
+FIXED_PARTS = [pc.model._purity_bracket_fixed, pc.fisher._phi_gamma_fixed,
+               pc.fisher._phi_lambda_fixed]
+
+
+def clear_fixed_parts() -> None:
+    """Forget every kept fixed part, so the next call builds it and counts can start at 0."""
+    for build in FIXED_PARTS:
+        build.cache_clear()
+
+
 class TestSweep:
     def test_row_count_and_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -187,7 +228,8 @@ class TestSweep:
     @pytest.mark.parametrize("target", ["gamma", "lambda"])
     def test_time_axis_evaluates_the_bracket_once_per_row(self, target, monkeypatch):
         # outside the Richardson oracle a row's purity, rate and analytic QFI share one
-        # bracket value, and each coefficient tuple is built once for the whole axis
+        # bracket value, and the coefficients' fixed part is built once for the whole run
+        clear_fixed_parts()
         calls, scales = count_brackets(monkeypatch), []
         bracket_scales = pc.model._bracket_scales
         monkeypatch.setattr(pc.model, "_bracket_scales",
@@ -204,7 +246,19 @@ class TestSweep:
         assert main(["sweep", "--axis", "time", "--min", "1us", "--max", "1ms", "--points", "7",
                      "--log", "--lambda", "1e15", "--gamma", "3", "--target", target]) == 0
         assert len(calls) == 7
-        assert len(scales) == 3  # the bracket, dB/dt and dB/d(target)
+        # one fixed part serves the bracket, dB/dt and dB/d(target): the oracle, which runs
+        # first, builds it for its per-point bracket, and no row builds it again
+        assert scales == []
+        assert pc.model._purity_bracket_fixed.cache_info().misses == 1
+
+    def test_a_bare_sweep_after_a_target_sweep_keeps_the_default_target(self, capsys):
+        # one parser serves every call of a process, and no call leaves a value in it
+        base = ["sweep", "--axis", "time", "--min", "1us", "--max", "10us", "--points", "2",
+                "--lambda", "1e15"]
+        assert main(base + ["--target", "lambda"]) == 0
+        assert capsys.readouterr().out.startswith("time_s,purity,relative_purity_rate_per_s,qfi_")
+        assert main(base) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "time_s,purity,relative_purity_rate_per_s"
 
     def test_manifest_sidecar(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -425,22 +479,47 @@ class TestFigures:
         assert t95[0] > t95[1] > t95[2]
 
     def test_time_axis_builds_bracket_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
-        # each coefficient tuple of the purity bracket passes through _bracket_scales once;
-        # fig4 needs five per fixed gamma (B and dB/dlambda, B, B and dB/dt), not five per row
-        calls = []
+        # the purity bracket's fixed part passes through _bracket_scales once for both
+        # files and every fixed gamma; its (gamma, lambda) tuples once per fixed gamma
+        clear_fixed_parts()
+        calls, built = [], []
         scales = pc.model._bracket_scales
         monkeypatch.setattr(pc.model, "_bracket_scales", lambda *a: calls.append(a) or scales(*a))
+        for module, name in [(pc.fisher, "_purity_bracket_coefficients"),
+                             (pc.cli, "_purity_bracket_coefficients"),
+                             (pc.cli, "_purity_bracket_dt_coefficients")]:
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, b=build: built.append(a) or b(*a))
         assert main(["figures", "--preset", "fig4", "--outdir", str(tmp_path), "--quiet"]) == 0
-        assert 0 < len(calls) <= 5 * 3
+        assert len(calls) == 1
+        assert len(built) == 3 * 3  # fig4a's B, fig4b's B and dB/dt, per gamma
 
     def test_time_axis_builds_phi_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
-        # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis
+        # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis; phi's
+        # fixed part is built once for the file
+        clear_fixed_parts()
         calls = []
         build = pc.fisher._phi_gamma_coefficients
         monkeypatch.setattr(pc.fisher, "_phi_gamma_coefficients",
                             lambda *a: calls.append(a) or build(*a))
         assert main(["figures", "--preset", "figD", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert 0 < len(calls) <= 61
+        assert pc.fisher._phi_gamma_fixed.cache_info().misses == 1
+
+    def test_fixed_factors_are_built_once_per_run(self, tmp_path, monkeypatch):
+        # fig2's 4 x 301 rows each change gamma, so each row builds its (gamma, lambda)
+        # coefficients; what depends on the probe's mass, sigma0 and ell0 alone is built
+        # once for all four files, not once per row
+        clear_fixed_parts()
+        scales = []
+        build = pc.model._bracket_scales
+        monkeypatch.setattr(pc.model, "_bracket_scales", lambda *a: scales.append(a) or build(*a))
+        assert main(["figures", "--preset", "fig2", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert len(scales) == 1
+        info = {build.__name__: build.cache_info() for build in FIXED_PARTS}
+        assert {name: i.misses for name, i in info.items()} == {
+            "_purity_bracket_fixed": 1, "_phi_gamma_fixed": 1, "_phi_lambda_fixed": 0}
+        assert info["_purity_bracket_fixed"].hits >= 4 * 301
 
     @pytest.mark.parametrize("preset,evaluations", [
         ("fig2", 4 * 301), ("fig3", 2 * 301), ("fig4", 2 * 220 * 3), ("figE", 181 * 3),

@@ -221,6 +221,39 @@ def test_phi_tau0_fourth_power_named(phi, mass, sigma0, error, message):
         phi(probe, env(1e15), 1e-6)
 
 
+@pytest.mark.parametrize(
+    "mass,sigma0,failing,message",
+    [
+        (1e-50, 1e-38, {"phi_gamma", "phi_lambda", "qfi_analytic"},
+         r"^tau0=9\.48252e-93 underflows the float range: tau0\^4, a divisor"),
+        (1e-100, 1e40, {"phi_lambda", "qfi_analytic-lambda"},
+         r"^sigma0=1e\+40 overflows the float range: sigma0\^8, in the lambda\^2 term"),
+    ],
+    ids=["tau0^4", "sigma0^8"],
+)
+def test_one_point_functions_fail_only_on_fixed_factors_they_use(mass, sigma0, failing, message):
+    # each builds only the fixed parts it uses: purity_exact never names phi's tau0^4
+    # or sigma0^8
+    probe, e, t = pc.ProbeSpec(mass=mass, sigma0=sigma0, ell0=5e-8), env(1e15), 1e-6
+    calls = {
+        "purity_exact": lambda: pc.purity_exact(probe, e, t),
+        "relative_purity_rate": lambda: pc.relative_purity_rate(probe, e, t),
+        "purity_derivative": lambda: pc.purity_derivative(GAMMA, probe, e, t),
+        "kernel_params": lambda: pc.kernel_params(probe, e, t).b_sq,
+        "cfi_closed": lambda: pc.cfi_closed(LAMBDA, probe, e, t),
+        "phi_gamma": lambda: pc.phi_gamma(probe, e, t),
+        "phi_lambda": lambda: pc.phi_lambda(probe, e, t),
+        "qfi_analytic-gamma": lambda: pc.qfi_analytic(GAMMA, probe, e, t),
+        "qfi_analytic-lambda": lambda: pc.qfi_analytic(LAMBDA, probe, e, t),
+    }
+    for name, call in calls.items():
+        if name in failing or name.split("-")[0] in failing:
+            with pytest.raises(ArithmeticError, match=message):
+                call()
+        else:
+            assert math.isfinite(call()), name
+
+
 class TestQfiAnalytic:
     def test_no_coupling_first_term_only(self):
         # purity is gamma-independent at lam = 0, so the derivative term vanishes
@@ -484,7 +517,8 @@ class TestStencilClasses:
                 calls.append((name, moving))
                 return build(f, gamma, lam, moving, **kw)
 
-            monkeypatch.setattr(fisher, name, spy)
+            for module in (model, fisher):  # every build, in either module
+                monkeypatch.setattr(module, name, spy)
         probe = FULLERENE.with_gamma(5.0)
         pc.qfi_numeric(target, probe, env(1e15), 2e-5)
         # the centre's full lists, then the class at the ten stencil points
@@ -493,6 +527,7 @@ class TestStencilClasses:
         assert calls.count(("_purity_bracket_dd", target.value)) == 2 * fisher._LEVELS
         calls.clear()
         pc.cfi_quadrature(target, probe, env(1e15), 2e-5)
+        # sxx once at theta, which also gives V, then the class at the eight steps
         assert calls == [("_covariance_dd", None)] + [("_covariance_dd", target.value)] * 8
         # where a monomial free of the target is not finite, no stencil is built: at the
         # NaN reproducer for gamma (its lambda^2 term), at gamma^2 (t/tau0)^2 for lambda

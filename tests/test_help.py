@@ -12,6 +12,8 @@ import contextlib
 import io
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -118,20 +120,59 @@ def test_usage_error_exits_2_with_usage(argv):
     assert f"\n{prog}: error: " in err
 
 
-def test_only_the_named_command_is_built(monkeypatch):
-    built = []
+def _populated(parser):
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [name for name, sub in subs.choices.items()
+            if [a.dest for a in sub._actions] != ["help"]]
 
-    def build_parser():
-        built.append(real())
-        return built[-1]
 
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", build_parser)
+def test_only_the_named_command_is_built():
+    # on a fresh process parser each call populates its own command and no other
+    cli._parser.cache_clear()
     assert run(["purity", "--lambda", "1e15", "--t", "1us"])[0] == 0
-    subs = next(a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction))
-    populated = [name for name, parser in subs.choices.items()
-                 if [a.dest for a in parser._actions] != ["help"]]
-    assert populated == ["purity"]
+    assert _populated(cli._parser()) == ["purity"]
+    assert run(["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "1us"])[0] == 0
+    assert _populated(cli._parser()) == ["purity", "qfi"]
+
+
+def test_every_case_prints_the_same_through_one_parser_twice():
+    # one parser serves every call of a process, and no call changes what another prints
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    first = [run(argv) for argv in CASES]
+    assert [run(argv) for argv in CASES] == first
+    assert cli._parser() is parser
+    if sys.version_info[:2] == (3, 11):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        expected = [golden[_id(argv)] for argv in CASES]
+        assert first == [(g["code"], g["stdout"], g["stderr"]) for g in expected]
+
+
+def test_threads_populate_a_shared_command_once(monkeypatch, capsys):
+    # calls in several threads at once share the process's parser: one adds the command's
+    # arguments while the others wait, where they used to parse a half-built command
+    cli._parser.cache_clear()
+    cli._parser()
+    add_global_flags = cli._add_global_flags
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)  # a thread switch while the command is only half built
+        add_global_flags(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_add_global_flags", slow)
+    barrier, codes = threading.Barrier(4), []
+
+    def call():
+        barrier.wait()
+        codes.append(cli.main(["purity", "--lambda", "1e15", "--t", "1us"]))
+
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert codes == [0] * 4
+    assert _populated(cli._parser()) == ["purity"]
 
 
 if __name__ == "__main__":
