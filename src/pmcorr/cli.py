@@ -51,8 +51,7 @@ from .lens import LensSpec, de_broglie, focal_length, gamma_from_curvature, opti
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
-    _bracket_args,
-    _kernel_args,
+    _coefficient_args,
     _purity_bracket,
     _purity_bracket_coefficients,
     _purity_bracket_dt,
@@ -308,7 +307,7 @@ def _analytic(target, cfi: bool = False, slope=None):
     def at(probe, env):
         lam_sq = env.lam**2 if target is _LAMBDA else 1.0
         curve = _analytic_curve(target, probe, env, slope)
-        closed = _cfi_coefficients(target, _kernel_args(probe, env)) if cfi else None
+        closed = _cfi_coefficients(target, _coefficient_args(probe, env)) if cfi else None
 
         def cells(t):
             _, mu, dmu, value = curve(t)
@@ -330,7 +329,7 @@ def _purity_and_rate(probe, env):
     dB/dt's tuple is built first, so where tau0 mass rounds to 0 and lambda^2
     overflows, tau0 mass is named.
     """
-    args = _bracket_args(probe, env)
+    args = _coefficient_args(probe, env)
     dt = _purity_bracket_dt_coefficients(*args)
     b = _purity_bracket_coefficients(*args)
 
@@ -486,9 +485,9 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
     def at(probe, env):
         if target is None:
             return _purity_and_rate(probe, env)
-        dt = _purity_bracket_dt_coefficients(*_bracket_args(probe, env))
+        dt = _purity_bracket_dt_coefficients(*_coefficient_args(probe, env))
         curve = _analytic_curve(target, probe, env)
-        closed = _cfi_coefficients(target, _kernel_args(probe, env))
+        closed = _cfi_coefficients(target, _coefficient_args(probe, env))
 
         def cells(t):
             value = next(numeric)

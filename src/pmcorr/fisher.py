@@ -31,10 +31,10 @@ from .constants import HBAR
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
-    _bracket_args,
+    _coefficient_args,
+    _coherence_ratio_sq,
     _covariance_dd,
     _covariance_factors,
-    _kernel_args,
     _kernel_b_sq,
     _kernel_coefficients,
     _purity_bracket,
@@ -45,6 +45,7 @@ from .model import (
     _purity_bracket_dlam_coefficients,
     _purity_bracket_dd,
     _purity_bracket_factors,
+    _purity_bracket_fixed,
     _power,
     _SQUARE_LIMIT,
     _position_variance,
@@ -126,7 +127,7 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    return _phi_gamma_at(_phi_gamma_coefficients(*_bracket_args(probe, env)), t)
+    return _phi_gamma_at(_phi_gamma_coefficients(*_coefficient_args(probe, env)), t)
 
 
 def _square_or_none(value):
@@ -143,13 +144,13 @@ def _square_or_none(value):
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _phi_gamma_fixed(mass, sigma0, eps) -> tuple:
+def _phi_gamma_fixed(mass, sigma0, ell0) -> tuple:
     """The part of `phi_gamma`'s coefficients free of gamma and lam, kept for the last probe.
 
     (tau0, 9 tau0^4 (1 + 2 eps), 12 sigma0^2 tau0^2, 2 eps, 32 sigma0^4,
-    72 tau0^4), with tau0^4's named error.
+    72 tau0^4), with eps's and then tau0^4's named errors.
     """
-    eps2 = 2.0 * eps
+    eps2 = 2.0 * _coherence_ratio_sq(sigma0, ell0)
     tau = _tau0(mass, sigma0)
     tau4 = _power(tau, 4, "tau0", "s", divisor=True)
     return (
@@ -158,9 +159,9 @@ def _phi_gamma_fixed(mass, sigma0, eps) -> tuple:
     )
 
 
-def _phi_gamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
-    """The parts of `phi_gamma` that depend on (probe, env) alone, from its `model._bracket_args`."""
-    tau, c0, k1, eps2, k2, denom = _phi_gamma_fixed(mass, sigma0, eps)
+def _phi_gamma_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
+    """The parts of `phi_gamma` that depend on (probe, env) alone, from `model._coefficient_args`."""
+    tau, c0, k1, eps2, k2, denom = _phi_gamma_fixed(mass, sigma0, ell0)
     g_sq = gamma**2
     return (tau, c0, k1, eps2 + g_sq + 1.0, 3.0 * gamma, k2, g_sq, lam, _square_or_none(lam), denom)
 
@@ -190,16 +191,17 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    return _phi_lambda_at(_phi_lambda_coefficients(*_bracket_args(probe, env)), t)
+    return _phi_lambda_at(_phi_lambda_coefficients(*_coefficient_args(probe, env)), t)
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _phi_lambda_fixed(mass, sigma0, eps) -> tuple:
+def _phi_lambda_fixed(mass, sigma0, ell0) -> tuple:
     """The part of `phi_lambda`'s coefficients free of gamma and lam, kept for the last probe.
 
     (tau0, 2 sigma0^4, 2 eps, (3/5) eps, 4 sigma0^6, 4 sigma0^8, 18 tau0^4),
-    with the named errors of tau0^4 and sigma0^8.
+    with the named errors of eps, tau0^4 and sigma0^8.
     """
+    eps = _coherence_ratio_sq(sigma0, ell0)
     tau = _tau0(mass, sigma0)
     tau4 = _power(tau, 4, "tau0", "s", divisor=True)
     s0_8 = _power(sigma0, 8, "sigma0", "m", where=", in the lambda^2 term of phi_lambda,")
@@ -209,9 +211,9 @@ def _phi_lambda_fixed(mass, sigma0, eps) -> tuple:
     )
 
 
-def _phi_lambda_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
-    """The parts of `phi_lambda` that depend on (probe, env) alone, from its `model._bracket_args`."""
-    tau, k0, eps2, q0, k1, k2, denom = _phi_lambda_fixed(mass, sigma0, eps)
+def _phi_lambda_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
+    """The parts of `phi_lambda` that depend on (probe, env) alone, from `model._coefficient_args`."""
+    tau, k0, eps2, q0, k1, k2, denom = _phi_lambda_fixed(mass, sigma0, ell0)
     g_sq = gamma**2
     big_gamma = eps2 + g_sq + 1.0
     return (
@@ -266,13 +268,10 @@ def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) 
     target = _as_target(target)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    args = _bracket_args(probe, env)
+    args = _coefficient_args(probe, env)
     b = _purity_bracket_coefficients(*args)
-    if target is EstimationTarget.GAMMA:
-        dbracket = _purity_bracket_dgamma(_purity_bracket_dgamma_coefficients(*args), t)
-    else:
-        dbracket = _purity_bracket_dlam(_purity_bracket_dlam_coefficients(*args), t)
-    return _purity_derivative(dbracket, _purity_bracket(b, t))
+    dbracket, db = _bracket_derivative(target, args)
+    return _purity_derivative(dbracket(db, t), _purity_bracket(b, t))
 
 
 def _second_term(mu: float, dmu: float, pure: bool) -> float:
@@ -320,7 +319,7 @@ def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: Environment
     derivative, so `qfi_analytic` and a grid row that fail name the same
     error.
     """
-    args = _bracket_args(probe, env)
+    args = _coefficient_args(probe, env)
     b = _purity_bracket_coefficients(*args)
     dbracket, db = _bracket_derivative(target, args)
     if target is EstimationTarget.GAMMA:
@@ -328,7 +327,7 @@ def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: Environment
     else:
         phi_at, phi = _phi_lambda_at, _phi_lambda_coefficients(*args)
     dslope, ds = (None, None) if slope in (None, target) else _bracket_derivative(slope, args)
-    pure = env.lam == 0.0 and probe.coherence_ratio_sq == 0.0
+    pure = env.lam == 0.0 and _purity_bracket_fixed(*args[:3])[2] == 0.0  # 2 eps, kept
 
     def curve(t):
         bracket = _purity_bracket(b, t)
@@ -353,7 +352,7 @@ def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: Environment
 
 
 def _bracket_derivative(target: EstimationTarget, args: tuple) -> tuple:
-    """(evaluation, coefficients) of d(1/purity^2)/d(target) at the `model._bracket_args` args."""
+    """(evaluation, coefficients) of d(1/purity^2)/d(target) at the `model._coefficient_args` args."""
     if target is EstimationTarget.GAMMA:
         return _purity_bracket_dgamma, _purity_bracket_dgamma_coefficients(*args)
     return _purity_bracket_dlam, _purity_bracket_dlam_coefficients(*args)
@@ -540,7 +539,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
             raise _not_converged(spread)
         # the purity derivative follows from the differenced bracket through
         # the exact map mu = D^(-1/2); CPython rounds the powers
-        bracket = _purity_bracket(_purity_bracket_coefficients(m, s0, eps, gi, li), ti)
+        bracket = _purity_bracket(_purity_bracket_coefficients(m, s0, probe.ell0, gi, li), ti)
         mu = bracket**-0.5
         dmu = -0.5 * dbracket * bracket**-1.5
         pure = li == 0.0 and eps == 0.0
@@ -580,14 +579,15 @@ def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> floa
     target = _as_target(target)
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    return _cfi_closed_at(target, _cfi_coefficients(target, _kernel_args(probe, env)), t)
+    return _cfi_closed_at(target, _cfi_coefficients(target, _coefficient_args(probe, env)), t)
 
 
 def _cfi_coefficients(target: EstimationTarget, args: tuple) -> tuple:
-    """The parts of `cfi_closed` that depend on (probe, env) alone, from its `model._kernel_args`."""
+    """The parts of `cfi_closed` that depend on (probe, env) alone, from `model._coefficient_args`."""
+    kernel = _kernel_coefficients(*args)  # first, so 1/ell0^2 fails before sigma0^4
     mass, s0, _, gamma, lam = args
     scale = 8.0 * s0**4 if target is EstimationTarget.GAMMA else 18.0 * s0**4
-    return _kernel_coefficients(*args), mass, gamma / s0**2, scale, lam
+    return kernel, mass, gamma / s0**2, scale, lam
 
 
 def _cfi_closed_at(target: EstimationTarget, c: tuple, t: float) -> float:

@@ -96,9 +96,7 @@ class ProbeSpec(_Frozen):
     @property
     def coherence_ratio_sq(self) -> float:
         """(sigma0/ell0)^2; exactly zero for a fully coherent source."""
-        if math.isinf(self.ell0):
-            return 0.0
-        return _power(self.sigma0 / self.ell0, 2, "(sigma0/ell0)")
+        return _coherence_ratio_sq(self.sigma0, self.ell0)
 
     def with_gamma(self, gamma: float) -> "ProbeSpec":
         return ProbeSpec(self.mass, self.sigma0, self.ell0, gamma)
@@ -213,6 +211,11 @@ def _power(value, k, name: str, unit: str = "", divisor: bool = False, where: st
     return power
 
 
+def _coherence_ratio_sq(sigma0, ell0):
+    """eps = (sigma0/ell0)^2, exactly 0 for ell0 = inf; ``==`` lets a sympy symbol through."""
+    return 0.0 if ell0 == math.inf else _power(sigma0 / ell0, 2, "(sigma0/ell0)")
+
+
 #: the error where a division by tau0 mass rounds to 0; the floor of 3 tau0
 #: mass, 2**-1075 / 3, lies below the smallest double, so it is spelled out
 _TAU0_MASS_UNDERFLOW = (
@@ -295,38 +298,38 @@ def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
     return _purity_bracket_dd(_purity_bracket_factors(mass, sigma0, eps, t), gamma, lam)
 
 
-def _bracket_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
-    """(mass, sigma0, eps, gamma, lam), the arguments of the purity bracket's coefficients.
+def _coefficient_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
+    """(mass, sigma0, ell0, gamma, lam), the arguments of every closed-form coefficient builder.
 
-    Each copy of the bracket is a coefficient tuple, which depends on these
-    alone, and an evaluation at t.  A caller that evaluates many t at one
-    (probe, env) builds the tuples once; the public functions build them per
-    call, and both evaluate through the same functions.  Each tuple's part
-    free of gamma and lam (`_purity_bracket_fixed`, phi's in `pmcorr.fisher`)
-    is kept for the last (mass, sigma0, eps), so calls at one probe build it
-    once.
+    Each copy of the purity bracket, phi and the closed-form CFI is a
+    coefficient tuple, which depends on these alone, and an evaluation at t.
+    A caller that evaluates many t at one (probe, env) builds the tuples
+    once; the public functions build them per call, and both evaluate
+    through the same functions.  Each tuple's part free of gamma and lam
+    (`_purity_bracket_fixed`, phi's in `pmcorr.fisher`) is kept for the last
+    (mass, sigma0, ell0), so calls at one probe build it, and eps, once.
     """
-    return probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam
+    return probe.mass, probe.sigma0, probe.ell0, probe.gamma, env.lam
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _purity_bracket_fixed(mass, sigma0, eps) -> tuple:
+def _purity_bracket_fixed(mass, sigma0, ell0) -> tuple:
     """The part of the bracket's coefficients free of gamma and lam, for it and its derivatives.
 
-    (1 + 2 eps, 4 sigma0^2, 2 eps, 3 tau0 mass, 3 mass^2, tau0), with
-    `_bracket_scales`' named errors.  A grid's probes differ in gamma alone,
-    so the last probe's tuple is kept and a run builds it once; an error is
-    not kept.  The cache is typed, so an int or a numpy scalar never takes a
-    float's tuple.
+    (1 + 2 eps, 4 sigma0^2, 2 eps, 3 tau0 mass, 3 mass^2, tau0), with eps's
+    and then `_bracket_scales`' named errors.  A grid's probes differ in
+    gamma alone, so the last probe's tuple is kept and a run builds it once;
+    an error is not kept.  The cache is typed, so an int or a numpy scalar
+    never takes a float's tuple.
     """
-    eps2 = 2.0 * eps
+    eps2 = 2.0 * _coherence_ratio_sq(sigma0, ell0)
     tau, mass_sq = _bracket_scales(mass, sigma0)
     return 1.0 + eps2, 4.0 * sigma0**2, eps2, 3.0 * tau * mass, 3.0 * mass_sq, tau
 
 
-def _purity_bracket_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+def _purity_bracket_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket`, the factors of t^0 to t^4."""
-    e2, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, eps)
+    e2, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, ell0)
     return (
         e2,
         s4 * lam,
@@ -363,9 +366,9 @@ def _purity_bracket(c, t):
     raise OverflowError(f"purity bracket 1/purity^2={bracket} overflows the float range at t={t:g} s")
 
 
-def _purity_bracket_dt_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+def _purity_bracket_dt_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket_dt`, the factors of t^0 to t^3."""
-    _, s4, eps2, _, m3sq, tau = _purity_bracket_fixed(mass, sigma0, eps)
+    _, s4, eps2, _, m3sq, tau = _purity_bracket_fixed(mass, sigma0, ell0)
     tau_mass = tau * mass
     if not tau_mass:  # tau0 mass, unlike 3 tau0 mass, rounds to 0
         raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau_mass, mass, sigma0))
@@ -386,9 +389,9 @@ def _purity_bracket_dt(c, t):
         raise
 
 
-def _purity_bracket_dgamma_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+def _purity_bracket_dgamma_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket_dgamma`, the factors of t^2 and t^3."""
-    tm3 = _purity_bracket_fixed(mass, sigma0, eps)[3]
+    tm3 = _purity_bracket_fixed(mass, sigma0, ell0)[3]
     return 4.0 * lam * HBAR / mass, 8.0 * gamma * HBAR * lam / tm3
 
 
@@ -401,9 +404,9 @@ def _purity_bracket_dgamma(c, t):
         raise
 
 
-def _purity_bracket_dlam_coefficients(mass, sigma0, eps, gamma, lam) -> tuple:
+def _purity_bracket_dlam_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
     """Coefficients of `_purity_bracket_dlam`, the factors of t^1 to t^4."""
-    _, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, eps)
+    _, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, ell0)
     return (
         s4,
         4.0 * gamma * HBAR / mass,
@@ -502,17 +505,21 @@ def kernel_params(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> KernelPar
             f"kernel undefined at t={t}: t must be positive and finite "
             "(use covariance() for the initial moments)"
         )
-    return KernelParams(b_sq=_kernel_b_sq(_kernel_coefficients(*_kernel_args(probe, env)), t))
+    return KernelParams(b_sq=_kernel_b_sq(_kernel_coefficients(*_coefficient_args(probe, env)), t))
 
 
-def _kernel_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
-    """(mass, sigma0, 1/ell0^2, gamma, lam), the arguments of `_kernel_coefficients`."""
-    inv_l2 = 0.0 if probe.is_fully_coherent else 1.0 / probe.ell0**2
-    return probe.mass, probe.sigma0, inv_l2, probe.gamma, env.lam
-
-
-def _kernel_coefficients(mass, sigma0, inv_l2, gamma, lam) -> tuple:
+def _kernel_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
     """The parts of b_sq that depend on (probe, env) alone, for `_kernel_b_sq`."""
+    try:
+        l2 = ell0**2
+    except OverflowError:
+        l2 = math.inf
+    if isinstance(l2, float) and not sys.float_info.min <= l2 < math.inf:
+        # not a normal double (a symbol passes as one): (1/ell0)^2 is 0 or subnormal for a
+        # long ell0, 0 for ell0 = inf, and names its overflow for a short one
+        inv_l2 = _power(1.0 / ell0, 2, "(1/ell0)", "m^-1", where=", in b_sq,")
+    else:
+        inv_l2 = 1.0 / l2
     return (
         1.0 / (4.0 * sigma0**4) + inv_l2 / (2.0 * sigma0**2),
         mass,
@@ -570,7 +577,7 @@ def purity_exact(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Tr[rho^2] of the evolved state; always in (0, 1]."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    return _purity_bracket(_purity_bracket_coefficients(*_bracket_args(probe, env)), t) ** -0.5
+    return _purity_bracket(_purity_bracket_coefficients(*_coefficient_args(probe, env)), t) ** -0.5
 
 
 def purity_approx(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:

@@ -18,7 +18,7 @@ from .fisher import ConvergenceError, EstimationTarget, qfi_analytic
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
-    _bracket_args,
+    _coefficient_args,
     _purity_bracket,
     _purity_bracket_coefficients,
     _purity_bracket_dt,
@@ -121,7 +121,7 @@ def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     """(1/mu)|dmu/dt| in s^-1, from the analytic time derivative."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    args = _bracket_args(probe, env)
+    args = _coefficient_args(probe, env)
     dt = _purity_bracket_dt_coefficients(*args)
     b = _purity_bracket_coefficients(*args)
     return _relative_purity_rate(_purity_bracket_dt(dt, t), _purity_bracket(b, t))
@@ -282,7 +282,7 @@ def _stationarity_polynomial(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
     degree 6; scale is `tau_max_approx`, so the coefficients are of order one.
     """
     scale = tau_max_approx(probe, env)
-    coefficients = _purity_bracket_coefficients(*_bracket_args(probe, env))
+    coefficients = _purity_bracket_coefficients(*_coefficient_args(probe, env))
     try:
         b = [c * scale**k for k, c in enumerate(coefficients)]
     except OverflowError:  # scale**4 leaves the float range for lam < ~1e-215

@@ -478,6 +478,14 @@ class TestFigures:
             t95.append(data["time_s"][np.argmax(series >= 0.95 * plateau)])
         assert t95[0] > t95[1] > t95[2]
 
+    def test_long_coherence_length_writes_the_coherent_files(self, tmp_path):
+        # fig2's CFI column squared ell0 and exited 3 at row 0 for ell0 above ~1.3e154 m
+        for ell0 in ("inf", "1e200"):
+            assert main(["figures", "--preset", "fig2", "--ell0", ell0, "--outdir",
+                         str(tmp_path / ell0), "--quiet"]) == 0
+        for name in ("fig2a.csv", "fig2b.csv", "fig2c.csv", "fig2d.csv"):
+            assert (tmp_path / "1e200" / name).read_bytes() == (tmp_path / "inf" / name).read_bytes()
+
     def test_time_axis_builds_bracket_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
         # the purity bracket's fixed part passes through _bracket_scales once for both
         # files and every fixed gamma; its (gamma, lambda) tuples once per fixed gamma
@@ -520,6 +528,17 @@ class TestFigures:
         assert {name: i.misses for name, i in info.items()} == {
             "_purity_bracket_fixed": 1, "_phi_gamma_fixed": 1, "_phi_lambda_fixed": 0}
         assert info["_purity_bracket_fixed"].hits >= 4 * 301
+
+    def test_coherence_ratio_is_evaluated_in_the_fixed_parts_alone(self, tmp_path, monkeypatch):
+        # eps = (sigma0/ell0)^2 was derived once per (probe, env) group, 1,505 times in
+        # one fig2 run; the fixed parts now take ell0 and derive it once each
+        clear_fixed_parts()
+        calls, ratio = [], pc.model._coherence_ratio_sq
+        for module in (pc.model, pc.fisher):
+            monkeypatch.setattr(module, "_coherence_ratio_sq",
+                                lambda *a: calls.append(a) or ratio(*a))
+        assert main(["figures", "--preset", "fig2", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert 0 < len(calls) <= 3
 
     @pytest.mark.parametrize("preset,evaluations", [
         ("fig2", 4 * 301), ("fig3", 2 * 301), ("fig4", 2 * 220 * 3), ("figE", 181 * 3),
@@ -569,6 +588,14 @@ class TestScalarCommands:
             float(values["cfi_quadrature"]), rel=1e-6)
         assert float(values["cfi_closed"]) == pytest.approx(
             float(values["cfi_gaussian_identity"]), rel=1e-6)
+
+    def test_long_coherence_length_prints_the_coherent_values(self, capsys):
+        # ell0^2 overflows: cfi exited 3 with the bare (34, 'Numerical result out of range')
+        command = ["cfi", "--target", "gamma", "--lambda", "1e15", "--t", "1us"]
+        assert main(command + ["--ell0", "inf"]) == 0
+        coherent = capsys.readouterr()
+        assert main(command + ["--ell0", "1e200"]) == 0
+        assert capsys.readouterr() == coherent
 
     def test_tgi_command(self, capsys):
         assert main(["tgi", "--gamma", "150", "--lambda", "1e15"]) == 0

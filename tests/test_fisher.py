@@ -254,6 +254,50 @@ def test_one_point_functions_fail_only_on_fixed_factors_they_use(mass, sigma0, f
             assert math.isfinite(call()), name
 
 
+def _probe_functions() -> list:
+    """(name, call(probe, env, t)) for every public function that takes a probe."""
+    calls = []
+    for target in ("gamma", "lambda"):
+        for function in (pc.purity_derivative, pc.qfi_analytic, pc.qfi_numeric, pc.cfi_closed,
+                         pc.cfi_quadrature, pc.fisher_information):
+            calls.append((f"{function.__name__}-{target}",
+                          lambda p, e, t, f=function, g=target: f(g, p, e, t)))
+    for function in (pc.covariance, pc.kernel_params, pc.position_density_variance,
+                     pc.purity_approx, pc.purity_exact, pc.phi_gamma, pc.phi_lambda,
+                     pc.relative_purity_rate):
+        calls.append((function.__name__, function))
+    calls.append(("tau0", lambda p, e, t: pc.tau0(p)))
+    for function in (pc.tau_max_approx, pc.tau_max_exact, pc.tgi):
+        calls.append((function.__name__, lambda p, e, t, f=function: f(p, e)))
+    calls.append(("build_table1", lambda p, e, t: pc.build_table1(p, e.lam, [-50.0, 35.0, 150.0])))
+    return calls
+
+
+@pytest.mark.parametrize("ell0", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("call", [c for _, c in _probe_functions()],
+                         ids=[name for name, _ in _probe_functions()])
+def test_long_coherence_length_gives_the_coherent_value(ell0, call):
+    # ell0^2 leaves the float range, so (sigma0/ell0)^2 and 1/ell0^2 are 0 or subnormal;
+    # the kernel's 1/ell0^2 raised the bare (34, 'Numerical result out of range')
+    e, t = env(1e15), 1e-6
+    for gamma in (0.0, 3.0):
+        coherent = call(pc.fullerene_probe(gamma, math.inf), e, t)
+        assert repr(call(pc.fullerene_probe(gamma, ell0), e, t)) == repr(coherent)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [pc.kernel_params, lambda p, e, t: pc.cfi_closed(GAMMA, p, e, t),
+     lambda p, e, t: pc.cfi_closed(LAMBDA, p, e, t)],
+    ids=["kernel_params", "cfi_closed-gamma", "cfi_closed-lambda"],
+)
+def test_short_coherence_length_names_its_overflow(call):
+    # ell0^2 rounds to 0: 1/ell0^2 raised the bare "float division by zero"
+    with pytest.raises(OverflowError, match=r"^\(1/ell0\)=1e\+162 overflows the float range: "
+                       r"\(1/ell0\)\^2, in b_sq, needs \(1/ell0\) below ~1\.3e\+154 m\^-1$"):
+        call(pc.fullerene_probe(ell0=1e-162), env(1e15), 1e-6)
+
+
 class TestQfiAnalytic:
     def test_no_coupling_first_term_only(self):
         # purity is gamma-independent at lam = 0, so the derivative term vanishes
@@ -284,9 +328,7 @@ class TestQfiAnalytic:
         # double; it used to come out as 0
         probe, e, t = FULLERENE.with_gamma(1e100), env(1e15), 1e-6
         assert pc.purity_exact(probe, e, t) ** 4 == 0.0
-        c = model._purity_bracket_coefficients(
-            probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, e.lam
-        )
+        c = model._purity_bracket_coefficients(*model._coefficient_args(probe, e))
         with mpmath.workdps(30):
             mu = mpmath.fsum(mpmath.mpf(ck) * mpmath.mpf(t) ** k for k, ck in enumerate(c)) ** -0.5
             first = mu**4 / (2 * (1 + mu**2)) * _ADJ_TRACE_RESCALE * pc.phi_gamma(probe, e, t)

@@ -21,13 +21,14 @@ def env(lam=0.0):
     return pc.EnvironmentSpec(lam=lam)
 
 
-def _bracket_args(probe, e, t):
+def _terms_args(probe, e, t):
+    """The arguments of the oracle's `model._purity_bracket_terms_dd`, which takes eps."""
     return probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, e.lam, t
 
 
 def _bracket_copy(name, probe, e, t):
     """model's bracket copy `name` at (probe, e, t): its coefficients, then its value at t."""
-    coefficients = getattr(model, f"{name}_coefficients")(*_bracket_args(probe, e, t)[:-1])
+    coefficients = getattr(model, f"{name}_coefficients")(*model._coefficient_args(probe, e))
     return getattr(model, name)(coefficients, t)
 
 
@@ -244,7 +245,7 @@ class TestPositionDensityVariance:
             lambda p, e, t: _bracket_copy("_purity_bracket_dt", p, e, t),
             lambda p, e, t: _bracket_copy("_purity_bracket_dgamma", p, e, t),
             lambda p, e, t: _bracket_copy("_purity_bracket_dlam", p, e, t),
-            lambda p, e, t: model._purity_bracket_terms_dd(*_bracket_args(p, e, t)),
+            lambda p, e, t: model._purity_bracket_terms_dd(*_terms_args(p, e, t)),
         ],
         ids=["purity_exact", "purity_approx", "relative_purity_rate", "qfi_numeric-gamma",
              "qfi_numeric-lambda", "dt", "dgamma", "dlam", "terms_dd"],
@@ -281,7 +282,7 @@ class TestPositionDensityVariance:
         # _purity_bracket_dt divides by the former, so only the purity rate fails
         probe = pc.ProbeSpec(mass=1e-100, sigma0=1.3e-79)
         e, t = env(1e15), 1e-6
-        args = _bracket_args(probe, e, t)
+        args = _terms_args(probe, e, t)
         tau = pc.tau0(probe)
         assert tau * probe.mass == 0.0 < 3.0 * tau * probe.mass
         assert pc.purity_exact(probe, e, t) == 3.422348660947088e-144

@@ -17,14 +17,21 @@ through their coefficient tuples, as the grid evaluates them: phi_theta as
 `_phi_<theta>_at` of `_phi_<theta>_coefficients`, the pair that
 `fisher._analytic_curve` picks for the target, and the CFI as
 `_cfi_closed_at` of `_cfi_coefficients`.
+
+The closed forms take the coherence length ell0, as `model._coefficient_args`
+gives it; the covariance's monomials take eps = sigma0^2/ell0^2, as the
+oracles pass it.
 """
 import pytest
 import sympy as sp
 
 from pmcorr import fisher, model, thermometry
 
-M, S0, EPS, G, LAM, T, HBAR = sp.symbols("m sigma0 epsilon gamma lambda t hbar", positive=True)
-ARGS = (M, S0, EPS, G, LAM, T)
+M, S0, L0, G, LAM, T, HBAR = sp.symbols("m sigma0 ell0 gamma lambda t hbar", positive=True)
+EPS = S0**2 / L0**2
+#: the arguments of the closed forms' coefficient builders, and of the monomial splits
+ARGS = (M, S0, L0, G, LAM)
+TERMS_ARGS = (M, S0, EPS, G, LAM, T)
 
 
 def exact(expr):
@@ -33,9 +40,9 @@ def exact(expr):
 
 
 def at(copy):
-    """A bracket copy of `model` as a function of (mass, sigma0, eps, gamma, lam, t)."""
+    """A bracket copy of `model` at the symbols: its coefficients, then its value at t."""
     coefficients = getattr(model, f"{copy.__name__}_coefficients")
-    return lambda *args: copy(coefficients(*args[:-1]), args[-1])
+    return lambda: copy(coefficients(*ARGS), T)
 
 
 def dd_total(terms):
@@ -48,7 +55,7 @@ def covariance():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "HBAR", HBAR)
         patch.setattr(fisher, "HBAR", HBAR)
-        terms = model._covariance_terms_dd(*ARGS)
+        terms = model._covariance_terms_dd(*TERMS_ARGS)
         assert all(lo == 0 for _, lo in terms)
         yield dd_total(terms[:5]), dd_total(terms[5:9]), dd_total(terms[9:])
 
@@ -64,23 +71,23 @@ def test_bracket_has_the_published_form(bracket):
     # 1/purity^2 is a quartic in t whose lowest term is the initial 1 + 2 eps
     poly = sp.Poly(bracket, T)
     assert poly.degree() == 4
-    assert poly.coeff_monomial(1) == 1 + 2 * EPS
+    assert sp.expand(poly.coeff_monomial(1) - (1 + 2 * EPS)) == 0
 
 
 @pytest.mark.parametrize(
     "copy",
     [
         at(model._purity_bracket),
-        lambda *args: sum(hi + lo for hi, lo in model._purity_bracket_terms_dd(*args)),
+        lambda: sum(hi + lo for hi, lo in model._purity_bracket_terms_dd(*TERMS_ARGS)),
     ],
     ids=["_purity_bracket", "_purity_bracket_terms_dd"],
 )
 def test_bracket_copies(bracket, copy):
-    assert sp.expand(exact(copy(*ARGS)) - bracket) == 0
+    assert sp.expand(exact(copy()) - bracket) == 0
 
 
 def test_bracket_coefficients(bracket):
-    coefficients = model._purity_bracket_coefficients(M, S0, EPS, G, LAM)
+    coefficients = model._purity_bracket_coefficients(*ARGS)
     expected = sp.Poly(bracket, T).all_coeffs()[::-1]
     assert [sp.expand(exact(c) - e) for c, e in zip(coefficients, expected)] == [0] * 5
 
@@ -95,7 +102,7 @@ def test_bracket_coefficients(bracket):
     ids=["dt", "dgamma", "dlam"],
 )
 def test_bracket_derivatives(bracket, copy, variable):
-    assert sp.expand(exact(copy(*ARGS)) - sp.diff(bracket, variable)) == 0
+    assert sp.expand(exact(copy()) - sp.diff(bracket, variable)) == 0
 
 
 def test_stationarity_coefficients():
@@ -119,14 +126,13 @@ def test_phi_is_the_adjugate_trace(covariance, target, variable):
     product = s.adjugate() * s.diff(variable)
     trace = (product * product).trace()
     coefficients = getattr(fisher, f"_phi_{target.value}_coefficients")
-    phi = getattr(fisher, f"_phi_{target.value}_at")(coefficients(*ARGS[:-1]), T)
+    phi = getattr(fisher, f"_phi_{target.value}_at")(coefficients(*ARGS), T)
     assert sp.cancel(trace - exact(fisher._ADJ_TRACE_RESCALE * phi)) == 0
 
 
 @pytest.mark.parametrize("target, variable", TARGETS, ids=["gamma", "lambda"])
 def test_cfi_closed_is_the_readout_identity(covariance, target, variable):
-    # the readout variance is sigma0^2 sxx / 2, and 1/ell0^2 = eps/sigma0^2
+    # the readout variance is sigma0^2 sxx / 2
     sxx = covariance[0]
-    args = (M, S0, EPS / S0**2, G, LAM)
-    closed = fisher._cfi_closed_at(target, fisher._cfi_coefficients(target, args), T)
+    closed = fisher._cfi_closed_at(target, fisher._cfi_coefficients(target, ARGS), T)
     assert sp.cancel(exact(closed) - sp.diff(sxx, variable) ** 2 / (2 * sxx**2)) == 0
