@@ -408,16 +408,18 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     tableau T[level][order] runs on those alone.  Where a theta-free
     monomial is not finite, its difference would be NaN: that point fails
     with spread NaN, and no stencil is built where every point does.  The
-    stencil and the tableau are Python lists over the stencil points.  Each
-    entry is a float at one point, so `qfi` runs on the standard library
-    alone; along an axis it is a numpy array (the moving monomials stacked
-    at once), and only then is numpy loaded.  The same elementwise IEEE
-    operations run either way.  Convergence requires T[L-1][L-1] to agree
-    with T[L-2][L-3] to _REL_TOL componentwise; estimates at the roundoff
-    floor of the central difference count as converged zeros.  The adjugate
-    trace is assembled the same way; a trace that is not finite or cancels by
-    more than _MAX_TRACE_CANCELLATION raises, and the purity map takes its
-    powers per point with CPython's pow.
+    tableau of the moving monomials is one `_dd.dd_richardson` call per
+    monomial at one point, on its 2*_LEVELS stencil values (floats, so `qfi`
+    runs on the standard library alone) and the reciprocal widths.  Along
+    an axis it is one call on them all, each value stacked into a numpy
+    array of (len(moving), n), and only then is numpy loaded; a call per
+    monomial would cost ~8 times the numpy dispatches.  The same elementwise
+    IEEE operations run either way.  Convergence requires T[L-1][L-1] to
+    agree with T[L-2][L-3] to _REL_TOL componentwise; estimates at the
+    roundoff floor of the central difference count as converged zeros.  The
+    adjugate trace is assembled the same way; a trace that is not finite or
+    cancels by more than _MAX_TRACE_CANCELLATION raises, and the purity map
+    takes its powers per point with CPython's pow.
     """
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
@@ -472,6 +474,8 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
                 _covariance_dd(fc, gg, lx, target.value)
                 + _purity_bracket_dd(fb, gg, lx, target.value)
             )
+        # the width (x0 + h) - (x0 - h) is exact in float arithmetic
+        inv_widths = [1.0 / ((x0 + h) - (x0 - h)) for h in steps]
         # a list over the stencil per moving monomial; along an axis, one list
         # whose entries stack them all, (len(moving), n)
         rows = list(zip(*stencil))
@@ -484,20 +488,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
             fscale = 0.0
             for p, q in zip(fp, fm):
                 fscale = _fmax(fscale, _fmax(abs(p[0]), abs(q[0])))
-            column = [
-                # the width (x0 + h) - (x0 - h) is exact in float arithmetic
-                _dd.dd_mul_d(_dd.dd_sub(p, q), 1.0 / ((x0 + h) - (x0 - h)))
-                for p, q, h in zip(fp, fm, steps)
-            ]
-            for j in range(1, _LEVELS):
-                if j == _LEVELS - 2:
-                    prev = column[1]
-                fac = 4.0**j
-                column = [
-                    _dd.dd_mul_d(_dd.dd_sub(_dd.dd_mul_d(upper, fac), lower), 1.0 / (fac - 1.0))
-                    for lower, upper in zip(column[:-1], column[1:])
-                ]
-            last = column[0]
+            last, prev = _dd.dd_richardson(fp, fm, inv_widths)
             lasts.append(last)
 
             err = abs(last[0] - prev[0])
@@ -584,7 +575,9 @@ def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> floa
 
 def _cfi_coefficients(target: EstimationTarget, args: tuple) -> tuple:
     """The parts of `cfi_closed` that depend on (probe, env) alone, from `model._coefficient_args`."""
-    kernel = _kernel_coefficients(*args)  # first, so 1/ell0^2 fails before sigma0^4
+    # first: it names where 1/ell0^2, then sigma0^4, leaves the float range, so
+    # s0**4 below is a finite nonzero double
+    kernel = _kernel_coefficients(*args)
     mass, s0, _, gamma, lam = args
     scale = 8.0 * s0**4 if target is EstimationTarget.GAMMA else 18.0 * s0**4
     return kernel, mass, gamma / s0**2, scale, lam

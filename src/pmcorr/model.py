@@ -520,8 +520,14 @@ def _kernel_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
         inv_l2 = _power(1.0 / ell0, 2, "(1/ell0)", "m^-1", where=", in b_sq,")
     else:
         inv_l2 = 1.0 / l2
+    try:
+        s0_4 = sigma0**4
+    except OverflowError:
+        s0_4 = 0.0  # named below
+    if not s0_4:  # `_power` only where it raises: a grid builds this once per (probe, env)
+        _power(sigma0, 4, "sigma0", "m", divisor=True, where=", in b_sq,")
     return (
-        1.0 / (4.0 * sigma0**4) + inv_l2 / (2.0 * sigma0**2),
+        1.0 / (4.0 * s0_4) + inv_l2 / (2.0 * sigma0**2),
         mass,
         gamma / (2.0 * sigma0**2),
         lam,

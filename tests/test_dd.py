@@ -1,10 +1,12 @@
 """The fused double-double kernels against the error-free compositions they replace.
 
-`dd_add`, `dd_sub`, `dd_mul` and `dd_mul_d` write out Dekker's two-sum or
-two-product and the renormalising quick sum in one function each.  Each must
-return what the composition of `_two_sum`/`_two_prod` and the quick sum
-returns, bit for bit, so ±0 and the sign and payload of a NaN are compared as
-raw bits, on floats and elementwise on numpy arrays.
+`dd_sub`, `dd_mul` and `dd_mul_d` write out Dekker's two-sum or two-product
+and the renormalising quick sum in one function each; `dd_sum` folds the
+two-sum addition over a list, and `dd_richardson` runs a whole Richardson
+tableau of `dd_sub` and `dd_mul_d`, on float locals.  Each must return what
+the composition it replaces returns, bit for bit, so ±0 and the sign and
+payload of a NaN are compared as raw bits, on floats and elementwise on numpy
+arrays.
 """
 import math
 import random
@@ -13,7 +15,8 @@ import struct
 import numpy as np
 import pytest
 
-from pmcorr import _dd
+import pmcorr as pc
+from pmcorr import _dd, fisher
 
 
 def _quick_sum(a, b):
@@ -43,7 +46,6 @@ def _mul_d(x, a):
 #: each fused kernel and the composition it replaces; the second operand of
 #: dd_mul_d is a float
 KERNELS = {
-    "dd_add": (_dd.dd_add, _add, True),
     "dd_sub": (_dd.dd_sub, _sub, True),
     "dd_mul": (_dd.dd_mul, _mul, True),
     "dd_mul_d": (_dd.dd_mul_d, _mul_d, False),
@@ -117,3 +119,139 @@ def test_cases_reach_every_kind_of_double():
     values = [v for x, y in _cases(1) for v in (*x, *y)]
     assert {_bits(v) for v in SPECIAL} <= {_bits(v) for v in values}
     assert sum(0.0 < abs(v) < 2.2250738585072014e-308 for v in values) > 100
+
+
+def _sum(terms):
+    acc = (0.0, 0.0)
+    for term in terms:
+        acc = _add(acc, term)
+    return acc
+
+
+def _richardson(plus, minus, inv_widths):
+    """The tableau as `dd_sub` and `dd_mul_d` calls, column by column."""
+    column = [_dd.dd_mul_d(_dd.dd_sub(p, q), r) for p, q, r in zip(plus, minus, inv_widths)]
+    levels = len(column)
+    for j in range(1, levels):
+        if j == levels - 2:
+            prev = column[1]
+        fac = 4.0**j
+        column = [
+            _dd.dd_mul_d(_dd.dd_sub(_dd.dd_mul_d(upper, fac), lower), 1.0 / (fac - 1.0))
+            for lower, upper in zip(column[:-1], column[1:])
+        ]
+    return column[0], prev
+
+
+def _richardson_cases(seed: int, n: int = 1500) -> list:
+    """(plus, minus, inv_widths) of five steps: free pairs, or stencils about a common value."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            plus = [_pair(rng) for _ in range(5)]
+            minus = [_pair(rng) for _ in range(5)]
+            inv_widths = [_double(rng) for _ in range(5)]
+        else:  # a smooth function about x0, as the oracle's stencils are
+            x0, c1, c2 = _double(rng), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            steps = [rng.uniform(1e-6, 1e-2) / 2.0**i for i in range(5)]
+
+            def value(s):
+                hi = x0 * (1.0 + c1 * s + c2 * s * s)
+                return hi, rng.uniform(-0.5, 0.5) * math.ulp(hi) if math.isfinite(hi) else 0.0
+
+            plus, minus = [value(s) for s in steps], [value(-s) for s in steps]
+            inv_widths = [1.0 / (2.0 * s) for s in steps]
+        cases.append((plus, minus, inv_widths))
+    return cases
+
+
+def _flat(result) -> list:
+    """The raw bits of a (hi, lo) pair, or of a pair of such pairs."""
+    if isinstance(result, tuple):
+        return [b for part in result for b in _flat(part)]
+    if isinstance(result, np.ndarray):
+        return [result.dtype.str, *result.view(np.uint64).tolist()]
+    return [_bits(result)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dd_sum_is_the_folded_addition_on_floats(seed):
+    rng = random.Random(seed)
+    mismatches = []
+    for _ in range(4000):
+        terms = [_pair(rng) for _ in range(rng.randrange(0, 20))]
+        got, want = _dd.dd_sum(terms), _sum(terms)
+        if _flat(got) != _flat(want):
+            mismatches.append((terms, got, want))
+    assert mismatches == []
+
+
+def test_dd_sum_is_the_folded_addition_on_arrays():
+    rng = random.Random(3)
+    # a float term beside array ones, as an axis call's monomials mix them
+    terms = [tuple(np.array([_pair(rng)[k] for _ in range(4000)]) for k in (0, 1)) for _ in range(12)]
+    terms.insert(3, _pair(rng))
+    with np.errstate(all="ignore"):
+        assert _flat(_dd.dd_sum(terms)) == _flat(_sum(terms))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_richardson_is_the_composed_tableau_on_floats(seed):
+    mismatches = []
+    for plus, minus, inv_widths in _richardson_cases(seed):
+        got, want = _dd.dd_richardson(plus, minus, inv_widths), _richardson(plus, minus, inv_widths)
+        if _flat(got) != _flat(want):
+            mismatches.append((plus, minus, inv_widths, got, want))
+    assert mismatches == []
+
+
+def test_richardson_is_the_composed_tableau_on_arrays():
+    cases = _richardson_cases(3)
+
+    def column(part, i, k=None):
+        return np.array([c[part][i] if k is None else c[part][i][k] for c in cases])
+
+    plus, minus = ([(column(part, i, 0), column(part, i, 1)) for i in range(5)] for part in (0, 1))
+    inv_widths = [column(2, i) for i in range(5)]
+    inv_widths[0] = 0.5  # a float width beside arrays, as where the axis is not the target
+    with np.errstate(all="ignore"):
+        got, want = _dd.dd_richardson(plus, minus, inv_widths), _richardson(plus, minus, inv_widths)
+    assert _flat(got) == _flat(want)
+    assert all(isinstance(v, np.ndarray) and v.shape == (len(cases),) for pair in got for v in pair)
+
+
+def _envelope_draws(seed: int, n: int) -> list:
+    """(probe, env, t) over the envelope, as in test_fisher's test_numeric_across_envelope."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        lam = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 30.0)
+        gamma = 0.0 if rng.random() < 0.1 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 4)
+        t = 10.0 ** rng.uniform(-12.0, 0.0)
+        probe = pc.fullerene_probe(gamma=float(gamma), ell0=(5e-8, math.inf)[rng.integers(2)])
+        draws.append((probe, pc.EnvironmentSpec(lam=float(lam)), float(t)))
+    return draws
+
+
+@pytest.mark.parametrize("target", ["gamma", "lambda"])
+def test_kernels_are_the_compositions_on_real_stencils(target, monkeypatch):
+    # every tableau and every sum that 200 seeded qfi_numeric calls run
+    seen = {"dd_richardson": [], "dd_sum": []}
+    for name, kernel in (("dd_richardson", _dd.dd_richardson), ("dd_sum", _dd.dd_sum)):
+        def spy(*args, kernel=kernel, name=name):
+            seen[name].append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_dd, name, spy)
+    for probe, env, t in _envelope_draws(7, 200):
+        try:
+            pc.qfi_numeric(target, probe, env, t)
+        except (pc.ConvergenceError, ArithmeticError, ValueError):
+            pass
+    monkeypatch.undo()
+    assert len(seen["dd_richardson"]) >= 150 * len(fisher._MOVING[pc.EstimationTarget(target)])
+    for args in seen["dd_richardson"]:
+        assert _flat(_dd.dd_richardson(*args)) == _flat(_richardson(*args))
+    for (terms,) in seen["dd_sum"]:
+        assert _flat(_dd.dd_sum(terms)) == _flat(_sum(terms))

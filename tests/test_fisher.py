@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pmcorr as pc
-from pmcorr import fisher, model
+from pmcorr import _dd, fisher, model
 from pmcorr.constants import HBAR
 from pmcorr.fisher import _ADJ_TRACE_RESCALE
 
@@ -285,17 +285,47 @@ def test_long_coherence_length_gives_the_coherent_value(ell0, call):
         assert repr(call(pc.fullerene_probe(gamma, ell0), e, t)) == repr(coherent)
 
 
-@pytest.mark.parametrize(
+#: the functions that build the kernel's coefficients
+_KERNEL_CALLS = pytest.mark.parametrize(
     "call",
     [pc.kernel_params, lambda p, e, t: pc.cfi_closed(GAMMA, p, e, t),
      lambda p, e, t: pc.cfi_closed(LAMBDA, p, e, t)],
     ids=["kernel_params", "cfi_closed-gamma", "cfi_closed-lambda"],
 )
+
+
+@_KERNEL_CALLS
 def test_short_coherence_length_names_its_overflow(call):
     # ell0^2 rounds to 0: 1/ell0^2 raised the bare "float division by zero"
     with pytest.raises(OverflowError, match=r"^\(1/ell0\)=1e\+162 overflows the float range: "
                        r"\(1/ell0\)\^2, in b_sq, needs \(1/ell0\) below ~1\.3e\+154 m\^-1$"):
         call(pc.fullerene_probe(ell0=1e-162), env(1e15), 1e-6)
+
+
+def _wide_probe(sigma0, ell0=math.inf):
+    return pc.ProbeSpec(mass=FULLERENE.mass, sigma0=sigma0, ell0=ell0)
+
+
+@_KERNEL_CALLS
+def test_wide_probe_names_its_sigma0_overflow(call):
+    # sigma0^4 leaves the float range while the purity is still a value; the
+    # bare sigma0**4 raised (34, 'Numerical result out of range')
+    probe, e, t = _wide_probe(1e78), env(1e15), 1e-6
+    assert pc.purity_exact(probe, e, t) == pytest.approx(1.58e-83, rel=1e-3)
+    with pytest.raises(OverflowError, match=r"^sigma0=1e\+78 overflows the float range: sigma0\^4, "
+                       r"in b_sq, needs sigma0 below ~1\.2e\+77 m$"):
+        call(probe, e, t)
+    # 1/ell0^2 is still named first
+    with pytest.raises(OverflowError, match=r"^\(1/ell0\)=1e\+162 overflows"):
+        call(_wide_probe(1e78, 1e-162), e, t)
+
+
+@_KERNEL_CALLS
+def test_narrow_probe_names_its_sigma0_underflow(call):
+    # sigma0^4 rounds to 0 in a divisor: it raised the bare "float division by zero"
+    with pytest.raises(ZeroDivisionError, match=r"^sigma0=1e-85 underflows the float range: "
+                       r"sigma0\^4, in b_sq, a divisor, needs sigma0 above ~1\.3e-81 m$"):
+        call(_wide_probe(1e-85), env(1e15), 1e-6)
 
 
 class TestQfiAnalytic:
@@ -578,6 +608,28 @@ class TestStencilClasses:
         with pytest.raises(pc.ConvergenceError, match="relative spread nan$"):
             pc.qfi_numeric(target, pc.fullerene_probe(gamma=gamma, ell0=5e-8), env(lam), t)
         assert calls == [("_covariance_dd", None), ("_purity_bracket_dd", None)]
+
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_tableau_runs_once_per_moving_monomial(self, target, monkeypatch):
+        calls = []
+
+        def spy(plus, minus, inv_widths, tableau=_dd.dd_richardson):
+            calls.append((plus, minus, inv_widths))
+            return tableau(plus, minus, inv_widths)
+
+        monkeypatch.setattr(_dd, "dd_richardson", spy)
+        probe, e, t = FULLERENE.with_gamma(5.0), env(1e15), 2e-5
+        pc.qfi_numeric(target, probe, e, t)
+        assert len(calls) == len(fisher._MOVING[target])  # 7 for gamma, 8 for lambda
+        for plus, minus, inv_widths in calls:  # one point: floats alone
+            assert all(type(v) is float for v in [*inv_widths, *(v for p in plus + minus for v in p)])
+        # along an axis one call runs them all, on (monomial, point) arrays
+        calls.clear()
+        fisher._qfi_numeric_points(target, probe, 5.0, 1e15, [1e-5, 2e-5, 3e-5])
+        assert len(calls) == 1
+        (plus, minus, inv_widths), = calls
+        shape = (len(fisher._MOVING[target]), 3)
+        assert all(isinstance(v, np.ndarray) and v.shape == shape for p in plus + minus for v in p)
 
 
 #: (target, ell0, lam, gamma, t, quadrature, gaussian_identity) recorded from
