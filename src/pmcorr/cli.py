@@ -56,6 +56,7 @@ from .model import (
     _purity_bracket_coefficients,
     _purity_bracket_dt,
     _purity_bracket_dt_coefficients,
+    _require_positive_t,
     covariance,
     purity_approx,
     purity_exact,
@@ -64,10 +65,13 @@ from .model import (
 from .thermometry import (
     TABLE1_REFERENCE,
     _relative_purity_rate,
+    _tgi_db,
     build_table1,
     lambda_from_temperature,
     tau_max_approx,
+    tau_max_exact,
     temperature_from_lambda,
+    tgi,
     tgi_approx,
 )
 
@@ -394,8 +398,9 @@ _FIG4_TIMES = _axis("time", -6.0, math.log10(5e-3), 220, True)
 _FIGE_GAMMAS = (-10.0, 0.0, 5.0)
 
 #: figure preset -> files, each (name, group columns, axes, lam, t, groups),
-#: axes as made by `_axis`; a None lam is the scenario's coupling (default
-#: 1e15), a None t is on an axis or unused
+#: each axis a (kind, function that returns its values), as `_axis` makes
+#: them; a None lam is the scenario's coupling (default 1e15), a None t is on
+#: an axis or unused
 _FIGURES = {
     "fig2": [
         (f"fig2{panel}.csv", ["qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
@@ -415,9 +420,12 @@ _FIGURES = {
          + [f"purity_rate_per_s_gamma{g:g}" for g in _FIG4_GAMMAS],
          [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _purity_and_rate, (1, 1))]),
     ],
-    # fig5 also writes fig5_points.csv from the gain table, see cmd_figures
-    "fig5": [("fig5_curve.csv", ["tgi_approx_db"], [_GAMMA_AXIS], None, None,
-              [lambda p, e: lambda t: [tgi_approx(p.gamma)]])],
+    "fig5": [
+        ("fig5_curve.csv", ["tgi_approx_db"], [_GAMMA_AXIS], None, None,
+         [lambda p, e: lambda t: [tgi_approx(p.gamma)]]),
+        ("fig5_points.csv", ["tgi_db"], [("gamma", lambda: [r.gamma for r in TABLE1_REFERENCE])],
+         None, None, [lambda p, e: lambda t: [tgi(p, e)]]),
+    ],
     "figD": [
         ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
          [_axis("gamma", -150.0, 150.0, 61), _axis("time", -7.0, -4.0, 41, True)],
@@ -576,8 +584,8 @@ def cmd_figures(args, scenario: Scenario, started: float) -> int:
     # every preset's manifests record the coupling and t, so both must be valid
     coupling = scenario.lam if scenario.lam is not None else 1e15
     EnvironmentSpec(lam=coupling)
-    if scenario.t is not None and not 0.0 < scenario.t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {scenario.t}")
+    if scenario.t is not None:
+        _require_positive_t(scenario.t)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     marker = outdir / ".write_test"
@@ -592,11 +600,6 @@ def cmd_figures(args, scenario: Scenario, started: float) -> int:
         header = [_AXIS_COLUMN[kind] for kind, _ in axes] + columns
         axes = [(kind, values()) for kind, values in axes]
         write(name, header, _grid(scenario.probe, coupling if lam is None else lam, t, axes, groups))
-    if args.preset == "fig5":
-        if not coupling > 0:
-            raise ValueError("tau_max requires lam > 0")
-        table = build_table1(scenario.probe, coupling, [r.gamma for r in TABLE1_REFERENCE])
-        write("fig5_points.csv", ["gamma", "tgi_db"], [[row.gamma, row.tgi_db] for row in table])
     return 0
 
 
@@ -662,11 +665,12 @@ def cmd_cfi(args, scenario: Scenario, started: float) -> int:
 def cmd_tgi(args, scenario: Scenario, started: float) -> int:
     probe, env = scenario.probe, scenario.env()
     approx = tau_max_approx(probe, env)
-    row = build_table1(probe, env.lam, [probe.gamma])[0]
+    t_ref = tau_max_exact(probe.with_gamma(0.0), env)  # first: where both fail, gamma = 0 is named
+    t_max = tau_max_exact(probe, env)
     return _print_values([
-        ("tau_max_us", row.tau_max * 1e6),
+        ("tau_max_us", t_max * 1e6),
         ("tau_max_approx_us", approx * 1e6),
-        ("tgi_db", row.tgi_db),
+        ("tgi_db", _tgi_db(t_max, t_ref)),
         ("tgi_approx_db", tgi_approx(probe.gamma)),
     ])
 

@@ -49,8 +49,9 @@ from .model import (
     _power,
     _SQUARE_LIMIT,
     _position_variance,
+    _require_nonnegative_t,
+    _require_positive_t,
     _tau0,
-    purity_exact,
     tau0,
 )
 
@@ -125,8 +126,7 @@ def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     The ell0^2 common to the c_k and the prefactor is cancelled, so fully
     coherent sources stay finite.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_positive_t(t)
     return _phi_gamma_at(_phi_gamma_coefficients(*_coefficient_args(probe, env)), t)
 
 
@@ -189,8 +189,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
 
     The ell0^4 common to the c_k and the prefactor is cancelled, as in `phi_gamma`.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_positive_t(t)
     return _phi_lambda_at(_phi_lambda_coefficients(*_coefficient_args(probe, env)), t)
 
 
@@ -266,8 +265,7 @@ def _purity_derivative(dbracket: float, bracket: float) -> float:
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Analytic d(purity)/d(theta) for theta in {gamma, lam}."""
     target = _as_target(target)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    _require_nonnegative_t(t)
     args = _coefficient_args(probe, env)
     b = _purity_bracket_coefficients(*args)
     dbracket, db = _bracket_derivative(target, args)
@@ -301,8 +299,7 @@ def _second_term(mu: float, dmu: float, pure: bool) -> float:
 def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Closed-form quantum Fisher information for the chosen target."""
     target = _as_target(target)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_positive_t(t)
     return _analytic_curve(target, probe, env)(t)[3]
 
 
@@ -560,16 +557,14 @@ def qfi_numeric(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> flo
     an independent oracle for `qfi_analytic`.
     """
     target = _as_target(target)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_positive_t(t)
     return _qfi_numeric_points(target, probe, probe.gamma, env.lam, t)[0]
 
 
 def cfi_closed(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Closed-form classical Fisher information of the position readout."""
     target = _as_target(target)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_positive_t(t)
     return _cfi_closed_at(target, _cfi_coefficients(target, _coefficient_args(probe, env)), t)
 
 
@@ -660,8 +655,7 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     its half taken twice, which rounds the full rule's exact sum once.
     """
     target = _as_target(target)
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_positive_t(t)
     g, lam, s0 = probe.gamma, env.lam, probe.sigma0
     # sxx's monomials are built once at theta (its factors name a tau0 that rounds
     # to 0), and give V; per step only those that move with theta are built
@@ -777,14 +771,19 @@ def cramer_rao_bound(fisher_info: float, n_repeats: int) -> float:
 
 
 def fisher_information(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> FisherResult:
-    """Evaluate every route at one point."""
+    """Evaluate every route at one point.
+
+    The analytic QFI, the purity and its derivative are one `_analytic_curve`
+    row, the values `qfi_analytic`, `purity_exact` and `purity_derivative` give.
+    """
     target = _as_target(target)
     quad = cfi_quadrature(target, probe, env, t)
+    _, mu, dmu, analytic = _analytic_curve(target, probe, env)(t)
     return FisherResult(
-        qfi_analytic=qfi_analytic(target, probe, env, t),
+        qfi_analytic=analytic,
         qfi_numeric=qfi_numeric(target, probe, env, t),
         cfi_closed=cfi_closed(target, probe, env, t),
         cfi_quadrature=quad.quadrature,
-        purity=purity_exact(probe, env, t),
-        purity_derivative=purity_derivative(target, probe, env, t),
+        purity=mu,
+        purity_derivative=dmu,
     )

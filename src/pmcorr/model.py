@@ -211,6 +211,18 @@ def _power(value, k, name: str, unit: str = "", divisor: bool = False, where: st
     return power
 
 
+def _require_positive_t(t) -> None:
+    """The domain of every function of t > 0: a ValueError unless 0 < t < inf."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+
+
+def _require_nonnegative_t(t) -> None:
+    """The domain of every function of t >= 0: a ValueError unless 0 <= t < inf."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
+
+
 def _coherence_ratio_sq(sigma0, ell0):
     """eps = (sigma0/ell0)^2, exactly 0 for ell0 = inf; ``==`` lets a sympy symbol through."""
     return 0.0 if ell0 == math.inf else _power(sigma0 / ell0, 2, "(sigma0/ell0)")
@@ -526,8 +538,14 @@ def _kernel_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
         s0_4 = 0.0  # named below
     if not s0_4:  # `_power` only where it raises: a grid builds this once per (probe, env)
         _power(sigma0, 4, "sigma0", "m", divisor=True, where=", in b_sq,")
+    quarter = 1.0 / (4.0 * s0_4)
+    if quarter == math.inf:  # sigma0^4 is subnormal
+        raise OverflowError(
+            f"sigma0={sigma0:g} underflows the float range: 1/(4 sigma0^4), in b_sq, needs "
+            f"sigma0 above ~{(0.25 / sys.float_info.max) ** 0.25:.2g} m"
+        )
     return (
-        1.0 / (4.0 * s0_4) + inv_l2 / (2.0 * sigma0**2),
+        quarter + inv_l2 / (2.0 * sigma0**2),
         mass,
         gamma / (2.0 * sigma0**2),
         lam,
@@ -555,8 +573,7 @@ def _kernel_b_sq(c, t):
 
 def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMatrix:
     """Scaled covariance matrix at time t >= 0 (exact analytic limit at t=0)."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    _require_nonnegative_t(t)
     terms = _covariance_terms_dd(
         probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
     )
@@ -581,15 +598,13 @@ def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMa
 
 def purity_exact(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Tr[rho^2] of the evolved state; always in (0, 1]."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    _require_nonnegative_t(t)
     return _purity_bracket(_purity_bracket_coefficients(*_coefficient_args(probe, env)), t) ** -0.5
 
 
 def purity_approx(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Cubic-term approximation of the purity, valid for microsecond-scale flights."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    _require_nonnegative_t(t)
     tau, _ = _bracket_scales(probe.mass, probe.sigma0)
     term = (4.0 * HBAR * env.lam * (probe.gamma**2 + 1.0) / (3.0 * tau * probe.mass)) * t**3
     return (1.0 + term) ** -0.5
@@ -605,8 +620,7 @@ def purity_from_covariance(cov: CovarianceMatrix) -> float:
 
 def position_density_variance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Variance (m^2) of the position readout density rho(x, x, t)."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    _require_nonnegative_t(t)
     f = _covariance_factors(probe.mass, probe.sigma0, probe.coherence_ratio_sq, t)
     return _position_variance(probe, _covariance_dd(f, probe.gamma, env.lam, sxx_only=True), t)
 

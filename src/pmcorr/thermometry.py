@@ -24,6 +24,7 @@ from .model import (
     _purity_bracket_dt,
     _purity_bracket_dt_coefficients,
     _power,
+    _require_positive_t,
     purity_exact,
     tau0,
 )
@@ -75,17 +76,30 @@ def lambda_from_temperature(
             f"temperature={temperature:g} K overflows the float range: (k_B*T)^1.5 needs T "
             f"below ~{sys.float_info.max ** (2.0 / 3.0) / K_BOLTZMANN:.2g} K"
         ) from None
-    lam = (
-        (8.0 / (3.0 * HBAR**2))
-        * math.sqrt(2.0 * math.pi * m_air)
-        * thermal
-        * number_density
-        * _power(molecule_size, 2, "molecule_size", "m")
+    factors = (
+        8.0 / (3.0 * HBAR**2),
+        math.sqrt(2.0 * math.pi * m_air),
+        thermal,
+        number_density,
+        _power(molecule_size, 2, "molecule_size", "m"),
     )
+    lam = math.prod(factors)  # left to right
+    if lam == math.inf:
+        # a partial product can overflow before the coupling does: the same
+        # products on the factors' significands, with their exponents summed
+        # apart, round alike and leave the float range only with the coupling
+        significand, exponent = 1.0, 0
+        for factor in factors:
+            m, e = math.frexp(factor)
+            significand, exponent = significand * m, exponent + e
+        try:
+            lam = math.ldexp(significand, exponent)
+        except OverflowError:
+            pass
     if lam == math.inf:
         raise OverflowError(
             f"the coupling at temperature={temperature:g} K overflows the float range: "
-            f"a product in it exceeds ~{sys.float_info.max:.2g}"
+            f"it exceeds ~{sys.float_info.max:.2g} m^-2 s^-1"
         )
     return lam
 
@@ -119,8 +133,7 @@ def decoherence_time(lam: float, delta_x: float) -> float:
 
 def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """(1/mu)|dmu/dt| in s^-1, from the analytic time derivative."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _require_positive_t(t)
     args = _coefficient_args(probe, env)
     dt = _purity_bracket_dt_coefficients(*args)
     b = _purity_bracket_coefficients(*args)

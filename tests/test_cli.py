@@ -437,6 +437,15 @@ class TestConvert:
         assert main(["convert", "--to-lambda", "0", "--quiet"]) == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
 
+    def test_coupling_below_the_float_limit_prints(self, capsys):
+        # a partial product of the coupling overflowed first: this exited 3
+        assert main(["convert", "--to-lambda", "1e190", "--quiet"]) == 0
+        value = float(capsys.readouterr().out)
+        assert value == pc.lambda_from_temperature(
+            1e190, pc.constants.AIR_MOLECULE_MASS, pc.constants.AIR_NUMBER_DENSITY,
+            pc.constants.FULLERENE_MOLECULE_SIZE)
+        assert value == pytest.approx(3.378e300, rel=1e-3)
+
     def test_provenance_line(self, capsys):
         assert main(["convert", "--to-lambda", "0.442"]) == 0
         err = capsys.readouterr().err
@@ -462,6 +471,27 @@ class TestFigures:
         assert len(curve) == 301
         for g, tgi_exact in zip(points["gamma"], points["tgi_db"]):
             assert abs(tgi_exact - pc.tgi_approx(float(g))) <= 0.2
+
+    def test_fig5_points_are_the_tgi(self, tmp_path):
+        # phi_lambda's t^8 overflows at tau_max: the points, once taken from full
+        # gain-table rows, exited 3 after writing the curve
+        assert main(["figures", "--preset", "fig5", "--lambda", "1e-200", "--outdir",
+                     str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "fig5_points.csv").read_text().splitlines()
+        e = pc.EnvironmentSpec(lam=1e-200)
+        assert lines == ["gamma,tgi_db"] + [
+            f"{fmt(r.gamma)},{fmt(pc.tgi(pc.fullerene_probe(gamma=r.gamma), e))}"
+            for r in pc.TABLE1_REFERENCE
+        ]
+
+    def test_fig5_failing_point_names_its_row(self, tmp_path, capsys):
+        # gamma = 35 has no resolvable knee at lambda = 1e25, while gamma = 0 has
+        assert main(["figures", "--preset", "fig5", "--lambda", "1e25", "--outdir",
+                     str(tmp_path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: row 4 (gamma=35.0) failed: no interior maximum of the purity "
+            "rate at gamma=35, lam=1e+25\n")
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fig5_curve.csv"]
 
     def test_fig2_panel_a_purity_constant(self, tmp_path):
         assert main(["figures", "--preset", "fig2", "--outdir", str(tmp_path), "--quiet"]) == 0
@@ -644,6 +674,21 @@ class TestScalarCommands:
     def test_missing_time_is_validation_error(self, capsys):
         assert main(["purity", "--gamma", "0", "--lambda", "1e15"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        # phi_lambda's t^8 overflows at tau_max, in a lambda^2 QFI that tgi does not print
+        ["--lambda", "1e-200", "--gamma", "3"],
+        # and there Gamma^2 = (2 eps + gamma^2 + 1)^2; both exited 3 through the gain table
+        ["--gamma", "1e100", "--lambda", "1e15"],
+    ], ids=["lambda-1e-200", "big-gamma-square"])
+    def test_tgi_prints_the_thermometry_values(self, flags, capsys):
+        assert main(["tgi", *flags]) == 0
+        values = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        point = dict(zip(flags[::2], map(float, flags[1::2])))
+        probe = pc.fullerene_probe(gamma=point["--gamma"])
+        e = pc.EnvironmentSpec(lam=point["--lambda"])
+        assert float(values["tau_max_us"]) == pc.tau_max_exact(probe, e) * 1e6
+        assert float(values["tgi_db"]) == pc.tgi(probe, e)
+
     def test_tgi_uncorrelated_prints_positive_zero(self, capsys):
         assert main(["tgi", "--gamma", "0", "--lambda", "1e15"]) == 0
         assert "tgi_db = 0\n" in capsys.readouterr().out
@@ -780,10 +825,6 @@ class TestScalarCommands:
             (["qfi", "--target", "lambda", "--gamma", "1e100", "--lambda", "1e15", "--t", "1us"],
              "(2eps+gamma^2+1)=1e+200 overflows the float range: (2eps+gamma^2+1)^2, in the "
              "lambda-free term of phi_lambda, needs (2eps+gamma^2+1) below ~1.3e+154"),
-            # ... which the gain table reaches through its lambda^2 QFI column
-            (["tgi", "--gamma", "1e100", "--lambda", "1e15"],
-             "(2eps+gamma^2+1)=1e+200 overflows the float range: (2eps+gamma^2+1)^2, in the "
-             "lambda-free term of phi_lambda, needs (2eps+gamma^2+1) below ~1.3e+154"),
             (["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "1e60"],
              "t=1e+60 overflows the float range: t^6, in the lambda^2 term of phi_gamma, needs t "
              "below ~2.4e+51 s"),
@@ -834,7 +875,7 @@ class TestScalarCommands:
              "qfi-tau0-fourth-underflow", "qfi-tau0-fourth-overflow", "qfi-lambda-mixed-purity-1",
              "qfi-gamma-mixed-purity-1", "qfi-gamma-1e200", "tgi-gamma-1e200", "purity-gamma-minus-1e200",
              "qfi-lambda-sigma0-eighth", "qfi-lambda-t-eighth", "qfi-lambda-big-gamma-square",
-             "tgi-big-gamma-square", "qfi-gamma-t-sixth", "qfi-gamma-nan-trace-1e60",
+             "qfi-gamma-t-sixth", "qfi-gamma-nan-trace-1e60",
              "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf", "qfi-lambda-dpurity-square",
              "purity-t-fourth", "purity-t-cube", "qfi-gamma-t-fourth", "qfi-lambda-t-fourth",
              "purity-bracket-inf", "qfi-gamma-short-t", "qfi-lambda-short-t"],

@@ -328,6 +328,15 @@ def test_narrow_probe_names_its_sigma0_underflow(call):
         call(_wide_probe(1e-85), env(1e15), 1e-6)
 
 
+@_KERNEL_CALLS
+def test_narrow_probe_names_its_inverse_sigma0_fourth_overflow(call):
+    # sigma0^4 is a nonzero subnormal, but 1/(4 sigma0^4) is inf: the error
+    # blamed lambda and t, as "b_sq overflows the float range (lambda=..., t=...)"
+    with pytest.raises(OverflowError, match=r"^sigma0=1e-80 underflows the float range: "
+                       r"1/\(4 sigma0\^4\), in b_sq, needs sigma0 above ~6\.1e-78 m$"):
+        call(_wide_probe(1e-80), env(1e15), 1e-6)
+
+
 class TestQfiAnalytic:
     def test_no_coupling_first_term_only(self):
         # purity is gamma-independent at lam = 0, so the derivative term vanishes
@@ -881,6 +890,24 @@ class TestInvariants:
 
 
 class TestFisherResult:
+    @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
+    def test_analytic_fields_are_the_one_point_functions(self, target):
+        # one analytic row gives the QFI, the purity and its derivative, bit for
+        # bit what the three public functions give
+        checked = 0
+        for probe, lam, t in _stencil_draws(41, 300):
+            e = env(lam)
+            try:
+                res = pc.fisher_information(target, probe, e, t)
+            except (pc.ConvergenceError, ArithmeticError, ValueError):
+                continue
+            checked += 1
+            assert _bits([res.qfi_analytic, res.purity, res.purity_derivative]) == _bits([
+                pc.qfi_analytic(target, probe, e, t), pc.purity_exact(probe, e, t),
+                pc.purity_derivative(target, probe, e, t),
+            ])
+        assert checked > 150
+
     def test_bundle_consistency(self):
         probe = FULLERENE.with_gamma(2.0)
         e = env(1e15)

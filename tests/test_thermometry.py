@@ -17,6 +17,8 @@ from pmcorr.constants import (
     AIR_MOLECULE_MASS,
     AIR_NUMBER_DENSITY,
     FULLERENE_MOLECULE_SIZE,
+    HBAR,
+    K_BOLTZMANN,
 )
 from pmcorr.fisher import ConvergenceError
 
@@ -105,6 +107,20 @@ class TestConversions:
         # (k_B T)^1.5 is finite here, but the coupling's product is not
         with pytest.raises(OverflowError, match=r"the coupling at temperature=1e\+220 K overflows"):
             pc.lambda_from_temperature(1e220, *AIR)
+
+    def test_coupling_finite_past_an_overflowing_partial_product(self):
+        # (k_B T)^1.5 and the coupling are finite, but the product's third
+        # partial product overflowed: `convert --to-lambda 1e190` exited 3
+        lam = pc.lambda_from_temperature(1e190, *AIR)
+        m_air, density, size = (mpmath.mpf(v) for v in AIR)
+        with mpmath.workdps(50):
+            exact = (8 / (3 * mpmath.mpf(HBAR) ** 2) * mpmath.sqrt(2 * mpmath.pi * m_air)
+                     * (mpmath.mpf(K_BOLTZMANN) * mpmath.mpf(1e190)) ** 1.5 * density * size**2)
+            assert abs(lam - exact) <= 4 * EPS * exact
+        assert lam == pytest.approx(3.378e300, rel=1e-3)
+        with pytest.raises(OverflowError, match=r"^the coupling at temperature=1e\+196 K "
+                           r"overflows the float range: it exceeds ~1\.8e\+308 m\^-2 s\^-1$"):
+            pc.lambda_from_temperature(1e196, *AIR)
 
 
 class TestDecoherenceTime:
@@ -305,6 +321,11 @@ class TestPositiveRoots:
         assert positive_roots(ascending([-1.0, -3.0, 2j, -2j])) == []
         assert positive_roots([1.0, 0.0, 1.0]) == []
         assert positive_roots([1.0]) == []
+
+    def test_closed_form_degrees(self):
+        assert thermometry._positive_roots([-2.0, 1.0]) == [(2.0, 1.0)]
+        # x^2: the double root at 0 is not positive, and q = 0 ends the quadratic
+        assert positive_roots([0.0, 0.0, 1.0]) == []
 
     def test_negligible_leading_coefficient(self):
         # (x - 1)(x - 2)(1 - 1e-20 x): the leading coefficient lies far below
