@@ -52,9 +52,6 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _coefficient_args,
-    _purity_bracket,
-    _purity_bracket_coefficients,
-    _purity_bracket_dt,
     _purity_bracket_dt_coefficients,
     _require_positive_t,
     covariance,
@@ -64,6 +61,7 @@ from .model import (
 )
 from .thermometry import (
     TABLE1_REFERENCE,
+    _purity_and_rate,
     _relative_purity_rate,
     _tgi_db,
     build_table1,
@@ -327,23 +325,6 @@ def _analytic(target, cfi: bool = False, slope=None):
     return at
 
 
-def _purity_and_rate(probe, env):
-    """Group of the purity and the relative purity rate (1/purity)|d purity / dt|.
-
-    dB/dt's tuple is built first, so where tau0 mass rounds to 0 and lambda^2
-    overflows, tau0 mass is named.
-    """
-    args = _coefficient_args(probe, env)
-    dt = _purity_bracket_dt_coefficients(*args)
-    b = _purity_bracket_coefficients(*args)
-
-    def cells(t):
-        bracket = _purity_bracket(b, t)
-        return [bracket**-0.5, _relative_purity_rate(_purity_bracket_dt(dt, t), bracket)]
-
-    return cells
-
-
 def _per_gamma(gammas, group, widths=(1,)):
     """Group of wide columns: `group` evaluated at each fixed gamma in turn.
 
@@ -499,11 +480,9 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
 
         def cells(t):
             value = next(numeric)
-            # the rate cannot fail once its bracket B = 1/purity^2, which takes every
-            # power of t that dB/dt takes, is a finite positive number
-            bracket, mu, _, analytic = curve(t)
+            bracket, mu, _, analytic = curve(t)  # B = 1/purity^2 before dB/dt
             row = [
-                mu, _relative_purity_rate(_purity_bracket_dt(dt, t), bracket), analytic,
+                mu, _relative_purity_rate(dt, t, bracket), analytic,
                 qfi_numeric(target, probe, env, t) if value is None else value,
                 _cfi_closed_at(target, closed, t),
             ]

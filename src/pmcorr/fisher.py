@@ -269,7 +269,8 @@ def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) 
     args = _coefficient_args(probe, env)
     b = _purity_bracket_coefficients(*args)
     dbracket, db = _bracket_derivative(target, args)
-    return _purity_derivative(dbracket(db, t), _purity_bracket(b, t))
+    bracket = _purity_bracket(b, t)  # first, as in `_analytic_curve`: it names a t^k overflow
+    return _purity_derivative(dbracket(db, t), bracket)
 
 
 def _second_term(mu: float, dmu: float, pure: bool) -> float:

@@ -268,7 +268,7 @@ def _purity_bracket_factors(mass, sigma0, eps, t) -> tuple:
     except OverflowError:
         # along an axis t is an array, whose powers here raise nothing: the bare
         # error stands, and the sweep reruns its rows one point at a time
-        _name_time_power(t, 4, ", in the purity bracket 1/purity^2,")
+        _name_time_power(t)
         raise
     e2 = 1.0 + 2.0 * eps
     return (
@@ -351,14 +351,14 @@ def _purity_bracket_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
     )
 
 
-def _name_time_power(t, degree: int, where: str) -> None:
-    """Raise the named OverflowError of the first of t**2 .. t**degree to leave the float range.
+def _name_time_power(t) -> None:
+    """Raise the named OverflowError of the first of t**2 .. t**4 to leave the float range.
 
     The bracket evaluations call it only once a bare t**k has raised, so
     nothing is added where nothing fails.
     """
-    for k in range(2, degree + 1):
-        _power(t, k, "t", "s", where=where)
+    for k in range(2, 5):
+        _power(t, k, "t", "s", where=", in the purity bracket 1/purity^2,")
 
 
 def _purity_bracket(c, t):
@@ -366,12 +366,16 @@ def _purity_bracket(c, t):
 
     Its terms can overflow to inf (or to NaN in inf - inf) without raising;
     such a bracket raises a named OverflowError instead of giving purity 0.
+    Every route evaluates the bracket at t before any of its t, gamma or
+    lambda derivatives: its powers of t hold all of theirs, so it alone names
+    a t^k that leaves the float range, and the derivatives are bare
+    polynomials.
     """
     c0, c1, c2, c3, c4 = c
     try:
         bracket = c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
     except OverflowError:
-        _name_time_power(t, 4, ", in the purity bracket 1/purity^2,")
+        _name_time_power(t)
         raise
     if bracket < math.inf:
         return bracket
@@ -394,11 +398,7 @@ def _purity_bracket_dt_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
 
 def _purity_bracket_dt(c, t):
     c0, c1, c2, c3 = c
-    try:
-        return c0 + c1 * t + c2 * t**2 + c3 * t**3
-    except OverflowError:
-        _name_time_power(t, 3, ", in d(1/purity^2)/dt,")
-        raise
+    return c0 + c1 * t + c2 * t**2 + c3 * t**3
 
 
 def _purity_bracket_dgamma_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
@@ -409,11 +409,7 @@ def _purity_bracket_dgamma_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple
 
 def _purity_bracket_dgamma(c, t):
     c2, c3 = c
-    try:
-        return c2 * t**2 + c3 * t**3
-    except OverflowError:
-        _name_time_power(t, 3, ", in d(1/purity^2)/dgamma,")
-        raise
+    return c2 * t**2 + c3 * t**3
 
 
 def _purity_bracket_dlam_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
@@ -429,11 +425,7 @@ def _purity_bracket_dlam_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
 
 def _purity_bracket_dlam(c, t):
     c1, c2, c3, c4 = c
-    try:
-        return c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
-    except OverflowError:
-        _name_time_power(t, 4, ", in d(1/purity^2)/dlambda,")
-        raise
+    return c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
 
 
 def _covariance_factors(mass, sigma0, eps, t) -> tuple:

@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .constants import HBAR, K_BOLTZMANN
-from .fisher import ConvergenceError, EstimationTarget, qfi_analytic
+from .fisher import ConvergenceError, EstimationTarget, _analytic_curve
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
@@ -25,7 +25,6 @@ from .model import (
     _purity_bracket_dt_coefficients,
     _power,
     _require_positive_t,
-    purity_exact,
     tau0,
 )
 
@@ -61,47 +60,54 @@ TABLE1_REFERENCE = (
 )
 
 
+def _require_gas(m_air: float, number_density: float, molecule_size: float) -> None:
+    """The gas inputs' domain: a ValueError unless each is positive and finite."""
+    if not all(0.0 < x < math.inf for x in (m_air, number_density, molecule_size)):
+        raise ValueError(f"m_air, number_density and molecule_size must be positive and finite, "
+                         f"got {m_air}, {number_density} and {molecule_size}")
+
+
 def lambda_from_temperature(
     temperature: float, m_air: float, number_density: float, molecule_size: float
 ) -> float:
-    """Effective scattering constant (m^-2 s^-1) of a thermal gas environment."""
+    """Effective scattering constant (m^-2 s^-1) of a thermal gas environment.
+
+    Its five factors are multiplied left to right on their significands, the
+    exponents summed apart, so it rounds as the plain product does where that
+    stays normal, and leaves the float range only with the coupling itself.
+    """
     if not 0.0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
-    if not (m_air > 0 and number_density > 0 and molecule_size > 0):
-        raise ValueError("m_air, number_density and molecule_size must be positive")
+    _require_gas(m_air, number_density, molecule_size)
+    kt = K_BOLTZMANN * temperature
     try:
-        thermal = (K_BOLTZMANN * temperature) ** 1.5
+        thermal = kt**1.5
     except OverflowError:
         raise OverflowError(
             f"temperature={temperature:g} K overflows the float range: (k_B*T)^1.5 needs T "
             f"below ~{sys.float_info.max ** (2.0 / 3.0) / K_BOLTZMANN:.2g} K"
         ) from None
-    factors = (
-        8.0 / (3.0 * HBAR**2),
-        math.sqrt(2.0 * math.pi * m_air),
-        thermal,
-        number_density,
-        _power(molecule_size, 2, "molecule_size", "m"),
-    )
-    lam = math.prod(factors)  # left to right
-    if lam == math.inf:
-        # a partial product can overflow before the coupling does: the same
-        # products on the factors' significands, with their exponents summed
-        # apart, round alike and leave the float range only with the coupling
-        significand, exponent = 1.0, 0
-        for factor in factors:
-            m, e = math.frexp(factor)
-            significand, exponent = significand * m, exponent + e
-        try:
-            lam = math.ldexp(significand, exponent)
-        except OverflowError:
-            pass
-    if lam == math.inf:
+    if thermal < sys.float_info.min:  # subnormal or 0: from k_B*T's significand, even exponent
+        m, e = math.frexp(kt)
+        thermal_parts = (m * 2 ** (e % 2)) ** 1.5, 3 * (e - e % 2) // 2
+    else:
+        thermal_parts = math.frexp(thermal)
+    significand, exponent = 1.0, 0
+    for m, e in (
+        math.frexp(8.0 / (3.0 * HBAR**2)),
+        math.frexp(math.sqrt(2.0 * math.pi * m_air)),
+        thermal_parts,
+        math.frexp(number_density),
+        math.frexp(_power(molecule_size, 2, "molecule_size", "m")),
+    ):
+        significand, exponent = significand * m, exponent + e
+    try:
+        return math.ldexp(significand, exponent)
+    except OverflowError:
         raise OverflowError(
             f"the coupling at temperature={temperature:g} K overflows the float range: "
             f"it exceeds ~{sys.float_info.max:.2g} m^-2 s^-1"
-        )
-    return lam
+        ) from None
 
 
 def temperature_from_lambda(
@@ -110,8 +116,7 @@ def temperature_from_lambda(
     """Exact inverse of `lambda_from_temperature`."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if not (m_air > 0 and number_density > 0 and molecule_size > 0):
-        raise ValueError("m_air, number_density and molecule_size must be positive")
+    _require_gas(m_air, number_density, molecule_size)
     base = (
         3.0 * HBAR**2 * lam
         / (8.0 * math.sqrt(2.0 * math.pi * m_air) * number_density
@@ -134,15 +139,29 @@ def decoherence_time(lam: float, delta_x: float) -> float:
 def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """(1/mu)|dmu/dt| in s^-1, from the analytic time derivative."""
     _require_positive_t(t)
+    return _purity_and_rate(probe, env)(t)[1]
+
+
+def _purity_and_rate(probe: ProbeSpec, env: EnvironmentSpec):
+    """The function t -> [purity, its relative rate (1/purity)|d purity/dt|] at one (probe, env).
+
+    dB/dt's tuple is built first, so where tau0 mass rounds to 0 and lambda^2
+    overflows, tau0 mass is named; each t evaluates B = 1/purity^2, then dB/dt.
+    """
     args = _coefficient_args(probe, env)
     dt = _purity_bracket_dt_coefficients(*args)
     b = _purity_bracket_coefficients(*args)
-    return _relative_purity_rate(_purity_bracket_dt(dt, t), _purity_bracket(b, t))
+
+    def cells(t):
+        bracket = _purity_bracket(b, t)
+        return [bracket**-0.5, _relative_purity_rate(dt, t, bracket)]
+
+    return cells
 
 
-def _relative_purity_rate(dbracket_dt: float, bracket: float) -> float:
-    """(1/mu)|dmu/dt| from d(purity bracket)/dt and the bracket, mu = bracket^(-1/2)."""
-    return abs(dbracket_dt) / (2.0 * bracket)
+def _relative_purity_rate(dt, t: float, bracket: float) -> float:
+    """(1/mu)|dmu/dt| at t from dB/dt's coefficients dt and B = 1/mu^2, evaluated there first."""
+    return abs(_purity_bracket_dt(dt, t)) / (2.0 * bracket)
 
 
 def _horner(p, x: float) -> tuple[float, float]:
@@ -373,10 +392,9 @@ def _tgi_db(t_gamma: float, t_ref: float) -> float:
 
 
 def tgi(probe: ProbeSpec, env: EnvironmentSpec) -> float:
-    """Temporal gain of information in dB, referenced to the gamma = 0 probe."""
-    t_gamma = tau_max_exact(probe, env)
+    """Temporal gain of information in dB against the gamma = 0 probe, whose tau_max comes first."""
     t_ref = tau_max_exact(probe.with_gamma(0.0), env)
-    return _tgi_db(t_gamma, t_ref)
+    return _tgi_db(tau_max_exact(probe, env), t_ref)
 
 
 def tgi_approx(gamma: float) -> float:
@@ -385,7 +403,10 @@ def tgi_approx(gamma: float) -> float:
 
 
 def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[TgiRow]:
-    """Information-gain rows for each correlation value, in input order."""
+    """Information-gain rows for each correlation value, in input order.
+
+    A row is dB/dt, its tuple built first, and one lambda-QFI `_analytic_curve` row at tau_max.
+    """
     if not lam > 0:
         raise ValueError("build_table1 requires lam > 0")
     env = EnvironmentSpec(lam=lam)
@@ -395,13 +416,15 @@ def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[
         try:
             p = probe.with_gamma(float(g))
             t_max = tau_max_exact(p, env)
+            dt = _purity_bracket_dt_coefficients(*_coefficient_args(p, env))
+            bracket, mu, _, qfi = _analytic_curve(EstimationTarget.LAMBDA, p, env)(t_max)
             rows.append(
                 TgiRow(
                     gamma=float(g),
                     tau_max=t_max,
-                    purity_at_tau_max=purity_exact(p, env, t_max),
-                    relative_purity_rate=relative_purity_rate(p, env, t_max),
-                    lambda_sq_qfi=lam**2 * qfi_analytic(EstimationTarget.LAMBDA, p, env, t_max),
+                    purity_at_tau_max=mu,
+                    relative_purity_rate=_relative_purity_rate(dt, t_max, bracket),
+                    lambda_sq_qfi=lam**2 * qfi,
                     tgi_db=_tgi_db(t_max, t_ref),
                 )
             )

@@ -171,7 +171,7 @@ class TestParsing:
 def count_brackets(monkeypatch) -> list:
     """The calls to `model._purity_bracket` from every module that imports it, as they run."""
     calls, bracket = [], pc.model._purity_bracket
-    for module in (pc.model, pc.fisher, pc.thermometry, pc.cli):
+    for module in (pc.model, pc.fisher, pc.thermometry):
         monkeypatch.setattr(module, "_purity_bracket", lambda *a: calls.append(a) or bracket(*a))
     return calls
 
@@ -446,6 +446,25 @@ class TestConvert:
             pc.constants.FULLERENE_MOLECULE_SIZE)
         assert value == pytest.approx(3.378e300, rel=1e-3)
 
+    def test_coupling_with_a_subnormal_thermal_power_prints(self, capsys):
+        # (k_B T)^1.5 underflows at 1e-200 K while the coupling is 3.4e-285: this printed 0
+        assert main(["convert", "--to-lambda", "1e-200", "--quiet"]) == 0
+        value = float(capsys.readouterr().out)
+        assert value == pc.lambda_from_temperature(
+            1e-200, pc.constants.AIR_MOLECULE_MASS, pc.constants.AIR_NUMBER_DENSITY,
+            pc.constants.FULLERENE_MOLECULE_SIZE)
+        assert value == pytest.approx(3.3784e-285, rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize("direction", ["--to-lambda", "--to-temp"])
+    @pytest.mark.parametrize("flag", ["--m-air", "--number-density", "--molecule-size"])
+    def test_infinite_gas_rejected(self, direction, flag, capsys):
+        # --number-density inf exited 3, blaming the coupling's overflow
+        assert main(["convert", direction, "1", flag, "inf"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: m_air, number_density and molecule_size must be "
+                                  "positive and finite")
+
     def test_provenance_line(self, capsys):
         assert main(["convert", "--to-lambda", "0.442"]) == 0
         err = capsys.readouterr().err
@@ -524,8 +543,8 @@ class TestFigures:
         scales = pc.model._bracket_scales
         monkeypatch.setattr(pc.model, "_bracket_scales", lambda *a: calls.append(a) or scales(*a))
         for module, name in [(pc.fisher, "_purity_bracket_coefficients"),
-                             (pc.cli, "_purity_bracket_coefficients"),
-                             (pc.cli, "_purity_bracket_dt_coefficients")]:
+                             (pc.thermometry, "_purity_bracket_coefficients"),
+                             (pc.thermometry, "_purity_bracket_dt_coefficients")]:
             build = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, b=build: built.append(a) or b(*a))
         assert main(["figures", "--preset", "fig4", "--outdir", str(tmp_path), "--quiet"]) == 0
@@ -688,6 +707,17 @@ class TestScalarCommands:
         e = pc.EnvironmentSpec(lam=point["--lambda"])
         assert float(values["tau_max_us"]) == pc.tau_max_exact(probe, e) * 1e6
         assert float(values["tgi_db"]) == pc.tgi(probe, e)
+
+    def test_tgi_names_the_reference_failure_as_the_library_does(self, capsys):
+        # at 1e33 neither gamma = 0 nor gamma = 35 has a knee; both name gamma = 0 (the
+        # library named gamma = 35)
+        assert main(["tgi", "--gamma", "35", "--lambda", "1e33"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        with pytest.raises(pc.ConvergenceError) as error:
+            pc.tgi(pc.fullerene_probe(gamma=35.0), pc.EnvironmentSpec(lam=1e33))
+        assert str(error.value) == "no interior maximum of the purity rate at gamma=0, lam=1e+33"
+        assert out.err == f"numerical failure: {error.value}\n"
 
     def test_tgi_uncorrelated_prints_positive_zero(self, capsys):
         assert main(["tgi", "--gamma", "0", "--lambda", "1e15"]) == 0

@@ -168,13 +168,14 @@ BRACKET_ROUTES = {
         ("purity_exact", 1e160, "t^2, in the purity bracket 1/purity^2, needs t below ~1.3e+154 s"),
         ("relative_purity_rate", 1e78,
          "t^4, in the purity bracket 1/purity^2, needs t below ~1.2e+77 s"),
-        ("relative_purity_rate", 1e103, "t^3, in d(1/purity^2)/dt, needs t below ~5.6e+102 s"),
+        ("relative_purity_rate", 1e103,
+         "t^3, in the purity bracket 1/purity^2, needs t below ~5.6e+102 s"),
         ("purity_derivative-gamma", 1e78,
          "t^4, in the purity bracket 1/purity^2, needs t below ~1.2e+77 s"),
         ("purity_derivative-gamma", 1e103,
-         "t^3, in d(1/purity^2)/dgamma, needs t below ~5.6e+102 s"),
+         "t^3, in the purity bracket 1/purity^2, needs t below ~5.6e+102 s"),
         ("purity_derivative-lambda", 1e78,
-         "t^4, in d(1/purity^2)/dlambda, needs t below ~1.2e+77 s"),
+         "t^4, in the purity bracket 1/purity^2, needs t below ~1.2e+77 s"),
         ("qfi_analytic-lambda", 1e103,
          "t^3, in the purity bracket 1/purity^2, needs t below ~5.6e+102 s"),
     ],
@@ -182,7 +183,8 @@ BRACKET_ROUTES = {
          "dgamma-t3", "dlambda-t4", "qfi-lambda-t3"],
 )
 def test_bracket_time_power_overflow_named(route, t, message):
-    # each evaluation of the bracket or its derivatives names the first t^k to overflow
+    # every route evaluates the bracket before its derivatives, so the bracket names
+    # the first t^k to overflow
     with pytest.raises(OverflowError) as error:
         BRACKET_ROUTES[route](FULLERENE, env(1e15), t)
     assert str(error.value) == f"t={t:g} overflows the float range: {message}"

@@ -1,5 +1,7 @@
 """Coupling-temperature map, purity-rate maximizer, and the gain table."""
+import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -97,6 +99,44 @@ class TestConversions:
         with pytest.raises(ValueError, match="finite"):
             pc.temperature_from_lambda(value, *AIR)
 
+    @pytest.mark.parametrize("function", [pc.lambda_from_temperature, pc.temperature_from_lambda])
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["m_air", "number_density", "molecule_size"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_gas_input_rejected(self, function, index, value):
+        # an infinite number density gave nan (lambda) or 0.0 (temperature)
+        gas = list(AIR)
+        gas[index] = value
+        with pytest.raises(ValueError, match=r"^m_air, number_density and molecule_size must be "
+                           r"positive and finite, got "):
+            function(1.0, *gas)
+
+    @pytest.mark.parametrize("temperature", [1e-185, 1e-190, 1e-200])
+    def test_coupling_accurate_where_the_thermal_power_is_subnormal(self, temperature):
+        # (k_B T)^1.5 is subnormal or 0 while the coupling is a normal double: the
+        # plain product lost 3e-13, 4e-5 and all of it (0.0)
+        assert (K_BOLTZMANN * temperature) ** 1.5 < sys.float_info.min
+        lam = pc.lambda_from_temperature(temperature, *AIR)
+        m_air, density, size = (mpmath.mpf(v) for v in AIR)
+        with mpmath.workdps(50):
+            exact = (8 / (3 * mpmath.mpf(HBAR) ** 2) * mpmath.sqrt(2 * mpmath.pi * m_air)
+                     * (mpmath.mpf(K_BOLTZMANN) * mpmath.mpf(temperature)) ** 1.5
+                     * density * size**2)
+            assert abs(lam - exact) <= EPS * exact
+
+    def test_coupling_underflows_with_itself(self):
+        assert pc.lambda_from_temperature(1e-250, *AIR) == 0.0
+
+    def test_coupling_is_the_plain_product_where_it_stays_normal(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            temperature = 10 ** rng.uniform(-150, 150)
+            gas = (10 ** rng.uniform(-27, -24), 10 ** rng.uniform(10, 30),
+                   10 ** rng.uniform(-11, -8))
+            factors = (8.0 / (3.0 * HBAR**2), math.sqrt(2.0 * math.pi * gas[0]),
+                       (K_BOLTZMANN * temperature) ** 1.5, gas[1], gas[2] ** 2)
+            partial = list(itertools.accumulate(factors, operator.mul))
+            assert all(sys.float_info.min <= p < math.inf for p in factors + tuple(partial))
+            assert pc.lambda_from_temperature(temperature, *gas) == partial[-1]
 
     def test_thermal_power_overflow_named(self):
         with pytest.raises(OverflowError, match=r"temperature=1e\+300 K overflows the float range: "
@@ -455,6 +495,27 @@ class TestBuildTable:
     def test_requires_positive_coupling(self):
         with pytest.raises(ValueError):
             pc.build_table1(FULLERENE, 0.0, [0.0])
+
+    def test_rows_are_the_one_point_functions(self):
+        # a row is one analytic-curve row at tau_max; it must equal the one-point
+        # functions there bit for bit
+        rng = random.Random(24)
+        for _ in range(60):
+            probe = pc.ProbeSpec(
+                mass=FULLERENE.mass * 10 ** rng.uniform(-1, 1),
+                sigma0=FULLERENE.sigma0 * 10 ** rng.uniform(-0.5, 0.5),
+                ell0=rng.choice([FULLERENE.ell0, math.inf, 10 ** rng.uniform(-8, -5)]),
+            )
+            lam = 10 ** rng.uniform(10, 20)
+            gammas = [rng.uniform(-150.0, 150.0) for _ in range(2)]
+            e = pc.EnvironmentSpec(lam=lam)
+            for row in pc.build_table1(probe, lam, gammas):
+                p = probe.with_gamma(row.gamma)
+                t = row.tau_max
+                assert t == pc.tau_max_exact(p, e)
+                assert row.purity_at_tau_max.hex() == pc.purity_exact(p, e, t).hex()
+                assert row.relative_purity_rate.hex() == pc.relative_purity_rate(p, e, t).hex()
+                assert row.lambda_sq_qfi.hex() == (lam**2 * pc.qfi_analytic("lambda", p, e, t)).hex()
 
     def test_row_errors_are_annotated(self):
         with pytest.raises(ValueError, match="gamma=inf"):
