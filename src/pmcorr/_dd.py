@@ -10,11 +10,18 @@ sum and product are Dekker's (Numer. Math. 18, 224 (1971)).
 would chain many operations, a kernel runs the whole chain on float locals
 instead, with no call or tuple per operation: `dd_sum` adds a list of pairs,
 and `dd_richardson` runs the Richardson tableau of `pmcorr.fisher.qfi_numeric`
-for one monomial.  Each does the float operations of the chain it replaces
-in the same order, so it returns the same bits.  Every kernel works on
-floats and, elementwise, on numpy arrays.
+for one monomial.  The monomial builders of `pmcorr.model` and the
+quadrature oracle's sums are written out the same way, splitting each
+operand they share with `split` once.  Each does the float operations of the
+chain it replaces in the same order, so it returns the same bits: the same
+value and the same sign of zero.  A NaN's sign and payload are outside that
+claim, since which operand's NaN CPython's float operations return can
+depend on what ran before in the process; a NaN stays a NaN.  Every kernel
+works on floats and, elementwise, on numpy arrays.
 """
 from __future__ import annotations
+
+import functools
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -38,6 +45,17 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 
 def dd(a: float) -> tuple[float, float]:
     return (a, 0.0)
+
+
+def split(a: float) -> tuple[float, float]:
+    """Dekker's split of a into a high half of 26 bits and the rest, as `_two_prod` takes it.
+
+    A kernel that multiplies many values by one operand splits that operand
+    once, here, and the others inline.
+    """
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 # The kernels below are `_two_sum` or `_two_prod` followed by the renormalising
@@ -99,6 +117,17 @@ def dd_sum(terms) -> tuple[float, float]:
     return hi, lo
 
 
+@functools.lru_cache(maxsize=None)
+def _richardson_constants(levels: int) -> tuple:
+    """(4**j, its split halves, 1/(4**j - 1), its split halves) for each level j of a tableau."""
+    constants = []
+    for j in range(1, levels):
+        f = 4.0**j
+        c = 1.0 / (f - 1.0)
+        constants.append((f, *split(f), c, *split(c)))
+    return tuple(constants)
+
+
 def dd_richardson(plus, minus, inv_widths) -> tuple:
     """(T[L-1][L-1], T[L-2][L-3]) of the Richardson tableau of central differences.
 
@@ -107,8 +136,9 @@ def dd_richardson(plus, minus, inv_widths) -> tuple:
     Column 0 is `dd_mul_d(dd_sub(p, q), 1/width)` and level j combines
     neighbours as `dd_mul_d(dd_sub(dd_mul_d(upper, 4**j), lower), 1/(4**j - 1))`:
     the same float operations in the same order, on float locals, with each
-    level's two constants split once.  Every part may be a float or a numpy
-    array, and the tableau then runs elementwise.
+    level's two constants split once per number of levels
+    (`_richardson_constants`).  Every part may be a float or a numpy array,
+    and the tableau then runs elementwise.
     """
     his, los = [], []
     for (a, al), (b, bl), r in zip(plus, minus, inv_widths):
@@ -130,17 +160,9 @@ def dd_richardson(plus, minus, inv_widths) -> tuple:
         his.append(hi)
         los.append(e - (hi - p))
     levels = len(his)
-    for j in range(1, levels):
+    for j, (f, fh, ft, c, ch, ct) in enumerate(_richardson_constants(levels), 1):
         if j == levels - 2:
             prev = his[1], los[1]
-        f = 4.0**j
-        c = 1.0 / (f - 1.0)
-        cf = _SPLIT * f
-        fh = cf - (cf - f)
-        ft = f - fh
-        cc = _SPLIT * c
-        ch = cc - (cc - c)
-        ct = c - ch
         # entry k of level j, written over entry k of level j - 1, from that
         # (lower) and entry k + 1 (upper), which is the next entry's lower
         lower, lower_lo = his[0], los[0]

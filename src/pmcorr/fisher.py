@@ -365,6 +365,11 @@ _MOVING = {
     EstimationTarget.GAMMA: (1, 3, 5, 7, 10, 14, 15),
     EstimationTarget.LAMBDA: (4, 8, 11, 13, 14, 15, 16, 17),
 }
+#: the components free of each target
+_FREE = {
+    target: tuple(k for k in range(_N_TERMS) if k not in moving)
+    for target, moving in _MOVING.items()
+}
 #: largest (|m00^2| + |m11^2| + 2|m01 m10|) / |Tr| the adjugate trace may cancel
 #: by: below it the oracle stays within 1.5e-8 of qfi_analytic on 3,000 seeded
 #: envelope draws; above 1e20 every value drawn was wrong, some of them negative
@@ -372,10 +377,8 @@ _MAX_TRACE_CANCELLATION = 1e16
 
 
 def _fmax(a, b):
-    """numpy.maximum for floats: the larger, or NaN if either is NaN; elementwise for arrays."""
-    if type(a) is float and type(b) is float:
-        return a if a > b or a != a else b
-    return sys.modules["numpy"].maximum(a, b)
+    """numpy.maximum for floats: the larger, or NaN if either is NaN."""
+    return a if a > b or a != a else b
 
 
 def _every(test) -> bool:
@@ -403,21 +406,27 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     centre.  A monomial free of theta differences to exactly zero where it is
     finite, so at the 2*_LEVELS stencil points only the target's `_MOVING`
     ones are built, from the centre's theta-free factors, and the Richardson
-    tableau T[level][order] runs on those alone.  Where a theta-free
-    monomial is not finite, its difference would be NaN: that point fails
-    with spread NaN, and no stencil is built where every point does.  The
-    tableau of the moving monomials is one `_dd.dd_richardson` call per
-    monomial at one point, on its 2*_LEVELS stencil values (floats, so `qfi`
-    runs on the standard library alone) and the reciprocal widths.  Along
-    an axis it is one call on them all, each value stacked into a numpy
-    array of (len(moving), n), and only then is numpy loaded; a call per
-    monomial would cost ~8 times the numpy dispatches.  The same elementwise
-    IEEE operations run either way.  Convergence requires T[L-1][L-1] to
-    agree with T[L-2][L-3] to _REL_TOL componentwise; estimates at the
-    roundoff floor of the central difference count as converged zeros.  The
-    adjugate trace is assembled the same way; a trace that is not finite or
-    cancels by more than _MAX_TRACE_CANCELLATION raises, and the purity map
-    takes its powers per point with CPython's pow.
+    tableau T[level][order] runs on those alone.  Each builder is called
+    once for the whole stencil, with the list of its abscissae, and splits
+    each theta-free operand once.  Where a theta-free monomial is not
+    finite, its difference would be NaN: that point fails with spread NaN,
+    and no stencil is built where every point does.  The tableau of the
+    moving monomials is one `_dd.dd_richardson` call per monomial at one
+    point, on its 2*_LEVELS stencil values (floats, so `qfi` runs on the
+    standard library alone) and the reciprocal widths.  Along an axis it is
+    one call on them all, each value stacked into a numpy array of
+    (len(moving), n), and only then is numpy loaded; a call per monomial
+    would cost ~8 times the numpy dispatches.  The same elementwise IEEE
+    operations run either way, and whether floats or arrays run is decided
+    once per call.  Convergence requires T[L-1][L-1] to agree with
+    T[L-2][L-3] to _REL_TOL componentwise; estimates at the roundoff floor
+    of the central difference count as converged zeros.  A non-finite
+    stencil value makes T[L-1][L-1] NaN, which fails its point whatever the
+    floor, so the floor's scale (the largest stencil value) need not
+    propagate NaN.  The adjugate trace is assembled the same way; a trace
+    that is not finite or cancels by more than _MAX_TRACE_CANCELLATION
+    raises, and the purity map takes its powers per point with CPython's
+    pow.
     """
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
@@ -453,25 +462,24 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         moving = _MOVING[target]
         # per point, 0 where every theta-free monomial is finite and NaN where one is not
         free = 0.0
-        for k in range(_N_TERMS):
-            if k not in moving:
-                hi, lo = centre[k]
-                free = free + (hi - hi) + (lo - lo)
+        for k in _FREE[target]:
+            hi, lo = centre[k]
+            free = free + (hi - hi) + (lo - lo)
         if _every(free != free):
             raise _not_converged(math.nan)
 
+        # the one float/array choice of the call: every max below propagates NaN
+        fmax = np.maximum if axes else _fmax
         x0 = g if target is EstimationTarget.GAMMA else ll
-        h0 = _REL_STEP * _fmax(abs(x0), _SCALE_FLOOR[target])
+        h0 = _REL_STEP * fmax(abs(x0), _SCALE_FLOOR[target])
         steps = [h0]
         for _ in range(_LEVELS - 1):
             steps.append(steps[-1] / 2.0)
-        stencil = []
-        for x in [x0 + h for h in steps] + [x0 - h for h in steps]:
-            gg, lx = (x, ll) if target is EstimationTarget.GAMMA else (g, x)
-            stencil.append(
-                _covariance_dd(fc, gg, lx, target.value)
-                + _purity_bracket_dd(fb, gg, lx, target.value)
-            )
+        xs = [x0 + h for h in steps] + [x0 - h for h in steps]
+        gg, lx = (xs, ll) if target is EstimationTarget.GAMMA else (g, xs)
+        cov_stencil = _covariance_dd(fc, gg, lx, target.value)
+        bracket_stencil = _purity_bracket_dd(fb, gg, lx, target.value)
+        stencil = [c + b for c, b in zip(cov_stencil, bracket_stencil)]
         # the width (x0 + h) - (x0 - h) is exact in float arithmetic
         inv_widths = [1.0 / ((x0 + h) - (x0 - h)) for h in steps]
         # a list over the stencil per moving monomial; along an axis, one list
@@ -482,20 +490,19 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         ok, spread, lasts = free == 0.0, free, []
         for pairs in rows:
             # a non-finite monomial has a NaN difference, which fails its point
-            fp, fm = pairs[:_LEVELS], pairs[_LEVELS:]
-            fscale = 0.0
-            for p, q in zip(fp, fm):
-                fscale = _fmax(fscale, _fmax(abs(p[0]), abs(q[0])))
-            last, prev = _dd.dd_richardson(fp, fm, inv_widths)
+            # whatever its noise floor, so fscale need not propagate NaN
+            scales = (abs(hi) for hi, _ in pairs)
+            fscale = functools.reduce(np.maximum, scales) if axes else max(scales)
+            last, prev = _dd.dd_richardson(pairs[:_LEVELS], pairs[_LEVELS:], inv_widths)
             lasts.append(last)
 
             err = abs(last[0] - prev[0])
-            mag = _fmax(abs(last[0]), abs(prev[0]))
+            mag = fmax(abs(last[0]), abs(prev[0]))
             # cancellation noise of the smallest-step plain-float difference, with headroom;
             # the dd evaluation sits far below it, so this is deliberately conservative
             noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (_LEVELS - 1) / h0
             ok = ok & ((err <= _REL_TOL * mag) | (mag <= noise_floor))
-            spread = _fmax(spread, err / _fmax(mag, 1e-300))
+            spread = fmax(spread, err / fmax(mag, 1e-300))
         if axes:
             ok, spread, lasts = ok.all(axis=0), spread.max(axis=0), list(zip(*lasts[0]))
 
@@ -630,8 +637,10 @@ _HERMITE_HALVES = {
 }
 
 
-#: u^2 and w / sqrt(pi) at each positive node u of the two rules, the 16-node rule first
-_NODES = [(u * u, w / math.sqrt(math.pi)) for n in _RULES for u, w in zip(*_HERMITE_HALVES[n])]
+#: u^2 and w / sqrt(pi) at the positive nodes u of the two rules, the 16-node rule first
+_NODES = tuple(
+    zip(*[(u * u, w / math.sqrt(math.pi)) for n in _RULES for u, w in zip(*_HERMITE_HALVES[n])])
+)
 
 
 def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CfiQuadrature:
@@ -648,7 +657,11 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     r = (P(x; v+) - P(x; v-)) / (2 h P(x; V)) at v+- = V(theta +- h) is a
     ratio of densities, so nothing overflows or underflows.  dv = v+ - v- is
     taken in double-double, monomial by monomial, before anything is
-    rounded: the step can leave dv/V as small as 1e-67.  r is extrapolated
+    rounded: the step can leave dv/V as small as 1e-67.  sxx's monomials
+    that move with theta are built at the eight points in one
+    `_covariance_dd` call, and each point's sum and each step's difference
+    and sum are formed in one pass of float operations, those of `_dd.dd_sub`,
+    `_dd.dd_sum` and `_dd.dd_mul_d` in the same order.  r is extrapolated
     over four halved steps, and a 16-node and a 32-node rule give the value
     and its error estimate.  r depends on u only through u^2 and each rule
     is symmetric about u = 0, so r is evaluated at the positive nodes alone,
@@ -693,23 +706,45 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         )
     steps = [h / 2.0**i for i in range(4)]
     x = [x0 + hh for hh in steps] + [x0 - hh for hh in steps]
-    # the monomials free of theta difference to exactly (0, 0), or make V not finite
+    # the monomials free of theta difference to exactly (0, 0), or make V not finite;
+    # the moving ones are built at the eight points in one call
     places = [k for k in _MOVING[target] if k < 5]
-    sxx = []
-    for xk in x:
-        gg, ll = (xk, lam) if target is EstimationTarget.GAMMA else (g, xk)
-        terms = list(centre)
-        for k, term in zip(places, _covariance_dd(f, gg, ll, target.value, sxx_only=True)):
-            terms[k] = term
-        sxx.append(terms)
-    diff = [
-        [_dd.dd_sub(p, q) if k in places else (0.0, 0.0) for k, (p, q) in enumerate(zip(up, down))]
-        for up, down in zip(sxx[:4], sxx[4:])
-    ]
-    v, dv = (
-        [hi + lo for hi, lo in (_dd.dd_mul_d(_dd.dd_sum(terms), s0**2 / 2.0) for terms in part)]
-        for part in (sxx, diff)
-    )
+    gg, ll = (x, lam) if target is EstimationTarget.GAMMA else (g, x)
+    moved = _covariance_dd(f, gg, ll, target.value, sxx_only=True)
+    plus, minus, diff = [], [], []
+    for up, down in zip(moved[:4], moved[4:]):
+        at_plus, at_minus, d = list(centre), list(centre), [(0.0, 0.0)] * 5
+        for k, (a, al), (b, bl) in zip(places, up, down):
+            at_plus[k], at_minus[k] = (a, al), (b, bl)
+            b = -b  # dd_sub(up, down), as up + (-down)
+            s = a + b
+            r = s - a
+            e = (a - (s - r)) + (b - r) + al + -bl
+            u = s + e
+            d[k] = u, e - (u - s)
+        plus.append(at_plus)
+        minus.append(at_minus)
+        diff.append(d)
+    # each list's dd_sum, then dd_mul_d by sigma0^2 / 2, rounded to a float
+    k = s0**2 / 2.0
+    kh, kt = _dd.split(k)
+    values = []
+    for terms in plus + minus + diff:
+        hi = lo = 0.0
+        for b, bl in terms:
+            s = hi + b
+            r = s - hi
+            e = (hi - (s - r)) + (b - r) + lo + bl
+            hi = s + e
+            lo = e - (hi - s)
+        p = hi * k
+        c = _dd._SPLIT * hi
+        uh = c - (c - hi)
+        ut = hi - uh
+        e = ((uh * kh - p) + uh * kt + ut * kh) + ut * kt + lo * k
+        q = p + e
+        values.append(q + (e - (q - p)))
+    v, dv = values[:8], values[8:]
     if not all(map(math.isfinite, v + dv)):
         raise OverflowError(
             f"quadrature step h={h:g} takes the readout variance out of the float range: "
@@ -720,6 +755,7 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     # of quantities that stay small where dv/V does, over the width x+ - x-,
     # the rounded x0 +- h, close to 2h
     levels = []
+    expm1, exp, squares, weights = math.expm1, math.exp, *_NODES
     for dvk, vp, vm, width in zip(dv, v[:4], v[4:], (xp - xm for xp, xm in zip(x[:4], x[4:]))):
         rel, ratio = dvk / vm, vm / V
         if not (rel > -1.0 and ratio > 0.0):  # the domains of math.log1p and math.log
@@ -729,14 +765,15 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
             )
         a, b = (dvk / vp) * (V / vm), 0.5 * math.log1p(rel)
         c, e = (vm - V) / vm, 0.5 * math.log(ratio)
-        levels.append([math.expm1(u2 * a - b) * math.exp(u2 * c - e) / width for u2, _ in _NODES])
+        levels.append([expm1(u2 * a - b) * exp(u2 * c - e) / width for u2 in squares])
     for j in range(1, 4):
         fac = 4.0**j
+        den = fac - 1.0
         levels = [
-            [(fac * p - q) / (fac - 1.0) for p, q in zip(upper, lower)]
+            [(fac * p - q) / den for p, q in zip(upper, lower)]
             for lower, upper in zip(levels[:-1], levels[1:])
         ]
-    terms = [w * r * r for (_, w), r in zip(_NODES, levels[0])]
+    terms = [w * r * r for w, r in zip(weights, levels[0])]
     half = _RULES[0] // 2
     coarse, quad_value = math.fsum(terms[:half] * 2), math.fsum(terms[half:] * 2)
     if not (math.isfinite(coarse) and math.isfinite(quad_value)):

@@ -281,28 +281,97 @@ def _purity_bracket_factors(mass, sigma0, eps, t) -> tuple:
     )
 
 
+def _gamma_parts(gamma) -> tuple:
+    """gamma's split halves, gamma^2 = dd_mul(dd(gamma), dd(gamma)) and its high part's halves.
+
+    (gamma, its high and low halves, gamma^2's high and low parts, the halves
+    of that high part): every operand both monomial builders take from gamma.
+    """
+    c = _dd._SPLIT * gamma
+    gh = c - (c - gamma)
+    gt = gamma - gh
+    p = gamma * gamma
+    e = ((gh * gh - p) + gh * gt + gt * gh) + gt * gt + gamma * 0.0 + 0.0 * gamma
+    g2 = p + e
+    c = _dd._SPLIT * g2
+    g2h = c - (c - g2)
+    return gamma, gh, gt, g2, e - (g2 - p), g2h, g2 - g2h
+
+
 def _purity_bracket_dd(f, gamma, lam, moving=None) -> list:
     """Monomial split of 1/purity^2 from its `_purity_bracket_factors` f, as double-double pairs.
 
-    Every product touching gamma or lam is a compensated one, as in
-    `_covariance_dd`.  With `moving`, "gamma" or "lambda", only the
-    monomials in that parameter are built, in order.
+    Without `moving`, the six monomials at (gamma, lam).  With `moving`,
+    "gamma" or "lambda", that parameter is a list of abscissae, and the
+    result is one list per abscissa of the monomials in it, in order.  Every
+    product touching gamma or lam is a compensated one, as in
+    `_covariance_dd`: the float operations of `_dd.dd_mul` and
+    `_dd.dd_mul_d` in the same order, on float locals, with each coefficient
+    and the fixed parameter split once per call.
     """
+    split = _dd._SPLIT
     c0, c1, c2, c3, c4, c5 = f
-    g_dd, lam_dd = _dd.dd(gamma), _dd.dd(lam)
-    mixed = [
-        _dd.dd_mul_d(_dd.dd_mul(g_dd, lam_dd), c2),
-        _dd.dd_mul_d(_dd.dd_mul(_dd.dd_mul(g_dd, g_dd), lam_dd), c3),
-    ]
-    if moving == "gamma":
-        return mixed
-    terms = [
-        _dd.dd_mul_d(lam_dd, c1),
-        *mixed,
-        _dd.dd_mul_d(lam_dd, c4),
-        _dd.dd_mul_d(_dd.dd_mul(lam_dd, lam_dd), c5),
-    ]
-    return terms if moving else [_dd.dd(c0)] + terms
+    c2h, c2t = _dd.split(c2)
+    c3h, c3t = _dd.split(c3)
+    if moving != "gamma":
+        c1h, c1t = _dd.split(c1)
+        c4h, c4t = _dd.split(c4)
+        c5h, c5t = _dd.split(c5)
+    lams = []
+    for lm in lam if moving == "lambda" else [lam]:
+        c = split * lm
+        lh = c - (c - lm)
+        lams.append((lm, lh, lm - lh))
+    gammas = list(map(_gamma_parts, gamma if moving == "gamma" else [gamma]))
+    # each abscissa's (gamma parts, lam parts); the fixed parameter's are shared
+    points = zip(gammas, lams * len(gammas)) if moving == "gamma" else zip(gammas * len(lams), lams)
+    lists = []
+    for (g, gh, gt, g2, g2l, g2h, g2t), (lm, lh, lt) in points:
+        p = g * lm  # dd_mul_d(dd_mul(dd(gamma), dd(lam)), c2)
+        e = ((gh * lh - p) + gh * lt + gt * lh) + gt * lt + g * 0.0 + 0.0 * lm
+        u = p + e
+        v = e - (u - p)
+        p = u * c2
+        c = split * u
+        uh = c - (c - u)
+        ut = u - uh
+        e = ((uh * c2h - p) + uh * c2t + ut * c2h) + ut * c2t + v * c2
+        q = p + e
+        g_lam = q, e - (q - p)
+        p = g2 * lm  # dd_mul_d(dd_mul(gamma^2, dd(lam)), c3)
+        e = ((g2h * lh - p) + g2h * lt + g2t * lh) + g2t * lt + g2 * 0.0 + g2l * lm
+        u = p + e
+        v = e - (u - p)
+        p = u * c3
+        c = split * u
+        uh = c - (c - u)
+        ut = u - uh
+        e = ((uh * c3h - p) + uh * c3t + ut * c3h) + ut * c3t + v * c3
+        q = p + e
+        g2_lam = q, e - (q - p)
+        if moving == "gamma":
+            lists.append([g_lam, g2_lam])
+            continue
+        p = lm * c1  # dd_mul_d(dd(lam), c1)
+        e = ((lh * c1h - p) + lh * c1t + lt * c1h) + lt * c1t + 0.0 * c1
+        q = p + e
+        lam_1 = q, e - (q - p)
+        p = lm * c4  # dd_mul_d(dd(lam), c4)
+        e = ((lh * c4h - p) + lh * c4t + lt * c4h) + lt * c4t + 0.0 * c4
+        q = p + e
+        lam_4 = q, e - (q - p)
+        p = lm * lm  # dd_mul_d(dd_mul(dd(lam), dd(lam)), c5)
+        e = ((lh * lh - p) + lh * lt + lt * lh) + lt * lt + lm * 0.0 + 0.0 * lm
+        u = p + e
+        v = e - (u - p)
+        p = u * c5
+        c = split * u
+        uh = c - (c - u)
+        ut = u - uh
+        e = ((uh * c5h - p) + uh * c5t + ut * c5h) + ut * c5t + v * c5
+        q = p + e
+        lists.append([lam_1, g_lam, g2_lam, lam_4, (q, e - (q - p))])
+    return lists if moving else [(c0, 0.0)] + lists[0]
 
 
 def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
@@ -447,6 +516,11 @@ def _covariance_factors(mass, sigma0, eps, t) -> tuple:
     return th_dd, th2, _dd.dd_mul(th2, th_dd), 1.0 + 2.0 * eps, sigma0**2 * tau
 
 
+#: (c, its split halves) of the constant factors of the covariance's lam monomials,
+#: those of (t/tau0)^3, (t/tau0)^2 and t/tau0
+_LAM_FACTORS = tuple((c, *_dd.split(c)) for c in (4.0 / 3.0, 2.0, 4.0))
+
+
 def _covariance_dd(f, gamma, lam, moving=None, sxx_only=False) -> list:
     """Monomial split of the scaled covariance from its `_covariance_factors` f.
 
@@ -455,32 +529,86 @@ def _covariance_dd(f, gamma, lam, moving=None, sxx_only=False) -> list:
     touching gamma or lam is a compensated one, so finite differences taken
     term-by-term cancel the (possibly enormous) common parts exactly instead
     of losing them to float rounding.  Constants shared between evaluations
-    round identically.  With `moving`, "gamma" or "lambda", only the
-    monomials in that parameter are built, in layout order; with `sxx_only`,
-    only those of sxx.
+    round identically.  With `moving`, "gamma" or "lambda", that parameter
+    is a list of abscissae, and the result is one list per abscissa of the
+    monomials in it, in layout order; with `sxx_only`, only those of sxx.
+
+    The products are the float operations of `_dd.dd_mul` and `_dd.dd_mul_d`
+    in the same order, on float locals, with each operand free of the
+    moving parameter (the powers of t/tau0, sigma0^2 tau0 and the fixed
+    parameter) split once per call; the two monomials free of both
+    parameters are built by `_dd.dd_mul_d`, once, in the full list.
     """
     th, th2, th3, e2, lam_scale = f
+    split = _dd._SPLIT
+    t1, t1l = th
+    t1h, t1t = _dd.split(t1)
+    t2, t2l = th2
+    t2h, t2t = _dd.split(t2)
+    by_gamma = []
     if moving != "lambda":
-        g2 = _dd.dd_mul(_dd.dd(gamma), _dd.dd(gamma))
-        by_gamma = [_dd.dd_mul_d(th, 2.0 * gamma), _dd.dd_mul(g2, th2)]
-        if not sxx_only:
-            by_gamma += [_dd.dd(gamma), _dd.dd_mul(g2, th), g2]
+        for g, _, _, g2, g2l, g2h, g2t in map(_gamma_parts, gamma if moving else [gamma]):
+            a = 2.0 * g  # dd_mul_d(th, 2 gamma)
+            p = t1 * a
+            c = split * a
+            ah = c - (c - a)
+            at = a - ah
+            e = ((t1h * ah - p) + t1h * at + t1t * ah) + t1t * at + t1l * a
+            q = p + e
+            terms = [(q, e - (q - p))]
+            p = g2 * t2  # dd_mul(gamma^2, th2)
+            e = ((g2h * t2h - p) + g2h * t2t + g2t * t2h) + g2t * t2t + g2 * t2l + g2l * t2
+            q = p + e
+            terms.append((q, e - (q - p)))
+            if not sxx_only:
+                p = g2 * t1  # dd_mul(gamma^2, th)
+                e = ((g2h * t1h - p) + g2h * t1t + g2t * t1h) + g2t * t1t + g2 * t1l + g2l * t1
+                q = p + e
+                terms += [(g, 0.0), (q, e - (q - p)), (g2, g2l)]
+            by_gamma.append(terms)
+    by_lam = []
     if moving != "gamma":
-        lt = _dd.dd_mul_d(_dd.dd(lam), lam_scale)
-        by_lam = [_dd.dd_mul_d(_dd.dd_mul(th3, lt), 4.0 / 3.0)]
+        sh, st = _dd.split(lam_scale)
+        # (t/tau0)^n as a pair and its split halves, then the constant factor and its halves
+        factors = [(*th3, *_dd.split(th3[0]), *_LAM_FACTORS[0])]
         if not sxx_only:
-            by_lam += [
-                _dd.dd_mul_d(_dd.dd_mul(th2, lt), 2.0),
-                _dd.dd_mul_d(_dd.dd_mul(th, lt), 4.0),
+            factors += [
+                (t2, t2l, t2h, t2t, *_LAM_FACTORS[1]), (t1, t1l, t1h, t1t, *_LAM_FACTORS[2])
             ]
+        for lm in lam if moving else [lam]:
+            p = lm * lam_scale  # lt = dd_mul_d(dd(lam), lam_scale)
+            c = split * lm
+            lh = c - (c - lm)
+            lt = lm - lh
+            e = ((lh * sh - p) + lh * st + lt * sh) + lt * st + 0.0 * lam_scale
+            b = p + e
+            bl = e - (b - p)
+            c = split * b
+            bh = c - (c - b)
+            bt = b - bh
+            terms = []
+            for u, ul, uh, ut, k, kh, kt in factors:
+                p = u * b  # dd_mul(th^n, lt)
+                e = ((uh * bh - p) + uh * bt + ut * bh) + ut * bt + u * bl + ul * b
+                a = p + e
+                al = e - (a - p)
+                p = a * k  # dd_mul_d(.., k)
+                c = split * a
+                ah = c - (c - a)
+                at = a - ah
+                e = ((ah * kh - p) + ah * kt + at * kh) + at * kt + al * k
+                q = p + e
+                terms.append((q, e - (q - p)))
+            by_lam.append(terms)
     if moving:
         return by_gamma if moving == "gamma" else by_lam
-    sxx = [_dd.dd(1.0), by_gamma[0], _dd.dd_mul_d(th2, e2), by_gamma[1], by_lam[0]]
+    (g,), (lm,) = by_gamma, by_lam
+    sxx = [(1.0, 0.0), g[0], _dd.dd_mul_d(th2, e2), g[1], lm[0]]
     if sxx_only:
         return sxx
     return sxx + [
-        by_gamma[2], _dd.dd_mul_d(th, e2), by_gamma[3], by_lam[1],  # sxp
-        _dd.dd(e2), by_gamma[4], by_lam[2],  # spp
+        g[2], _dd.dd_mul_d(th, e2), g[3], lm[1],  # sxp
+        (e2, 0.0), g[4], lm[2],  # spp
     ]
 
 

@@ -113,16 +113,39 @@ def lambda_from_temperature(
 def temperature_from_lambda(
     lam: float, m_air: float, number_density: float, molecule_size: float
 ) -> float:
-    """Exact inverse of `lambda_from_temperature`."""
+    """Exact inverse of `lambda_from_temperature`.
+
+    T = base^(2/3) / k_B with base = 3 hbar^2 lam / (8 sqrt(2 pi m_air) n d^2).
+    Where 3 hbar^2 lam, the gas product or the base leaves the normal float
+    range (lam below ~7e-241 for air), the five factors are taken as
+    significands and exponents apart, as `lambda_from_temperature` does, and
+    the exponent is divided by 3 before the power is taken: T keeps its digits
+    down to the smallest lam and leaves the float range only with itself.
+    """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     _require_gas(m_air, number_density, molecule_size)
-    base = (
-        3.0 * HBAR**2 * lam
-        / (8.0 * math.sqrt(2.0 * math.pi * m_air) * number_density
-           * _power(molecule_size, 2, "molecule_size", "m", divisor=True))
+    size_sq = _power(molecule_size, 2, "molecule_size", "m", divisor=True)
+    coupling, scale = 3.0 * HBAR**2 * lam, 8.0 * math.sqrt(2.0 * math.pi * m_air)
+    gas = scale * number_density * size_sq
+    if sys.float_info.min <= coupling and sys.float_info.min <= gas < math.inf:
+        base = coupling / gas
+        if sys.float_info.min <= base < math.inf:
+            return base ** (2.0 / 3.0) / K_BOLTZMANN
+    (m1, e1), (m2, e2), (m3, e3), (m4, e4), (m5, e5) = (
+        math.frexp(x) for x in (3.0 * HBAR**2, lam, scale, number_density, size_sq)
     )
-    return base ** (2.0 / 3.0) / K_BOLTZMANN
+    significand, exponent = m1 * m2 / (m3 * m4 * m5), e1 + e2 - e3 - e4 - e5
+    # base = (significand 2^r) 2^(3q): its 2/3 power is (significand 2^r)^(2/3) 2^(2q)
+    r = exponent % 3
+    power = (significand * 2.0**r) ** (2.0 / 3.0) / K_BOLTZMANN
+    try:
+        return math.ldexp(power, 2 * (exponent - r) // 3)
+    except OverflowError:
+        raise OverflowError(
+            f"the temperature at lam={lam:g} m^-2 s^-1 overflows the float range: "
+            f"it exceeds ~{sys.float_info.max:.2g} K"
+        ) from None
 
 
 def decoherence_time(lam: float, delta_x: float) -> float:

@@ -4,9 +4,12 @@
 and the renormalising quick sum in one function each; `dd_sum` folds the
 two-sum addition over a list, and `dd_richardson` runs a whole Richardson
 tableau of `dd_sub` and `dd_mul_d`, on float locals.  Each must return what
-the composition it replaces returns, bit for bit, so ±0 and the sign and
-payload of a NaN are compared as raw bits, on floats and elementwise on numpy
-arrays.
+the composition it replaces returns, bit for bit, so ±0 is compared as raw
+bits, on floats and elementwise on numpy arrays.  A NaN matches any NaN: which
+operand's NaN CPython's float operations return, and so its sign and payload,
+can depend on what ran before in the process.  The monomial builders of
+`pmcorr.model` are held to the same identity: one call over a list of
+abscissae must give each abscissa's entries of the full lists.
 """
 import math
 import random
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 import pmcorr as pc
-from pmcorr import _dd, fisher
+from pmcorr import _dd, fisher, model
 
 
 def _quick_sum(a, b):
@@ -79,7 +82,15 @@ def _pair(rng: random.Random) -> tuple:
 
 
 def _bits(value) -> str:
-    return struct.pack("<d", value).hex()
+    """The raw bits of a float, or "nan" for any NaN."""
+    return "nan" if value != value else struct.pack("<d", value).hex()
+
+
+def _array_bits(array) -> list:
+    """The dtype and the raw bits of each entry of an array, "nan" for any NaN."""
+    return [array.dtype.str] + [
+        "nan" if v != v else b for v, b in zip(array.tolist(), array.view(np.uint64).tolist())
+    ]
 
 
 def _cases(seed: int, n: int = 4000) -> list:
@@ -111,13 +122,16 @@ def test_fused_kernel_is_the_composition_on_arrays(name):
         got, want = fused(x, other), composed(x, other)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.float64
-        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert _array_bits(g) == _array_bits(w)
 
 
 def test_cases_reach_every_kind_of_double():
     # the seeded operands hold both zeros, both infinities, NaN and subnormals
+    def raw(v):
+        return struct.pack("<d", v).hex()
+
     values = [v for x, y in _cases(1) for v in (*x, *y)]
-    assert {_bits(v) for v in SPECIAL} <= {_bits(v) for v in values}
+    assert {raw(v) for v in SPECIAL} <= {raw(v) for v in values}
     assert sum(0.0 < abs(v) < 2.2250738585072014e-308 for v in values) > 100
 
 
@@ -167,11 +181,11 @@ def _richardson_cases(seed: int, n: int = 1500) -> list:
 
 
 def _flat(result) -> list:
-    """The raw bits of a (hi, lo) pair, or of a pair of such pairs."""
-    if isinstance(result, tuple):
+    """The raw bits of a float or an array, or of lists and tuples of them, "nan" for any NaN."""
+    if isinstance(result, (list, tuple)):
         return [b for part in result for b in _flat(part)]
     if isinstance(result, np.ndarray):
-        return [result.dtype.str, *result.view(np.uint64).tolist()]
+        return _array_bits(result)
     return [_bits(result)]
 
 
@@ -255,3 +269,159 @@ def test_kernels_are_the_compositions_on_real_stencils(target, monkeypatch):
         assert _flat(_dd.dd_richardson(*args)) == _flat(_richardson(*args))
     for (terms,) in seen["dd_sum"]:
         assert _flat(_dd.dd_sum(terms)) == _flat(_sum(terms))
+
+
+def test_nan_matches_any_nan_and_nothing_else():
+    nan, negative_nan = math.nan, -math.nan
+    payload = struct.unpack("<d", bytes.fromhex("010000000000f87f"))[0]
+    assert _bits(nan) == _bits(negative_nan) == _bits(payload)
+    assert _bits(nan) != _bits(math.inf) and _bits(0.0) != _bits(-0.0)
+    assert _flat((np.array([nan, 0.0]), 1.0)) == _flat((np.array([negative_nan, 0.0]), 1.0))
+    assert _flat(np.array([nan, 0.0])) != _flat(np.array([nan, -0.0]))
+    assert _flat(np.array([nan])) != _flat(np.array([1.0]))
+
+
+#: the stencil components that the two builders return for each moving parameter:
+#: `_covariance_dd`'s (those below 12; of sxx, below 5) and `_purity_bracket_dd`'s
+_CLASSES = {
+    target.value: (
+        [k for k in fisher._MOVING[target] if k < 12],
+        [k - 12 for k in fisher._MOVING[target] if k >= 12],
+    )
+    for target in pc.EstimationTarget
+}
+
+
+def _near_one(rng: random.Random) -> float:
+    """A seeded double of decimal exponent -3 to 3."""
+    return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-3, 3)
+
+
+def _builder_cases(seed: int, n: int = 400) -> list:
+    """(covariance factors, bracket factors, gamma, lam, four abscissae) of seeded doubles.
+
+    In half the cases every operand is within six decades of 1, where the
+    error terms of a product are of one size and the order of their sum shows.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        double = _double if rng.random() < 0.5 else _near_one
+
+        def pair(rng):
+            hi = double(rng)
+            return hi, rng.uniform(-0.5, 0.5) * math.ulp(hi) if math.isfinite(hi) else 0.0
+
+        cases.append((
+            (pair(rng), pair(rng), pair(rng), double(rng), double(rng)),
+            tuple(double(rng) for _ in range(6)),
+            double(rng),
+            double(rng),
+            [double(rng) for _ in range(4)],
+        ))
+    return cases
+
+
+def _covariance_composed(f, gamma, lam) -> list:
+    """`model._covariance_dd`'s full list as `_dd` kernel calls, one per operation."""
+    th, th2, th3, e2, lam_scale = f
+    g2 = _dd.dd_mul(_dd.dd(gamma), _dd.dd(gamma))
+    lt = _dd.dd_mul_d(_dd.dd(lam), lam_scale)
+    return [
+        _dd.dd(1.0), _dd.dd_mul_d(th, 2.0 * gamma), _dd.dd_mul_d(th2, e2), _dd.dd_mul(g2, th2),
+        _dd.dd_mul_d(_dd.dd_mul(th3, lt), 4.0 / 3.0),
+        _dd.dd(gamma), _dd.dd_mul_d(th, e2), _dd.dd_mul(g2, th),
+        _dd.dd_mul_d(_dd.dd_mul(th2, lt), 2.0),
+        _dd.dd(e2), g2, _dd.dd_mul_d(_dd.dd_mul(th, lt), 4.0),
+    ]
+
+
+def _bracket_composed(f, gamma, lam) -> list:
+    """`model._purity_bracket_dd`'s full list as `_dd` kernel calls, one per operation."""
+    c0, c1, c2, c3, c4, c5 = f
+    g, lm = _dd.dd(gamma), _dd.dd(lam)
+    return [
+        _dd.dd(c0),
+        _dd.dd_mul_d(lm, c1),
+        _dd.dd_mul_d(_dd.dd_mul(g, lm), c2),
+        _dd.dd_mul_d(_dd.dd_mul(_dd.dd_mul(g, g), lm), c3),
+        _dd.dd_mul_d(lm, c4),
+        _dd.dd_mul_d(_dd.dd_mul(lm, lm), c5),
+    ]
+
+
+def _check_full_lists(fc, fb, gamma, lam) -> list:
+    """The failures of the builders' full lists against their compositions."""
+    failures = []
+    for built, composed in (
+        (model._covariance_dd(fc, gamma, lam), _covariance_composed(fc, gamma, lam)),
+        (model._purity_bracket_dd(fb, gamma, lam), _bracket_composed(fb, gamma, lam)),
+    ):
+        if _flat(built) != _flat(composed):
+            failures.append((gamma, lam, built, composed))
+    return failures
+
+
+def _check_stencil(fc, fb, gamma, lam, xs, moving) -> list:
+    """The failures of one-call stencils against each abscissa's full lists."""
+    cov_class, bracket_class = _CLASSES[moving]
+
+    def at(x):
+        return (x, lam) if moving == "gamma" else (gamma, x)
+
+    stencils = (
+        model._covariance_dd(fc, *at(xs), moving),
+        model._covariance_dd(fc, *at(xs), moving, sxx_only=True),
+        model._purity_bracket_dd(fb, *at(xs), moving),
+    )
+    failures = []
+    for i, x in enumerate(xs):
+        cov, bracket = model._covariance_dd(fc, *at(x)), model._purity_bracket_dd(fb, *at(x))
+        wanted = (
+            [cov[k] for k in cov_class],
+            [cov[k] for k in cov_class if k < 5],
+            [bracket[k] for k in bracket_class],
+        )
+        for got, want in zip((s[i] for s in stencils), wanted):
+            if _flat(got) != _flat(want):
+                failures.append((moving, x, got, want))
+    if _flat(model._covariance_dd(fc, gamma, lam, sxx_only=True)) != _flat(
+        model._covariance_dd(fc, gamma, lam)[:5]
+    ):
+        failures.append(("sxx", gamma, lam))
+    return failures
+
+
+@pytest.mark.parametrize("moving", ["gamma", "lambda"])
+def test_monomial_builders_on_floats(moving):
+    # each full list is its `_dd` composition, and one call over a list of abscissae
+    # gives each abscissa's entries of the full lists
+    failures = []
+    for fc, fb, gamma, lam, xs in _builder_cases(4):
+        failures += _check_full_lists(fc, fb, gamma, lam)
+        failures += _check_stencil(fc, fb, gamma, lam, xs, moving)
+    assert failures == []
+
+
+@pytest.mark.parametrize("moving", ["gamma", "lambda"])
+def test_monomial_builders_on_arrays(moving):
+    # every operand an array across the cases, as along a sweep axis
+    cases = _builder_cases(5)
+
+    def column(values):
+        return np.array(list(values))
+
+    fc = tuple(
+        (column(c[0][i][0] for c in cases), column(c[0][i][1] for c in cases)) for i in range(3)
+    ) + tuple(column(c[0][i] for c in cases) for i in (3, 4))
+    fb = tuple(column(c[1][i] for c in cases) for i in range(6))
+    gamma, lam = column(c[2] for c in cases), column(c[3] for c in cases)
+    xs = [column(c[4][i] for c in cases) for i in range(4)]
+    with np.errstate(all="ignore"):
+        assert _check_full_lists(fc, fb, gamma, lam) == []
+        assert _check_stencil(fc, fb, gamma, lam, xs, moving) == []
+
+
+def test_builder_cases_reach_the_special_values():
+    values = [v for fc, fb, g, lam, xs in _builder_cases(4) for v in (*fb, g, lam, *xs)]
+    assert {_bits(v) for v in SPECIAL} <= {_bits(v) for v in values}

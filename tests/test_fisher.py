@@ -558,7 +558,9 @@ class TestStencilClasses:
         assert moved == set(moving)
 
     @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
-    def test_class_lists_are_the_full_lists_entries(self, target):
+    def test_one_call_stencil_is_the_full_lists_entries(self, target):
+        # one builder call over a list of abscissae gives, per abscissa, the class's
+        # entries of the full lists at that abscissa, bit for bit
         moving = fisher._MOVING[target]
         draws = _stencil_draws(12, 200)
         columns = [[probe.gamma for probe, _, _ in draws], [lam for _, lam, _ in draws],
@@ -570,12 +572,22 @@ class TestStencilClasses:
             fc, fb = model._covariance_factors(*args), model._purity_bracket_factors(*args)
             full = model._covariance_dd(fc, gamma, lam) + model._purity_bracket_dd(fb, gamma, lam)
             assert _bits(full) == _bits(_all_monomials(FULLERENE, gamma, lam, t))
-            part = (model._covariance_dd(fc, gamma, lam, target.value)
-                    + model._purity_bracket_dd(fb, gamma, lam, target.value))
-            assert _bits(part) == _bits([full[k] for k in moving])
-            sxx = model._covariance_dd(fc, gamma, lam, target.value, sxx_only=True)
-            assert _bits(sxx) == _bits([full[k] for k in moving if k < 5])
             assert _bits(model._covariance_dd(fc, gamma, lam, sxx_only=True)) == _bits(full[:5])
+            x0 = gamma if target is GAMMA else lam
+            h = fisher._REL_STEP * np.maximum(abs(x0), fisher._SCALE_FLOOR[target])
+            xs = [x0 + h, x0 - h / 4.0, x0]
+
+            def at(x):
+                return (x, lam) if target is GAMMA else (gamma, x)
+
+            part = [c + b for c, b in zip(model._covariance_dd(fc, *at(xs), target.value),
+                                          model._purity_bracket_dd(fb, *at(xs), target.value))]
+            sxx = model._covariance_dd(fc, *at(xs), target.value, sxx_only=True)
+            assert len(part) == len(sxx) == len(xs)
+            for x, terms, sxx_terms in zip(xs, part, sxx):
+                full = model._covariance_dd(fc, *at(x)) + model._purity_bracket_dd(fb, *at(x))
+                assert _bits(terms) == _bits([full[k] for k in moving])
+                assert _bits(sxx_terms) == _bits([full[k] for k in moving if k < 5])
 
     @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
     def test_non_finite_free_monomial_fails_its_point(self, target):
@@ -597,28 +609,33 @@ class TestStencilClasses:
         calls = []
         for name in ("_covariance_dd", "_purity_bracket_dd"):
             def spy(f, gamma, lam, moving=None, build=getattr(model, name), name=name, **kw):
-                calls.append((name, moving))
+                # a moving call is recorded with its number of abscissae
+                calls.append((name, moving, moving and len(gamma if moving == "gamma" else lam)))
                 return build(f, gamma, lam, moving, **kw)
 
             for module in (model, fisher):  # every build, in either module
                 monkeypatch.setattr(module, name, spy)
         probe = FULLERENE.with_gamma(5.0)
         pc.qfi_numeric(target, probe, env(1e15), 2e-5)
-        # the centre's full lists, then the class at the ten stencil points
-        assert calls.count(("_covariance_dd", None)) == calls.count(("_purity_bracket_dd", None)) == 1
-        assert calls.count(("_covariance_dd", target.value)) == 2 * fisher._LEVELS
-        assert calls.count(("_purity_bracket_dd", target.value)) == 2 * fisher._LEVELS
+        # the centre's full lists, then the class at the ten stencil points in one call each
+        stencil = 2 * fisher._LEVELS
+        assert calls == [
+            ("_covariance_dd", None, None),
+            ("_purity_bracket_dd", None, None),
+            ("_covariance_dd", target.value, stencil),
+            ("_purity_bracket_dd", target.value, stencil),
+        ]
         calls.clear()
         pc.cfi_quadrature(target, probe, env(1e15), 2e-5)
-        # sxx once at theta, which also gives V, then the class at the eight steps
-        assert calls == [("_covariance_dd", None)] + [("_covariance_dd", target.value)] * 8
+        # sxx once at theta, which also gives V, then the class at the eight steps in one call
+        assert calls == [("_covariance_dd", None, None), ("_covariance_dd", target.value, 8)]
         # where a monomial free of the target is not finite, no stencil is built: at the
         # NaN reproducer for gamma (its lambda^2 term), at gamma^2 (t/tau0)^2 for lambda
         gamma, lam, t = (-1e23, 1e63, 1e73) if target is GAMMA else (1e150, 1e15, 1.0)
         calls.clear()
         with pytest.raises(pc.ConvergenceError, match="relative spread nan$"):
             pc.qfi_numeric(target, pc.fullerene_probe(gamma=gamma, ell0=5e-8), env(lam), t)
-        assert calls == [("_covariance_dd", None), ("_purity_bracket_dd", None)]
+        assert calls == [("_covariance_dd", None, None), ("_purity_bracket_dd", None, None)]
 
     @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
     def test_tableau_runs_once_per_moving_monomial(self, target, monkeypatch):

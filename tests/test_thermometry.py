@@ -138,6 +138,40 @@ class TestConversions:
             assert all(sys.float_info.min <= p < math.inf for p in factors + tuple(partial))
             assert pc.lambda_from_temperature(temperature, *gas) == partial[-1]
 
+    @pytest.mark.parametrize(
+        "lam,gas",
+        [(1e-255, AIR), (1e-260, AIR), (1e-300, AIR), (5e-324, AIR),
+         (1e15, (AIR_MOLECULE_MASS, 1e300, 1e10)), (1e30, (AIR_MOLECULE_MASS, 1e-200, 1e-100))],
+    )
+    def test_temperature_accurate_where_the_base_leaves_the_normal_range(self, lam, gas):
+        # the base of the 2/3 power, or the gas product under it, is subnormal, 0
+        # or inf while T is a normal double: the plain expression was 2.4% off at
+        # lam = 1e-255, gave 0.0 from ~1e-260 down and where the gas product
+        # overflowed, and divided by zero where it underflowed
+        kelvin = pc.temperature_from_lambda(lam, *gas)
+        m_air, density, size = (mpmath.mpf(v) for v in gas)
+        with mpmath.workdps(50):
+            base = 3 * mpmath.mpf(HBAR) ** 2 * mpmath.mpf(lam) / (
+                8 * mpmath.sqrt(2 * mpmath.pi * m_air) * density * size**2)
+            exact = base ** (mpmath.mpf(2) / 3) / mpmath.mpf(K_BOLTZMANN)
+            assert abs(kelvin - exact) <= 4 * EPS * exact
+
+    def test_temperature_is_the_plain_expression_where_the_base_stays_normal(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            lam = 10 ** rng.uniform(-200, 40)
+            gas = (10 ** rng.uniform(-27, -24), 10 ** rng.uniform(10, 30),
+                   10 ** rng.uniform(-11, -8))
+            coupling = 3.0 * HBAR**2 * lam
+            base = coupling / (8.0 * math.sqrt(2.0 * math.pi * gas[0]) * gas[1] * gas[2] ** 2)
+            assert coupling >= sys.float_info.min and base >= sys.float_info.min
+            assert pc.temperature_from_lambda(lam, *gas) == base ** (2.0 / 3.0) / K_BOLTZMANN
+
+    def test_temperature_overflow_named(self):
+        with pytest.raises(OverflowError, match=r"^the temperature at lam=1e\+30 m\^-2 s\^-1 "
+                           r"overflows the float range: it exceeds ~1\.8e\+308 K$"):
+            pc.temperature_from_lambda(1e30, AIR_MOLECULE_MASS, 1e-300, 1e-150)
+
     def test_thermal_power_overflow_named(self):
         with pytest.raises(OverflowError, match=r"temperature=1e\+300 K overflows the float range: "
                            r"\(k_B\*T\)\^1\.5 needs T below ~2\.3e\+228 K"):
