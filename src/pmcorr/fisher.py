@@ -4,8 +4,10 @@ Estimated parameters: the initial position-momentum correlation (``gamma``)
 and the environment coupling (``lam``).  Four independent routes are
 implemented and cross-checked:
 
-* `qfi_analytic`  - closed-form trace polynomials plus the analytic purity
-  derivative;
+* `qfi_analytic`  - the adjugate trace Tr{[adj(S) dS]^2} = (dB)^2 - 2 B det(dS)
+  from the purity bracket B = det S = 1/mu^2 and its analytic derivative
+  (Jacobi's formula and Cayley-Hamilton), with det(dS) = -1 for gamma and
+  (4/3) (hbar t^2/m)^2 for lambda;
 * `qfi_numeric`   - the general single-mode Gaussian formula
   mu^4/(2(1+mu^2)) Tr{[adj(S) dS]^2} + 2 (dmu)^2/(1-mu^4) with derivatives
   from Richardson-extrapolated central differences;
@@ -32,7 +34,6 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _coefficient_args,
-    _coherence_ratio_sq,
     _covariance_dd,
     _covariance_factors,
     _kernel_b_sq,
@@ -51,7 +52,6 @@ from .model import (
     _position_variance,
     _require_nonnegative_t,
     _require_positive_t,
-    _tau0,
     tau0,
 )
 
@@ -87,9 +87,9 @@ def _as_target(target) -> EstimationTarget:
     return EstimationTarget(str(target).lower())
 
 
-# The trace polynomials below are expressed in half-scaled moments (pure-state
-# covariance determinant 1/4).  model.covariance stores doubled entries so
-# that det = 1/purity^2; the adjugate trace is quartic in that factor.
+# phi_theta is the adjugate trace in half-scaled moments (pure-state covariance
+# determinant 1/4).  model.covariance stores doubled entries so that
+# det = 1/purity^2; the adjugate trace is quartic in that factor.
 _ADJ_TRACE_RESCALE = 16.0
 
 
@@ -121,140 +121,62 @@ _SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e12}
 
 
 def phi_gamma(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
-    """Trace polynomial value (c0 + c1 lam + c2 lam^2) / (72 tau0^4) for correlation estimation.
+    """Tr[(adj S dS/dgamma)^2] / 16 in half-scaled moments: ((dB/dgamma)^2 + 2 B) / 16.
 
-    The ell0^2 common to the c_k and the prefactor is cancelled, so fully
-    coherent sources stay finite.
+    B = det S = 1/purity^2 is the purity bracket, and det(dS/dgamma) = -1.
     """
-    _require_positive_t(t)
-    return _phi_gamma_at(_phi_gamma_coefficients(*_coefficient_args(probe, env)), t)
-
-
-def _square_or_none(value):
-    """value**2, or None where it leaves the float range.
-
-    A phi evaluation names such a square where its formula takes it, where
-    the None raises TypeError.  That is after the formula's power of t, so
-    where both overflow, the power of t is the one named.
-    """
-    try:
-        return value**2
-    except OverflowError:
-        return None
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _phi_gamma_fixed(mass, sigma0, ell0) -> tuple:
-    """The part of `phi_gamma`'s coefficients free of gamma and lam, kept for the last probe.
-
-    (tau0, 9 tau0^4 (1 + 2 eps), 12 sigma0^2 tau0^2, 2 eps, 32 sigma0^4,
-    72 tau0^4), with eps's and then tau0^4's named errors.
-    """
-    eps2 = 2.0 * _coherence_ratio_sq(sigma0, ell0)
-    tau = _tau0(mass, sigma0)
-    tau4 = _power(tau, 4, "tau0", "s", divisor=True)
-    return (
-        tau, 9.0 * tau4 * (1.0 + eps2), 12.0 * sigma0**2 * tau**2, eps2, 32.0 * sigma0**4,
-        72.0 * tau4,
-    )
-
-
-def _phi_gamma_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
-    """The parts of `phi_gamma` that depend on (probe, env) alone, from `model._coefficient_args`."""
-    tau, c0, k1, eps2, k2, denom = _phi_gamma_fixed(mass, sigma0, ell0)
-    g_sq = gamma**2
-    return (tau, c0, k1, eps2 + g_sq + 1.0, 3.0 * gamma, k2, g_sq, lam, _square_or_none(lam), denom)
-
-
-def _phi_gamma_at(c, t):
-    """`phi_gamma` at t from its `_phi_gamma_coefficients` c."""
-    tau, c0, k1, big_gamma, g3, k2, g_sq, lam, lam_sq, denom = c
-    t_6 = _power(t, 6, "t", "s", where=", in the lambda^2 term of phi_gamma,")
-    r = tau / t
-    try:
-        c1 = k1 * t**3 * (big_gamma + g3 * r + 3.0 * r**2)
-    except OverflowError:  # a short t
-        _power(r, 2, "(tau0/t)", where=", in phi_gamma,")
-        raise
-    c2 = k2 * t_6 * (g_sq + g3 * r + (21.0 / 8.0) * r**2)
-    try:
-        return (c0 + c1 * lam + c2 * lam_sq) / denom
-    except TypeError:  # lambda^2 is None
-        _power(lam, 2, "lambda", "m^-2 s^-1")
-        raise
+    return _phi(EstimationTarget.GAMMA, probe, env, t)
 
 
 def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
-    """Trace polynomial value (c0 + c1 lam + c2 lam^2) / (18 tau0^4) for coupling estimation.
+    """Tr[(adj S dS/dlam)^2] / 16 in half-scaled moments: (dB^2 - 2 B det(dS/dlam)) / 16.
 
-    The ell0^4 common to the c_k and the prefactor is cancelled, as in `phi_gamma`.
+    B = det S = 1/purity^2 is the purity bracket, and det(dS/dlam) =
+    (4/3) (hbar t^2/m)^2.
     """
+    return _phi(EstimationTarget.LAMBDA, probe, env, t)
+
+
+def _phi(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
+    """`phi_gamma` or `phi_lambda`: the bracket at t first, as in `_analytic_curve`, then phi."""
     _require_positive_t(t)
-    return _phi_lambda_at(_phi_lambda_coefficients(*_coefficient_args(probe, env)), t)
+    args = _coefficient_args(probe, env)
+    bracket = _purity_bracket(_purity_bracket_coefficients(*args), t)
+    dbracket, db = _bracket_derivative(target, args)
+    return _phi_from_bracket(target, _det_derivative(target, args), bracket, dbracket(db, t), t)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _phi_lambda_fixed(mass, sigma0, ell0) -> tuple:
-    """The part of `phi_lambda`'s coefficients free of gamma and lam, kept for the last probe.
+def _det_derivative(target: EstimationTarget, args: tuple) -> tuple:
+    """det(dS/d(target)) as (c, k), one monomial c t^k, at the `model._coefficient_args` args.
 
-    (tau0, 2 sigma0^4, 2 eps, (3/5) eps, 4 sigma0^6, 4 sigma0^8, 18 tau0^4),
-    with the named errors of eps, tau0^4 and sigma0^8.
+    det(dS/dgamma) = -1 exactly; det(dS/dlam) = (4/3) (hbar t^2/m)^2, the
+    lambda^2 coefficient of the bracket, from its fixed part 3 mass^2.
     """
-    eps = _coherence_ratio_sq(sigma0, ell0)
-    tau = _tau0(mass, sigma0)
-    tau4 = _power(tau, 4, "tau0", "s", divisor=True)
-    s0_8 = _power(sigma0, 8, "sigma0", "m", where=", in the lambda^2 term of phi_lambda,")
-    return (
-        tau, 2.0 * sigma0**4, 2.0 * eps, (3.0 / 5.0) * eps, 4.0 * sigma0**6, 4.0 * s0_8,
-        18.0 * tau4,
+    if target is EstimationTarget.GAMMA:
+        return -1.0, 0
+    return 4.0 * HBAR**2 / _purity_bracket_fixed(*args[:3])[4], 4
+
+
+def _phi_from_bracket(target: EstimationTarget, det: tuple, bracket: float, dbracket: float,
+                      t: float) -> float:
+    """phi = Tr[(adj S dS)^2] / 16 = (dB/4)^2 - (B/8) det(dS), from B = det S and dB/d(target).
+
+    Jacobi's formula gives dB = Tr[adj S dS], and Cayley-Hamilton for the 2x2
+    product gives the rest; `_det_derivative` gives det(dS).  The trace is at
+    least 0, so (B/8) det(dS) stays below (dB/4)^2 for lambda, and for gamma
+    B/8 cannot overflow: only the square of dB/4 leaves the float range, and
+    it is named.
+    """
+    c, k = det
+    quarter = 0.25 * dbracket
+    phi = quarter * quarter - 0.125 * bracket * (c * t**k)
+    if phi < math.inf:
+        return phi
+    name = f"|d(1/purity^2)/d{target.value}|"
+    raise OverflowError(
+        f"{name}={abs(dbracket):g} overflows the float range: {name}^2/16, in the adjugate "
+        f"trace, needs {name} below ~{4.0 * _SQUARE_LIMIT:.2g}"
     )
-
-
-def _phi_lambda_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
-    """The parts of `phi_lambda` that depend on (probe, env) alone, from `model._coefficient_args`."""
-    tau, k0, eps2, q0, k1, k2, denom = _phi_lambda_fixed(mass, sigma0, ell0)
-    g_sq = gamma**2
-    big_gamma = eps2 + g_sq + 1.0
-    return (
-        tau,
-        k0,
-        _square_or_none(big_gamma),
-        6.0 * gamma,
-        big_gamma,
-        q0 + g_sq + 3.0 / 10.0,
-        18.0 * gamma,
-        k1,
-        3.0 * gamma,
-        k2,
-        lam,
-        _square_or_none(lam),
-        denom,
-    )
-
-
-def _phi_lambda_at(c, t):
-    """`phi_lambda` at t from its `_phi_lambda_coefficients` c."""
-    tau, k0, big_gamma_sq, g6, big_gamma, q, g18, k1, g3, k2, lam, lam_sq, denom = c
-    t_8 = _power(t, 8, "t", "s", where=", in the lambda^2 term of phi_lambda,")
-    r = tau / t
-    try:
-        c0 = k0 * t**6 * (
-            big_gamma_sq + g6 * r * big_gamma + 15.0 * r**2 * q + g18 * r**3 + 9.0 * r**4
-        )
-    except TypeError:  # Gamma^2 is None
-        _power(big_gamma, 2, "(2eps+gamma^2+1)", where=", in the lambda-free term of phi_lambda,")
-        raise
-    except OverflowError:  # a short t
-        for k in (2, 3, 4):
-            _power(r, k, "(tau0/t)", where=", in phi_lambda,")
-        raise
-    c1 = k1 * t**7 * (big_gamma + g3 * r + 3.0 * r**2)
-    c2 = k2 * t_8
-    try:
-        return (c0 + c1 * lam + c2 * lam_sq) / denom
-    except TypeError:  # lambda^2 is None
-        _power(lam, 2, "lambda", "m^-2 s^-1")
-        raise
 
 
 def _purity_derivative(dbracket: float, bracket: float) -> float:
@@ -310,38 +232,32 @@ def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: Environment
 
     The QFI is the target's; `slope` names the parameter of the purity
     derivative returned, the target itself by default.  The coefficient
-    tuples of the purity bracket, of its target derivative, of phi and, for
-    another `slope`, of its derivative are built here, once.  Each t
-    evaluates the bracket once, then phi, then the derivative, then the QFI's
-    second term and phi's range check, and last the other slope's
-    derivative, so `qfi_analytic` and a grid row that fail name the same
-    error.
+    tuples of the purity bracket, of its target derivative and, for another
+    `slope`, of its derivative are built here, once, with det(dS/d(target)).
+    Each t evaluates the bracket once, then the derivative, then the QFI's
+    second term, then phi, the adjugate trace over 16, from the bracket and
+    the derivative, and last the other slope's derivative, so `qfi_analytic`
+    and a grid row that fail name the same error.  The first term takes the
+    purity's powers from B itself, mu^4 / (1 + mu^2) = 1 / (B (B + 1)), so
+    B's rounding is not compounded through B^(-1/2) and its fourth power,
+    and no power underflows.
     """
     args = _coefficient_args(probe, env)
     b = _purity_bracket_coefficients(*args)
     dbracket, db = _bracket_derivative(target, args)
-    if target is EstimationTarget.GAMMA:
-        phi_at, phi = _phi_gamma_at, _phi_gamma_coefficients(*args)
-    else:
-        phi_at, phi = _phi_lambda_at, _phi_lambda_coefficients(*args)
+    det = _det_derivative(target, args)
     dslope, ds = (None, None) if slope in (None, target) else _bracket_derivative(slope, args)
     pure = env.lam == 0.0 and _purity_bracket_fixed(*args[:3])[2] == 0.0  # 2 eps, kept
 
     def curve(t):
         bracket = _purity_bracket(b, t)
         mu = bracket**-0.5
-        phi_t = phi_at(phi, t)
-        dmu = _purity_derivative(dbracket(db, t), bracket)
+        d = dbracket(db, t)
+        dmu = _purity_derivative(d, bracket)
         second = _second_term(mu, dmu, pure)
-        if not phi_t < math.inf:  # its products overflow to inf, or to NaN in inf - inf, silently
-            raise OverflowError(
-                f"phi_{target.value}={phi_t} overflows the float range (gamma={probe.gamma:g}, "
-                f"lambda={env.lam:g} m^-2 s^-1, t={t:g} s)"
-            )
-        mu4 = mu**4
-        if mu4 < sys.float_info.min:  # mu^4 underflows: fold mu^2 into phi, keeping its digits
-            mu4, phi_t = mu**2, mu**2 * phi_t
-        value = mu4 / (2.0 * (1.0 + mu**2)) * _ADJ_TRACE_RESCALE * phi_t + second
+        phi = _phi_from_bracket(target, det, bracket, d, t)
+        # mu^4 / (2 (1 + mu^2)) 16 phi = 8 phi / (B (B + 1)), divided out one factor at a time
+        value = phi / bracket / (bracket + 1.0) * 8.0 + second
         if dslope is not None:
             dmu = _purity_derivative(dslope(ds, t), bracket)
         return bracket, mu, dmu, value
@@ -540,7 +456,7 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         dmu = -0.5 * dbracket * bracket**-1.5
         pure = li == 0.0 and eps == 0.0
         mu4, scaled = mu**4, trace
-        if mu4 < sys.float_info.min:  # as in qfi_analytic
+        if mu4 < sys.float_info.min:  # mu^4 underflows: fold mu^2 into the trace, keep its digits
             mu4, scaled = mu**2, mu**2 * trace
         value = mu4 / (2.0 * (1.0 + mu**2)) * scaled + _second_term(mu, dmu, pure)
         if not math.isfinite(trace):  # a double-double product left the float range

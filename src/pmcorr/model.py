@@ -374,21 +374,16 @@ def _purity_bracket_dd(f, gamma, lam, moving=None) -> list:
     return lists if moving else [(c0, 0.0)] + lists[0]
 
 
-def _purity_bracket_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
-    """Monomial split of 1/purity^2, as double-double pairs (cf. covariance terms)."""
-    return _purity_bracket_dd(_purity_bracket_factors(mass, sigma0, eps, t), gamma, lam)
-
-
 def _coefficient_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
     """(mass, sigma0, ell0, gamma, lam), the arguments of every closed-form coefficient builder.
 
-    Each copy of the purity bracket, phi and the closed-form CFI is a
-    coefficient tuple, which depends on these alone, and an evaluation at t.
-    A caller that evaluates many t at one (probe, env) builds the tuples
-    once; the public functions build them per call, and both evaluate
-    through the same functions.  Each tuple's part free of gamma and lam
-    (`_purity_bracket_fixed`, phi's in `pmcorr.fisher`) is kept for the last
-    (mass, sigma0, ell0), so calls at one probe build it, and eps, once.
+    Each copy of the purity bracket and the closed-form CFI is a coefficient
+    tuple, which depends on these alone, and an evaluation at t.  A caller
+    that evaluates many t at one (probe, env) builds the tuples once; the
+    public functions build them per call, and both evaluate through the same
+    functions.  The bracket's part free of gamma and lam
+    (`_purity_bracket_fixed`) is kept for the last (mass, sigma0, ell0), so
+    calls at one probe build it, and eps, once.
     """
     return probe.mass, probe.sigma0, probe.ell0, probe.gamma, env.lam
 
@@ -612,11 +607,6 @@ def _covariance_dd(f, gamma, lam, moving=None, sxx_only=False) -> list:
     ]
 
 
-def _covariance_terms_dd(mass, sigma0, eps, gamma, lam, t) -> list:
-    """Monomial split of the scaled covariance at t, as double-double pairs (see `_covariance_dd`)."""
-    return _covariance_dd(_covariance_factors(mass, sigma0, eps, t), gamma, lam)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -694,9 +684,8 @@ def _kernel_b_sq(c, t):
 def covariance(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CovarianceMatrix:
     """Scaled covariance matrix at time t >= 0 (exact analytic limit at t=0)."""
     _require_nonnegative_t(t)
-    terms = _covariance_terms_dd(
-        probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, env.lam, t
-    )
+    f = _covariance_factors(probe.mass, probe.sigma0, probe.coherence_ratio_sq, t)
+    terms = _covariance_dd(f, probe.gamma, env.lam)
     sxx = _dd.dd_sum(terms[:5])
     sxp = _dd.dd_sum(terms[5:9])
     spp = _dd.dd_sum(terms[9:])

@@ -116,22 +116,17 @@ def temperature_from_lambda(
     """Exact inverse of `lambda_from_temperature`.
 
     T = base^(2/3) / k_B with base = 3 hbar^2 lam / (8 sqrt(2 pi m_air) n d^2).
-    Where 3 hbar^2 lam, the gas product or the base leaves the normal float
-    range (lam below ~7e-241 for air), the five factors are taken as
-    significands and exponents apart, as `lambda_from_temperature` does, and
-    the exponent is divided by 3 before the power is taken: T keeps its digits
-    down to the smallest lam and leaves the float range only with itself.
+    The five factors are taken as significands and exponents apart, as
+    `lambda_from_temperature` does, and the exponent is divided by 3 before
+    the power is taken, so the rounded exponent 2/3 acts on a number near 1
+    alone: T keeps its digits at every lam, down to the smallest, and leaves
+    the float range only with itself.
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     _require_gas(m_air, number_density, molecule_size)
     size_sq = _power(molecule_size, 2, "molecule_size", "m", divisor=True)
-    coupling, scale = 3.0 * HBAR**2 * lam, 8.0 * math.sqrt(2.0 * math.pi * m_air)
-    gas = scale * number_density * size_sq
-    if sys.float_info.min <= coupling and sys.float_info.min <= gas < math.inf:
-        base = coupling / gas
-        if sys.float_info.min <= base < math.inf:
-            return base ** (2.0 / 3.0) / K_BOLTZMANN
+    scale = 8.0 * math.sqrt(2.0 * math.pi * m_air)
     (m1, e1), (m2, e2), (m3, e3), (m4, e4), (m5, e5) = (
         math.frexp(x) for x in (3.0 * HBAR**2, lam, scale, number_density, size_sq)
     )

@@ -177,8 +177,7 @@ def count_brackets(monkeypatch) -> list:
 
 
 #: the builders of the coefficients' fixed parts, each of which keeps its last probe's
-FIXED_PARTS = [pc.model._purity_bracket_fixed, pc.fisher._phi_gamma_fixed,
-               pc.fisher._phi_lambda_fixed]
+FIXED_PARTS = [pc.model._purity_bracket_fixed]
 
 
 def clear_fixed_parts() -> None:
@@ -216,14 +215,16 @@ class TestSweep:
                            "1/purity^2=inf overflows the float range at t=1e+09 s\n")
 
     def test_short_time_row_names_its_overflow(self, capsys):
-        # (tau0/t)^2 in phi_gamma raised the bare (34, 'Numerical result out of range')
+        # the row's QFI is a value (phi_gamma's (tau0/t)^2 once failed it); its CFI
+        # column squares m/(2 hbar t), which leaves the float range
         assert main(["sweep", "--target", "gamma", "--axis", "time", "--log", "--min", "1e-200",
                      "--max", "1e-190", "--points", "2", "--lambda", "1e15"]) == 3
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == ("sweep row 0 (time_s=1e-200) failed: (tau0/t)=6.923e+193 overflows "
-                           "the float range: (tau0/t)^2, in phi_gamma, needs (tau0/t) below "
-                           "~1.3e+154\n")
+        assert out.err == ("sweep row 0 (time_s=1e-200) failed: (m/(2 hbar t) + gamma/(2 sigma0^2))"
+                           "=5.68951e+209 overflows the float range: (m/(2 hbar t) + "
+                           "gamma/(2 sigma0^2))^2, in b_sq, needs (m/(2 hbar t) + "
+                           "gamma/(2 sigma0^2)) below ~1.3e+154 m^-2\n")
 
     @pytest.mark.parametrize("target", ["gamma", "lambda"])
     def test_time_axis_evaluates_the_bracket_once_per_row(self, target, monkeypatch):
@@ -492,8 +493,8 @@ class TestFigures:
             assert abs(tgi_exact - pc.tgi_approx(float(g))) <= 0.2
 
     def test_fig5_points_are_the_tgi(self, tmp_path):
-        # phi_lambda's t^8 overflows at tau_max: the points, once taken from full
-        # gain-table rows, exited 3 after writing the curve
+        # the lambda^2 QFI at tau_max once failed (phi_lambda's t^8): the points, once
+        # taken from full gain-table rows, exited 3 after writing the curve
         assert main(["figures", "--preset", "fig5", "--lambda", "1e-200", "--outdir",
                      str(tmp_path), "--quiet"]) == 0
         lines = (tmp_path / "fig5_points.csv").read_text().splitlines()
@@ -551,17 +552,18 @@ class TestFigures:
         assert len(calls) == 1
         assert len(built) == 3 * 3  # fig4a's B, fig4b's B and dB/dt, per gamma
 
-    def test_time_axis_builds_phi_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
-        # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis; phi's
-        # fixed part is built once for the file
+    def test_time_axis_builds_the_qfi_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
+        # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis; the
+        # QFI's trace comes from the bracket's tuple, built once per gamma, and the
+        # bracket's fixed part is built once for the file
         clear_fixed_parts()
         calls = []
-        build = pc.fisher._phi_gamma_coefficients
-        monkeypatch.setattr(pc.fisher, "_phi_gamma_coefficients",
+        build = pc.fisher._purity_bracket_coefficients
+        monkeypatch.setattr(pc.fisher, "_purity_bracket_coefficients",
                             lambda *a: calls.append(a) or build(*a))
         assert main(["figures", "--preset", "figD", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert 0 < len(calls) <= 61
-        assert pc.fisher._phi_gamma_fixed.cache_info().misses == 1
+        assert pc.model._purity_bracket_fixed.cache_info().misses == 1
 
     def test_fixed_factors_are_built_once_per_run(self, tmp_path, monkeypatch):
         # fig2's 4 x 301 rows each change gamma, so each row builds its (gamma, lambda)
@@ -574,8 +576,7 @@ class TestFigures:
         assert main(["figures", "--preset", "fig2", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert len(scales) == 1
         info = {build.__name__: build.cache_info() for build in FIXED_PARTS}
-        assert {name: i.misses for name, i in info.items()} == {
-            "_purity_bracket_fixed": 1, "_phi_gamma_fixed": 1, "_phi_lambda_fixed": 0}
+        assert {name: i.misses for name, i in info.items()} == {"_purity_bracket_fixed": 1}
         assert info["_purity_bracket_fixed"].hits >= 4 * 301
 
     def test_coherence_ratio_is_evaluated_in_the_fixed_parts_alone(self, tmp_path, monkeypatch):
@@ -583,11 +584,10 @@ class TestFigures:
         # one fig2 run; the fixed parts now take ell0 and derive it once each
         clear_fixed_parts()
         calls, ratio = [], pc.model._coherence_ratio_sq
-        for module in (pc.model, pc.fisher):
-            monkeypatch.setattr(module, "_coherence_ratio_sq",
-                                lambda *a: calls.append(a) or ratio(*a))
+        monkeypatch.setattr(pc.model, "_coherence_ratio_sq",
+                            lambda *a: calls.append(a) or ratio(*a))
         assert main(["figures", "--preset", "fig2", "--outdir", str(tmp_path), "--quiet"]) == 0
-        assert 0 < len(calls) <= 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("preset,evaluations", [
         ("fig2", 4 * 301), ("fig3", 2 * 301), ("fig4", 2 * 220 * 3), ("figE", 181 * 3),
@@ -694,7 +694,8 @@ class TestScalarCommands:
         assert main(["purity", "--gamma", "0", "--lambda", "1e15"]) == 2
 
     @pytest.mark.parametrize("flags", [
-        # phi_lambda's t^8 overflows at tau_max, in a lambda^2 QFI that tgi does not print
+        # the lambda^2 QFI that tgi does not print once failed at tau_max: phi_lambda's
+        # t^8 overflowed there
         ["--lambda", "1e-200", "--gamma", "3"],
         # and there Gamma^2 = (2 eps + gamma^2 + 1)^2; both exited 3 through the gain table
         ["--gamma", "1e100", "--lambda", "1e15"],
@@ -821,13 +822,11 @@ class TestScalarCommands:
               "1e15", "--t", "1us"],
              "tau0=0 underflows the float range: tau0 = mass sigma0^2/hbar, a divisor, rounds to 0 "
              "(mass=1e-150 kg, sigma0=1e-100 m)"),
+            # the analytic QFI is a value here (phi's tau0^4 once failed it), but the
+            # oracle's (t/tau0)^3 leaves the float range
             (["qfi", "--target", "gamma", "--mass", "1e-30", "--sigma0", "1e-60", "--lambda", "1e15",
               "--t", "1us"],
-             "tau0=9.48252e-117 underflows the float range: tau0^4, a divisor, needs tau0 above "
-             "~1.3e-81 s"),
-            (["qfi", "--target", "lambda", "--mass", "1e30", "--sigma0", "1e30", "--lambda", "1e15",
-              "--t", "1us"],
-             "tau0=9.48252e+123 overflows the float range: tau0^4 needs tau0 below ~1.2e+77 s"),
+             "derivative failed to converge: relative spread nan"),
             # valid mixed states whose 1 - purity^4 rounds to 0: not a validation error
             (["qfi", "--target", "lambda", "--lambda", "1e-3", "--t", "1us", "--ell0", "inf"],
              "1 - purity^4 rounds to 0 in a mixed state (purity=1.0): the term "
@@ -843,21 +842,11 @@ class TestScalarCommands:
              "gamma=1e+200 overflows the float range: gamma^2 needs gamma below ~1.3e+154"),
             (["purity", "--gamma=-1e200", "--lambda", "1e15", "--t", "1us"],
              "gamma=-1e+200 overflows the float range: gamma^2 needs gamma below ~1.3e+154"),
-            # the cfi launch at this point prints its three values
-            (["qfi", "--target", "lambda", "--mass", "1e-100", "--sigma0", "1e40", "--ell0", "inf",
-              "--lambda", "1e15", "--t", "1us"],
-             "sigma0=1e+40 overflows the float range: sigma0^8, in the lambda^2 term of "
-             "phi_lambda, needs sigma0 below ~3.4e+38 m"),
-            (["qfi", "--target", "lambda", "--lambda", "1e15", "--t", "1e39"],
-             "t=1e+39 overflows the float range: t^8, in the lambda^2 term of phi_lambda, needs t "
-             "below ~3.4e+38 s"),
-            # gamma^2 is finite, but Gamma^2 = (2 eps + gamma^2 + 1)^2 is not
+            # gamma^2 is finite, but the square of dB/dlambda in the adjugate trace is not
             (["qfi", "--target", "lambda", "--gamma", "1e100", "--lambda", "1e15", "--t", "1us"],
-             "(2eps+gamma^2+1)=1e+200 overflows the float range: (2eps+gamma^2+1)^2, in the "
-             "lambda-free term of phi_lambda, needs (2eps+gamma^2+1) below ~1.3e+154"),
-            (["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "1e60"],
-             "t=1e+60 overflows the float range: t^6, in the lambda^2 term of phi_gamma, needs t "
-             "below ~2.4e+51 s"),
+             "|d(1/purity^2)/dlambda|=1.69254e+178 overflows the float range: "
+             "|d(1/purity^2)/dlambda|^2/16, in the adjugate trace, needs |d(1/purity^2)/dlambda| "
+             "below ~5.4e+154"),
             # the oracle's double-double products overflow into a NaN trace, once printed
             (["qfi", "--target", "gamma", "--gamma", "1e60", "--lambda", "1e15", "--t", "1us"],
              "adjugate trace is nan beside terms of 2.678e+307: its double-double products leave "
@@ -865,10 +854,11 @@ class TestScalarCommands:
             (["qfi", "--target", "gamma", "--gamma", "1e100", "--lambda", "1e15", "--t", "1us"],
              "adjugate trace is nan beside terms of inf: its double-double products leave the "
              "float range"),
-            # the trace polynomial's float products overflow without raising; both routes printed nan
+            # the trace's float products overflowed without raising, and both routes printed nan
             (["qfi", "--target", "gamma", "--gamma", "1e60", "--lambda", "1e15", "--t", "1e30"],
-             "phi_gamma=inf overflows the float range (gamma=1e+60, lambda=1e+15 m^-2 s^-1, "
-             "t=1e+30 s)"),
+             "|d(1/purity^2)/dgamma|=3.38508e+161 overflows the float range: "
+             "|d(1/purity^2)/dgamma|^2/16, in the adjugate trace, needs |d(1/purity^2)/dgamma| "
+             "below ~5.4e+154"),
             # dpurity/dlambda = -7.9e216: its square in the second QFI term once failed bare
             (["qfi", "--target", "lambda", "--lambda", "0", "--gamma", "1e58", "--t", "1e35"],
              "|dpurity|=7.88043e+216 overflows the float range: |dpurity|^2, in "
@@ -889,32 +879,49 @@ class TestScalarCommands:
             # the bracket's terms overflow to inf silently; covariance() used to name it
             (["purity", "--lambda", "1e150", "--t", "1e9"],
              "purity bracket 1/purity^2=inf overflows the float range at t=1e+09 s"),
-            # (tau0/t)^2 in phi raised the bare (34, 'Numerical result out of range')
-            (["qfi", "--target", "gamma", "--lambda", "1e15", "--t", "1e-200"],
-             "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in phi_gamma, needs "
-             "(tau0/t) below ~1.3e+154"),
-            (["qfi", "--target", "lambda", "--lambda", "1e15", "--t", "1e-200"],
-             "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in phi_lambda, needs "
-             "(tau0/t) below ~1.3e+154"),
         ],
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
              "cfi-gamma-mass-1e200", "tgi-lambda-1e154", "purity-sigma0-1e200",
              "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100",
              "purity-mass-1e-160", "purity-tau0-mass-1e-366", "cfi-tau0-1e-350",
-             "qfi-tau0-fourth-underflow", "qfi-tau0-fourth-overflow", "qfi-lambda-mixed-purity-1",
+             "qfi-oracle-tau0-1e-117", "qfi-lambda-mixed-purity-1",
              "qfi-gamma-mixed-purity-1", "qfi-gamma-1e200", "tgi-gamma-1e200", "purity-gamma-minus-1e200",
-             "qfi-lambda-sigma0-eighth", "qfi-lambda-t-eighth", "qfi-lambda-big-gamma-square",
-             "qfi-gamma-t-sixth", "qfi-gamma-nan-trace-1e60",
-             "qfi-gamma-nan-trace-1e100", "qfi-gamma-phi-inf", "qfi-lambda-dpurity-square",
+             "qfi-lambda-dbracket-square", "qfi-gamma-nan-trace-1e60",
+             "qfi-gamma-nan-trace-1e100", "qfi-gamma-dbracket-square", "qfi-lambda-dpurity-square",
              "purity-t-fourth", "purity-t-cube", "qfi-gamma-t-fourth", "qfi-lambda-t-fourth",
-             "purity-bracket-inf", "qfi-gamma-short-t", "qfi-lambda-short-t"],
+             "purity-bracket-inf"],
     )
     def test_float_range_failure_is_named_and_prints_nothing(self, args, stderr, capsys):
         assert main(args) == 3
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"numerical failure: {stderr}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--target", "gamma", "--lambda", "1e15", "--t", "1e-200"],
+        ["--target", "gamma", "--lambda", "1e15", "--t", "1e60"],
+        ["--target", "lambda", "--lambda", "1e15", "--t", "1e-100"],
+        ["--target", "lambda", "--lambda", "1e15", "--t", "1e-200"],
+        ["--target", "lambda", "--lambda", "1e15", "--t", "1e39"],
+        ["--target", "lambda", "--mass", "1e-100", "--sigma0", "1e40", "--ell0", "inf",
+         "--lambda", "1e15", "--t", "1us"],
+        ["--target", "lambda", "--mass", "1e-50", "--sigma0", "1e-38", "--ell0", "5e-8",
+         "--lambda", "1e15", "--t", "1us"],
+        ["--target", "gamma", "--mass", "1e30", "--sigma0", "1e30", "--lambda", "1e15",
+         "--t", "1us"],
+        ["--target", "lambda", "--mass", "1e30", "--sigma0", "1e30", "--lambda", "1e15",
+         "--t", "1us"],
+    ], ids=["gamma-t-1e-200", "gamma-t-1e60", "lambda-t-1e-100", "lambda-t-1e-200",
+            "lambda-t-1e39", "lambda-sigma0-1e40", "lambda-tau0-1e-93", "gamma-tau0-1e123",
+            "lambda-tau0-1e123"])
+    def test_points_phi_failed_print_both_routes(self, flags, capsys):
+        # phi's (tau0/t)^k, t^6, t^8, sigma0^8 or tau0^4 left the float range at these
+        # points and the launch exited 3, though every printed quantity is finite
+        assert main(["qfi", *flags]) == 0
+        values = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        analytic, numeric = float(values["qfi_analytic"]), float(values["qfi_numeric"])
+        assert abs(analytic - numeric) <= 1e-6 * abs(analytic)
 
     def test_cancelled_adjugate_trace_fails_and_prints_nothing(self, capsys):
         # the gamma-target trace cancels by ~5e24 here; the value it left was

@@ -12,6 +12,8 @@ from pmcorr import _dd, fisher, model
 from pmcorr.constants import HBAR
 from pmcorr.fisher import _ADJ_TRACE_RESCALE
 
+import _reference as _ref
+
 FULLERENE = pc.fullerene_probe()
 GAMMA = pc.EstimationTarget.GAMMA
 LAMBDA = pc.EstimationTarget.LAMBDA
@@ -22,6 +24,11 @@ GRID = list(itertools.product([-50.0, 0.0, 5.0], [1e13, 1e15, 1e20], [1e-7, 1e-5
 
 def env(lam):
     return pc.EnvironmentSpec(lam=lam)
+
+
+def _reference(target, probe, e, t):
+    """`tests/_reference.py` at one point, from the probe and environment records."""
+    return _ref.point(target.value, probe.mass, probe.sigma0, probe.ell0, probe.gamma, e.lam, t)
 
 
 class TestPhiGamma:
@@ -80,6 +87,25 @@ class TestPhiLambda:
         assert abs(a - n) <= 1e-6 * abs(a)
 
 
+@pytest.mark.parametrize("target,bound", [(GAMMA, 8), (LAMBDA, 24)], ids=["gamma", "lambda"])
+def test_adjugate_trace_against_the_reference(target, bound):
+    # 16 phi = (dB)^2 - 2 B det(dS), within `bound` epsilons of the trace the
+    # reference takes as a matrix product, on 1,000 envelope draws; the hand-kept
+    # phi_lambda polynomials were off by up to ~70 epsilons
+    rng = np.random.default_rng(26)
+    phi = pc.phi_gamma if target is GAMMA else pc.phi_lambda
+    worst = 0.0
+    for _ in range(1000):
+        lam = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 30.0)
+        gamma = 0.0 if rng.random() < 0.1 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 4)
+        t = 10.0 ** rng.uniform(-12.0, 0.0)
+        probe = pc.fullerene_probe(gamma=float(gamma), ell0=(1e-9, 5e-8, math.inf)[rng.integers(3)])
+        e = env(float(lam))
+        exact = _reference(target, probe, e, float(t)).trace
+        worst = max(worst, float(abs(_ADJ_TRACE_RESCALE * phi(probe, e, float(t)) - exact) / exact))
+    assert worst <= bound * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("phi", [pc.phi_gamma, pc.phi_lambda])
 def test_phi_lambda_sq_overflow_named(phi):
     with pytest.raises(OverflowError, match=r"lambda=1e\+200 overflows the float range: "
@@ -90,18 +116,6 @@ def test_phi_lambda_sq_overflow_named(phi):
 @pytest.mark.parametrize(
     "call,t,message",
     [
-        (pc.phi_gamma, 1e-200, "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in "
-         "phi_gamma, needs (tau0/t) below ~1.3e+154"),
-        (pc.phi_lambda, 1e-200, "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in "
-         "phi_lambda, needs (tau0/t) below ~1.3e+154"),
-        (pc.phi_lambda, 1e-100, "(tau0/t)=6.923e+93 overflows the float range: (tau0/t)^4, in "
-         "phi_lambda, needs (tau0/t) below ~1.2e+77"),
-        (lambda p, e, t: pc.qfi_analytic(GAMMA, p, e, t), 1e-200,
-         "(tau0/t)=6.923e+193 overflows the float range: (tau0/t)^2, in phi_gamma, needs "
-         "(tau0/t) below ~1.3e+154"),
-        (lambda p, e, t: pc.qfi_analytic(LAMBDA, p, e, t), 1e-100,
-         "(tau0/t)=6.923e+93 overflows the float range: (tau0/t)^4, in phi_lambda, needs "
-         "(tau0/t) below ~1.2e+77"),
         (lambda p, e, t: pc.cfi_closed(GAMMA, p, e, t), 1e-200,
          "(m/(2 hbar t) + gamma/(2 sigma0^2))=5.68951e+209 overflows the float range: "
          "(m/(2 hbar t) + gamma/(2 sigma0^2))^2, in b_sq, needs "
@@ -111,14 +125,27 @@ def test_phi_lambda_sq_overflow_named(phi):
          "(m/(2 hbar t) + gamma/(2 sigma0^2))^2, in b_sq, needs "
          "(m/(2 hbar t) + gamma/(2 sigma0^2)) below ~1.3e+154 m^-2"),
     ],
-    ids=["phi_gamma", "phi_lambda-t2", "phi_lambda-t4", "qfi_analytic-gamma",
-         "qfi_analytic-lambda", "cfi_closed-gamma", "cfi_closed-lambda"],
+    ids=["cfi_closed-gamma", "cfi_closed-lambda"],
 )
 def test_short_time_overflow_named(call, t, message):
-    # tau0/t and m/(2 hbar t) grow without bound as t -> 0; their powers raised bare
+    # m/(2 hbar t) grows without bound as t -> 0; its square raised bare
     with pytest.raises(OverflowError) as error:
         call(FULLERENE, env(1e15), t)
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize("target,t", [(GAMMA, 1e-200), (LAMBDA, 1e-200), (LAMBDA, 1e-100)],
+                         ids=["gamma-1e-200", "lambda-1e-200", "lambda-1e-100"])
+def test_short_times_give_the_reference_values(target, t):
+    # phi's (tau0/t)^2 and (tau0/t)^4 left the float range here, and phi and
+    # qfi_analytic raised; the trace from the bracket has no power of tau0/t
+    e = env(1e15)
+    exact = _reference(target, FULLERENE, e, t)
+    phi = pc.phi_gamma if target is GAMMA else pc.phi_lambda
+    assert_allclose(phi(FULLERENE, e, t), float(exact.trace / 16), rtol=1e-15, atol=0.0)
+    analytic = pc.qfi_analytic(target, FULLERENE, e, t)
+    assert_allclose(analytic, float(exact.qfi), rtol=1e-14, atol=0.0)
+    assert_allclose(pc.qfi_numeric(target, FULLERENE, e, t), analytic, rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -205,37 +232,37 @@ def test_overflowing_purity_bracket_named(route, gamma, lam, t, bracket):
     )
 
 
-@pytest.mark.parametrize("phi", [pc.phi_gamma, pc.phi_lambda])
+@pytest.mark.parametrize("target", [GAMMA, LAMBDA], ids=["gamma", "lambda"])
 @pytest.mark.parametrize(
-    "mass,sigma0,error,message",
-    [
-        (1e-30, 1e-60, ZeroDivisionError,
-         r"tau0=9\.48252e-117 underflows the float range: tau0\^4, a divisor, needs tau0 above "
-         r"~1\.3e-81 s"),
-        (1e30, 1e30, OverflowError,
-         r"tau0=9\.48252e\+123 overflows the float range: tau0\^4 needs tau0 below ~1\.2e\+77 s"),
-    ],
-    ids=["underflow", "overflow"],
+    "mass,sigma0,ell0",
+    [(1e-30, 1e-60, math.inf), (1e30, 1e30, math.inf), (1e-50, 1e-38, 5e-8),
+     (1e-100, 1e40, math.inf)],
+    ids=["tau0-1e-117", "tau0-1e123", "tau0-1e-93", "sigma0-1e40"],
 )
-def test_phi_tau0_fourth_power_named(phi, mass, sigma0, error, message):
-    probe = pc.ProbeSpec(mass=mass, sigma0=sigma0)
-    with pytest.raises(error, match=message):
-        phi(probe, env(1e15), 1e-6)
+def test_extreme_probes_give_the_reference_values(target, mass, sigma0, ell0):
+    # phi named tau0^4 (below ~1.3e-81 s or above ~1.2e77 s) or sigma0^8 (above
+    # ~3.4e38 m) here, though every quantity printed is finite
+    probe, e, t = pc.ProbeSpec(mass=mass, sigma0=sigma0, ell0=ell0), env(1e15), 1e-6
+    exact = _reference(target, probe, e, t)
+    phi = pc.phi_gamma if target is GAMMA else pc.phi_lambda
+    assert_allclose(phi(probe, e, t), float(exact.trace / 16), rtol=1e-15, atol=0.0)
+    assert_allclose(pc.qfi_analytic(target, probe, e, t), float(exact.qfi), rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize(
     "mass,sigma0,failing,message",
     [
-        (1e-50, 1e-38, {"phi_gamma", "phi_lambda", "qfi_analytic"},
-         r"^tau0=9\.48252e-93 underflows the float range: tau0\^4, a divisor"),
-        (1e-100, 1e40, {"phi_lambda", "qfi_analytic-lambda"},
-         r"^sigma0=1e\+40 overflows the float range: sigma0\^8, in the lambda\^2 term"),
+        (1e-50, 1e-38, set(), None),
+        (1e-100, 1e40, set(), None),
+        (FULLERENE.mass, 1e78, {"kernel_params", "cfi_closed"},
+         r"^sigma0=1e\+78 overflows the float range: sigma0\^4, in b_sq"),
     ],
-    ids=["tau0^4", "sigma0^8"],
+    ids=["tau0^4", "sigma0^8", "sigma0^4"],
 )
 def test_one_point_functions_fail_only_on_fixed_factors_they_use(mass, sigma0, failing, message):
-    # each builds only the fixed parts it uses: purity_exact never names phi's tau0^4
-    # or sigma0^8
+    # each builds only the fixed parts it uses: phi and qfi_analytic, which named
+    # tau0^4 and sigma0^8 of their own, now use the bracket's alone, and only the
+    # kernel's users name its sigma0^4
     probe, e, t = pc.ProbeSpec(mass=mass, sigma0=sigma0, ell0=5e-8), env(1e15), 1e-6
     calls = {
         "purity_exact": lambda: pc.purity_exact(probe, e, t),
@@ -529,8 +556,9 @@ def _stencil_draws(seed: int, n: int) -> list:
 
 
 def _all_monomials(probe, gamma, lam, t) -> list:
-    args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, gamma, lam, t)
-    return model._covariance_terms_dd(*args) + model._purity_bracket_terms_dd(*args)
+    args = (probe.mass, probe.sigma0, probe.coherence_ratio_sq, t)
+    return (model._covariance_dd(model._covariance_factors(*args), gamma, lam)
+            + model._purity_bracket_dd(model._purity_bracket_factors(*args), gamma, lam))
 
 
 class TestStencilClasses:

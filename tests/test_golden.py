@@ -64,21 +64,21 @@ GOLDEN = {
     'fig2-defaults': {
         'fig2a.csv': '48443ca2a60ec76e286c3b5a6ae0222699af284ff889a3e3d9c05dc768ae7291',
         'fig2a.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2b.csv': '4a00ff77300063605b2689b768e701179b83a58cc83d2952a7ef721667d80833',
+        'fig2b.csv': '4b178741a54b8b5ef22a6819d1d9a4a353e63841f4f2467aa94f5402b33d720b',
         'fig2b.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2c.csv': '4b5be9663f03f2a5c8fe4483e96ed44f049d4d46c6a4257ac9e217185edb6acd',
+        'fig2c.csv': '98fec932ac97549572246405c889c4a4cf0b07c8c056ca311f25632b102ef7ac',
         'fig2c.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2d.csv': 'f9ef787c5f919ace39da160891873e8725f5a169953168950393c3c1843ce4be',
+        'fig2d.csv': 'bd089432381ce40cd10198f0e2bdc90ca6acc0fb31b4c66476bad17db8a3e6ce',
         'fig2d.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
     },
     'fig3-defaults': {
-        'fig3a.csv': '90ea71fe486b8a7af73298f26d3f9621b1a3559f38ae8a81dd91fe02223413e8',
+        'fig3a.csv': 'b2f4f42e395a0bc80c1d58d269991c914e1e3a62c3c2007e97d3bedfa52a814e',
         'fig3a.csv.manifest.json': '7c355cee7436bd35eafd9e34dba569b036262791a40194f00bf246fbdb45b687',
-        'fig3b.csv': '6745b2d29f130bf8689016c0c683ee8e0545f43d5ab434793714c56376d5d340',
+        'fig3b.csv': '32f806c96cefc8294cecd3bdf8f6694fa3cc0cfafed3a2206301db7066690442',
         'fig3b.csv.manifest.json': '7c355cee7436bd35eafd9e34dba569b036262791a40194f00bf246fbdb45b687',
     },
     'fig4-defaults': {
-        'fig4a.csv': '0cb61e489d08c7b2034927f882db814bf2199662c3a5523b0c016c3dbc060def',
+        'fig4a.csv': '97bc327c1c381f7a9ffedcfe5ec6df4f1035fbad23ce1dff3a2a5034e2a02ea3',
         'fig4a.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
         'fig4b.csv': '9b56860948bfa2daacc3206736d81e0ce14834b74082ec5c454787cea4d55b9b',
         'fig4b.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
@@ -90,31 +90,31 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '82b0719ad8d7fe8a4db0b569ecaa69dc174a82e269a0a88e8e4ea39499c3bde6',
     },
     'figD-defaults': {
-        'figD_grid.csv': '04a60987da18ab527b9850f1b0c60f519b30ae921a6fed7cba43d0c31e6c06c5',
+        'figD_grid.csv': '5a6efa5d4c197cc4cc4bec65e589ff6732456253912679d57cb9d12826f6834f',
         'figD_grid.csv.manifest.json': '40dc020722da1ac65e66ffdec1f01d15c201ace721a0cc5c6fc7b0f39bfc0153',
     },
     'figE-defaults': {
-        'figE.csv': '86be321e137906490243fd15605b6c2f805351b36b1110da95acef738cce11ef',
+        'figE.csv': 'f41ac3cca15b1dcd8daab81acf837566b1119598a389d0a8dd0192157bd2fba6',
         'figE.csv.manifest.json': 'ab2c85428b3f67c0607cad02b719de3162067cbcf152c5af81ce8dcdef9bb3bd',
     },
     'fig2-coherent': {
         'fig2a.csv': '9f79993b826951012283507967120281b26a9f0c23d29769390e73e0fa165bf2',
         'fig2a.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2b.csv': '5b9cd300b81b5db50535c119a75b3b5deaf8f81a0729f5cc3dd1aef5649332cf',
+        'fig2b.csv': '142d4012ac2f5be8ce2bcd5d2617523466028b26ff3a6e51212ca01e1a366fa7',
         'fig2b.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2c.csv': '06e0da2a29d2880483ce29c162d5c7be1c8752485e7df7e054696b3ba6775e09',
+        'fig2c.csv': 'db3d86628dded4ce0703094f6a81d78940aef9d3bc8cb376df4053d238669bd3',
         'fig2c.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2d.csv': '25a5dbf8ceb13f6a6a5e4d38040e36a0d4784df94891b67f7dea9c7e9f0036b4',
+        'fig2d.csv': '643d1ecdd5968ebe8a4634cbefb65adc00e93e82699edc4c0023ee0bb81f3139',
         'fig2d.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
     },
     'fig3-coherent': {
-        'fig3a.csv': '8e292647bb0e6373c2a09f6ff1320468d52e0786519289099818a40ad60bec95',
+        'fig3a.csv': 'b5f62457ef3e73ab8e784a4748eecf58b1a17f88d6d42c96133df19f82fb4c81',
         'fig3a.csv.manifest.json': 'fba2dbebb2e1c26e3f8d477436b6d2385056ef1f7708ce7f427a133356d0f1f2',
-        'fig3b.csv': '2fe40a0fd2c6abb376b6238199e642f8c493a0e81824a6386a83d8d8ee1b05e8',
+        'fig3b.csv': '5a14bcc8326d02c46cf05ae27948cc83b96a5d58ea19e4ce181d308fca7ba9f0',
         'fig3b.csv.manifest.json': 'fba2dbebb2e1c26e3f8d477436b6d2385056ef1f7708ce7f427a133356d0f1f2',
     },
     'fig4-coherent': {
-        'fig4a.csv': '9ba623f14ae1e8311b157f8621a0764cfd60db093f9eb4d13cda919c542b08c3',
+        'fig4a.csv': '7891f2849f7a084b7a1a7bf70305c24e679feb5d6a1833858c36aa79ccc5c606',
         'fig4a.csv.manifest.json': 'afc33d93368d59e8dc23a2a3da838fc3daa0cfa2d9e2951840b7c3fe7a1a5af1',
         'fig4b.csv': 'c5ebdd6678bdc4fbe70e355b799497023acbcc10a4925bc16c0cc936edfee30c',
         'fig4b.csv.manifest.json': 'afc33d93368d59e8dc23a2a3da838fc3daa0cfa2d9e2951840b7c3fe7a1a5af1',
@@ -126,15 +126,15 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '14adf54954cb0777550327acb6850893eebf012f9c64b539ebff3c04572e6e55',
     },
     'figD-coherent': {
-        'figD_grid.csv': 'f820723418adf050086a6b29b10cf6ce922024549f6da6db67f19edb21a57ec8',
+        'figD_grid.csv': 'd894770e25e6b5b0b015ce3706d568b1ffd569b34984f887332e65cca0b7436a',
         'figD_grid.csv.manifest.json': 'bae1d172a92cefd7f30a77fcefdb6038f571e784bb843775a80ab1db003860b1',
     },
     'figE-coherent': {
-        'figE.csv': '361e4b46f9c8bdabb10e2e1df3867ec47931213df7f45fa64617f733ae74edee',
+        'figE.csv': '37b825dd6404f0eb916908b333bd706a313e49e26cc469c4195734fd589a593a',
         'figE.csv.manifest.json': '54a3ec537a1ad5dfd04aa0b3bdf0c206516f048d8e952bf33bbb52343c7b475f',
     },
     'fig4-defaults-svg': {
-        'fig4a.csv': '0cb61e489d08c7b2034927f882db814bf2199662c3a5523b0c016c3dbc060def',
+        'fig4a.csv': '97bc327c1c381f7a9ffedcfe5ec6df4f1035fbad23ce1dff3a2a5034e2a02ea3',
         'fig4a.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
         'fig4a.svg': '2dff909021c4e3f5df48a03e06f0f5bacf8f9f75938ba87d456124d1771a4c77',
         'fig4b.csv': '9b56860948bfa2daacc3206736d81e0ce14834b74082ec5c454787cea4d55b9b',
@@ -150,24 +150,24 @@ GOLDEN = {
         'sweep.csv.manifest.json': '31503c73bf3055f8b65df41c588dd542f3186d4a4c137e6acf4869a8e31615d1',
     },
     'sweep-gamma-gamma': {
-        'sweep.csv': '73b114959649cb087b02a291f80cb294216e015a52ef3018a084426b88089ce8',
+        'sweep.csv': 'be148eee5f1581c80f2f8a35ab44353d0cd3fecd9319842834bd4aedf045436c',
         'sweep.csv.manifest.json': 'bd65ecba7062a082b9e504c1f4ffcc6f1407f2711ae90c33623305a6d9892b66',
     },
     'sweep-gamma-time-log': {
-        'sweep.csv': 'ebb927d1c4fcc9451fa68b06cc528d10432585fef7db0541da592f617c570a99',
+        'sweep.csv': '6c4319790e9a8b96e722c2d127176839bd7877b4fb3f51a8c3fb062af8eac273',
         'sweep.csv.manifest.json': '0c9dda180fe34423eae543c95cf6ef7cc1eeae8153afa6cd8fc5b487f34f41f3',
     },
     'sweep-lambda-lambda-from-zero': {
-        'sweep.csv': '2a515c836195849a8327c1310a37d654a22a30da79729cb91b3fd92747aa66b2',
+        'sweep.csv': '5d09966758e08331a68a2006a7e3720357dafaa9115aab956d5b4dd0d3524962',
         'sweep.csv.manifest.json': 'd93d4df8ae5b1ae1d9fb5082c3b5d1ddf9229b217b650ff1656bc2eed7759909',
     },
     'sweep-lambda-lambda-log': {
-        'sweep.csv': '7e6694ebad71be0c5659e0fd3e6e3cce765b01699b56b67db2ad91bb20d39469',
+        'sweep.csv': '1ee68be590cc39e3e4c667382903b74cb6c0f7354e31f7068cf456ef7a201496',
         'sweep.csv.manifest.json': '70264a052219790bb13501a40dc95c753309dfbe5466cd509fb7329987593b38',
         'sweep.svg': '97ebf6948f9ab6015981c2bc309975b0d188746ea29b9dfedf55de085b7e1521',
     },
     'sweep-lambda-time-log': {
-        'sweep.csv': '827a901ecc96518b879fcbf5e0e1a82b60600d6c716ff5143e4115f95a72309c',
+        'sweep.csv': '7ba2ec06bcefb124a0713242b0e6bb969dfa1d70a1171be0bfc5ff8d974bcbf6',
         'sweep.csv.manifest.json': 'ff844976de477f2a65fbe9d8baaba03453189ef71629022db2a5ab72adcd1f8b',
     },
 }

@@ -21,9 +21,10 @@ def env(lam=0.0):
     return pc.EnvironmentSpec(lam=lam)
 
 
-def _terms_args(probe, e, t):
-    """The arguments of the oracle's `model._purity_bracket_terms_dd`, which takes eps."""
-    return probe.mass, probe.sigma0, probe.coherence_ratio_sq, probe.gamma, e.lam, t
+def _bracket_monomials(probe, e, t):
+    """The oracle's double-double monomials of the bracket, from factors that take eps."""
+    f = model._purity_bracket_factors(probe.mass, probe.sigma0, probe.coherence_ratio_sq, t)
+    return model._purity_bracket_dd(f, probe.gamma, e.lam)
 
 
 def _bracket_copy(name, probe, e, t):
@@ -245,10 +246,10 @@ class TestPositionDensityVariance:
             lambda p, e, t: _bracket_copy("_purity_bracket_dt", p, e, t),
             lambda p, e, t: _bracket_copy("_purity_bracket_dgamma", p, e, t),
             lambda p, e, t: _bracket_copy("_purity_bracket_dlam", p, e, t),
-            lambda p, e, t: model._purity_bracket_terms_dd(*_terms_args(p, e, t)),
+            _bracket_monomials,
         ],
         ids=["purity_exact", "purity_approx", "relative_purity_rate", "qfi_numeric-gamma",
-             "qfi_numeric-lambda", "dt", "dgamma", "dlam", "terms_dd"],
+             "qfi_numeric-lambda", "dt", "dgamma", "dlam", "bracket_dd"],
     )
     def test_tau0_mass_underflow_named(self, call):
         # tau0*mass = mass^2 sigma0^2/hbar ~ 1e-366 rounds to 0 while mass^2 does not
@@ -282,14 +283,13 @@ class TestPositionDensityVariance:
         # _purity_bracket_dt divides by the former, so only the purity rate fails
         probe = pc.ProbeSpec(mass=1e-100, sigma0=1.3e-79)
         e, t = env(1e15), 1e-6
-        args = _terms_args(probe, e, t)
         tau = pc.tau0(probe)
         assert tau * probe.mass == 0.0 < 3.0 * tau * probe.mass
         assert pc.purity_exact(probe, e, t) == 3.422348660947088e-144
         assert pc.purity_approx(probe, e, t) == 3.422348660947088e-144
         assert _bracket_copy("_purity_bracket_dgamma", probe, e, t) == 4.218287267999999e+69
         assert _bracket_copy("_purity_bracket_dlam", probe, e, t) == 8.537908481407391e+271
-        assert model._purity_bracket_terms_dd(*args)[4][0] == 8.537908481407391e+286
+        assert _bracket_monomials(probe, e, t)[4][0] == 8.537908481407391e+286
         with pytest.raises(ZeroDivisionError, match=r"^tau0\*mass=0 underflows the float range"):
             pc.relative_purity_rate(probe, e, t)
 

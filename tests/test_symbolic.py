@@ -1,22 +1,23 @@
 """Symbolic check that every hand-kept copy of the purity bracket is one polynomial.
 
-`model._covariance_terms_dd` is the single source of the covariance.  On
-sympy symbols the double-double helpers reduce to exact products (each
-splitting error cancels to zero), so evaluating it with symbols for the
-parameters, and `model.HBAR` patched to a symbol, yields the covariance
-entries exactly.  Their determinant B = sxx spp - sxp^2 is 1/purity^2, and
+`model._covariance_dd` of `model._covariance_factors` is the single source
+of the covariance.  On sympy symbols the double-double helpers reduce to
+exact products (each splitting error cancels to zero), so evaluating it with
+symbols for the parameters, and `model.HBAR` patched to a symbol, yields the
+covariance entries exactly.  Their determinant B = sxx spp - sxp^2 is 1/purity^2, and
 each copy of B or of its derivatives kept in `model` must equal it after its
 float coefficients are rationalised.  The hand-expanded stationarity
 polynomial P = B''B - B'^2 of `thermometry` is checked on symbolic
 coefficients of a general quartic.
 
-The same covariance S checks the closed forms of `fisher`: 16 phi_theta is
-Tr[(adj S dS/dtheta)^2] for theta in {gamma, lambda}, and `cfi_closed` is the
-Gaussian readout identity (d sxx/dtheta)^2 / (2 sxx^2).  Both are evaluated
-through their coefficient tuples, as the grid evaluates them: phi_theta as
-`_phi_<theta>_at` of `_phi_<theta>_coefficients`, the pair that
-`fisher._analytic_curve` picks for the target, and the CFI as
-`_cfi_closed_at` of `_cfi_coefficients`.
+The same covariance S checks the closed forms of `fisher`: the adjugate
+trace (dB/dtheta)^2 - 2 B det(dS/dtheta) is Tr[(adj S dS/dtheta)^2] for
+theta in {gamma, lambda}, and `cfi_closed` is the Gaussian readout identity
+(d sxx/dtheta)^2 / (2 sxx^2).  Both are evaluated through their coefficient
+tuples, as the grid evaluates them: 16 phi_theta as
+`fisher._phi_from_bracket` of the bracket, its derivative and
+`fisher._det_derivative`, the pieces that `fisher._analytic_curve` builds
+for the target, and the CFI as `_cfi_closed_at` of `_cfi_coefficients`.
 
 The closed forms take the coherence length ell0, as `model._coefficient_args`
 gives it; the covariance's monomials take eps = sigma0^2/ell0^2, as the
@@ -29,9 +30,8 @@ from pmcorr import fisher, model, thermometry
 
 M, S0, L0, G, LAM, T, HBAR = sp.symbols("m sigma0 ell0 gamma lambda t hbar", positive=True)
 EPS = S0**2 / L0**2
-#: the arguments of the closed forms' coefficient builders, and of the monomial splits
+#: the arguments of the closed forms' coefficient builders
 ARGS = (M, S0, L0, G, LAM)
-TERMS_ARGS = (M, S0, EPS, G, LAM, T)
 
 
 def exact(expr):
@@ -55,7 +55,7 @@ def covariance():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "HBAR", HBAR)
         patch.setattr(fisher, "HBAR", HBAR)
-        terms = model._covariance_terms_dd(*TERMS_ARGS)
+        terms = model._covariance_dd(model._covariance_factors(M, S0, EPS, T), G, LAM)
         assert all(lo == 0 for _, lo in terms)
         yield dd_total(terms[:5]), dd_total(terms[5:9]), dd_total(terms[9:])
 
@@ -78,9 +78,10 @@ def test_bracket_has_the_published_form(bracket):
     "copy",
     [
         at(model._purity_bracket),
-        lambda: sum(hi + lo for hi, lo in model._purity_bracket_terms_dd(*TERMS_ARGS)),
+        lambda: sum(hi + lo for hi, lo in model._purity_bracket_dd(
+            model._purity_bracket_factors(M, S0, EPS, T), G, LAM)),
     ],
-    ids=["_purity_bracket", "_purity_bracket_terms_dd"],
+    ids=["_purity_bracket", "_purity_bracket_dd"],
 )
 def test_bracket_copies(bracket, copy):
     assert sp.expand(exact(copy()) - bracket) == 0
@@ -125,8 +126,10 @@ def test_phi_is_the_adjugate_trace(covariance, target, variable):
     s = sp.Matrix([[sxx, sxp], [sxp, spp]])
     product = s.adjugate() * s.diff(variable)
     trace = (product * product).trace()
-    coefficients = getattr(fisher, f"_phi_{target.value}_coefficients")
-    phi = getattr(fisher, f"_phi_{target.value}_at")(coefficients(*ARGS), T)
+    bracket = model._purity_bracket(model._purity_bracket_coefficients(*ARGS), T)
+    dbracket, db = fisher._bracket_derivative(target, ARGS)
+    det = fisher._det_derivative(target, ARGS)
+    phi = fisher._phi_from_bracket(target, det, bracket, dbracket(db, T), T)
     assert sp.cancel(trace - exact(fisher._ADJ_TRACE_RESCALE * phi)) == 0
 
 

@@ -156,16 +156,23 @@ class TestConversions:
             exact = base ** (mpmath.mpf(2) / 3) / mpmath.mpf(K_BOLTZMANN)
             assert abs(kelvin - exact) <= 4 * EPS * exact
 
-    def test_temperature_is_the_plain_expression_where_the_base_stays_normal(self):
+    def test_temperature_within_two_ulp_of_mpmath(self):
+        # the plain base ** (2/3) took the rounded exponent 2/3 on a base of up to
+        # ~1e300, and was off by up to ~111 ulp; the significand route stays near 1 ulp
         rng = random.Random(12)
-        for _ in range(500):
-            lam = 10 ** rng.uniform(-200, 40)
+        worst = 0.0
+        for _ in range(1000):
+            lam = 10 ** rng.uniform(-300, 300)
             gas = (10 ** rng.uniform(-27, -24), 10 ** rng.uniform(10, 30),
                    10 ** rng.uniform(-11, -8))
-            coupling = 3.0 * HBAR**2 * lam
-            base = coupling / (8.0 * math.sqrt(2.0 * math.pi * gas[0]) * gas[1] * gas[2] ** 2)
-            assert coupling >= sys.float_info.min and base >= sys.float_info.min
-            assert pc.temperature_from_lambda(lam, *gas) == base ** (2.0 / 3.0) / K_BOLTZMANN
+            kelvin = pc.temperature_from_lambda(lam, *gas)
+            m_air, density, size = (mpmath.mpf(v) for v in gas)
+            with mpmath.workdps(50):
+                base = 3 * mpmath.mpf(HBAR) ** 2 * mpmath.mpf(lam) / (
+                    8 * mpmath.sqrt(2 * mpmath.pi * m_air) * density * size**2)
+                exact = base ** (mpmath.mpf(2) / 3) / mpmath.mpf(K_BOLTZMANN)
+                worst = max(worst, float(abs(kelvin - exact) / exact))
+        assert worst <= 2 * EPS
 
     def test_temperature_overflow_named(self):
         with pytest.raises(OverflowError, match=r"^the temperature at lam=1e\+30 m\^-2 s\^-1 "
