@@ -9,15 +9,20 @@ sum and product are Dekker's (Numer. Math. 18, 224 (1971)).
 `dd_sub`, `dd_mul` and `dd_mul_d` are one operation each.  Where a caller
 would chain many operations, a kernel runs the whole chain on float locals
 instead, with no call or tuple per operation: `dd_sum` adds a list of pairs,
-and `dd_richardson` runs the Richardson tableau of `pmcorr.fisher.qfi_numeric`
-for one monomial.  The monomial builders of `pmcorr.model` and the
+`dd_richardson` runs the Richardson tableaux of `pmcorr.fisher.qfi_numeric`
+for every moving monomial in one call, and `dd_adjugate_trace` the sums and
+products after them.  The monomial builders of `pmcorr.model` and the
 quadrature oracle's sums are written out the same way, splitting each
 operand they share with `split` once.  Each does the float operations of the
 chain it replaces in the same order, so it returns the same bits: the same
-value and the same sign of zero.  A NaN's sign and payload are outside that
-claim, since which operand's NaN CPython's float operations return can
-depend on what ran before in the process; a NaN stays a NaN.  Every kernel
-works on floats and, elementwise, on numpy arrays.
+value and the same sign of zero.  The one exception is a product by a power
+of two, which Dekker's product gives exactly: it is written as its result,
+(u*f + z, w*f + z) with z = _SPLIT*u - _SPLIT*u, +0 where u's split is
+finite and NaN where it is not, as the chain gives it for a renormalised
+pair.  A NaN's sign and payload are outside that claim, since which
+operand's NaN CPython's float operations return can depend on what ran
+before in the process; a NaN stays a NaN.  Every kernel works on floats
+and, elementwise, on numpy arrays.
 """
 from __future__ import annotations
 
@@ -119,78 +124,147 @@ def dd_sum(terms) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=None)
 def _richardson_constants(levels: int) -> tuple:
-    """(4**j, its split halves, 1/(4**j - 1), its split halves) for each level j of a tableau."""
+    """(4**j, 1/(4**j - 1) and its split halves) for each level j of a tableau."""
     constants = []
     for j in range(1, levels):
-        f = 4.0**j
-        c = 1.0 / (f - 1.0)
-        constants.append((f, *split(f), c, *split(c)))
+        c = 1.0 / (4.0**j - 1.0)
+        constants.append((4.0**j, c, *split(c)))
     return tuple(constants)
 
 
-def dd_richardson(plus, minus, inv_widths) -> tuple:
-    """(T[L-1][L-1], T[L-2][L-3]) of the Richardson tableau of central differences.
+def dd_richardson(rows, inv_widths) -> list:
+    """(T[L-1][L-1], T[L-2][L-3]) of the Richardson tableau of central differences, per row.
 
-    plus and minus hold a (hi, lo) value at each of the L >= 3 steps, the
-    largest first, and inv_widths the reciprocal of each step's full width.
-    Column 0 is `dd_mul_d(dd_sub(p, q), 1/width)` and level j combines
-    neighbours as `dd_mul_d(dd_sub(dd_mul_d(upper, 4**j), lower), 1/(4**j - 1))`:
-    the same float operations in the same order, on float locals, with each
-    level's two constants split once per number of levels
-    (`_richardson_constants`).  Every part may be a float or a numpy array,
-    and the tableau then runs elementwise.
+    Each row holds one function's (hi, lo) values at the L >= 3 steps +h, the
+    largest first, then at the same steps -h; inv_widths holds the reciprocal
+    of each step's full width.  Column 0 is `dd_mul_d(dd_sub(p, q), 1/width)`
+    and level j combines neighbours as
+    `dd_mul_d(dd_sub(dd_mul_d(upper, 4**j), lower), 1/(4**j - 1))`: the same
+    float operations in the same order, on float locals, with each width
+    split once per call and each level's 1/(4**j - 1) once per number of
+    levels (`_richardson_constants`).  `dd_mul_d(upper, 4**j)` is exact, and
+    written as its result (see above): an upper entry is a quick sum's
+    output, which that product leaves unchanged but for its scale and the
+    sign of a zero, or makes NaN where its split overflows.  Every part may
+    be a float or a numpy array, and the tableau then runs elementwise.
     """
-    his, los = [], []
-    for (a, al), (b, bl), r in zip(plus, minus, inv_widths):
-        b = -b  # dd_sub(p, q) as p + (-q)
+    levels = len(inv_widths)
+    widths = [(r, *split(r)) for r in inv_widths]
+    constants = _richardson_constants(levels)
+    results = []
+    for row in rows:
+        his, los = [], []
+        for (a, al), (b, bl), (r, rh, rt) in zip(row, row[levels:], widths):
+            b = -b  # dd_sub(p, q) as p + (-q)
+            s = a + b
+            t = s - a
+            e = (a - (s - t)) + (b - t) + al + -bl
+            u = s + e
+            v = e - (u - s)
+            p = u * r  # dd_mul_d((u, v), r)
+            cu = _SPLIT * u
+            uh = cu - (cu - u)
+            ut = u - uh
+            e = ((uh * rh - p) + uh * rt + ut * rh) + ut * rt + v * r
+            hi = p + e
+            his.append(hi)
+            los.append(e - (hi - p))
+        for j, (f, c, ch, ct) in enumerate(constants, 1):
+            if j == levels - 2:
+                prev = his[1], los[1]
+            # entry k of level j, written over entry k of level j - 1, from that
+            # (lower) and entry k + 1 (upper), which is the next entry's lower
+            lower, lower_lo = his[0], los[0]
+            for k in range(levels - j):
+                u, w = his[k + 1], los[k + 1]
+                z = _SPLIT * u  # dd_mul_d((u, w), f), exactly
+                z = z - z
+                a = u * f + z
+                b = -lower  # dd_sub((a, w*f + z), lower)
+                s = a + b
+                t = s - a
+                e = (a - (s - t)) + (b - t) + (w * f + z) + -lower_lo
+                lower, lower_lo = u, w
+                u = s + e
+                v = e - (u - s)
+                p = u * c  # dd_mul_d((u, v), c)
+                cu = _SPLIT * u
+                uh = cu - (cu - u)
+                ut = u - uh
+                e = ((uh * ch - p) + uh * ct + ut * ch) + ut * ct + v * c
+                hi = p + e
+                his[k] = hi
+                los[k] = e - (hi - p)
+        results.append(((his[0], los[0]), prev))
+    return results
+
+
+def dd_adjugate_trace(cov, dcov) -> tuple:
+    """Tr[(adj S dS)^2] of a symmetric 2x2 S and dS, and the size of its terms.
+
+    cov and dcov each begin with the twelve (hi, lo) monomials of
+    `pmcorr.model._covariance_dd`: sxx's five, sxp's four and spp's three.
+    Their sums, the entries m00 = spp dsxx - sxp dsxp, m01 = spp dsxp -
+    sxp dspp, m10 = sxx dsxp - sxp dsxx and m11 = sxx dspp - sxp dsxp of
+    adj(S) dS, and the trace m00^2 + m11^2 + 2 m01 m10 are the float
+    operations of `dd_sum`, `dd_mul`, `dd_sub` and `dd_mul_d` calls in the
+    same order, on float locals, with each sum and each m split once.  The
+    factor 2 is exact and written as its result, as `dd_richardson` writes
+    4**j.  Returns the trace as a pair and |m00^2| + |m11^2| + 2 |m01 m10|
+    of the high parts, the size of what the trace cancels.
+    """
+    parts = []  # (hi, lo, split high, split low) of sxx, sxp, spp, dsxx, dsxp, dspp
+    for terms in (cov[:5], cov[5:9], cov[9:12], dcov[:5], dcov[5:9], dcov[9:12]):
+        hi = lo = 0.0  # dd_sum(terms)
+        for b, bl in terms:
+            s = hi + b
+            t = s - hi
+            e = (hi - (s - t)) + (b - t) + lo + bl
+            hi = s + e
+            lo = e - (hi - s)
+        c = _SPLIT * hi
+        h = c - (c - hi)
+        parts.append((hi, lo, h, hi - h))
+    m = []  # m00, m01, m10, m11, each as dd_sub(dd_mul(...), dd_mul(...)), split
+    for x, y, x2, y2 in ((2, 3, 1, 4), (2, 4, 1, 5), (0, 4, 1, 3), (0, 5, 1, 4)):
+        a, al, ah, at = parts[x]
+        b, bl, bh, bt = parts[y]
+        p = a * b
+        e = ((ah * bh - p) + ah * bt + at * bh) + at * bt + a * bl + al * b
+        a = p + e
+        al = e - (a - p)
+        u, ul, uh, ut = parts[x2]
+        b, bl, bh, bt = parts[y2]
+        p = u * b
+        e = ((uh * bh - p) + uh * bt + ut * bh) + ut * bt + u * bl + ul * b
+        hi = p + e
+        b, bl = -hi, e - (hi - p)  # dd_sub as a + (-b)
         s = a + b
         t = s - a
         e = (a - (s - t)) + (b - t) + al + -bl
-        u = s + e
-        v = e - (u - s)
-        p = u * r  # dd_mul_d((u, v), r)
-        cu = _SPLIT * u
-        uh = cu - (cu - u)
-        ut = u - uh
-        cr = _SPLIT * r
-        rh = cr - (cr - r)
-        rt = r - rh
-        e = ((uh * rh - p) + uh * rt + ut * rh) + ut * rt + v * r
+        hi = s + e
+        c = _SPLIT * hi
+        h = c - (c - hi)
+        m.append((hi, e - (hi - s), h, hi - h))
+    products = []  # m00^2, m11^2 and m01 m10 as dd_mul, each with its high parts' product
+    for x, y in ((0, 0), (3, 3), (1, 2)):
+        a, al, ah, at = m[x]
+        b, bl, bh, bt = m[y]
+        p = a * b
+        e = ((ah * bh - p) + ah * bt + at * bh) + at * bt + a * bl + al * b
         hi = p + e
-        his.append(hi)
-        los.append(e - (hi - p))
-    levels = len(his)
-    for j, (f, fh, ft, c, ch, ct) in enumerate(_richardson_constants(levels), 1):
-        if j == levels - 2:
-            prev = his[1], los[1]
-        # entry k of level j, written over entry k of level j - 1, from that
-        # (lower) and entry k + 1 (upper), which is the next entry's lower
-        lower, lower_lo = his[0], los[0]
-        for k in range(levels - j):
-            u, w = his[k + 1], los[k + 1]
-            p = u * f  # dd_mul_d(upper, f)
-            cu = _SPLIT * u
-            uh = cu - (cu - u)
-            ut = u - uh
-            e = ((uh * fh - p) + uh * ft + ut * fh) + ut * ft + w * f
-            a = p + e
-            al = e - (a - p)
-            b = -lower  # dd_sub((a, al), lower)
-            s = a + b
-            t = s - a
-            e = (a - (s - t)) + (b - t) + al + -lower_lo
-            lower, lower_lo = u, w
-            u = s + e
-            v = e - (u - s)
-            p = u * c  # dd_mul_d((u, v), c)
-            cu = _SPLIT * u
-            uh = cu - (cu - u)
-            ut = u - uh
-            e = ((uh * ch - p) + uh * ct + ut * ch) + ut * ct + v * c
-            hi = p + e
-            his[k] = hi
-            los[k] = e - (hi - p)
-    return (his[0], los[0]), prev
+        products.append((p, (hi, e - (hi - p))))
+    (p00, m00), (p11, m11), (p01, (u, w)) = products
+    z = _SPLIT * u  # dd_mul_d((u, w), 2.0), exactly
+    z = z - z
+    hi = lo = 0.0  # dd_sum of the three
+    for b, bl in (m00, m11, (u * 2.0 + z, w * 2.0 + z)):
+        s = hi + b
+        t = s - hi
+        e = (hi - (s - t)) + (b - t) + lo + bl
+        hi = s + e
+        lo = e - (hi - s)
+    return (hi, lo), abs(p00) + abs(p11) + 2.0 * abs(p01)
 
 
 def det2x2(sxx: float, sxp: float, spp: float) -> float:

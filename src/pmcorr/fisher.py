@@ -116,6 +116,8 @@ class FisherResult(NamedTuple):
 _REL_STEP = 1e-4
 _LEVELS = 5
 _REL_TOL = 1e-6
+#: the first step over the smallest, 2**(_LEVELS - 1)
+_STEP_RATIO = 2.0 ** (_LEVELS - 1)
 #: characteristic scale used as a step floor when |theta| is small
 _SCALE_FLOOR = {EstimationTarget.GAMMA: 1.0, EstimationTarget.LAMBDA: 1e12}
 
@@ -306,6 +308,15 @@ def _not_converged(spread) -> ConvergenceError:
     return ConvergenceError(f"derivative failed to converge: relative spread {spread:.3e}")
 
 
+def _free_overflow(target: EstimationTarget, probe: ProbeSpec, gamma, lam, t) -> OverflowError:
+    return OverflowError(
+        f"a monomial free of {target.value} overflows the float range at "
+        f"t/tau0={t / tau0(probe):g}: the oracle cannot difference a covariance or "
+        f"purity-bracket monomial that is not finite (gamma={gamma:g}, lambda={lam:g} "
+        f"m^-2 s^-1, t={t:g} s)"
+    )
+
+
 def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     """`qfi_numeric` at one point, or at n points along an axis.
 
@@ -325,24 +336,24 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     tableau T[level][order] runs on those alone.  Each builder is called
     once for the whole stencil, with the list of its abscissae, and splits
     each theta-free operand once.  Where a theta-free monomial is not
-    finite, its difference would be NaN: that point fails with spread NaN,
-    and no stencil is built where every point does.  The tableau of the
-    moving monomials is one `_dd.dd_richardson` call per monomial at one
-    point, on its 2*_LEVELS stencil values (floats, so `qfi` runs on the
-    standard library alone) and the reciprocal widths.  Along an axis it is
-    one call on them all, each value stacked into a numpy array of
-    (len(moving), n), and only then is numpy loaded; a call per monomial
-    would cost ~8 times the numpy dispatches.  The same elementwise IEEE
-    operations run either way, and whether floats or arrays run is decided
-    once per call.  Convergence requires T[L-1][L-1] to agree with
-    T[L-2][L-3] to _REL_TOL componentwise; estimates at the roundoff floor
-    of the central difference count as converged zeros.  A non-finite
-    stencil value makes T[L-1][L-1] NaN, which fails its point whatever the
-    floor, so the floor's scale (the largest stencil value) need not
-    propagate NaN.  The adjugate trace is assembled the same way; a trace
-    that is not finite or cancels by more than _MAX_TRACE_CANCELLATION
-    raises, and the purity map takes its powers per point with CPython's
-    pow.
+    finite, its difference is not defined: that point raises a named
+    OverflowError, and no stencil is built where every point does.  The
+    tableaux of the moving monomials are one `_dd.dd_richardson` call, which
+    splits the reciprocal widths once: at one point it takes a row of
+    2*_LEVELS stencil values per monomial (floats, so `qfi` runs on the
+    standard library alone); along an axis, one row whose values are
+    stacked into numpy arrays of (len(moving), n), and only then is numpy
+    loaded; a row per monomial would cost ~8 times the numpy dispatches.
+    The same elementwise IEEE operations run either way, and whether floats
+    or arrays run is decided once per call.  Convergence requires
+    T[L-1][L-1] to agree with T[L-2][L-3] to _REL_TOL componentwise;
+    estimates at the roundoff floor of the central difference count as
+    converged zeros.  A non-finite stencil value makes T[L-1][L-1] NaN,
+    which fails its point whatever the floor, so the floor's scale (the
+    largest stencil value) need not propagate NaN.  The adjugate trace is
+    one `_dd.dd_adjugate_trace` call, the same way; a trace that is not
+    finite or cancels by more than _MAX_TRACE_CANCELLATION raises, and the
+    purity map takes its powers per point with CPython's pow.
     """
     target = _as_target(target)
     m, s0, eps = probe.mass, probe.sigma0, probe.coherence_ratio_sq
@@ -381,8 +392,10 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         for k in _FREE[target]:
             hi, lo = centre[k]
             free = free + (hi - hi) + (lo - lo)
-        if _every(free != free):
-            raise _not_converged(math.nan)
+        if _every(free != free):  # every point fails: the first raises
+            raise _free_overflow(
+                target, probe, *(v[0] if isinstance(v, list) else v for v in (gamma, lam, t))
+            )
 
         # the one float/array choice of the call: every max below propagates NaN
         fmax = np.maximum if axes else _fmax
@@ -404,19 +417,18 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         if axes:
             rows = [[tuple(stack(part) for part in zip(*entry)) for entry in zip(*rows)]]
         ok, spread, lasts = free == 0.0, free, []
-        for pairs in rows:
+        for pairs, (last, prev) in zip(rows, _dd.dd_richardson(rows, inv_widths)):
             # a non-finite monomial has a NaN difference, which fails its point
             # whatever its noise floor, so fscale need not propagate NaN
             scales = (abs(hi) for hi, _ in pairs)
             fscale = functools.reduce(np.maximum, scales) if axes else max(scales)
-            last, prev = _dd.dd_richardson(pairs[:_LEVELS], pairs[_LEVELS:], inv_widths)
             lasts.append(last)
 
             err = abs(last[0] - prev[0])
             mag = fmax(abs(last[0]), abs(prev[0]))
             # cancellation noise of the smallest-step plain-float difference, with headroom;
             # the dd evaluation sits far below it, so this is deliberately conservative
-            noise_floor = 1e3 * 2.3e-16 * fscale * 2.0 ** (_LEVELS - 1) / h0
+            noise_floor = 1e3 * 2.3e-16 * fscale * _STEP_RATIO / h0
             ok = ok & ((err <= _REL_TOL * mag) | (mag <= noise_floor))
             spread = fmax(spread, err / fmax(mag, 1e-300))
         if axes:
@@ -425,28 +437,20 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         d = [(0.0, 0.0)] * _N_TERMS  # the theta-free monomials' differences are exactly (0, 0)
         for k, last in zip(moving, lasts):
             d[k] = last
-        sxx, sxp, spp = _dd.dd_sum(centre[:5]), _dd.dd_sum(centre[5:9]), _dd.dd_sum(centre[9:12])
-        dsxx, dsxp, dspp = _dd.dd_sum(d[:5]), _dd.dd_sum(d[5:9]), _dd.dd_sum(d[9:12])
-
-        # trace of (adj(S) dS)^2 for the symmetric 2x2 pair, in double-double
-        m00 = _dd.dd_sub(_dd.dd_mul(spp, dsxx), _dd.dd_mul(sxp, dsxp))
-        m01 = _dd.dd_sub(_dd.dd_mul(spp, dsxp), _dd.dd_mul(sxp, dspp))
-        m10 = _dd.dd_sub(_dd.dd_mul(sxx, dsxp), _dd.dd_mul(sxp, dsxx))
-        m11 = _dd.dd_sub(_dd.dd_mul(sxx, dspp), _dd.dd_mul(sxp, dsxp))
-        trace = _dd.dd_sum(
-            [_dd.dd_mul(m00, m00), _dd.dd_mul(m11, m11), _dd.dd_mul_d(_dd.dd_mul(m01, m10), 2.0)]
-        )
-        # double-double keeps ~32 digits of these terms, and the trace loses as
+        # trace of (adj(S) dS)^2 for the symmetric 2x2 pair, in double-double;
+        # double-double keeps ~32 digits of its terms, and the trace loses as
         # many as they cancel
-        terms = abs(m00[0] * m00[0]) + abs(m11[0] * m11[0]) + 2.0 * abs(m01[0] * m10[0])
+        trace, terms = _dd.dd_adjugate_trace(centre, d)
         dbracket = _dd.dd_sum(d[12:])
         trace, dbracket = trace[0] + trace[1], dbracket[0] + dbracket[1]
-        columns = [per_point(v) for v in (ok, spread, trace, terms, dbracket)]
+        columns = [per_point(v) for v in (free, ok, spread, trace, terms, dbracket)]
 
     values = []
-    for converged, spread, trace, terms, dbracket, gi, li, ti in zip(
+    for free, converged, spread, trace, terms, dbracket, gi, li, ti in zip(
         *columns, *(v if isinstance(v, list) else [v] * n for v in (gamma, lam, t))
     ):
+        if free != free:
+            raise _free_overflow(target, probe, gi, li, ti)
         if not converged:
             raise _not_converged(spread)
         # the purity derivative follows from the differenced bracket through
@@ -559,6 +563,62 @@ _NODES = tuple(
 )
 
 
+def _quadrature_terms(h, V, dv, v, x) -> list:
+    """w r^2 at each positive node of `_NODES`, r extrapolated over the four steps.
+
+    dv holds v+ - v- at each step, v the four v+ then the four v-, and x
+    the abscissae x0 + h then x0 - h.  Per step, P+ - P- = P- expm1(log(P+/P-))
+    and P-/P0 are exponentials of quantities that stay small where dv/V
+    does, over the width x+ - x-, the rounded x0 +- h, close to 2h.  Each
+    node runs its four steps, the Richardson tableau over them (4, 16, 64
+    over 3, 15, 63) and w r^2 in one pass: the float operations of a list
+    per step and per level, in the same order.  A failure raises what those
+    lists raise first, a step at a time: its log's domain, then each node.
+    """
+    steps = list(zip(dv, v[:4], v[4:], x[:4], x[4:]))
+    try:
+        coefficients = []
+        for dvk, vp, vm, xp, xm in steps:
+            rel, ratio = dvk / vm, vm / V
+            if not (rel > -1.0 and ratio > 0.0):
+                break
+            coefficients.append((
+                (dvk / vp) * (V / vm), 0.5 * math.log1p(rel), (vm - V) / vm,
+                0.5 * math.log(ratio), xp - xm,
+            ))
+        else:
+            ((a0, b0, c0, e0, w0), (a1, b1, c1, e1, w1),
+             (a2, b2, c2, e2, w2), (a3, b3, c3, e3, w3)) = coefficients
+            expm1, exp = math.expm1, math.exp
+            terms = []
+            for u2, w in zip(*_NODES):
+                r0 = expm1(u2 * a0 - b0) * exp(u2 * c0 - e0) / w0
+                r1 = expm1(u2 * a1 - b1) * exp(u2 * c1 - e1) / w1
+                r2 = expm1(u2 * a2 - b2) * exp(u2 * c2 - e2) / w2
+                r3 = expm1(u2 * a3 - b3) * exp(u2 * c3 - e3) / w3
+                r0, r1, r2 = (4.0 * r1 - r0) / 3.0, (4.0 * r2 - r1) / 3.0, (4.0 * r3 - r2) / 3.0
+                r0, r1 = (16.0 * r1 - r0) / 15.0, (16.0 * r2 - r1) / 15.0
+                r = (64.0 * r1 - r0) / 63.0
+                terms.append(w * r * r)
+            return terms
+    except ArithmeticError:
+        pass
+    # the same operations a step at a time, as far as the first failure
+    for dvk, vp, vm, xp, xm in steps:
+        rel, ratio = dvk / vm, vm / V
+        if not (rel > -1.0 and ratio > 0.0):  # the domains of math.log1p and math.log
+            raise FloatingPointError(
+                f"quadrature step h={h:g} leaves the domain of the log: dv/V(theta-h)={rel:g}, "
+                f"V(theta-h)/V={ratio:g}"
+            )
+        a, b = (dvk / vp) * (V / vm), 0.5 * math.log1p(rel)
+        c, e = (vm - V) / vm, 0.5 * math.log(ratio)
+        width = xp - xm
+        for u2 in _NODES[0]:
+            math.expm1(u2 * a - b) * math.exp(u2 * c - e) / width
+    raise AssertionError("the quadrature failed node by node but not step by step")
+
+
 def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> CfiQuadrature:
     """Position-readout CFI by direct quadrature and by the variance identity.
 
@@ -577,12 +637,15 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     that move with theta are built at the eight points in one
     `_covariance_dd` call, and each point's sum and each step's difference
     and sum are formed in one pass of float operations, those of `_dd.dd_sub`,
-    `_dd.dd_sum` and `_dd.dd_mul_d` in the same order.  r is extrapolated
-    over four halved steps, and a 16-node and a 32-node rule give the value
-    and its error estimate.  r depends on u only through u^2 and each rule
-    is symmetric about u = 0, so r is evaluated at the positive nodes alone,
-    as plain floats through `math`; each rule's sum is the `math.fsum` of
-    its half taken twice, which rounds the full rule's exact sum once.
+    `_dd.dd_sum` and `_dd.dd_mul_d` in the same order; the partial sum of
+    the monomials before the first moving one is shared by every point.
+    r is extrapolated over four halved steps, and a 16-node and a 32-node
+    rule give the value and its error estimate.  r depends on u only through
+    u^2 and each rule is symmetric about u = 0, so r is evaluated at the
+    positive nodes alone, as plain floats through `math`, each node's four
+    steps and tableau in one pass (`_quadrature_terms`); each rule's sum is
+    the `math.fsum` of its half taken twice, which rounds the full rule's
+    exact sum once.
     """
     target = _as_target(target)
     _require_positive_t(t)
@@ -627,27 +690,35 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
     places = [k for k in _MOVING[target] if k < 5]
     gg, ll = (x, lam) if target is EstimationTarget.GAMMA else (g, x)
     moved = _covariance_dd(f, gg, ll, target.value, sxx_only=True)
-    plus, minus, diff = [], [], []
+    diffs = []
     for up, down in zip(moved[:4], moved[4:]):
-        at_plus, at_minus, d = list(centre), list(centre), [(0.0, 0.0)] * 5
-        for k, (a, al), (b, bl) in zip(places, up, down):
-            at_plus[k], at_minus[k] = (a, al), (b, bl)
+        d = []
+        for (a, al), (b, bl) in zip(up, down):
             b = -b  # dd_sub(up, down), as up + (-down)
             s = a + b
             r = s - a
             e = (a - (s - r)) + (b - r) + al + -bl
             u = s + e
-            d[k] = u, e - (u - s)
-        plus.append(at_plus)
-        minus.append(at_minus)
-        diff.append(d)
-    # each list's dd_sum, then dd_mul_d by sigma0^2 / 2, rounded to a float
+            d.append((u, e - (u - s)))
+        diffs.append(d)
+    # each V(theta +- h) is the dd_sum of sxx's monomials with the moving ones in
+    # their places, and each dv that of their differences with (0, 0) in the
+    # others'.  The terms before the first moving one are the centre's in every V
+    # and (0, 0) in every dv, so each sum starts from their folded sum, taken
+    # once, or from (0, 0), what zeros fold to; the later ones are read in place.
+    # Each sum is then multiplied (dd_mul_d) by sigma0^2 / 2 and rounded to a float
+    first = places[0]
+    slots = [places.index(p) if p in places else None for p in range(first, 5)]
+    centre_rest, zeros = centre[first:], [(0.0, 0.0)] * (5 - first)
+    head = _dd.dd_sum(centre[:first])
     k = s0**2 / 2.0
     kh, kt = _dd.split(k)
     values = []
-    for terms in plus + minus + diff:
-        hi = lo = 0.0
-        for b, bl in terms:
+    for entries, (hi, lo), rest in [(m, head, centre_rest) for m in moved] + [
+        (d, (0.0, 0.0), zeros) for d in diffs
+    ]:
+        for slot, other in zip(slots, rest):
+            b, bl = other if slot is None else entries[slot]
             s = hi + b
             r = s - hi
             e = (hi - (s - r)) + (b - r) + lo + bl
@@ -661,35 +732,13 @@ def cfi_quadrature(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> 
         q = p + e
         values.append(q + (e - (q - p)))
     v, dv = values[:8], values[8:]
-    if not all(map(math.isfinite, v + dv)):
+    if not all(map(math.isfinite, values)):
         raise OverflowError(
             f"quadrature step h={h:g} takes the readout variance out of the float range: "
             f"V(theta+-h) is {v[0]:g}, {v[4]:g} at V={V:g} (t/tau0={th:g})"
         )
 
-    # per step: P+ - P- = P- expm1(log(P+/P-)) and P-/P0, both as exponentials
-    # of quantities that stay small where dv/V does, over the width x+ - x-,
-    # the rounded x0 +- h, close to 2h
-    levels = []
-    expm1, exp, squares, weights = math.expm1, math.exp, *_NODES
-    for dvk, vp, vm, width in zip(dv, v[:4], v[4:], (xp - xm for xp, xm in zip(x[:4], x[4:]))):
-        rel, ratio = dvk / vm, vm / V
-        if not (rel > -1.0 and ratio > 0.0):  # the domains of math.log1p and math.log
-            raise FloatingPointError(
-                f"quadrature step h={h:g} leaves the domain of the log: dv/V(theta-h)={rel:g}, "
-                f"V(theta-h)/V={ratio:g}"
-            )
-        a, b = (dvk / vp) * (V / vm), 0.5 * math.log1p(rel)
-        c, e = (vm - V) / vm, 0.5 * math.log(ratio)
-        levels.append([expm1(u2 * a - b) * exp(u2 * c - e) / width for u2 in squares])
-    for j in range(1, 4):
-        fac = 4.0**j
-        den = fac - 1.0
-        levels = [
-            [(fac * p - q) / den for p, q in zip(upper, lower)]
-            for lower, upper in zip(levels[:-1], levels[1:])
-        ]
-    terms = [w * r * r for w, r in zip(weights, levels[0])]
+    terms = _quadrature_terms(h, V, dv, v, x)
     half = _RULES[0] // 2
     coarse, quad_value = math.fsum(terms[:half] * 2), math.fsum(terms[half:] * 2)
     if not (math.isfinite(coarse) and math.isfinite(quad_value)):

@@ -823,10 +823,12 @@ class TestScalarCommands:
              "tau0=0 underflows the float range: tau0 = mass sigma0^2/hbar, a divisor, rounds to 0 "
              "(mass=1e-150 kg, sigma0=1e-100 m)"),
             # the analytic QFI is a value here (phi's tau0^4 once failed it), but the
-            # oracle's (t/tau0)^3 leaves the float range
+            # oracle's (t/tau0)^3 leaves the float range, in a monomial free of gamma
             (["qfi", "--target", "gamma", "--mass", "1e-30", "--sigma0", "1e-60", "--lambda", "1e15",
               "--t", "1us"],
-             "derivative failed to converge: relative spread nan"),
+             "a monomial free of gamma overflows the float range at t/tau0=1.05457e+110: the "
+             "oracle cannot difference a covariance or purity-bracket monomial that is not finite "
+             "(gamma=0, lambda=1e+15 m^-2 s^-1, t=1e-06 s)"),
             # valid mixed states whose 1 - purity^4 rounds to 0: not a validation error
             (["qfi", "--target", "lambda", "--lambda", "1e-3", "--t", "1us", "--ell0", "inf"],
              "1 - purity^4 rounds to 0 in a mixed state (purity=1.0): the term "

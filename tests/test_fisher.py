@@ -619,18 +619,27 @@ class TestStencilClasses:
 
     @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
     def test_non_finite_free_monomial_fails_its_point(self, target):
-        # gamma^2 (t/tau0)^2 overflows at every stencil point of both targets; the
-        # difference of such a monomial would be NaN, and so is the spread reported
+        error, message = {
+            # lambda^2's bracket monomial, free of gamma, is not finite: the oracle names it
+            GAMMA: (OverflowError,
+                    r"^a monomial free of gamma overflows the float range at t/tau0=1\.44446e\+79: "
+                    r"the oracle cannot difference a covariance or purity-bracket monomial that is "
+                    r"not finite \(gamma=-1e\+23, lambda=1e\+63 m\^-2 s\^-1, t=1e\+73 s\)$"),
+            # the monomials that leave the range move with lambda: their differences
+            # are NaN, and so is the spread reported
+            LAMBDA: (pc.ConvergenceError, r"^derivative failed to converge: relative spread nan$"),
+        }[target]
         probe = pc.fullerene_probe(gamma=-1e23, ell0=5e-8)
-        nan = r"^derivative failed to converge: relative spread nan$"
-        with pytest.raises(pc.ConvergenceError, match=nan):
+        with pytest.raises(error, match=message):
             pc.qfi_numeric(target, probe, env(1e63), 1e73)
-        with pytest.raises(pc.ConvergenceError, match=nan):
+        with pytest.raises(error, match=message):
             fisher._qfi_numeric_points(target, probe, [-1e23, -1e23], 1e63, 1e73)
-        # along a time axis the first point has a value and the second fails
+        # along a time axis the first point has a value and the second fails as on its own
         assert math.isfinite(pc.qfi_numeric(target, probe, env(1e63), 1e-6))
-        with pytest.raises(pc.ConvergenceError, match=nan):
+        with pytest.raises(error, match=message):
             fisher._qfi_numeric_points(target, probe, -1e23, 1e63, [1e-6, 1e73])
+        with pytest.raises(error, match=message):
+            fisher._qfi_numeric_points(target, probe, -1e23, 1e63, [1e73, 1e-6])
 
     @pytest.mark.parametrize("target", [GAMMA, LAMBDA])
     def test_oracles_build_the_full_lists_once(self, target, monkeypatch):
@@ -661,7 +670,7 @@ class TestStencilClasses:
         # NaN reproducer for gamma (its lambda^2 term), at gamma^2 (t/tau0)^2 for lambda
         gamma, lam, t = (-1e23, 1e63, 1e73) if target is GAMMA else (1e150, 1e15, 1.0)
         calls.clear()
-        with pytest.raises(pc.ConvergenceError, match="relative spread nan$"):
+        with pytest.raises(OverflowError, match=f"^a monomial free of {target.value} overflows"):
             pc.qfi_numeric(target, pc.fullerene_probe(gamma=gamma, ell0=5e-8), env(lam), t)
         assert calls == [("_covariance_dd", None, None), ("_purity_bracket_dd", None, None)]
 
@@ -669,23 +678,26 @@ class TestStencilClasses:
     def test_tableau_runs_once_per_moving_monomial(self, target, monkeypatch):
         calls = []
 
-        def spy(plus, minus, inv_widths, tableau=_dd.dd_richardson):
-            calls.append((plus, minus, inv_widths))
-            return tableau(plus, minus, inv_widths)
+        def spy(rows, inv_widths, tableau=_dd.dd_richardson):
+            calls.append((rows, inv_widths))
+            return tableau(rows, inv_widths)
 
         monkeypatch.setattr(_dd, "dd_richardson", spy)
         probe, e, t = FULLERENE.with_gamma(5.0), env(1e15), 2e-5
         pc.qfi_numeric(target, probe, e, t)
-        assert len(calls) == len(fisher._MOVING[target])  # 7 for gamma, 8 for lambda
-        for plus, minus, inv_widths in calls:  # one point: floats alone
-            assert all(type(v) is float for v in [*inv_widths, *(v for p in plus + minus for v in p)])
-        # along an axis one call runs them all, on (monomial, point) arrays
+        # one call, with a row of floats per moving monomial: 7 for gamma, 8 for lambda
+        (rows, inv_widths), = calls
+        assert len(rows) == len(fisher._MOVING[target])
+        stencil = 2 * fisher._LEVELS
+        assert len(inv_widths) == fisher._LEVELS and all(len(row) == stencil for row in rows)
+        assert all(type(v) is float for v in [*inv_widths, *(v for row in rows for p in row for v in p)])
+        # along an axis one call runs them all, as one row of (monomial, point) arrays
         calls.clear()
         fisher._qfi_numeric_points(target, probe, 5.0, 1e15, [1e-5, 2e-5, 3e-5])
-        assert len(calls) == 1
-        (plus, minus, inv_widths), = calls
+        (rows, inv_widths), = calls
+        assert len(rows) == 1 and len(rows[0]) == stencil
         shape = (len(fisher._MOVING[target]), 3)
-        assert all(isinstance(v, np.ndarray) and v.shape == shape for p in plus + minus for v in p)
+        assert all(isinstance(v, np.ndarray) and v.shape == shape for p in rows[0] for v in p)
 
 
 #: (target, ell0, lam, gamma, t, quadrature, gaussian_identity) recorded from
