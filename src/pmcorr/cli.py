@@ -52,7 +52,8 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _coefficient_args,
-    _purity_bracket_dt_coefficients,
+    _polynomial,
+    _purity_bracket_coefficients,
     _require_positive_t,
     covariance,
     purity_approx,
@@ -61,6 +62,7 @@ from .model import (
 )
 from .thermometry import (
     TABLE1_REFERENCE,
+    _derivative,
     _purity_and_rate,
     _relative_purity_rate,
     _tgi_db,
@@ -474,7 +476,7 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
     def at(probe, env):
         if target is None:
             return _purity_and_rate(probe, env)
-        dt = _purity_bracket_dt_coefficients(*_coefficient_args(probe, env))
+        dt = _derivative(_purity_bracket_coefficients(*_coefficient_args(probe, env)))
         curve = _analytic_curve(target, probe, env)
         closed = _cfi_coefficients(target, _coefficient_args(probe, env))
 
@@ -482,7 +484,7 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
             value = next(numeric)
             bracket, mu, _, analytic = curve(t)  # B = 1/purity^2 before dB/dt
             row = [
-                mu, _relative_purity_rate(dt, t, bracket), analytic,
+                mu, _relative_purity_rate(_polynomial(dt, t), bracket), analytic,
                 qfi_numeric(target, probe, env, t) if value is None else value,
                 _cfi_closed_at(target, closed, t),
             ]

@@ -38,12 +38,9 @@ from .model import (
     _covariance_factors,
     _kernel_b_sq,
     _kernel_coefficients,
+    _polynomial,
     _purity_bracket,
     _purity_bracket_coefficients,
-    _purity_bracket_dgamma,
-    _purity_bracket_dgamma_coefficients,
-    _purity_bracket_dlam,
-    _purity_bracket_dlam_coefficients,
     _purity_bracket_dd,
     _purity_bracket_factors,
     _purity_bracket_fixed,
@@ -143,20 +140,21 @@ def _phi(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec, t: fl
     """`phi_gamma` or `phi_lambda`: the bracket at t first, as in `_analytic_curve`, then phi."""
     _require_positive_t(t)
     args = _coefficient_args(probe, env)
-    bracket = _purity_bracket(_purity_bracket_coefficients(*args), t)
-    dbracket, db = _bracket_derivative(target, args)
-    return _phi_from_bracket(target, _det_derivative(target, args), bracket, dbracket(db, t), t)
+    b, db = _purity_bracket_coefficients(*args, target.value)
+    bracket, d = _purity_bracket(b, t, db)
+    return _phi_from_bracket(target, _det_derivative(target, args), bracket, d, t)
 
 
 def _det_derivative(target: EstimationTarget, args: tuple) -> tuple:
     """det(dS/d(target)) as (c, k), one monomial c t^k, at the `model._coefficient_args` args.
 
     det(dS/dgamma) = -1 exactly; det(dS/dlam) = (4/3) (hbar t^2/m)^2, the
-    lambda^2 coefficient of the bracket, from its fixed part 3 mass^2.
+    lambda^2 coefficient of the bracket, from its fixed parts hbar^2 and 3 mass^2.
     """
     if target is EstimationTarget.GAMMA:
         return -1.0, 0
-    return 4.0 * HBAR**2 / _purity_bracket_fixed(*args[:3])[4], 4
+    fixed = _purity_bracket_fixed(*args[:3])
+    return 4.0 * fixed[5] / fixed[4], 4
 
 
 def _phi_from_bracket(target: EstimationTarget, det: tuple, bracket: float, dbracket: float,
@@ -191,10 +189,9 @@ def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) 
     target = _as_target(target)
     _require_nonnegative_t(t)
     args = _coefficient_args(probe, env)
-    b = _purity_bracket_coefficients(*args)
-    dbracket, db = _bracket_derivative(target, args)
-    bracket = _purity_bracket(b, t)  # first, as in `_analytic_curve`: it names a t^k overflow
-    return _purity_derivative(dbracket(db, t), bracket)
+    b, db = _purity_bracket_coefficients(*args, target.value)
+    bracket, d = _purity_bracket(b, t, db)  # as in `_analytic_curve`: B names a t^k overflow
+    return _purity_derivative(d, bracket)
 
 
 def _second_term(mu: float, dmu: float, pure: bool) -> float:
@@ -234,44 +231,38 @@ def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: Environment
 
     The QFI is the target's; `slope` names the parameter of the purity
     derivative returned, the target itself by default.  The coefficient
-    tuples of the purity bracket, of its target derivative and, for another
-    `slope`, of its derivative are built here, once, with det(dS/d(target)).
-    Each t evaluates the bracket once, then the derivative, then the QFI's
-    second term, then phi, the adjugate trace over 16, from the bracket and
-    the derivative, and last the other slope's derivative, so `qfi_analytic`
-    and a grid row that fail name the same error.  The first term takes the
+    tuples of the purity bracket and of its target derivative, and for
+    another `slope` of its derivative, are built here, once, by the one
+    closed-form builder `model._purity_bracket_coefficients`, with
+    det(dS/d(target)).  Each t evaluates the bracket and then, from its
+    powers of t, the derivative, then the QFI's second term, then phi, the
+    adjugate trace over 16, from the bracket and the derivative, and last
+    the other slope's derivative, so `qfi_analytic` and a grid row that
+    fail name the same error.  The first term takes the
     purity's powers from B itself, mu^4 / (1 + mu^2) = 1 / (B (B + 1)), so
     B's rounding is not compounded through B^(-1/2) and its fourth power,
     and no power underflows.
     """
     args = _coefficient_args(probe, env)
-    b = _purity_bracket_coefficients(*args)
-    dbracket, db = _bracket_derivative(target, args)
+    # _value_ is the enum's value without its descriptor, which costs ~5 times more per group
+    b, db = _purity_bracket_coefficients(*args, target._value_)
     det = _det_derivative(target, args)
-    dslope, ds = (None, None) if slope in (None, target) else _bracket_derivative(slope, args)
+    ds = None if slope in (None, target) else _purity_bracket_coefficients(*args, slope._value_)[1]
     pure = env.lam == 0.0 and _purity_bracket_fixed(*args[:3])[2] == 0.0  # 2 eps, kept
 
     def curve(t):
-        bracket = _purity_bracket(b, t)
+        bracket, d = _purity_bracket(b, t, db)
         mu = bracket**-0.5
-        d = dbracket(db, t)
         dmu = _purity_derivative(d, bracket)
         second = _second_term(mu, dmu, pure)
         phi = _phi_from_bracket(target, det, bracket, d, t)
         # mu^4 / (2 (1 + mu^2)) 16 phi = 8 phi / (B (B + 1)), divided out one factor at a time
         value = phi / bracket / (bracket + 1.0) * 8.0 + second
-        if dslope is not None:
-            dmu = _purity_derivative(dslope(ds, t), bracket)
+        if ds is not None:
+            dmu = _purity_derivative(_polynomial(ds, t), bracket)
         return bracket, mu, dmu, value
 
     return curve
-
-
-def _bracket_derivative(target: EstimationTarget, args: tuple) -> tuple:
-    """(evaluation, coefficients) of d(1/purity^2)/d(target) at the `model._coefficient_args` args."""
-    if target is EstimationTarget.GAMMA:
-        return _purity_bracket_dgamma, _purity_bracket_dgamma_coefficients(*args)
-    return _purity_bracket_dlam, _purity_bracket_dlam_coefficients(*args)
 
 
 #: stencil components: model._covariance_dd (sxx [:5], sxp [5:9], spp [9:12])
@@ -308,9 +299,13 @@ def _not_converged(spread) -> ConvergenceError:
     return ConvergenceError(f"derivative failed to converge: relative spread {spread:.3e}")
 
 
-def _free_overflow(target: EstimationTarget, probe: ProbeSpec, gamma, lam, t) -> OverflowError:
+def _centre_overflow(target: EstimationTarget, probe: ProbeSpec, free: float, moves: float,
+                     gamma, lam, t) -> OverflowError:
+    """The error of a point whose monomials free of the target (free NaN), or else moving
+    with it (moves NaN), are not all finite at the centre."""
+    kind = "free of" if free != free else "moving with"
     return OverflowError(
-        f"a monomial free of {target.value} overflows the float range at "
+        f"a monomial {kind} {target.value} overflows the float range at "
         f"t/tau0={t / tau0(probe):g}: the oracle cannot difference a covariance or "
         f"purity-bracket monomial that is not finite (gamma={gamma:g}, lambda={lam:g} "
         f"m^-2 s^-1, t={t:g} s)"
@@ -335,9 +330,10 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
     ones are built, from the centre's theta-free factors, and the Richardson
     tableau T[level][order] runs on those alone.  Each builder is called
     once for the whole stencil, with the list of its abscissae, and splits
-    each theta-free operand once.  Where a theta-free monomial is not
-    finite, its difference is not defined: that point raises a named
-    OverflowError, and no stencil is built where every point does.  The
+    each theta-free operand once.  Where a monomial is not finite at the
+    centre (a split inside it overflows above ~1.34e300), its difference is
+    not defined: that point raises a named OverflowError, a theta-free
+    monomial's first, and no stencil is built where every point does.  The
     tableaux of the moving monomials are one `_dd.dd_richardson` call, which
     splits the reciprocal widths once: at one point it takes a row of
     2*_LEVELS stencil values per monomial (floats, so `qfi` runs on the
@@ -387,15 +383,17 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         fc, fb = _covariance_factors(m, s0, eps, tt), _purity_bracket_factors(m, s0, eps, tt)
         centre = _covariance_dd(fc, g, ll) + _purity_bracket_dd(fb, g, ll)
         moving = _MOVING[target]
-        # per point, 0 where every theta-free monomial is finite and NaN where one is not
-        free = 0.0
+        # per point, 0 where every theta-free (moving) monomial is finite, NaN where one is not
+        free = moves = 0.0
         for k in _FREE[target]:
             hi, lo = centre[k]
             free = free + (hi - hi) + (lo - lo)
-        if _every(free != free):  # every point fails: the first raises
-            raise _free_overflow(
-                target, probe, *(v[0] if isinstance(v, list) else v for v in (gamma, lam, t))
-            )
+        for k in moving:
+            hi, lo = centre[k]
+            moves = moves + (hi - hi) + (lo - lo)
+        if _every((free != free) | (moves != moves)):  # every point fails: the first raises
+            first = (v[0] if isinstance(v, list) else v for v in (gamma, lam, t))
+            raise _centre_overflow(target, probe, per_point(free)[0], per_point(moves)[0], *first)
 
         # the one float/array choice of the call: every max below propagates NaN
         fmax = np.maximum if axes else _fmax
@@ -443,14 +441,14 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
         trace, terms = _dd.dd_adjugate_trace(centre, d)
         dbracket = _dd.dd_sum(d[12:])
         trace, dbracket = trace[0] + trace[1], dbracket[0] + dbracket[1]
-        columns = [per_point(v) for v in (free, ok, spread, trace, terms, dbracket)]
+        columns = [per_point(v) for v in (free, moves, ok, spread, trace, terms, dbracket)]
 
     values = []
-    for free, converged, spread, trace, terms, dbracket, gi, li, ti in zip(
+    for free, moves, converged, spread, trace, terms, dbracket, gi, li, ti in zip(
         *columns, *(v if isinstance(v, list) else [v] * n for v in (gamma, lam, t))
     ):
-        if free != free:
-            raise _free_overflow(target, probe, gi, li, ti)
+        if free != free or moves != moves:
+            raise _centre_overflow(target, probe, free, moves, gi, li, ti)
         if not converged:
             raise _not_converged(spread)
         # the purity derivative follows from the differenced bracket through

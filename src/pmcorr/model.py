@@ -228,30 +228,26 @@ def _coherence_ratio_sq(sigma0, ell0):
     return 0.0 if ell0 == math.inf else _power(sigma0 / ell0, 2, "(sigma0/ell0)")
 
 
-#: the error where a division by tau0 mass rounds to 0; the floor of 3 tau0
-#: mass, 2**-1075 / 3, lies below the smallest double, so it is spelled out
-_TAU0_MASS_UNDERFLOW = (
-    "tau0*mass={:g} underflows the float range: tau0*mass = mass^2 sigma0^2/hbar, a divisor, "
-    "needs to stay above ~8.2e-325 kg s (mass={:g} kg, sigma0={:g} m)"
-)
-
-
 def _bracket_scales(mass, sigma0) -> tuple:
     """(tau0, mass^2) for the purity bracket's copies, which divide by mass^2 and 3 tau0 mass.
 
-    A mass^2 that leaves the float range or a 3 tau0 mass that rounds to 0
-    raises a named ArithmeticError here, so the copies need no wrapper of
-    their own; `_purity_bracket_dt_coefficients` alone divides by tau0 mass,
-    which rounds to 0 a little above 3 tau0 mass, and names that itself.
+    A divisor below the smallest normal double has lost significant bits,
+    and so would every quotient by it: such a divisor, or a mass^2 that
+    overflows, raises a named ArithmeticError here (a symbol passes), so
+    the copies need no wrapper of their own.
     """
-    tau = mass * sigma0**2 / HBAR  # `_tau0` and `_power`, inlined
-    try:
-        mass_sq = mass**2
-    except OverflowError:
-        mass_sq = 0.0  # named below
-    if not (mass_sq and 3.0 * tau * mass):
-        _power(mass, 2, "mass", "kg", divisor=True)  # raises where mass^2 fails
-        raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau * mass, mass, sigma0))
+    tau = mass * sigma0**2 / HBAR  # `_tau0`, inlined
+    mass_sq = _power(mass, 2, "mass", "kg")
+    tau_mass, normal = 3.0 * tau * mass, sys.float_info.min
+    if isinstance(mass_sq, float) and not mass_sq >= normal:
+        raise ZeroDivisionError(f"mass={mass:g} underflows the float range: mass^2, a divisor, "
+                                f"needs mass above ~{normal ** 0.5:.2g} kg")
+    if isinstance(tau_mass, float) and not tau_mass >= normal:
+        raise ZeroDivisionError(
+            f"3*tau0*mass={tau_mass:g} underflows the float range: 3 tau0 mass = "
+            f"3 mass^2 sigma0^2/hbar, a divisor, needs to stay above ~{normal:.2g} kg s "
+            f"(mass={mass:g} kg, sigma0={sigma0:g} m)"
+        )
     return tau, mass_sq
 
 
@@ -390,29 +386,58 @@ def _coefficient_args(probe: ProbeSpec, env: EnvironmentSpec) -> tuple:
 
 @functools.lru_cache(maxsize=1, typed=True)
 def _purity_bracket_fixed(mass, sigma0, ell0) -> tuple:
-    """The part of the bracket's coefficients free of gamma and lam, for it and its derivatives.
+    """The part free of gamma and lam of `_bracket_terms`, the one closed-form bracket builder.
 
-    (1 + 2 eps, 4 sigma0^2, 2 eps, 3 tau0 mass, 3 mass^2, tau0), with eps's
-    and then `_bracket_scales`' named errors.  A grid's probes differ in
-    gamma alone, so the last probe's tuple is kept and a run builds it once;
-    an error is not kept.  The cache is typed, so an int or a numpy scalar
-    never takes a float's tuple.
+    (1 + 2 eps, 4 sigma0^2, 2 eps, 3 tau0 mass, 3 mass^2, hbar^2), with
+    eps's and then `_bracket_scales`' named errors.  A grid's probes differ
+    in gamma alone, so the last probe's tuple is kept and a run builds it
+    once; an error is not kept.  The cache is typed, so an int or a numpy
+    scalar never takes a float's tuple.
     """
     eps2 = 2.0 * _coherence_ratio_sq(sigma0, ell0)
     tau, mass_sq = _bracket_scales(mass, sigma0)
-    return 1.0 + eps2, 4.0 * sigma0**2, eps2, 3.0 * tau * mass, 3.0 * mass_sq, tau
+    return 1.0 + eps2, 4.0 * sigma0**2, eps2, 3.0 * tau * mass, 3.0 * mass_sq, HBAR**2
 
 
-def _purity_bracket_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
-    """Coefficients of `_purity_bracket`, the factors of t^0 to t^4."""
-    e2, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, ell0)
+def _bracket_terms(mass, fixed, g0, g1, g2, l0, l1, l2) -> tuple:
+    """The one closed-form spelling of the purity bracket's coefficients, of t^0 to t^4.
+
+    Each is a product of the `_purity_bracket_fixed` part, one of gamma's
+    parts (g0, g1, g2) = (1, gamma, gamma^2 + 1 + 2 eps) and one of lam's
+    parts (l0, l1, l2) = (1, lam, lam^2); the oracle's `_purity_bracket_dd`
+    is the only other copy of B.
+    """
+    e2, s4, _, tm3, m3sq, hbar_sq = fixed
     return (
-        e2,
-        s4 * lam,
-        4.0 * gamma * lam * HBAR / mass,
-        4.0 * HBAR * lam * (gamma**2 + 1.0 + eps2) / tm3,
-        4.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / m3sq,
+        e2 * g0 * l0,
+        s4 * g0 * l1,
+        4.0 * g1 * l1 * HBAR / mass,
+        4.0 * HBAR * l1 * g2 / tm3,
+        4.0 * g0 * l2 * hbar_sq / m3sq,
     )
+
+
+def _purity_bracket_coefficients(mass, sigma0, ell0, gamma, lam, wrt=None) -> tuple:
+    """The coefficients of B = 1/purity^2, or with ``wrt``, the pair of B's and dB/d(wrt)'s.
+
+    Each tuple holds the factors of t^0 to t^4.  dB/dgamma and dB/dlam are
+    `_bracket_terms` with that parameter's parts replaced by their
+    derivatives, (0, 1, 2 gamma) or (0, 1, 2 lam); ``wrt`` is "gamma" or
+    "lambda".  Building both in one call shares the fixed part and the parts.
+    """
+    fixed = _purity_bracket_fixed(mass, sigma0, ell0)
+    big = gamma**2 + 1.0 + fixed[2]
+    try:
+        lam_sq = lam**2
+    except OverflowError:
+        _power(lam, 2, "lambda", "m^-2 s^-1")
+        raise
+    bracket = _bracket_terms(mass, fixed, 1.0, gamma, big, 1.0, lam, lam_sq)
+    if wrt is None:
+        return bracket
+    if wrt == "gamma":
+        return bracket, _bracket_terms(mass, fixed, 0.0, 1.0, 2.0 * gamma, 1.0, lam, lam_sq)
+    return bracket, _bracket_terms(mass, fixed, 1.0, gamma, big, 0.0, 1.0, 2.0 * lam)
 
 
 def _name_time_power(t) -> None:
@@ -425,71 +450,37 @@ def _name_time_power(t) -> None:
         _power(t, k, "t", "s", where=", in the purity bracket 1/purity^2,")
 
 
-def _purity_bracket(c, t):
-    """1/purity^2 as a quartic in t, from its `_purity_bracket_coefficients` c.
+def _purity_bracket(c, t, d=None):
+    """1/purity^2 at t from its `_purity_bracket_coefficients` c; with a derivative's d, the pair.
 
     Its terms can overflow to inf (or to NaN in inf - inf) without raising;
     such a bracket raises a named OverflowError instead of giving purity 0.
-    Every route evaluates the bracket at t before any of its t, gamma or
-    lambda derivatives: its powers of t hold all of theirs, so it alone names
-    a t^k that leaves the float range, and the derivatives are bare
-    polynomials.
+    Every route evaluates B at t before any of its t, gamma or lambda
+    derivatives: its powers of t hold all of theirs, so it alone names a t^k
+    that leaves the float range, and d, in B's five slots, is summed from the
+    same powers.  `_polynomial` sums one more derivative at that t.
     """
     c0, c1, c2, c3, c4 = c
     try:
-        bracket = c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
+        t2, t3, t4 = t**2, t**3, t**4
     except OverflowError:
         _name_time_power(t)
         raise
-    if bracket < math.inf:
+    bracket = c0 + c1 * t + c2 * t2 + c3 * t3 + c4 * t4
+    if not bracket < math.inf:
+        raise OverflowError(
+            f"purity bracket 1/purity^2={bracket} overflows the float range at t={t:g} s"
+        )
+    if d is None:
         return bracket
-    raise OverflowError(f"purity bracket 1/purity^2={bracket} overflows the float range at t={t:g} s")
+    d0, d1, d2, d3, d4 = d
+    return bracket, d0 + d1 * t + d2 * t2 + d3 * t3 + d4 * t4
 
 
-def _purity_bracket_dt_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
-    """Coefficients of `_purity_bracket_dt`, the factors of t^0 to t^3."""
-    _, s4, eps2, _, m3sq, tau = _purity_bracket_fixed(mass, sigma0, ell0)
-    tau_mass = tau * mass
-    if not tau_mass:  # tau0 mass, unlike 3 tau0 mass, rounds to 0
-        raise ZeroDivisionError(_TAU0_MASS_UNDERFLOW.format(tau_mass, mass, sigma0))
-    return (
-        s4 * lam,
-        8.0 * gamma * lam * HBAR / mass,
-        4.0 * HBAR * lam * (gamma**2 + 1.0 + eps2) / tau_mass,
-        16.0 * _power(lam, 2, "lambda", "m^-2 s^-1") * HBAR**2 / m3sq,
-    )
-
-
-def _purity_bracket_dt(c, t):
-    c0, c1, c2, c3 = c
-    return c0 + c1 * t + c2 * t**2 + c3 * t**3
-
-
-def _purity_bracket_dgamma_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
-    """Coefficients of `_purity_bracket_dgamma`, the factors of t^2 and t^3."""
-    tm3 = _purity_bracket_fixed(mass, sigma0, ell0)[3]
-    return 4.0 * lam * HBAR / mass, 8.0 * gamma * HBAR * lam / tm3
-
-
-def _purity_bracket_dgamma(c, t):
-    c2, c3 = c
-    return c2 * t**2 + c3 * t**3
-
-
-def _purity_bracket_dlam_coefficients(mass, sigma0, ell0, gamma, lam) -> tuple:
-    """Coefficients of `_purity_bracket_dlam`, the factors of t^1 to t^4."""
-    _, s4, eps2, tm3, m3sq, _ = _purity_bracket_fixed(mass, sigma0, ell0)
-    return (
-        s4,
-        4.0 * gamma * HBAR / mass,
-        4.0 * HBAR * (gamma**2 + 1.0 + eps2) / tm3,
-        8.0 * lam * HBAR**2 / m3sq,
-    )
-
-
-def _purity_bracket_dlam(c, t):
-    c1, c2, c3, c4 = c
-    return c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
+def _polynomial(c, t):
+    """c0 + c1 t + ... + c4 t^4, term by term, as `_purity_bracket` sums a derivative's tuple."""
+    c0, c1, c2, c3, c4 = c
+    return c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
 
 
 def _covariance_factors(mass, sigma0, eps, t) -> tuple:

@@ -19,10 +19,9 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _coefficient_args,
+    _polynomial,
     _purity_bracket,
     _purity_bracket_coefficients,
-    _purity_bracket_dt,
-    _purity_bracket_dt_coefficients,
     _power,
     _require_positive_t,
     tau0,
@@ -163,23 +162,27 @@ def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
 def _purity_and_rate(probe: ProbeSpec, env: EnvironmentSpec):
     """The function t -> [purity, its relative rate (1/purity)|d purity/dt|] at one (probe, env).
 
-    dB/dt's tuple is built first, so where tau0 mass rounds to 0 and lambda^2
-    overflows, tau0 mass is named; each t evaluates B = 1/purity^2, then dB/dt.
+    B = 1/purity^2 and dB/dt, `_derivative` of B's tuple, are built once;
+    each t evaluates B, then dB/dt.
     """
-    args = _coefficient_args(probe, env)
-    dt = _purity_bracket_dt_coefficients(*args)
-    b = _purity_bracket_coefficients(*args)
+    b = _purity_bracket_coefficients(*_coefficient_args(probe, env))
+    dt = _derivative(b)
 
     def cells(t):
-        bracket = _purity_bracket(b, t)
-        return [bracket**-0.5, _relative_purity_rate(dt, t, bracket)]
+        bracket, d = _purity_bracket(b, t, dt)
+        return [bracket**-0.5, _relative_purity_rate(d, bracket)]
 
     return cells
 
 
-def _relative_purity_rate(dt, t: float, bracket: float) -> float:
-    """(1/mu)|dmu/dt| at t from dB/dt's coefficients dt and B = 1/mu^2, evaluated there first."""
-    return abs(_purity_bracket_dt(dt, t)) / (2.0 * bracket)
+def _relative_purity_rate(dbracket: float, bracket: float) -> float:
+    """(1/mu)|dmu/dt| from dB/dt and B = 1/mu^2 at one t."""
+    return abs(dbracket) / (2.0 * bracket)
+
+
+def _derivative(p) -> list:
+    """p' from p in ascending powers, k c_k, in p's slots: the last is 0, as `_polynomial` takes."""
+    return [k * p[k] for k in range(1, len(p))] + [0.0]
 
 
 def _horner(p, x: float) -> tuple[float, float]:
@@ -269,7 +272,7 @@ def _positive_roots(p) -> list[tuple[float, float]]:
         return [] if root is None else [root]
 
     # pieces between 0, the critical points and inf, each end with p and p'' there
-    critical = _positive_roots([k * p[k] for k in range(1, n + 1)])
+    critical = _positive_roots(_derivative(p[:n + 1]))
     ends = (
         [(0.0, 1.0 if signs[0] else -1.0, 0.0)]
         + [(c, _horner(p, c)[0], curvature) for c, curvature in critical]
@@ -308,9 +311,9 @@ def _positive_roots(p) -> list[tuple[float, float]]:
 
 
 def _stationarity_coefficients(b) -> tuple[list, list]:
-    """B' and P = B''B - B'^2 from the coefficients b of the quartic B, in ascending powers."""
-    d1 = [k * b[k] for k in range(1, 5)]   # B'
-    d2 = [k * d1[k] for k in range(1, 4)]  # B''
+    """B' (in B's slots) and P = B''B - B'^2 from the coefficients b of the quartic B, ascending."""
+    d1 = _derivative(b)   # B'
+    d2 = _derivative(d1)  # B''
     # each coefficient sums the B''B products, then subtracts the B'B' ones,
     # in ascending powers of the first factor
     return d1, [
@@ -423,7 +426,7 @@ def tgi_approx(gamma: float) -> float:
 def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[TgiRow]:
     """Information-gain rows for each correlation value, in input order.
 
-    A row is dB/dt, its tuple built first, and one lambda-QFI `_analytic_curve` row at tau_max.
+    A row is one lambda-QFI `_analytic_curve` row at tau_max, and dB/dt there.
     """
     if not lam > 0:
         raise ValueError("build_table1 requires lam > 0")
@@ -434,14 +437,14 @@ def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[
         try:
             p = probe.with_gamma(float(g))
             t_max = tau_max_exact(p, env)
-            dt = _purity_bracket_dt_coefficients(*_coefficient_args(p, env))
+            dt = _derivative(_purity_bracket_coefficients(*_coefficient_args(p, env)))
             bracket, mu, _, qfi = _analytic_curve(EstimationTarget.LAMBDA, p, env)(t_max)
             rows.append(
                 TgiRow(
                     gamma=float(g),
                     tau_max=t_max,
                     purity_at_tau_max=mu,
-                    relative_purity_rate=_relative_purity_rate(dt, t_max, bracket),
+                    relative_purity_rate=_relative_purity_rate(_polynomial(dt, t_max), bracket),
                     lambda_sq_qfi=lam**2 * qfi,
                     tgi_db=_tgi_db(t_max, t_ref),
                 )

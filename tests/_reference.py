@@ -8,15 +8,17 @@ tau0 = m sigma0^2/hbar, Lam = lam sigma0^2 tau0 and eps = (sigma0/ell0)^2:
     sxp = gamma + (1 + 2 eps + gamma^2) theta + 2 Lam theta^2
     spp = 1 + 2 eps + gamma^2 + 4 Lam theta
 
-and dS/dgamma, dS/dlam are its entries' exact derivatives.  From them
-`point` gives, at `DPS` digits, the bracket B = det S, the purity
+and dS/dgamma, dS/dlam and dS/dt = (1/tau0) dS/dtheta are its entries'
+exact derivatives.  From them `point` gives, at `DPS` digits, the bracket
+B = det S, its derivative dB = Tr[adj S dS] (Jacobi's formula), the purity
 mu = B^(-1/2) and its derivative, the adjugate trace Tr[(adj S dS)^2] as a
 matrix product, and the Gaussian QFI
 
     mu^4 Tr[(adj S dS)^2] / (2 (1 + mu^2)) + 2 (dmu)^2 / (1 - mu^4)
 
-(Pinel et al., PRA 88, 040102(R) (2013)).  Every input float is taken
-exactly; only the physical constants come from the package.
+(Pinel et al., PRA 88, 040102(R) (2013)); for t the relative purity rate
+|dmu/dt|/mu = |dB/dt|/(2B) follows from B and dB.  Every input float is
+taken exactly; only the physical constants come from the package.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ class Reference(NamedTuple):
 
 
 def covariance(mass, sigma0, ell0, gamma, lam, t, target=None) -> tuple:
-    """(sxx, sxp, spp) of S, or of dS/d(target) for target "gamma" or "lambda"."""
+    """(sxx, sxp, spp) of S, or of dS/d(target) for target "gamma", "lambda" or "t"."""
     m, s0, g, lm, t = (mpmath.mpf(v) for v in (mass, sigma0, gamma, lam, t))
     eps = 0 if ell0 == float("inf") else (s0 / mpmath.mpf(ell0)) ** 2
     tau = m * s0**2 / mpmath.mpf(HBAR)
@@ -54,6 +56,12 @@ def covariance(mass, sigma0, ell0, gamma, lam, t, target=None) -> tuple:
     if target == "lambda":
         return mpmath.mpf(4) / 3 * k * th**3, 2 * k * th**2, 4 * k * th
     lam_ = lm * k
+    if target == "t":  # d/dt = (1/tau0) d/dtheta
+        return (
+            (2 * g + 2 * big * th + 4 * lam_ * th**2) / tau,
+            (big + 4 * lam_ * th) / tau,
+            4 * lam_ / tau,
+        )
     return (
         1 + 2 * g * th + big * th**2 + mpmath.mpf(4) / 3 * lam_ * th**3,
         g + big * th + 2 * lam_ * th**2,
@@ -62,7 +70,7 @@ def covariance(mass, sigma0, ell0, gamma, lam, t, target=None) -> tuple:
 
 
 def point(target: str, mass, sigma0, ell0, gamma, lam, t) -> Reference:
-    """The reference quantities for target "gamma" or "lambda" at one point.
+    """The reference quantities for target "gamma", "lambda" or "t" at one point.
 
     B and the trace cancel by at most cond(S)^2 <= |S|^4 (B >= 1), so the
     work runs at `DPS` digits plus four times the digits of S's largest entry.
@@ -93,3 +101,14 @@ def point(target: str, mass, sigma0, ell0, gamma, lam, t) -> Reference:
             second = mpmath.inf if bracket == 1 else 2 * dmu**2 / (1 - mu**4)
         qfi = mu**4 * trace / (2 * (1 + mu**2)) + second
         return Reference(+bracket, +dbracket, +mu, +dmu, +trace, +qfi)
+
+
+def cancellation(coefficients, t: float) -> float:
+    """sum |c_k t^k| / |sum c_k t^k|: how far the terms of a polynomial in t cancel at t.
+
+    A closed form summed term by term in float loses about this factor times
+    a few epsilons; a test bounds its error by a multiple of it.
+    """
+    terms = [mpmath.mpf(c) * mpmath.mpf(t) ** k for k, c in enumerate(coefficients)]
+    total = mpmath.fsum(terms)
+    return mpmath.fsum(abs(x) for x in terms) / abs(total) if total else mpmath.inf

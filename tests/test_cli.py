@@ -543,26 +543,31 @@ class TestFigures:
         calls, built = [], []
         scales = pc.model._bracket_scales
         monkeypatch.setattr(pc.model, "_bracket_scales", lambda *a: calls.append(a) or scales(*a))
-        for module, name in [(pc.fisher, "_purity_bracket_coefficients"),
-                             (pc.thermometry, "_purity_bracket_coefficients"),
-                             (pc.thermometry, "_purity_bracket_dt_coefficients")]:
-            build = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, b=build: built.append(a) or b(*a))
+        for module in (pc.fisher, pc.thermometry):
+            build = module._purity_bracket_coefficients
+            monkeypatch.setattr(module, "_purity_bracket_coefficients",
+                                lambda *a, b=build, m=module: built.append((m, a[3], a[5:])) or b(*a))
         assert main(["figures", "--preset", "fig4", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert len(calls) == 1
-        assert len(built) == 3 * 3  # fig4a's B, fig4b's B and dB/dt, per gamma
+        # fig4a's B with dB/dlambda in one call, then fig4b's B, whose dB/dt is k c_k
+        # of it, per gamma
+        gammas = [0.0, 10.0, 50.0]
+        assert built == (
+            [(pc.fisher, g, ("lambda",)) for g in gammas] + [(pc.thermometry, g, ()) for g in gammas]
+        )
 
     def test_time_axis_builds_the_qfi_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
         # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis; the
-        # QFI's trace comes from the bracket's tuple, built once per gamma, and the
-        # bracket's fixed part is built once for the file
+        # QFI's trace comes from the bracket's tuple and its gamma derivative's, built
+        # in one call per gamma, and the bracket's fixed part is built once for the file
         clear_fixed_parts()
         calls = []
         build = pc.fisher._purity_bracket_coefficients
         monkeypatch.setattr(pc.fisher, "_purity_bracket_coefficients",
                             lambda *a: calls.append(a) or build(*a))
         assert main(["figures", "--preset", "figD", "--outdir", str(tmp_path), "--quiet"]) == 0
-        assert 0 < len(calls) <= 61
+        assert len({a[3] for a in calls}) == len(calls) == 61
+        assert {a[5:] for a in calls} == {("gamma",)}
         assert pc.model._purity_bracket_fixed.cache_info().misses == 1
 
     def test_fixed_factors_are_built_once_per_run(self, tmp_path, monkeypatch):
@@ -782,8 +787,12 @@ class TestScalarCommands:
             (["convert", "--to-lambda", "1e300"],
              "temperature=1e+300 K overflows the float range: (k_B*T)^1.5 needs T below "
              "~2.3e+228 K"),
+            # lambda^2 = 1e304 splits past the float range inside the oracle's lambda^2
+            # monomial, which moves with lambda: it is NaN at the centre
             (["qfi", "--target", "lambda", "--lambda", "1e152", "--t", "1us"],
-             "derivative failed to converge: relative spread nan"),
+             "a monomial moving with lambda overflows the float range at t/tau0=1.44446: the "
+             "oracle cannot difference a covariance or purity-bracket monomial that is not finite "
+             "(gamma=0, lambda=1e+152 m^-2 s^-1, t=1e-06 s)"),
             (["purity", "--mass", "1e200", "--lambda", "1e15", "--t", "1us"],
              "mass=1e+200 overflows the float range: mass^2 needs mass below ~1.3e+154 kg"),
             (["tgi", "--mass", "1e200", "--lambda", "1e15"],
@@ -801,7 +810,7 @@ class TestScalarCommands:
              "(sigma0/ell0) below ~1.3e+154"),
             (["purity", "--mass", "1e-200", "--lambda", "1e15", "--t", "1us"],
              "mass=1e-200 underflows the float range: mass^2, a divisor, needs mass above "
-             "~1.6e-162 kg"),
+             "~1.5e-154 kg"),
             (["convert", "--to-temp", "1", "--molecule-size", "1e-200"],
              "molecule_size=1e-200 underflows the float range: molecule_size^2, a divisor, needs "
              "molecule_size above ~1.6e-162 m"),
@@ -810,13 +819,22 @@ class TestScalarCommands:
               "--gamma", "-5920", "--ell0", "inf"],
              "quadrature step h=6.15445e+247 takes the readout variance out of the float range: "
              "V(theta+-h) is nan, nan at V=3.042e-17 (t/tau0=1.73335e-118)"),
-            # the double-double sxx overflows, and its NaN used to print as the purity
+            # mass^2 = 1e-320 is subnormal: the bracket's quotients by it lose bits
             (["purity", "--mass", "1e-160", "--lambda", "1e15", "--t", "1us"],
-             "covariance overflows the float range at t/tau0=1.73335e+136: (sxx, sxp, spp, det) "
-             "= (nan, 1.81772e+136, 1.04867, nan) are not all finite (mass=1e-160 kg, t=1e-06 s)"),
+             "mass=1e-160 underflows the float range: mass^2, a divisor, needs mass above "
+             "~1.5e-154 kg"),
+            # the double-double sxx overflows, and its NaN used to print as the purity
+            (["purity", "--mass", "1e-150", "--lambda", "1e15", "--t", "1us"],
+             "covariance overflows the float range at t/tau0=1.73335e+126: (sxx, sxp, spp, det) "
+             "= (nan, 1.81772e+126, 1.04867, nan) are not all finite (mass=1e-150 kg, t=1e-06 s)"),
             (["purity", "--mass", "1e-100", "--sigma0", "1e-100", "--lambda", "1e15", "--t", "1us"],
-             "tau0*mass=0 underflows the float range: tau0*mass = mass^2 sigma0^2/hbar, a divisor, "
-             "needs to stay above ~8.2e-325 kg s (mass=1e-100 kg, sigma0=1e-100 m)"),
+             "3*tau0*mass=0 underflows the float range: 3 tau0 mass = 3 mass^2 sigma0^2/hbar, a "
+             "divisor, needs to stay above ~2.2e-308 kg s (mass=1e-100 kg, sigma0=1e-100 m)"),
+            # 3 tau0 mass = 4.9e-324 is subnormal: a quotient by it puts the purity 1.4% off
+            (["purity", "--mass", "1e-100", "--sigma0", "1.3e-79", "--lambda", "1e15", "--t", "1us"],
+             "3*tau0*mass=4.94066e-324 underflows the float range: 3 tau0 mass = 3 mass^2 "
+             "sigma0^2/hbar, a divisor, needs to stay above ~2.2e-308 kg s (mass=1e-100 kg, "
+             "sigma0=1.3e-79 m)"),
             # mass sigma0^2 rounds to 0, so tau0 does, and the quadrature divides t by it
             (["cfi", "--target", "gamma", "--mass", "1e-150", "--sigma0", "1e-100", "--lambda",
               "1e15", "--t", "1us"],
@@ -886,7 +904,8 @@ class TestScalarCommands:
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
              "cfi-gamma-mass-1e200", "tgi-lambda-1e154", "purity-sigma0-1e200",
              "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100",
-             "purity-mass-1e-160", "purity-tau0-mass-1e-366", "cfi-tau0-1e-350",
+             "purity-mass-1e-160", "purity-mass-1e-150", "purity-tau0-mass-1e-366",
+             "purity-tau0-mass-subnormal", "cfi-tau0-1e-350",
              "qfi-oracle-tau0-1e-117", "qfi-lambda-mixed-purity-1",
              "qfi-gamma-mixed-purity-1", "qfi-gamma-1e200", "tgi-gamma-1e200", "purity-gamma-minus-1e200",
              "qfi-lambda-dbracket-square", "qfi-gamma-nan-trace-1e60",

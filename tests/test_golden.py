@@ -64,23 +64,23 @@ GOLDEN = {
     'fig2-defaults': {
         'fig2a.csv': '48443ca2a60ec76e286c3b5a6ae0222699af284ff889a3e3d9c05dc768ae7291',
         'fig2a.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2b.csv': '4b178741a54b8b5ef22a6819d1d9a4a353e63841f4f2467aa94f5402b33d720b',
+        'fig2b.csv': '334b86f5bac953b8513a8d2e2a71a7e755d83cca5b1cd262c7b0a20bbbc4e221',
         'fig2b.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2c.csv': '98fec932ac97549572246405c889c4a4cf0b07c8c056ca311f25632b102ef7ac',
+        'fig2c.csv': '1759cc80735f031515d104299f02027fc84519d803253841d75ae4e6c1b5c23a',
         'fig2c.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2d.csv': 'bd089432381ce40cd10198f0e2bdc90ca6acc0fb31b4c66476bad17db8a3e6ce',
+        'fig2d.csv': 'b73ce50c2e0bc6b85c58a00da268abff0d2f658d046e1bd3c0533b5b181d358a',
         'fig2d.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
     },
     'fig3-defaults': {
-        'fig3a.csv': 'b2f4f42e395a0bc80c1d58d269991c914e1e3a62c3c2007e97d3bedfa52a814e',
+        'fig3a.csv': 'f35231d13f18b7907cab85b725534ec1a4d7109bb649023d8e521d11acc92500',
         'fig3a.csv.manifest.json': '7c355cee7436bd35eafd9e34dba569b036262791a40194f00bf246fbdb45b687',
-        'fig3b.csv': '32f806c96cefc8294cecd3bdf8f6694fa3cc0cfafed3a2206301db7066690442',
+        'fig3b.csv': '1a81f59a5f6f644ffd56705666d09e8966ee180c82cd8c7e1b23055609854fba',
         'fig3b.csv.manifest.json': '7c355cee7436bd35eafd9e34dba569b036262791a40194f00bf246fbdb45b687',
     },
     'fig4-defaults': {
         'fig4a.csv': '97bc327c1c381f7a9ffedcfe5ec6df4f1035fbad23ce1dff3a2a5034e2a02ea3',
         'fig4a.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
-        'fig4b.csv': '9b56860948bfa2daacc3206736d81e0ce14834b74082ec5c454787cea4d55b9b',
+        'fig4b.csv': '405cff53672064455ae34c445711a77c1876b3ea6c7b7cffc3792ba04107e835',
         'fig4b.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
     },
     'fig5-defaults': {
@@ -90,7 +90,7 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '82b0719ad8d7fe8a4db0b569ecaa69dc174a82e269a0a88e8e4ea39499c3bde6',
     },
     'figD-defaults': {
-        'figD_grid.csv': '5a6efa5d4c197cc4cc4bec65e589ff6732456253912679d57cb9d12826f6834f',
+        'figD_grid.csv': '6375b5864e4f1073e853b7d79d4a704e09ebb26de8f43bec504f051749de7784',
         'figD_grid.csv.manifest.json': '40dc020722da1ac65e66ffdec1f01d15c201ace721a0cc5c6fc7b0f39bfc0153',
     },
     'figE-defaults': {
@@ -100,23 +100,23 @@ GOLDEN = {
     'fig2-coherent': {
         'fig2a.csv': '9f79993b826951012283507967120281b26a9f0c23d29769390e73e0fa165bf2',
         'fig2a.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2b.csv': '142d4012ac2f5be8ce2bcd5d2617523466028b26ff3a6e51212ca01e1a366fa7',
+        'fig2b.csv': '5f28e017f39c198a533aad1b0e0a4bd54bc8ea57c6a99216f5bcdfbac4871b0d',
         'fig2b.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2c.csv': 'db3d86628dded4ce0703094f6a81d78940aef9d3bc8cb376df4053d238669bd3',
+        'fig2c.csv': '5de72655ca8d9d228079818c9751bb101ce81ec241e9ff309527a51824ea9e4e',
         'fig2c.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2d.csv': '643d1ecdd5968ebe8a4634cbefb65adc00e93e82699edc4c0023ee0bb81f3139',
+        'fig2d.csv': 'fb887e0db1d7d656f93069600d6ffcfa1f69337ec0d4a37c999ff3785b36db60',
         'fig2d.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
     },
     'fig3-coherent': {
-        'fig3a.csv': 'b5f62457ef3e73ab8e784a4748eecf58b1a17f88d6d42c96133df19f82fb4c81',
+        'fig3a.csv': '3c030d2dddcb1da805c8ee4082d9a6c7c8760e0a6e83b0b54d695d8f502399b4',
         'fig3a.csv.manifest.json': 'fba2dbebb2e1c26e3f8d477436b6d2385056ef1f7708ce7f427a133356d0f1f2',
-        'fig3b.csv': '5a14bcc8326d02c46cf05ae27948cc83b96a5d58ea19e4ce181d308fca7ba9f0',
+        'fig3b.csv': 'af57fba2f4ce44feb97e432505a10e319b56ad53ddb6adaed98be1239478f07b',
         'fig3b.csv.manifest.json': 'fba2dbebb2e1c26e3f8d477436b6d2385056ef1f7708ce7f427a133356d0f1f2',
     },
     'fig4-coherent': {
         'fig4a.csv': '7891f2849f7a084b7a1a7bf70305c24e679feb5d6a1833858c36aa79ccc5c606',
         'fig4a.csv.manifest.json': 'afc33d93368d59e8dc23a2a3da838fc3daa0cfa2d9e2951840b7c3fe7a1a5af1',
-        'fig4b.csv': 'c5ebdd6678bdc4fbe70e355b799497023acbcc10a4925bc16c0cc936edfee30c',
+        'fig4b.csv': '3feaee057bec568e4bb5b680ca1c1687bb5647bfe3f9b4c529cc189bfd865fb9',
         'fig4b.csv.manifest.json': 'afc33d93368d59e8dc23a2a3da838fc3daa0cfa2d9e2951840b7c3fe7a1a5af1',
     },
     'fig5-coherent': {
@@ -126,7 +126,7 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '14adf54954cb0777550327acb6850893eebf012f9c64b539ebff3c04572e6e55',
     },
     'figD-coherent': {
-        'figD_grid.csv': 'd894770e25e6b5b0b015ce3706d568b1ffd569b34984f887332e65cca0b7436a',
+        'figD_grid.csv': 'ac29ef421bf658a9d72c4c834dec622ddf57ccd89f00c183b2d3f85e122a0517',
         'figD_grid.csv.manifest.json': 'bae1d172a92cefd7f30a77fcefdb6038f571e784bb843775a80ab1db003860b1',
     },
     'figE-coherent': {
@@ -137,7 +137,7 @@ GOLDEN = {
         'fig4a.csv': '97bc327c1c381f7a9ffedcfe5ec6df4f1035fbad23ce1dff3a2a5034e2a02ea3',
         'fig4a.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
         'fig4a.svg': '2dff909021c4e3f5df48a03e06f0f5bacf8f9f75938ba87d456124d1771a4c77',
-        'fig4b.csv': '9b56860948bfa2daacc3206736d81e0ce14834b74082ec5c454787cea4d55b9b',
+        'fig4b.csv': '405cff53672064455ae34c445711a77c1876b3ea6c7b7cffc3792ba04107e835',
         'fig4b.csv.manifest.json': '5ad73f072be1561d43ba1d7623507715689f31a0cbc72e0bc74d2003f4ef0355',
         'fig4b.svg': '9bbdf6b7ddec0b88cb9d164f11eb65f76d330f036f49c50a2c3f1b2edc7fc59d',
     },
@@ -150,19 +150,19 @@ GOLDEN = {
         'sweep.csv.manifest.json': '31503c73bf3055f8b65df41c588dd542f3186d4a4c137e6acf4869a8e31615d1',
     },
     'sweep-gamma-gamma': {
-        'sweep.csv': 'be148eee5f1581c80f2f8a35ab44353d0cd3fecd9319842834bd4aedf045436c',
+        'sweep.csv': '817b91271b592808a8529310980cc404c3b13b9759612bf405c8999edcde5987',
         'sweep.csv.manifest.json': 'bd65ecba7062a082b9e504c1f4ffcc6f1407f2711ae90c33623305a6d9892b66',
     },
     'sweep-gamma-time-log': {
-        'sweep.csv': '6c4319790e9a8b96e722c2d127176839bd7877b4fb3f51a8c3fb062af8eac273',
+        'sweep.csv': 'c215658d9dd4cc35038ba977f8e1ae1ad6f0557bb025973c2ca1fa8784ed8d60',
         'sweep.csv.manifest.json': '0c9dda180fe34423eae543c95cf6ef7cc1eeae8153afa6cd8fc5b487f34f41f3',
     },
     'sweep-lambda-lambda-from-zero': {
-        'sweep.csv': '5d09966758e08331a68a2006a7e3720357dafaa9115aab956d5b4dd0d3524962',
+        'sweep.csv': '3be0db9ae97ed07f37c260159c386278443a312eb1716991276c2ef5a456f572',
         'sweep.csv.manifest.json': 'd93d4df8ae5b1ae1d9fb5082c3b5d1ddf9229b217b650ff1656bc2eed7759909',
     },
     'sweep-lambda-lambda-log': {
-        'sweep.csv': '1ee68be590cc39e3e4c667382903b74cb6c0f7354e31f7068cf456ef7a201496',
+        'sweep.csv': '3cb93c8041caf77de0d6dd689481e8c9b2381512c163b2b32d7206b0df4eae1b',
         'sweep.csv.manifest.json': '70264a052219790bb13501a40dc95c753309dfbe5466cd509fb7329987593b38',
         'sweep.svg': '97ebf6948f9ab6015981c2bc309975b0d188746ea29b9dfedf55de085b7e1521',
     },

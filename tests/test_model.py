@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import _reference
 import pmcorr as pc
-from pmcorr import model
+from pmcorr import model, thermometry
 from pmcorr.constants import HBAR
 
 FULLERENE = pc.fullerene_probe()
@@ -27,10 +28,15 @@ def _bracket_monomials(probe, e, t):
     return model._purity_bracket_dd(f, probe.gamma, e.lam)
 
 
-def _bracket_copy(name, probe, e, t):
-    """model's bracket copy `name` at (probe, e, t): its coefficients, then its value at t."""
-    coefficients = getattr(model, f"{name}_coefficients")(*model._coefficient_args(probe, e))
-    return getattr(model, name)(coefficients, t)
+def _bracket_derivative(wrt, probe, e, t):
+    """d(1/purity^2)/d(wrt) at (probe, e, t) from the one builder's tuples, summed after B at t."""
+    args = model._coefficient_args(probe, e)
+    if wrt == "t":
+        b = model._purity_bracket_coefficients(*args)
+        d = thermometry._derivative(b)
+    else:
+        b, d = model._purity_bracket_coefficients(*args, wrt)
+    return model._purity_bracket(b, t, d)[1]
 
 
 def kernel_variance(probe, k, t):
@@ -243,9 +249,9 @@ class TestPositionDensityVariance:
             pc.purity_exact, pc.purity_approx, pc.relative_purity_rate,
             lambda p, e, t: pc.qfi_numeric("gamma", p, e, t),
             lambda p, e, t: pc.qfi_numeric("lambda", p, e, t),
-            lambda p, e, t: _bracket_copy("_purity_bracket_dt", p, e, t),
-            lambda p, e, t: _bracket_copy("_purity_bracket_dgamma", p, e, t),
-            lambda p, e, t: _bracket_copy("_purity_bracket_dlam", p, e, t),
+            lambda p, e, t: _bracket_derivative("t", p, e, t),
+            lambda p, e, t: _bracket_derivative("gamma", p, e, t),
+            lambda p, e, t: _bracket_derivative("lambda", p, e, t),
             _bracket_monomials,
         ],
         ids=["purity_exact", "purity_approx", "relative_purity_rate", "qfi_numeric-gamma",
@@ -254,9 +260,9 @@ class TestPositionDensityVariance:
     def test_tau0_mass_underflow_named(self, call):
         # tau0*mass = mass^2 sigma0^2/hbar ~ 1e-366 rounds to 0 while mass^2 does not
         probe = pc.ProbeSpec(mass=1e-100, sigma0=1e-100)
-        with pytest.raises(ZeroDivisionError, match=r"tau0\*mass=0 underflows the float range: "
-                           r"tau0\*mass = mass\^2 sigma0\^2/hbar, a divisor, needs to stay above "
-                           r"~8\.2e-325 kg s \(mass=1e-100 kg, sigma0=1e-100 m\)"):
+        with pytest.raises(ZeroDivisionError, match=r"3\*tau0\*mass=0 underflows the float range: "
+                           r"3 tau0 mass = 3 mass\^2 sigma0\^2/hbar, a divisor, needs to stay "
+                           r"above ~2\.2e-308 kg s \(mass=1e-100 kg, sigma0=1e-100 m\)$"):
             call(probe, env(1e15), 1e-6)
 
     @pytest.mark.parametrize(
@@ -278,20 +284,37 @@ class TestPositionDensityVariance:
                            r"sigma0=1e-100 m\)"):
             call(probe, env(1e15), 1e-6)
 
-    def test_tau0_mass_band_fails_only_where_tau0_mass_divides(self):
-        # tau0*mass ~ 1.6e-324 rounds to 0, but 3 tau0 mass rounds to 5e-324: only
-        # _purity_bracket_dt divides by the former, so only the purity rate fails
-        probe = pc.ProbeSpec(mass=1e-100, sigma0=1.3e-79)
+    @pytest.mark.parametrize(
+        "mass, sigma0, reference, error",
+        [
+            # 3 tau0 mass rounds to 4.9e-324 and 1.5e-323: the old quotients put the
+            # purity 1.4% and 1.8% off the reference
+            (1e-100, 1.3e-79, 3.37596412723362e-144,
+             r"3\*tau0\*mass=4\.94066e-324 underflows the float range: 3 tau0 mass = 3 mass\^2 "
+             r"sigma0\^2/hbar, a divisor, needs to stay above ~2\.2e-308 kg s \(mass=1e-100 kg, "
+             r"sigma0=1\.3e-79 m\)$"),
+            (1e-100, 3e-79, 7.7906864474622e-144,
+             r"3\*tau0\*mass=2\.47033e-323 underflows the float range"),
+            # mass^2 = 1e-320 is subnormal: the old quotients put the purity 5.6e-9 off
+            (1e-160, 1e-6, 2.59559800777114e-131,
+             r"mass=1e-160 underflows the float range: mass\^2, a divisor, needs mass above "
+             r"~1\.5e-154 kg$"),
+        ],
+        ids=["tau0-mass-1.3e-79", "tau0-mass-3e-79", "mass-sq-1e-320"],
+    )
+    def test_subnormal_divisor_is_named_on_every_route(self, mass, sigma0, reference, error):
+        # every copy of the bracket divides by mass^2 and 3 tau0 mass, and a
+        # subnormal divisor has lost bits: each names it instead of a wrong value
+        probe = pc.ProbeSpec(mass=mass, sigma0=sigma0)
         e, t = env(1e15), 1e-6
-        tau = pc.tau0(probe)
-        assert tau * probe.mass == 0.0 < 3.0 * tau * probe.mass
-        assert pc.purity_exact(probe, e, t) == 3.422348660947088e-144
-        assert pc.purity_approx(probe, e, t) == 3.422348660947088e-144
-        assert _bracket_copy("_purity_bracket_dgamma", probe, e, t) == 4.218287267999999e+69
-        assert _bracket_copy("_purity_bracket_dlam", probe, e, t) == 8.537908481407391e+271
-        assert _bracket_monomials(probe, e, t)[4][0] == 8.537908481407391e+286
-        with pytest.raises(ZeroDivisionError, match=r"^tau0\*mass=0 underflows the float range"):
-            pc.relative_purity_rate(probe, e, t)
+        exact = _reference.point("gamma", mass, sigma0, math.inf, 0.0, e.lam, t).purity
+        assert float(exact) == pytest.approx(reference, rel=1e-14)
+        for call in [pc.purity_exact, pc.purity_approx, pc.relative_purity_rate,
+                     lambda p, e, t: _bracket_derivative("gamma", p, e, t),
+                     lambda p, e, t: _bracket_derivative("lambda", p, e, t),
+                     _bracket_monomials]:
+            with pytest.raises(ZeroDivisionError, match=f"^{error}"):
+                call(probe, e, t)
 
     def test_width_scaling(self):
         # double sigma0 holding all dimensionless ratios fixed: theta, eps, lam*sigma0^2*tau0

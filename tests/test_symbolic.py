@@ -1,14 +1,17 @@
-"""Symbolic check that every hand-kept copy of the purity bracket is one polynomial.
+"""Symbolic check that both copies of the purity bracket, and its derivatives, are one polynomial.
 
 `model._covariance_dd` of `model._covariance_factors` is the single source
 of the covariance.  On sympy symbols the double-double helpers reduce to
 exact products (each splitting error cancels to zero), so evaluating it with
 symbols for the parameters, and `model.HBAR` patched to a symbol, yields the
-covariance entries exactly.  Their determinant B = sxx spp - sxp^2 is 1/purity^2, and
-each copy of B or of its derivatives kept in `model` must equal it after its
-float coefficients are rationalised.  The hand-expanded stationarity
-polynomial P = B''B - B'^2 of `thermometry` is checked on symbolic
-coefficients of a general quartic.
+covariance entries exactly.  Their determinant B = sxx spp - sxp^2 is
+1/purity^2.  The closed-form builder `model._purity_bracket_coefficients`
+and the oracle's monomials `model._purity_bracket_dd` must each equal B
+after their float coefficients are rationalised, and the builder's derived
+tuples, dB/dgamma and dB/dlam from its parts and dB/dt as k c_k of its own
+tuple (`thermometry._derivative`), must equal B's derivatives.  The
+hand-expanded stationarity polynomial P = B''B - B'^2 of `thermometry` is
+checked on symbolic coefficients of a general quartic.
 
 The same covariance S checks the closed forms of `fisher`: the adjugate
 trace (dB/dtheta)^2 - 2 B det(dS/dtheta) is Tr[(adj S dS/dtheta)^2] for
@@ -39,10 +42,12 @@ def exact(expr):
     return sp.nsimplify(expr, rational=True)
 
 
-def at(copy):
-    """A bracket copy of `model` at the symbols: its coefficients, then its value at t."""
-    coefficients = getattr(model, f"{copy.__name__}_coefficients")
-    return lambda: copy(coefficients(*ARGS), T)
+def derivative_coefficients(wrt):
+    """The builder's tuples of B and dB/d(wrt) at the symbols, for wrt in {"t", "gamma", "lambda"}."""
+    if wrt == "t":
+        b = model._purity_bracket_coefficients(*ARGS)
+        return b, thermometry._derivative(b)
+    return model._purity_bracket_coefficients(*ARGS, wrt)
 
 
 def dd_total(terms):
@@ -77,7 +82,7 @@ def test_bracket_has_the_published_form(bracket):
 @pytest.mark.parametrize(
     "copy",
     [
-        at(model._purity_bracket),
+        lambda: model._purity_bracket(model._purity_bracket_coefficients(*ARGS), T),
         lambda: sum(hi + lo for hi, lo in model._purity_bracket_dd(
             model._purity_bracket_factors(M, S0, EPS, T), G, LAM)),
     ],
@@ -94,16 +99,15 @@ def test_bracket_coefficients(bracket):
 
 
 @pytest.mark.parametrize(
-    "copy, variable",
-    [
-        (at(model._purity_bracket_dt), T),
-        (at(model._purity_bracket_dgamma), G),
-        (at(model._purity_bracket_dlam), LAM),
-    ],
-    ids=["dt", "dgamma", "dlam"],
+    "wrt, variable", [("t", T), ("gamma", G), ("lambda", LAM)], ids=["dt", "dgamma", "dlam"]
 )
-def test_bracket_derivatives(bracket, copy, variable):
-    assert sp.expand(exact(copy()) - sp.diff(bracket, variable)) == 0
+def test_bracket_derivatives(bracket, wrt, variable):
+    # each derived tuple keeps B's five slots; it is summed after B from B's powers
+    # of t, or alone by `_polynomial`
+    b, d = derivative_coefficients(wrt)
+    assert len(d) == 5
+    assert sp.expand(exact(model._purity_bracket(b, T, d)[1]) - sp.diff(bracket, variable)) == 0
+    assert sp.expand(exact(model._polynomial(d, T)) - sp.diff(bracket, variable)) == 0
 
 
 def test_stationarity_coefficients():
@@ -113,7 +117,9 @@ def test_stationarity_coefficients():
     quartic = sum(c * x**k for k, c in enumerate(b))
     d1, p = thermometry._stationarity_coefficients(list(b))
     stationarity = sp.expand(sp.diff(quartic, x, 2) * quartic - sp.diff(quartic, x) ** 2)
-    assert [sp.expand(c) for c in d1] == [sp.diff(quartic, x).coeff(x, k) for k in range(4)]
+    # B' keeps B's five slots, its last 0
+    assert [sp.expand(c) for c in d1[:4]] == [sp.diff(quartic, x).coeff(x, k) for k in range(4)]
+    assert d1[4] == 0.0
     assert [sp.expand(c) for c in p] == [stationarity.coeff(x, k) for k in range(7)]
 
 
@@ -126,10 +132,10 @@ def test_phi_is_the_adjugate_trace(covariance, target, variable):
     s = sp.Matrix([[sxx, sxp], [sxp, spp]])
     product = s.adjugate() * s.diff(variable)
     trace = (product * product).trace()
-    bracket = model._purity_bracket(model._purity_bracket_coefficients(*ARGS), T)
-    dbracket, db = fisher._bracket_derivative(target, ARGS)
+    b, d = derivative_coefficients(target.value)
+    bracket, dbracket = model._purity_bracket(b, T, d)
     det = fisher._det_derivative(target, ARGS)
-    phi = fisher._phi_from_bracket(target, det, bracket, dbracket(db, T), T)
+    phi = fisher._phi_from_bracket(target, det, bracket, dbracket, T)
     assert sp.cancel(trace - exact(fisher._ADJ_TRACE_RESCALE * phi)) == 0
 
 
