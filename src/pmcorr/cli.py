@@ -52,8 +52,6 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _coefficient_args,
-    _polynomial,
-    _purity_bracket_coefficients,
     _require_positive_t,
     covariance,
     purity_approx,
@@ -62,9 +60,6 @@ from .model import (
 )
 from .thermometry import (
     TABLE1_REFERENCE,
-    _derivative,
-    _purity_and_rate,
-    _relative_purity_rate,
     _tgi_db,
     build_table1,
     lambda_from_temperature,
@@ -275,9 +270,11 @@ def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) ->
     kind.  Each group maps (probe, env) to a function of t that returns a list
     of cells: the group is called once per (probe, env) that a run of rows
     shares, so what depends on them alone is built once, and its function once
-    per row, in row order.  Probes and environments are built once per axis
-    value, not once per row.  A row whose groups fail numerically raises
-    ConvergenceError naming its index and point.
+    per row, in row order: an `_analytic` group makes one bracket-builder call
+    per (probe, env) and evaluates one `fisher._analytic_curve` row per row.
+    Probes and environments are built once per axis value, not once per row.
+    A row whose groups fail numerically raises ConvergenceError naming its
+    index and point.
     """
     build = {"gamma": probe.with_gamma, "lambda": lambda v: EnvironmentSpec(lam=v), "time": float}
     levels = [[(kind, v, build[kind](v)) for v in values] for kind, values in axes]
@@ -285,28 +282,33 @@ def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) ->
     args = [probe, None if on_axis else EnvironmentSpec(lam=lam), t]
     rows, held, evaluators = [], [None, None], []
     for point in itertools.product(*levels):
-        for kind, _, arg in point:
+        # loops, not comprehensions: before Python 3.12 each comprehension costs a frame per row
+        row = []
+        for kind, v, arg in point:
             args[_AXIS_ARG[kind]] = arg
+            row.append(v)
         try:
             if args[0] is not held[0] or args[1] is not held[1]:
                 evaluators = [group(args[0], args[1]) for group in groups]
                 held = args[:2]
-            cells = [cell for at in evaluators for cell in at(args[2])]
+            for at in evaluators:
+                row += at(args[2])
         except (ConvergenceError, ArithmeticError) as exc:
             where = ", ".join(f"{_AXIS_COLUMN[kind]}={v!r}" for kind, v, _ in point)
             raise ConvergenceError(f"row {len(rows)} ({where}) failed: {exc}") from exc
-        rows.append([v for _, v, _ in point] + cells)
+        rows.append(row)
     return rows
 
 
-def _analytic(target, cfi: bool = False, slope=None):
-    """Group of analytic columns for `target`: its QFI, its position-readout CFI
-    where asked, then, where `slope` names a parameter, the purity and its
-    relative slope |d purity / d slope| / purity.
+def _analytic(target=None, cfi: bool = False, slope=None):
+    """Group of analytic columns: the QFI of `target`, where one is given, its
+    position-readout CFI where asked, then, where `slope` names a parameter
+    ("gamma", "lambda" or "t"), the purity and its relative slope
+    |dB/d(slope)|/(2B), B = 1/purity^2.
 
     Lambda's QFI and CFI are scaled by lambda^2, as the figures plot them.  The
-    purity, its derivative and the QFI come from one `fisher._analytic_curve`,
-    and the CFI's coefficients are built beside it, once per (probe, env).
+    purity, its relative slope and the QFI are one `fisher._analytic_curve`
+    row, and the CFI's coefficients are built beside it, once per (probe, env).
     """
     def at(probe, env):
         lam_sq = env.lam**2 if target is _LAMBDA else 1.0
@@ -314,12 +316,12 @@ def _analytic(target, cfi: bool = False, slope=None):
         closed = _cfi_coefficients(target, _coefficient_args(probe, env)) if cfi else None
 
         def cells(t):
-            _, mu, dmu, value = curve(t)
-            row = [lam_sq * value]
+            mu, _, rate, value = curve(t)
+            row = [] if target is None else [lam_sq * value]
             if cfi:
                 row.append(lam_sq * _cfi_closed_at(target, closed, t))
             if slope:
-                row += [mu, abs(dmu) / mu]
+                row += [mu, rate]
             return row
 
         return cells
@@ -387,13 +389,13 @@ _FIGE_GAMMAS = (-10.0, 0.0, 5.0)
 _FIGURES = {
     "fig2": [
         (f"fig2{panel}.csv", ["qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
-         [_GAMMA_AXIS], lam, 1e-6, [_analytic(_GAMMA, cfi=True, slope=_GAMMA)])
+         [_GAMMA_AXIS], lam, 1e-6, [_analytic(_GAMMA, cfi=True, slope="gamma")])
         for panel, lam in (("a", 0.0), ("b", 1e20), ("c", 1e22), ("d", 1e23))
     ],
     "fig3": [
         (f"fig3{panel}.csv", ["lambda_sq_qfi", "lambda_sq_cfi", "purity", "rel_purity_slope_gamma"],
          [_GAMMA_AXIS], lam, 50e-6,
-         [_analytic(_LAMBDA, cfi=True, slope=_GAMMA)])
+         [_analytic(_LAMBDA, cfi=True, slope="gamma")])
         for panel, lam in (("a", 1e15), ("b", 1e21))
     ],
     "fig4": [
@@ -401,7 +403,7 @@ _FIGURES = {
          [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _analytic(_LAMBDA))]),
         ("fig4b.csv", [f"purity_gamma{g:g}" for g in _FIG4_GAMMAS]
          + [f"purity_rate_per_s_gamma{g:g}" for g in _FIG4_GAMMAS],
-         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _purity_and_rate, (1, 1))]),
+         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _analytic(slope="t"), (1, 1))]),
     ],
     "fig5": [
         ("fig5_curve.csv", ["tgi_approx_db"], [_GAMMA_AXIS], None, None,
@@ -412,14 +414,14 @@ _FIGURES = {
     "figD": [
         ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
          [_axis("gamma", -150.0, 150.0, 61), _axis("time", -7.0, -4.0, 41, True)],
-         1e22, None, [_analytic(_GAMMA, slope=_GAMMA)]),
+         1e22, None, [_analytic(_GAMMA, slope="gamma")]),
     ],
     "figE": [
         ("figE.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIGE_GAMMAS]
          + [f"{column}_gamma{g:g}" for g in _FIGE_GAMMAS
             for column in ("purity", "rel_purity_slope_lambda")],
          [_axis("lambda", 13.0, 22.0, 181, True)], None, 50e-6,
-         [_per_gamma(_FIGE_GAMMAS, _analytic(_LAMBDA, slope=_LAMBDA), (1, 2))]),
+         [_per_gamma(_FIGE_GAMMAS, _analytic(_LAMBDA, slope="lambda"), (1, 2))]),
     ],
 }
 
@@ -474,18 +476,14 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
     numeric = iter(numeric)  # _grid calls `cells` once per row, in row order
 
     def at(probe, env):
-        if target is None:
-            return _purity_and_rate(probe, env)
-        dt = _derivative(_purity_bracket_coefficients(*_coefficient_args(probe, env)))
-        curve = _analytic_curve(target, probe, env)
+        curve = _analytic_curve(target, probe, env, "t")
         closed = _cfi_coefficients(target, _coefficient_args(probe, env))
 
         def cells(t):
             value = next(numeric)
-            bracket, mu, _, analytic = curve(t)  # B = 1/purity^2 before dB/dt
+            mu, _, rate, analytic = curve(t)
             row = [
-                mu, _relative_purity_rate(_polynomial(dt, t), bracket), analytic,
-                qfi_numeric(target, probe, env, t) if value is None else value,
+                mu, rate, analytic, qfi_numeric(target, probe, env, t) if value is None else value,
                 _cfi_closed_at(target, closed, t),
             ]
             if target is _LAMBDA:
@@ -495,7 +493,8 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
         return cells
 
     try:
-        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [at])
+        group = _analytic(slope="t") if target is None else at
+        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [group])
     except ConvergenceError as exc:  # _grid names the failing row
         print(f"sweep {exc}", file=sys.stderr)
         return 3

@@ -38,7 +38,6 @@ from .model import (
     _covariance_factors,
     _kernel_b_sq,
     _kernel_coefficients,
-    _polynomial,
     _purity_bracket,
     _purity_bracket_coefficients,
     _purity_bracket_dd,
@@ -188,10 +187,7 @@ def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) 
     """Analytic d(purity)/d(theta) for theta in {gamma, lam}."""
     target = _as_target(target)
     _require_nonnegative_t(t)
-    args = _coefficient_args(probe, env)
-    b, db = _purity_bracket_coefficients(*args, target.value)
-    bracket, d = _purity_bracket(b, t, db)  # as in `_analytic_curve`: B names a t^k overflow
-    return _purity_derivative(d, bracket)
+    return _analytic_curve(None, probe, env, target.value)(t)[1]
 
 
 def _second_term(mu: float, dmu: float, pure: bool) -> float:
@@ -225,42 +221,53 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     return _analytic_curve(target, probe, env)(t)[3]
 
 
-def _analytic_curve(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec,
-                    slope: EstimationTarget | None = None):
-    """The function t -> (bracket, purity, d(purity)/d(slope), QFI) at one (probe, env).
+def _analytic_curve(target: EstimationTarget | None, probe: ProbeSpec, env: EnvironmentSpec,
+                    slope: str | None = None):
+    """The function t -> (purity, d(purity)/d(theta), relative slope, QFI) at one (probe, env).
 
-    The QFI is the target's; `slope` names the parameter of the purity
-    derivative returned, the target itself by default.  The coefficient
-    tuples of the purity bracket and of its target derivative, and for
-    another `slope` of its derivative, are built here, once, by the one
-    closed-form builder `model._purity_bracket_coefficients`, with
-    det(dS/d(target)).  Each t evaluates the bracket and then, from its
-    powers of t, the derivative, then the QFI's second term, then phi, the
-    adjugate trace over 16, from the bracket and the derivative, and last
-    the other slope's derivative, so `qfi_analytic` and a grid row that
-    fail name the same error.  The first term takes the
+    The one evaluator of the closed-form purity, slope, rate and QFI cells.
+    theta is the target, or the slope where the target is None.  `slope`
+    names "gamma", "lambda" or "t", the target's by default, and the
+    relative slope is |dB/d(slope)|/(2B) = |d(purity)/d(slope)|/purity with
+    B = 1/purity^2.  The QFI is the target's; a None target builds and
+    evaluates neither det(dS), phi nor a QFI, so a purity-only row cannot
+    fail on one.  One `model._purity_bracket_coefficients` call builds B's
+    tuple and the target's and the slope's derivative tuples.  Each t
+    evaluates B once and each derivative from its powers of t, then the
+    QFI's second term and phi, the adjugate trace over 16, so `qfi_analytic`
+    and a grid row that fail name the same error.  The first term takes the
     purity's powers from B itself, mu^4 / (1 + mu^2) = 1 / (B (B + 1)), so
     B's rounding is not compounded through B^(-1/2) and its fourth power,
-    and no power underflows.
+    and no power underflows; its factor 8 scales the last divisor, exactly,
+    so a subnormal first term is rounded once.
     """
     args = _coefficient_args(probe, env)
     # _value_ is the enum's value without its descriptor, which costs ~5 times more per group
-    b, db = _purity_bracket_coefficients(*args, target._value_)
-    det = _det_derivative(target, args)
-    ds = None if slope in (None, target) else _purity_bracket_coefficients(*args, slope._value_)[1]
-    pure = env.lam == 0.0 and _purity_bracket_fixed(*args[:3])[2] == 0.0  # 2 eps, kept
+    if slope is None:
+        slope = target._value_
+    # the target's derivative, then the slope's where it is another parameter's
+    wrt = (slope,) if target is None or target._value_ == slope else (target._value_, slope)
+    b, dq, *other = _purity_bracket_coefficients(*args, *wrt)
+    ds = other[0] if other else None
+    if target is not None:
+        det = _det_derivative(target, args)
+        pure = env.lam == 0.0 and _purity_bracket_fixed(*args[:3])[2] == 0.0  # 2 eps, kept
 
     def curve(t):
-        bracket, d = _purity_bracket(b, t, db)
+        if ds is None:
+            bracket, d = _purity_bracket(b, t, dq)
+            s = d
+        else:
+            bracket, d, s = _purity_bracket(b, t, dq, ds)
         mu = bracket**-0.5
         dmu = _purity_derivative(d, bracket)
-        second = _second_term(mu, dmu, pure)
-        phi = _phi_from_bracket(target, det, bracket, d, t)
-        # mu^4 / (2 (1 + mu^2)) 16 phi = 8 phi / (B (B + 1)), divided out one factor at a time
-        value = phi / bracket / (bracket + 1.0) * 8.0 + second
-        if ds is not None:
-            dmu = _purity_derivative(_polynomial(ds, t), bracket)
-        return bracket, mu, dmu, value
+        value = None
+        if target is not None:
+            second = _second_term(mu, dmu, pure)
+            phi = _phi_from_bracket(target, det, bracket, d, t)
+            # mu^4 / (2 (1 + mu^2)) 16 phi = 8 phi / (B (B + 1)), 8 folded into B + 1 exactly
+            value = phi / bracket / (0.125 * (bracket + 1.0)) + second
+        return mu, dmu, abs(s) / (2.0 * bracket), value
 
     return curve
 
@@ -471,6 +478,11 @@ def _qfi_numeric_points(target, probe: ProbeSpec, gamma, lam, t) -> list:
                 f"adjugate trace cancels by {terms / abs(trace) if trace else math.inf:.3e}, "
                 f"beyond {_MAX_TRACE_CANCELLATION:.0e}: its terms are {terms:.3e} for a trace "
                 f"of {trace:.3e}"
+            )
+        if value < 0.0:  # a QFI is at least 0: what rounding left of the trace is noise
+            raise ConvergenceError(
+                f"Gaussian QFI assembles to {value:.3e} < 0: its adjugate trace {trace:.3e} is "
+                f"rounding noise beside terms of {terms:.3e}"
             )
         values.append(value)
     return values
@@ -779,7 +791,7 @@ def fisher_information(target, probe: ProbeSpec, env: EnvironmentSpec, t: float)
     """
     target = _as_target(target)
     quad = cfi_quadrature(target, probe, env, t)
-    _, mu, dmu, analytic = _analytic_curve(target, probe, env)(t)
+    mu, dmu, _, analytic = _analytic_curve(target, probe, env)(t)
     return FisherResult(
         qfi_analytic=analytic,
         qfi_numeric=qfi_numeric(target, probe, env, t),

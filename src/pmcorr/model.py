@@ -417,13 +417,14 @@ def _bracket_terms(mass, fixed, g0, g1, g2, l0, l1, l2) -> tuple:
     )
 
 
-def _purity_bracket_coefficients(mass, sigma0, ell0, gamma, lam, wrt=None) -> tuple:
-    """The coefficients of B = 1/purity^2, or with ``wrt``, the pair of B's and dB/d(wrt)'s.
+def _purity_bracket_coefficients(mass, sigma0, ell0, gamma, lam, *wrt):
+    """B = 1/purity^2's coefficients, or with ``wrt``, a list of B's and each dB/d(p)'s, p in wrt.
 
-    Each tuple holds the factors of t^0 to t^4.  dB/dgamma and dB/dlam are
-    `_bracket_terms` with that parameter's parts replaced by their
-    derivatives, (0, 1, 2 gamma) or (0, 1, 2 lam); ``wrt`` is "gamma" or
-    "lambda".  Building both in one call shares the fixed part and the parts.
+    Each tuple holds the factors of t^0 to t^4; each p is "gamma", "lambda"
+    or "t".  dB/dgamma and dB/dlam are `_bracket_terms` with that
+    parameter's parts replaced by their derivatives, (0, 1, 2 gamma) or
+    (0, 1, 2 lam); dB/dt is `_derivative` of B's tuple.  One call shares the
+    fixed part and the parts.
     """
     fixed = _purity_bracket_fixed(mass, sigma0, ell0)
     big = gamma**2 + 1.0 + fixed[2]
@@ -433,11 +434,22 @@ def _purity_bracket_coefficients(mass, sigma0, ell0, gamma, lam, wrt=None) -> tu
         _power(lam, 2, "lambda", "m^-2 s^-1")
         raise
     bracket = _bracket_terms(mass, fixed, 1.0, gamma, big, 1.0, lam, lam_sq)
-    if wrt is None:
+    if not wrt:
         return bracket
-    if wrt == "gamma":
-        return bracket, _bracket_terms(mass, fixed, 0.0, 1.0, 2.0 * gamma, 1.0, lam, lam_sq)
-    return bracket, _bracket_terms(mass, fixed, 1.0, gamma, big, 0.0, 1.0, 2.0 * lam)
+    tuples = [bracket]
+    for p in wrt:
+        if p == "t":
+            tuples.append(_derivative(bracket))
+        elif p == "gamma":
+            tuples.append(_bracket_terms(mass, fixed, 0.0, 1.0, 2.0 * gamma, 1.0, lam, lam_sq))
+        else:
+            tuples.append(_bracket_terms(mass, fixed, 1.0, gamma, big, 0.0, 1.0, 2.0 * lam))
+    return tuples
+
+
+def _derivative(p) -> list:
+    """p' from p in ascending powers, k c_k, in p's slots: the last is 0."""
+    return [k * p[k] for k in range(1, len(p))] + [0.0]
 
 
 def _name_time_power(t) -> None:
@@ -450,15 +462,15 @@ def _name_time_power(t) -> None:
         _power(t, k, "t", "s", where=", in the purity bracket 1/purity^2,")
 
 
-def _purity_bracket(c, t, d=None):
-    """1/purity^2 at t from its `_purity_bracket_coefficients` c; with a derivative's d, the pair.
+def _purity_bracket(c, t, *d):
+    """1/purity^2 at t from its `_purity_bracket_coefficients` c; with derivatives' d, B and each.
 
     Its terms can overflow to inf (or to NaN in inf - inf) without raising;
     such a bracket raises a named OverflowError instead of giving purity 0.
     Every route evaluates B at t before any of its t, gamma or lambda
     derivatives: its powers of t hold all of theirs, so it alone names a t^k
-    that leaves the float range, and d, in B's five slots, is summed from the
-    same powers.  `_polynomial` sums one more derivative at that t.
+    that leaves the float range, and each tuple of d, in B's five slots, is
+    summed from the same powers.
     """
     c0, c1, c2, c3, c4 = c
     try:
@@ -471,16 +483,12 @@ def _purity_bracket(c, t, d=None):
         raise OverflowError(
             f"purity bracket 1/purity^2={bracket} overflows the float range at t={t:g} s"
         )
-    if d is None:
+    if not d:
         return bracket
-    d0, d1, d2, d3, d4 = d
-    return bracket, d0 + d1 * t + d2 * t2 + d3 * t3 + d4 * t4
-
-
-def _polynomial(c, t):
-    """c0 + c1 t + ... + c4 t^4, term by term, as `_purity_bracket` sums a derivative's tuple."""
-    c0, c1, c2, c3, c4 = c
-    return c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4
+    sums = [bracket]
+    for d0, d1, d2, d3, d4 in d:  # a loop: a comprehension costs a frame per call before 3.12
+        sums.append(d0 + d1 * t + d2 * t2 + d3 * t3 + d4 * t4)
+    return sums
 
 
 def _covariance_factors(mass, sigma0, eps, t) -> tuple:

@@ -19,8 +19,7 @@ from .model import (
     EnvironmentSpec,
     ProbeSpec,
     _coefficient_args,
-    _polynomial,
-    _purity_bracket,
+    _derivative,
     _purity_bracket_coefficients,
     _power,
     _require_positive_t,
@@ -154,35 +153,9 @@ def decoherence_time(lam: float, delta_x: float) -> float:
 
 
 def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
-    """(1/mu)|dmu/dt| in s^-1, from the analytic time derivative."""
+    """(1/mu)|dmu/dt| = |dB/dt|/(2B) in s^-1, B = 1/mu^2, from the analytic time derivative."""
     _require_positive_t(t)
-    return _purity_and_rate(probe, env)(t)[1]
-
-
-def _purity_and_rate(probe: ProbeSpec, env: EnvironmentSpec):
-    """The function t -> [purity, its relative rate (1/purity)|d purity/dt|] at one (probe, env).
-
-    B = 1/purity^2 and dB/dt, `_derivative` of B's tuple, are built once;
-    each t evaluates B, then dB/dt.
-    """
-    b = _purity_bracket_coefficients(*_coefficient_args(probe, env))
-    dt = _derivative(b)
-
-    def cells(t):
-        bracket, d = _purity_bracket(b, t, dt)
-        return [bracket**-0.5, _relative_purity_rate(d, bracket)]
-
-    return cells
-
-
-def _relative_purity_rate(dbracket: float, bracket: float) -> float:
-    """(1/mu)|dmu/dt| from dB/dt and B = 1/mu^2 at one t."""
-    return abs(dbracket) / (2.0 * bracket)
-
-
-def _derivative(p) -> list:
-    """p' from p in ascending powers, k c_k, in p's slots: the last is 0, as `_polynomial` takes."""
-    return [k * p[k] for k in range(1, len(p))] + [0.0]
+    return _analytic_curve(None, probe, env, "t")(t)[2]
 
 
 def _horner(p, x: float) -> tuple[float, float]:
@@ -426,7 +399,8 @@ def tgi_approx(gamma: float) -> float:
 def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[TgiRow]:
     """Information-gain rows for each correlation value, in input order.
 
-    A row is one lambda-QFI `_analytic_curve` row at tau_max, and dB/dt there.
+    A row is one lambda-QFI `_analytic_curve` row at tau_max, with the time
+    slope, the relative purity rate there.
     """
     if not lam > 0:
         raise ValueError("build_table1 requires lam > 0")
@@ -437,14 +411,13 @@ def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[
         try:
             p = probe.with_gamma(float(g))
             t_max = tau_max_exact(p, env)
-            dt = _derivative(_purity_bracket_coefficients(*_coefficient_args(p, env)))
-            bracket, mu, _, qfi = _analytic_curve(EstimationTarget.LAMBDA, p, env)(t_max)
+            mu, _, rate, qfi = _analytic_curve(EstimationTarget.LAMBDA, p, env, "t")(t_max)
             rows.append(
                 TgiRow(
                     gamma=float(g),
                     tau_max=t_max,
                     purity_at_tau_max=mu,
-                    relative_purity_rate=_relative_purity_rate(_polynomial(dt, t_max), bracket),
+                    relative_purity_rate=rate,
                     lambda_sq_qfi=lam**2 * qfi,
                     tgi_db=_tgi_db(t_max, t_ref),
                 )

@@ -171,9 +171,19 @@ class TestParsing:
 def count_brackets(monkeypatch) -> list:
     """The calls to `model._purity_bracket` from every module that imports it, as they run."""
     calls, bracket = [], pc.model._purity_bracket
-    for module in (pc.model, pc.fisher, pc.thermometry):
+    for module in (pc.model, pc.fisher):
         monkeypatch.setattr(module, "_purity_bracket", lambda *a: calls.append(a) or bracket(*a))
     return calls
+
+
+def spy_builds(monkeypatch) -> list:
+    """(module, gamma, lambda, derivatives asked for) of each bracket-builder call, as they run."""
+    built = []
+    for module in (pc.fisher, pc.thermometry):
+        build = module._purity_bracket_coefficients
+        monkeypatch.setattr(module, "_purity_bracket_coefficients",
+                            lambda *a, b=build, m=module: built.append((m, *a[3:5], a[5:])) or b(*a))
+    return built
 
 
 #: the builders of the coefficients' fixed parts, each of which keeps its last probe's
@@ -251,6 +261,30 @@ class TestSweep:
         # first, builds it for its per-point bracket, and no row builds it again
         assert scales == []
         assert pc.model._purity_bracket_fixed.cache_info().misses == 1
+
+    @pytest.mark.parametrize("target", ["gamma", "lambda"])
+    @pytest.mark.parametrize("axis,flags,groups", [
+        ("gamma", ["--min", "-20", "--max", "20", "--lambda", "1e15", "--t", "20us"], 5),
+        ("lambda", ["--min", "1e10", "--max", "1e20", "--log", "--gamma", "3", "--t", "20us"], 5),
+        ("time", ["--min", "1us", "--max", "1ms", "--log", "--lambda", "1e15", "--gamma", "3"], 1),
+    ])
+    def test_target_sweep_builds_the_bracket_once_per_probe_and_env(
+            self, target, axis, flags, groups, monkeypatch, capsys):
+        # a row's purity, rate and analytic QFI take B, dB/dt and dB/d(target) from one
+        # call per (probe, env); the Richardson oracle's own calls are not counted
+        built = spy_builds(monkeypatch)
+        oracle = pc.cli._qfi_numeric_points
+
+        def uncounted(*args):
+            start = len(built)
+            values = oracle(*args)
+            del built[start:]
+            return values
+
+        monkeypatch.setattr(pc.cli, "_qfi_numeric_points", uncounted)
+        assert main(["sweep", "--target", target, "--axis", axis, "--points", "5", *flags]) == 0
+        assert len(set(built)) == len(built) == groups
+        assert {(m, wrt) for m, _, _, wrt in built} == {(pc.fisher, (target, "t"))}
 
     def test_a_bare_sweep_after_a_target_sweep_keeps_the_default_target(self, capsys):
         # one parser serves every call of a process, and no call leaves a value in it
@@ -540,21 +574,26 @@ class TestFigures:
         # the purity bracket's fixed part passes through _bracket_scales once for both
         # files and every fixed gamma; its (gamma, lambda) tuples once per fixed gamma
         clear_fixed_parts()
-        calls, built = [], []
+        calls, built = [], spy_builds(monkeypatch)
         scales = pc.model._bracket_scales
         monkeypatch.setattr(pc.model, "_bracket_scales", lambda *a: calls.append(a) or scales(*a))
-        for module in (pc.fisher, pc.thermometry):
-            build = module._purity_bracket_coefficients
-            monkeypatch.setattr(module, "_purity_bracket_coefficients",
-                                lambda *a, b=build, m=module: built.append((m, a[3], a[5:])) or b(*a))
         assert main(["figures", "--preset", "fig4", "--outdir", str(tmp_path), "--quiet"]) == 0
         assert len(calls) == 1
-        # fig4a's B with dB/dlambda in one call, then fig4b's B, whose dB/dt is k c_k
-        # of it, per gamma
+        # fig4a's B with dB/dlambda in one call, then fig4b's B with dB/dt, k c_k of
+        # it, in one call, per gamma
         gammas = [0.0, 10.0, 50.0]
         assert built == (
-            [(pc.fisher, g, ("lambda",)) for g in gammas] + [(pc.thermometry, g, ()) for g in gammas]
+            [(pc.fisher, g, 1e15, ("lambda",)) for g in gammas]
+            + [(pc.fisher, g, 1e15, ("t",)) for g in gammas]
         )
+
+    def test_fig3_builds_the_bracket_once_per_row(self, tmp_path, monkeypatch):
+        # fig3's lambda QFI and its gamma slope take B, dB/dlambda and dB/dgamma from
+        # one call per (probe, env): 2 files x 301 gamma values
+        built = spy_builds(monkeypatch)
+        assert main(["figures", "--preset", "fig3", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert len(set(built)) == len(built) == 2 * 301
+        assert {(m, wrt) for m, _, _, wrt in built} == {(pc.fisher, ("lambda", "gamma"))}
 
     def test_time_axis_builds_the_qfi_coefficients_once_per_gamma(self, tmp_path, monkeypatch):
         # figD's 2,501 rows hold 61 gamma values, each over a 41-point time axis; the
@@ -758,6 +797,10 @@ class TestScalarCommands:
              "sweep row 2 (lambda_per_m2s=1e+200) failed: "),
             (["sweep", "--target", "gamma", "--axis", "gamma", "--min", "-5", "--max", "5",
               "--points", "3", "--t", "1us", "--lambda", "1e200"], "sweep row 0 (gamma=-5.0) failed: "),
+            # a negative Richardson QFI fails its own row, not the row before it
+            (["sweep", "--target", "gamma", "--axis", "gamma", "--min", "0", "--max", "1e16",
+              "--points", "2", "--t", "1us", "--lambda", "1e15"],
+             "sweep row 1 (gamma=1e+16) failed: Gaussian QFI assembles to -2.474e-02 < 0"),
             # cfi_closed squares b_sq ~ lam t / (3 sigma0^2), which overflows below the lam^2 limit
             (["cfi", "--target", "gamma", "--lambda", "1e150", "--t", "20us"],
              "numerical failure: b_sq=1.09577e+161 m^-4 overflows the float range when squared "
@@ -811,6 +854,10 @@ class TestScalarCommands:
             (["purity", "--mass", "1e-200", "--lambda", "1e15", "--t", "1us"],
              "mass=1e-200 underflows the float range: mass^2, a divisor, needs mass above "
              "~1.5e-154 kg"),
+            # the Richardson QFI assembled to -0.0247 here and printed with exit 0
+            (["qfi", "--target", "gamma", "--gamma", "1e16", "--lambda", "1e15", "--t", "1us"],
+             "Gaussian QFI assembles to -2.474e-02 < 0: its adjugate trace -1.417e+49 is "
+             "rounding noise beside terms of 8.346e+64"),
             (["convert", "--to-temp", "1", "--molecule-size", "1e-200"],
              "molecule_size=1e-200 underflows the float range: molecule_size^2, a divisor, needs "
              "molecule_size above ~1.6e-162 m"),
@@ -903,7 +950,8 @@ class TestScalarCommands:
         ids=["cfi-mass-1e-170", "lens-vcm-1e200", "convert-1e300", "qfi-lambda-1e152",
              "purity-mass-1e200", "tgi-mass-1e200", "convert-molecule-size-1e200",
              "cfi-gamma-mass-1e200", "tgi-lambda-1e154", "purity-sigma0-1e200",
-             "purity-mass-1e-200", "convert-molecule-size-1e-200", "cfi-lambda-mass-1e100",
+             "purity-mass-1e-200", "qfi-gamma-negative-1e16", "convert-molecule-size-1e-200",
+             "cfi-lambda-mass-1e100",
              "purity-mass-1e-160", "purity-mass-1e-150", "purity-tau0-mass-1e-366",
              "purity-tau0-mass-subnormal", "cfi-tau0-1e-350",
              "qfi-oracle-tau0-1e-117", "qfi-lambda-mixed-purity-1",

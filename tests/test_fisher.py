@@ -1,6 +1,7 @@
 """Quantum/classical Fisher information: closed forms against numeric oracles."""
 import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pmcorr as pc
-from pmcorr import _dd, fisher, model
+from pmcorr import _dd, cli, fisher, model
 from pmcorr.constants import HBAR
 from pmcorr.fisher import _ADJ_TRACE_RESCALE
 
@@ -131,6 +132,24 @@ def test_purity_derivative_against_the_reference(target):
         exact = _reference(target, probe, e, t).dpurity
         error = abs(pc.purity_derivative(target, probe, e, t) - exact) / abs(exact)
         worst = max(worst, float(error / kappa))
+    assert worst <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("slope", ["gamma", "lambda", "t"])
+def test_relative_slope_of_the_grid_group_against_the_reference(slope):
+    # |dB/d(slope)|/(2B), the slope column of the figures' and sweeps' analytic
+    # group, within 4 epsilons of the reference times kappa, how far the terms of
+    # the derivative and of B cancel at the point (summed), on 500 envelope draws;
+    # the worst measured on 3,000 draws per slope was 1.6 epsilons times kappa
+    group = cli._analytic(slope=slope)
+    worst = 0.0
+    for probe, e, t in _envelope(29, 500):
+        b, d = model._purity_bracket_coefficients(*model._coefficient_args(probe, e), slope)
+        kappa = _ref.cancellation(d, t) + _ref.cancellation(b, t)
+        exact = _ref.point(slope, probe.mass, probe.sigma0, probe.ell0, probe.gamma, e.lam, t)
+        rate = abs(exact.dbracket) / (2 * exact.bracket)
+        _, value = group(probe, e)(t)
+        worst = max(worst, float(abs(value - rate) / rate / kappa))
     assert worst <= 4 * np.finfo(float).eps
 
 
@@ -419,6 +438,15 @@ class TestQfiAnalytic:
             pc.qfi_analytic(LAMBDA, probe, env(0.0), 1e-6)
 
 
+    def test_subnormal_first_term_is_rounded_once(self):
+        # 8 phi / (B (B + 1)) is subnormal here: the factor 8, applied after the last
+        # division, scaled that division's rounding, and gave 3.676e-321 for 3.686e-321
+        probe = pc.ProbeSpec(mass=3.45e13, sigma0=2.17e-21, ell0=2.68e-72, gamma=1.56e43)
+        e, t = env(2.2e-80), 3.19e-36
+        exact = float(_reference(LAMBDA, probe, e, t).qfi)
+        assert 0.0 < exact < sys.float_info.min
+        assert abs(pc.qfi_analytic(LAMBDA, probe, e, t) - exact) <= math.ulp(0.0)
+
     def test_purity_fourth_power_underflow_keeps_the_first_term(self):
         # purity^4 ~ 3.5e-388 rounds to 0 while the first term, ~6e-195, is a normal
         # double; it used to come out as 0
@@ -537,6 +565,25 @@ class TestQfiNumericPins:
         assert whole == (failures[0] if failures else per_point)
         if not failures:
             assert all(type(v) is float for v in whole)
+
+    def test_negative_value_is_a_named_failure(self):
+        # at gamma = 1e16 and 1e20 the adjugate trace cancels to rounding noise just
+        # inside _MAX_TRACE_CANCELLATION, and qfi printed -0.0247 and -47.95 with exit 0
+        e, t = env(1e15), 1e-6
+        messages = {
+            gamma: f"Gaussian QFI assembles to {value} < 0: its adjugate trace {trace} is "
+                   f"rounding noise beside terms of {terms}"
+            for gamma, value, trace, terms in [(1e16, "-2.474e-02", "-1.417e+49", "8.346e+64"),
+                                               (1e20, "-4.795e+01", "-2.747e+68", "8.346e+80")]
+        }
+        for gamma, message in messages.items():
+            with pytest.raises(pc.ConvergenceError) as error:
+                pc.qfi_numeric(GAMMA, FULLERENE.with_gamma(gamma), e, t)
+            assert str(error.value) == message
+        # along an axis, the lowest failing point's error
+        with pytest.raises(pc.ConvergenceError) as error:
+            fisher._qfi_numeric_points(GAMMA, FULLERENE, [3.0, 1e20, 1e16], 1e15, t)
+        assert str(error.value) == messages[1e20]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_numeric_across_envelope(self, seed):

@@ -64,17 +64,17 @@ GOLDEN = {
     'fig2-defaults': {
         'fig2a.csv': '48443ca2a60ec76e286c3b5a6ae0222699af284ff889a3e3d9c05dc768ae7291',
         'fig2a.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2b.csv': '334b86f5bac953b8513a8d2e2a71a7e755d83cca5b1cd262c7b0a20bbbc4e221',
+        'fig2b.csv': 'cedac5a3870e3db8e6f33c8fdb4ee774843859fdcf1b5e80f78cf5b0218de91f',
         'fig2b.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2c.csv': '1759cc80735f031515d104299f02027fc84519d803253841d75ae4e6c1b5c23a',
+        'fig2c.csv': '48af8071be265e7534cc3ec429d68c1dc5f058ee6c075a46af18269ad74e6679',
         'fig2c.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
-        'fig2d.csv': 'b73ce50c2e0bc6b85c58a00da268abff0d2f658d046e1bd3c0533b5b181d358a',
+        'fig2d.csv': 'b68410589c83fbf56556f9c573905b96326c9b5cc629fb8f17cbd2cd91cad976',
         'fig2d.csv.manifest.json': '694e2e2d207758d877a8694416509233f4a947a9ad7acbf694f37f6236562dd7',
     },
     'fig3-defaults': {
-        'fig3a.csv': 'f35231d13f18b7907cab85b725534ec1a4d7109bb649023d8e521d11acc92500',
+        'fig3a.csv': '6c27b611f39b19d65707e2da128b9f90b941ebd8c50e7a556bf2799e3dfedcf1',
         'fig3a.csv.manifest.json': '7c355cee7436bd35eafd9e34dba569b036262791a40194f00bf246fbdb45b687',
-        'fig3b.csv': '1a81f59a5f6f644ffd56705666d09e8966ee180c82cd8c7e1b23055609854fba',
+        'fig3b.csv': '51bfd72333b4496f3c5c8d360ed69be713fd0e59fdbddeeab23d79ad84b8692d',
         'fig3b.csv.manifest.json': '7c355cee7436bd35eafd9e34dba569b036262791a40194f00bf246fbdb45b687',
     },
     'fig4-defaults': {
@@ -90,27 +90,27 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '82b0719ad8d7fe8a4db0b569ecaa69dc174a82e269a0a88e8e4ea39499c3bde6',
     },
     'figD-defaults': {
-        'figD_grid.csv': '6375b5864e4f1073e853b7d79d4a704e09ebb26de8f43bec504f051749de7784',
+        'figD_grid.csv': 'bdfed4a77b6de37b9b69d5a2fb358b87630114496d23c0d70b444a11fef0a7d4',
         'figD_grid.csv.manifest.json': '40dc020722da1ac65e66ffdec1f01d15c201ace721a0cc5c6fc7b0f39bfc0153',
     },
     'figE-defaults': {
-        'figE.csv': 'f41ac3cca15b1dcd8daab81acf837566b1119598a389d0a8dd0192157bd2fba6',
+        'figE.csv': '2dc03241ca4973f01e1c2e6b02b7eaba0982cb25ab5c2d34783195212084954e',
         'figE.csv.manifest.json': 'ab2c85428b3f67c0607cad02b719de3162067cbcf152c5af81ce8dcdef9bb3bd',
     },
     'fig2-coherent': {
         'fig2a.csv': '9f79993b826951012283507967120281b26a9f0c23d29769390e73e0fa165bf2',
         'fig2a.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2b.csv': '5f28e017f39c198a533aad1b0e0a4bd54bc8ea57c6a99216f5bcdfbac4871b0d',
+        'fig2b.csv': '120b1bcec649a3cde805dc696d29cee94a2db76124de18ad7c2e71877975cf7f',
         'fig2b.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2c.csv': '5de72655ca8d9d228079818c9751bb101ce81ec241e9ff309527a51824ea9e4e',
+        'fig2c.csv': '79001853d00e78f7ba921763ce92b0c8a68facc3c5319d938e6018a17a22d764',
         'fig2c.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
-        'fig2d.csv': 'fb887e0db1d7d656f93069600d6ffcfa1f69337ec0d4a37c999ff3785b36db60',
+        'fig2d.csv': 'fb47869d3a6ea816613f0375d680f1fa1d90f68077d55779f904e889d744cd79',
         'fig2d.csv.manifest.json': '87fc6555f81cb7f861479f239d3996ec5ca5ad7fc12d4a5bca360cfed0bcd558',
     },
     'fig3-coherent': {
-        'fig3a.csv': '3c030d2dddcb1da805c8ee4082d9a6c7c8760e0a6e83b0b54d695d8f502399b4',
+        'fig3a.csv': 'f504a98eb0a0039cb98e1d2984c1bedf7bc34db539942326aa2204dcb9333b45',
         'fig3a.csv.manifest.json': 'fba2dbebb2e1c26e3f8d477436b6d2385056ef1f7708ce7f427a133356d0f1f2',
-        'fig3b.csv': 'af57fba2f4ce44feb97e432505a10e319b56ad53ddb6adaed98be1239478f07b',
+        'fig3b.csv': '69014c50cbbda4a71ee3a2813a2bf5ab1201a7b8866a96d20fc3a5e590b13716',
         'fig3b.csv.manifest.json': 'fba2dbebb2e1c26e3f8d477436b6d2385056ef1f7708ce7f427a133356d0f1f2',
     },
     'fig4-coherent': {
@@ -126,11 +126,11 @@ GOLDEN = {
         'fig5_points.csv.manifest.json': '14adf54954cb0777550327acb6850893eebf012f9c64b539ebff3c04572e6e55',
     },
     'figD-coherent': {
-        'figD_grid.csv': 'ac29ef421bf658a9d72c4c834dec622ddf57ccd89f00c183b2d3f85e122a0517',
+        'figD_grid.csv': '5b140c9aff13173c935eea7bc431084f1ff623b8caa8d412dcf5fa2a6e403069',
         'figD_grid.csv.manifest.json': 'bae1d172a92cefd7f30a77fcefdb6038f571e784bb843775a80ab1db003860b1',
     },
     'figE-coherent': {
-        'figE.csv': '37b825dd6404f0eb916908b333bd706a313e49e26cc469c4195734fd589a593a',
+        'figE.csv': '692d5ee7d654dc7c266b039401c6111adf6d02dbb9db7c5b93dacc5340d7d0b2',
         'figE.csv.manifest.json': '54a3ec537a1ad5dfd04aa0b3bdf0c206516f048d8e952bf33bbb52343c7b475f',
     },
     'fig4-defaults-svg': {

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import _reference
 import pmcorr as pc
-from pmcorr import model, thermometry
+from pmcorr import model
 from pmcorr.constants import HBAR
 
 FULLERENE = pc.fullerene_probe()
@@ -30,12 +30,7 @@ def _bracket_monomials(probe, e, t):
 
 def _bracket_derivative(wrt, probe, e, t):
     """d(1/purity^2)/d(wrt) at (probe, e, t) from the one builder's tuples, summed after B at t."""
-    args = model._coefficient_args(probe, e)
-    if wrt == "t":
-        b = model._purity_bracket_coefficients(*args)
-        d = thermometry._derivative(b)
-    else:
-        b, d = model._purity_bracket_coefficients(*args, wrt)
+    b, d = model._purity_bracket_coefficients(*model._coefficient_args(probe, e), wrt)
     return model._purity_bracket(b, t, d)[1]
 
 

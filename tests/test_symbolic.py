@@ -9,7 +9,9 @@ covariance entries exactly.  Their determinant B = sxx spp - sxp^2 is
 and the oracle's monomials `model._purity_bracket_dd` must each equal B
 after their float coefficients are rationalised, and the builder's derived
 tuples, dB/dgamma and dB/dlam from its parts and dB/dt as k c_k of its own
-tuple (`thermometry._derivative`), must equal B's derivatives.  The
+tuple (`model._derivative`), must equal B's derivatives, whether one call
+builds one of them or all three, and `model._purity_bracket` must sum each
+from B's powers of t.  The
 hand-expanded stationarity polynomial P = B''B - B'^2 of `thermometry` is
 checked on symbolic coefficients of a general quartic.
 
@@ -40,14 +42,6 @@ ARGS = (M, S0, L0, G, LAM)
 def exact(expr):
     """The float coefficients of expr as the rationals they round (4.0/3.0 -> 4/3)."""
     return sp.nsimplify(expr, rational=True)
-
-
-def derivative_coefficients(wrt):
-    """The builder's tuples of B and dB/d(wrt) at the symbols, for wrt in {"t", "gamma", "lambda"}."""
-    if wrt == "t":
-        b = model._purity_bracket_coefficients(*ARGS)
-        return b, thermometry._derivative(b)
-    return model._purity_bracket_coefficients(*ARGS, wrt)
 
 
 def dd_total(terms):
@@ -98,16 +92,24 @@ def test_bracket_coefficients(bracket):
     assert [sp.expand(exact(c) - e) for c, e in zip(coefficients, expected)] == [0] * 5
 
 
-@pytest.mark.parametrize(
-    "wrt, variable", [("t", T), ("gamma", G), ("lambda", LAM)], ids=["dt", "dgamma", "dlam"]
-)
+DERIVATIVES = [("t", T), ("gamma", G), ("lambda", LAM)]
+
+
+@pytest.mark.parametrize("wrt, variable", DERIVATIVES, ids=["dt", "dgamma", "dlam"])
 def test_bracket_derivatives(bracket, wrt, variable):
-    # each derived tuple keeps B's five slots; it is summed after B from B's powers
-    # of t, or alone by `_polynomial`
-    b, d = derivative_coefficients(wrt)
+    # each derived tuple keeps B's five slots, and is summed after B from B's powers of t
+    b, d = model._purity_bracket_coefficients(*ARGS, wrt)
     assert len(d) == 5
+    assert b == model._purity_bracket_coefficients(*ARGS)
     assert sp.expand(exact(model._purity_bracket(b, T, d)[1]) - sp.diff(bracket, variable)) == 0
-    assert sp.expand(exact(model._polynomial(d, T)) - sp.diff(bracket, variable)) == 0
+
+
+def test_one_call_builds_every_derivative(bracket):
+    # one call, one tuple per parameter asked for, in order, each summed from B's powers of t
+    b, *tuples = model._purity_bracket_coefficients(*ARGS, *[wrt for wrt, _ in DERIVATIVES])
+    value, *sums = model._purity_bracket(b, T, *tuples)
+    assert sp.expand(exact(value) - bracket) == 0
+    assert [sp.expand(exact(s) - sp.diff(bracket, v)) for s, (_, v) in zip(sums, DERIVATIVES)] == [0] * 3
 
 
 def test_stationarity_coefficients():
@@ -132,7 +134,7 @@ def test_phi_is_the_adjugate_trace(covariance, target, variable):
     s = sp.Matrix([[sxx, sxp], [sxp, spp]])
     product = s.adjugate() * s.diff(variable)
     trace = (product * product).trace()
-    b, d = derivative_coefficients(target.value)
+    b, d = model._purity_bracket_coefficients(*ARGS, target.value)
     bracket, dbracket = model._purity_bracket(b, T, d)
     det = fisher._det_derivative(target, ARGS)
     phi = fisher._phi_from_bracket(target, det, bracket, dbracket, T)

@@ -268,9 +268,9 @@ class TestRelativePurityRate:
             t = float(10.0 ** rng.uniform(-12.0, 0.0))
             probe = pc.fullerene_probe(gamma=float(gamma), ell0=(1e-9, 5e-8, math.inf)[rng.integers(3)])
             e = pc.EnvironmentSpec(lam=float(lam))
-            b = pc.model._purity_bracket_coefficients(*pc.model._coefficient_args(probe, e))
-            kappa = (_reference.cancellation(thermometry._derivative(b), t)
-                     + _reference.cancellation(b, t))
+            args = pc.model._coefficient_args(probe, e)
+            b, dt = pc.model._purity_bracket_coefficients(*args, "t")
+            kappa = _reference.cancellation(dt, t) + _reference.cancellation(b, t)
             exact = _reference.point("t", probe.mass, probe.sigma0, probe.ell0, probe.gamma, e.lam, t)
             rate = abs(exact.dbracket) / (2 * exact.bracket)
             error = abs(pc.relative_purity_rate(probe, e, t) - rate) / rate
@@ -580,6 +580,21 @@ class TestBuildTable:
                 assert row.purity_at_tau_max.hex() == pc.purity_exact(p, e, t).hex()
                 assert row.relative_purity_rate.hex() == pc.relative_purity_rate(p, e, t).hex()
                 assert row.lambda_sq_qfi.hex() == (lam**2 * pc.qfi_analytic("lambda", p, e, t)).hex()
+
+    def test_rows_build_the_bracket_once(self, monkeypatch):
+        # a row's purity, rate and lambda QFI take B, dB/dlambda and dB/dt from one
+        # builder call; tau_max_exact builds B alone, for its stationarity polynomial
+        built = []
+        for module in (pc.fisher, thermometry):
+            build = module._purity_bracket_coefficients
+            monkeypatch.setattr(module, "_purity_bracket_coefficients",
+                                lambda *a, b=build, m=module: built.append((m, a[3], a[5:])) or b(*a))
+        gammas = [-50.0, 0.0, 35.0]
+        pc.build_table1(FULLERENE, 1e15, gammas)
+        assert [c for c in built if c[0] is pc.fisher] == [
+            (pc.fisher, g, ("lambda", "t")) for g in gammas
+        ]
+        assert {wrt for m, _, wrt in built if m is thermometry} == {()}
 
     def test_row_errors_are_annotated(self):
         with pytest.raises(ValueError, match="gamma=inf"):
