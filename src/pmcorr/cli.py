@@ -38,9 +38,8 @@ from .constants import (
 from .fisher import (
     ConvergenceError,
     EstimationTarget,
-    _analytic_curve,
+    _analytic_rows,
     _cfi_closed_at,
-    _cfi_coefficients,
     _qfi_numeric_points,
     cfi_closed,
     cfi_quadrature,
@@ -51,7 +50,6 @@ from .lens import LensSpec, de_broglie, focal_length, gamma_from_curvature, opti
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
-    _coefficient_args,
     _require_positive_t,
     covariance,
     purity_approx,
@@ -66,7 +64,6 @@ from .thermometry import (
     tau_max_approx,
     tau_max_exact,
     temperature_from_lambda,
-    tgi,
     tgi_approx,
 )
 
@@ -262,95 +259,141 @@ _AXIS_COLUMN = {"gamma": "gamma", "lambda": "lambda_per_m2s", "time": "time_s"}
 _AXIS_ARG = {"gamma": 0, "lambda": 1, "time": 2}
 
 
-def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, groups) -> list[list[float]]:
+def _grid(probe: ProbeSpec, lam: float | None, t: float | None, axes, group) -> list[list[float]]:
     """Rows of axis values followed by group cells, over the product of `axes`.
 
     Each axis is a (kind, values) pair, kind "gamma", "lambda" or "time", the
     first axis varying slowest; an axis overrides the fixed `lam` or `t` of its
-    kind.  Each group maps (probe, env) to a function of t that returns a list
-    of cells: the group is called once per (probe, env) that a run of rows
-    shares, so what depends on them alone is built once, and its function once
-    per row, in row order: an `_analytic` group makes one bracket-builder call
-    per (probe, env) and evaluates one `fisher._analytic_curve` row per row.
-    Probes and environments are built once per axis value, not once per row.
-    A row whose groups fail numerically raises ConvergenceError naming its
-    index and point.
+    kind.  Probes and environments are built once per axis value, not once
+    per row, so a run's points share them; `group` is a run function, which
+    maps the list of every row's (probe, env, t) to each row's list of cells
+    in one call: an `_analytic` group makes one bracket-builder call per
+    (probe, env) that a run of rows shares, and evaluates each row once.
+    Each row's list is new, and the grid puts the axis values in front of
+    its cells in place.  A failing run is evaluated again one point at a
+    time, so a row whose group fails numerically raises ConvergenceError
+    naming its index and point, as its own evaluation fails; an axis value
+    whose probe or environment fails so is named by the first row that uses
+    it, after the rows before it.
     """
     build = {"gamma": probe.with_gamma, "lambda": lambda v: EnvironmentSpec(lam=v), "time": float}
-    levels = [[(kind, v, build[kind](v)) for v in values] for kind, values in axes]
+    levels, failure = [], None
+    for kind, values in axes:
+        k, level = _AXIS_ARG[kind], []
+        for v in values:
+            try:
+                level.append((k, build[kind](v)))
+            except ArithmeticError as exc:  # raised below, by the first row that uses v
+                level.append((k, exc))
+                failure = exc
+                break
+        levels.append(level)
     on_axis = any(kind == "lambda" for kind, _ in axes)
     args = [probe, None if on_axis else EnvironmentSpec(lam=lam), t]
-    rows, held, evaluators = [], [None, None], []
+    points = []
     for point in itertools.product(*levels):
-        # loops, not comprehensions: before Python 3.12 each comprehension costs a frame per row
-        row = []
-        for kind, v, arg in point:
-            args[_AXIS_ARG[kind]] = arg
-            row.append(v)
-        try:
-            if args[0] is not held[0] or args[1] is not held[1]:
-                evaluators = [group(args[0], args[1]) for group in groups]
-                held = args[:2]
-            for at in evaluators:
-                row += at(args[2])
-        except (ConvergenceError, ArithmeticError) as exc:
-            where = ", ".join(f"{_AXIS_COLUMN[kind]}={v!r}" for kind, v, _ in point)
-            raise ConvergenceError(f"row {len(rows)} ({where}) failed: {exc}") from exc
-        rows.append(row)
-    return rows
+        for k, arg in point:  # a loop: before Python 3.12 a comprehension costs a frame per row
+            args[k] = arg
+        if failure is not None and failure in args:
+            break
+        points.append((args[0], args[1], args[2]))
+    axis_values = [values for _, values in axes]
+
+    def failed(i: int, exc: Exception) -> ConvergenceError:
+        point = next(itertools.islice(itertools.product(*axis_values), i, None))
+        where = ", ".join(f"{_AXIS_COLUMN[kind]}={v!r}" for (kind, _), v in zip(axes, point))
+        return ConvergenceError(f"row {i} ({where}) failed: {exc}")
+
+    try:
+        cells = group(points)
+    except Exception:  # whichever a run raises, the lowest failing row raises its own error
+        for i, point in enumerate(points):
+            try:
+                group([point])
+            except (ConvergenceError, ArithmeticError) as exc:
+                raise failed(i, exc) from exc
+        raise
+    if failure is not None:
+        raise failed(len(points), failure) from failure
+    for values, row in zip(itertools.product(*axis_values), cells):
+        row[:0] = values  # in place: a second list per row makes the collector run twice as often
+    return cells
 
 
 def _analytic(target=None, cfi: bool = False, slope=None):
-    """Group of analytic columns: the QFI of `target`, where one is given, its
-    position-readout CFI where asked, then, where `slope` names a parameter
-    ("gamma", "lambda" or "t"), the purity and its relative slope
+    """Run function of analytic columns: the QFI of `target`, where one is
+    given, its position-readout CFI where asked, then, where `slope` names a
+    parameter ("gamma", "lambda" or "t"), the purity and its relative slope
     |dB/d(slope)|/(2B), B = 1/purity^2.
 
     Lambda's QFI and CFI are scaled by lambda^2, as the figures plot them.  The
-    purity, its relative slope and the QFI are one `fisher._analytic_curve`
-    row, and the CFI's coefficients are built beside it, once per (probe, env).
+    purity, its relative slope and the QFI are one `fisher._analytic_rows`
+    row, which carries the CFI's coefficients, built beside B's once per
+    (probe, env).
     """
-    def at(probe, env):
-        lam_sq = env.lam**2 if target is _LAMBDA else 1.0
-        curve = _analytic_curve(target, probe, env, slope)
-        closed = _cfi_coefficients(target, _coefficient_args(probe, env)) if cfi else None
-
-        def cells(t):
-            mu, _, rate, value = curve(t)
+    def run(points):
+        rows, env = [], None
+        for (_, e, t), (mu, _, rate, value, closed) in zip(
+                points, _analytic_rows(target, points, slope, cfi)):
+            if e is not env:
+                env, lam_sq = e, e.lam**2 if target is _LAMBDA else 1.0
             row = [] if target is None else [lam_sq * value]
             if cfi:
                 row.append(lam_sq * _cfi_closed_at(target, closed, t))
             if slope:
                 row += [mu, rate]
-            return row
+            rows.append(row)
+        return rows
 
-        return cells
-
-    return at
+    return run
 
 
 def _per_gamma(gammas, group, widths=(1,)):
-    """Group of wide columns: `group` evaluated at each fixed gamma in turn.
+    """Run function of wide columns: `group` run at each fixed gamma in turn.
 
     Its cells are cut into blocks of `widths`, and each block is laid out
-    for every gamma before the next block.
+    for every gamma before the next block.  Each run probe's fixed-gamma
+    copies are built once, for the points that share it, and `group` runs
+    once on every gamma's points, so a row's builders, at each gamma, run
+    before its evaluations.
     """
-    memo = [None, []]  # the last row probe and its fixed-gamma copies, shared by its rows
     ends = list(itertools.accumulate(widths))
     blocks = list(zip([0] + ends[:-1], ends))
 
-    def at(probe, env):
-        if memo[0] is not probe:
-            memo[:] = probe, [probe.with_gamma(g) for g in gammas]
-        evaluators = [group(p, env) for p in memo[1]]
+    def run(points):
+        at_gammas = []
+        for g in gammas:
+            probe = None
+            for p, e, t in points:
+                if p is not probe:
+                    probe, fixed = p, p.with_gamma(g)
+                at_gammas.append((fixed, e, t))
+        cells, n = group(at_gammas), len(points)
+        runs = [cells[i * n:(i + 1) * n] for i in range(len(gammas))]
+        rows = []
+        for parts in zip(*runs):
+            row = []
+            for start, end in blocks:
+                for part in parts:
+                    row += part[start:end]
+            rows.append(row)
+        return rows
 
-        def cells(t):
-            rows = [at_gamma(t) for at_gamma in evaluators]
-            return [cell for start, end in blocks for row in rows for cell in row[start:end]]
+    return run
 
-        return cells
 
-    return at
+def _tgi_points(points):
+    """Run function of one `tgi` column: the TGI at each point's gamma against gamma = 0.
+
+    A run's probes differ in gamma alone, so tau_max at gamma = 0 is taken
+    once per environment, first, as `tgi` takes it, then tau_max at each gamma.
+    """
+    rows, env = [], None
+    for probe, e, _ in points:
+        if e is not env:
+            env, t_ref = e, tau_max_exact(probe.with_gamma(0.0), e)
+        rows.append([_tgi_db(tau_max_exact(probe, e), t_ref)])
+    return rows
 
 
 def _spaced(start: float, stop: float, num: int, log: bool = False) -> list[float]:
@@ -382,46 +425,45 @@ _FIG4_GAMMAS = (0.0, 10.0, 50.0)
 _FIG4_TIMES = _axis("time", -6.0, math.log10(5e-3), 220, True)
 _FIGE_GAMMAS = (-10.0, 0.0, 5.0)
 
-#: figure preset -> files, each (name, group columns, axes, lam, t, groups),
+#: figure preset -> files, each (name, group columns, axes, lam, t, group),
 #: each axis a (kind, function that returns its values), as `_axis` makes
 #: them; a None lam is the scenario's coupling (default 1e15), a None t is on
 #: an axis or unused
 _FIGURES = {
     "fig2": [
         (f"fig2{panel}.csv", ["qfi_gamma", "cfi_gamma", "purity", "rel_purity_slope_gamma"],
-         [_GAMMA_AXIS], lam, 1e-6, [_analytic(_GAMMA, cfi=True, slope="gamma")])
+         [_GAMMA_AXIS], lam, 1e-6, _analytic(_GAMMA, cfi=True, slope="gamma"))
         for panel, lam in (("a", 0.0), ("b", 1e20), ("c", 1e22), ("d", 1e23))
     ],
     "fig3": [
         (f"fig3{panel}.csv", ["lambda_sq_qfi", "lambda_sq_cfi", "purity", "rel_purity_slope_gamma"],
-         [_GAMMA_AXIS], lam, 50e-6,
-         [_analytic(_LAMBDA, cfi=True, slope="gamma")])
+         [_GAMMA_AXIS], lam, 50e-6, _analytic(_LAMBDA, cfi=True, slope="gamma"))
         for panel, lam in (("a", 1e15), ("b", 1e21))
     ],
     "fig4": [
         ("fig4a.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIG4_GAMMAS],
-         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _analytic(_LAMBDA))]),
+         [_FIG4_TIMES], 1e15, None, _per_gamma(_FIG4_GAMMAS, _analytic(_LAMBDA))),
         ("fig4b.csv", [f"purity_gamma{g:g}" for g in _FIG4_GAMMAS]
          + [f"purity_rate_per_s_gamma{g:g}" for g in _FIG4_GAMMAS],
-         [_FIG4_TIMES], 1e15, None, [_per_gamma(_FIG4_GAMMAS, _analytic(slope="t"), (1, 1))]),
+         [_FIG4_TIMES], 1e15, None, _per_gamma(_FIG4_GAMMAS, _analytic(slope="t"), (1, 1))),
     ],
     "fig5": [
         ("fig5_curve.csv", ["tgi_approx_db"], [_GAMMA_AXIS], None, None,
-         [lambda p, e: lambda t: [tgi_approx(p.gamma)]]),
+         lambda points: [[tgi_approx(p.gamma)] for p, _, _ in points]),
         ("fig5_points.csv", ["tgi_db"], [("gamma", lambda: [r.gamma for r in TABLE1_REFERENCE])],
-         None, None, [lambda p, e: lambda t: [tgi(p, e)]]),
+         None, None, _tgi_points),
     ],
     "figD": [
         ("figD_grid.csv", ["qfi_gamma", "purity", "rel_purity_slope_gamma"],
          [_axis("gamma", -150.0, 150.0, 61), _axis("time", -7.0, -4.0, 41, True)],
-         1e22, None, [_analytic(_GAMMA, slope="gamma")]),
+         1e22, None, _analytic(_GAMMA, slope="gamma")),
     ],
     "figE": [
         ("figE.csv", [f"lambda_sq_qfi_gamma{g:g}" for g in _FIGE_GAMMAS]
          + [f"{column}_gamma{g:g}" for g in _FIGE_GAMMAS
             for column in ("purity", "rel_purity_slope_lambda")],
          [_axis("lambda", 13.0, 22.0, 181, True)], None, 50e-6,
-         [_per_gamma(_FIGE_GAMMAS, _analytic(_LAMBDA, slope="lambda"), (1, 2))]),
+         _per_gamma(_FIGE_GAMMAS, _analytic(_LAMBDA, slope="lambda"), (1, 2))),
     ],
 }
 
@@ -463,38 +505,33 @@ def cmd_sweep(args, scenario: Scenario, started: float) -> int:
             "lambda_sq_qfi", "temperature_equivalent_k",
         ]
 
-    # the Richardson oracle runs over the whole axis in one array call; where that
-    # fails, each row runs it alone, so the row loop names the lowest failing row
-    numeric = [None] * len(values)
-    if target is not None:
-        point = {"gamma": scenario.probe.gamma, "lambda": scenario.lam, "time": scenario.t}
-        point[args.axis] = values
-        try:
-            numeric = _qfi_numeric_points(target, scenario.probe, *point.values())
-        except (ConvergenceError, ArithmeticError, ValueError):
-            pass
-    numeric = iter(numeric)  # _grid calls `cells` once per row, in row order
-
-    def at(probe, env):
-        curve = _analytic_curve(target, probe, env, "t")
-        closed = _cfi_coefficients(target, _coefficient_args(probe, env))
-
-        def cells(t):
-            value = next(numeric)
-            mu, _, rate, analytic = curve(t)
+    def run(points):
+        """The target sweep's cells: purity, rate, both QFI routes, CFI, then lambda's extras."""
+        # the Richardson oracle runs over the run's axis values, the axis' first rows, in
+        # one array call; where that fails, or the run is one point, each row runs it alone
+        numeric = [None] * len(points)
+        if len(points) > 1:
+            oracle = {"gamma": scenario.probe.gamma, "lambda": scenario.lam, "time": scenario.t}
+            oracle[args.axis] = values[:len(points)]
+            try:
+                numeric = _qfi_numeric_points(target, scenario.probe, *oracle.values())
+            except (ConvergenceError, ArithmeticError, ValueError):
+                pass
+        rows = []
+        for (probe, env, t), value, (mu, _, rate, analytic, closed) in zip(
+                points, numeric, _analytic_rows(target, points, "t", cfi=True)):
             row = [
                 mu, rate, analytic, qfi_numeric(target, probe, env, t) if value is None else value,
                 _cfi_closed_at(target, closed, t),
             ]
             if target is _LAMBDA:
                 row += [env.lam**2 * analytic, temperature_from_lambda(env.lam, *scenario.gas)]
-            return row
-
-        return cells
+            rows.append(row)
+        return rows
 
     try:
-        group = _analytic(slope="t") if target is None else at
-        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], [group])
+        group = _analytic(slope="t") if target is None else run
+        rows = _grid(scenario.probe, scenario.lam, scenario.t, [(args.axis, values)], group)
     except ConvergenceError as exc:  # _grid names the failing row
         print(f"sweep {exc}", file=sys.stderr)
         return 3
@@ -576,10 +613,10 @@ def cmd_figures(args, scenario: Scenario, started: float) -> int:
         _emit_csv(header, rows, str(outdir / name), f"figures:{args.preset}",
                   scenario.parameters, started, svg=args.format == "svg", quiet=args.quiet)
 
-    for name, columns, axes, lam, t, groups in _FIGURES[args.preset]:
+    for name, columns, axes, lam, t, group in _FIGURES[args.preset]:
         header = [_AXIS_COLUMN[kind] for kind, _ in axes] + columns
         axes = [(kind, values()) for kind, values in axes]
-        write(name, header, _grid(scenario.probe, coupling if lam is None else lam, t, axes, groups))
+        write(name, header, _grid(scenario.probe, coupling if lam is None else lam, t, axes, group))
     return 0
 
 

@@ -136,7 +136,7 @@ def phi_lambda(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
 
 
 def _phi(target: EstimationTarget, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
-    """`phi_gamma` or `phi_lambda`: the bracket at t first, as in `_analytic_curve`, then phi."""
+    """`phi_gamma` or `phi_lambda`: the bracket at t first, as in `_analytic_rows`, then phi."""
     _require_positive_t(t)
     args = _coefficient_args(probe, env)
     b, db = _purity_bracket_coefficients(*args, target.value)
@@ -178,16 +178,12 @@ def _phi_from_bracket(target: EstimationTarget, det: tuple, bracket: float, dbra
     )
 
 
-def _purity_derivative(dbracket: float, bracket: float) -> float:
-    """d(purity)/d(theta) from d(bracket)/d(theta) and the bracket, purity = bracket^(-1/2)."""
-    return -0.5 * dbracket * bracket**-1.5
-
-
 def purity_derivative(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """Analytic d(purity)/d(theta) for theta in {gamma, lam}."""
     target = _as_target(target)
     _require_nonnegative_t(t)
-    return _analytic_curve(None, probe, env, target.value)(t)[1]
+    [(_, dmu, _, _, _)] = _analytic_rows(None, [(probe, env, t)], target.value)
+    return dmu
 
 
 def _second_term(mu: float, dmu: float, pure: bool) -> float:
@@ -218,21 +214,30 @@ def qfi_analytic(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> fl
     """Closed-form quantum Fisher information for the chosen target."""
     target = _as_target(target)
     _require_positive_t(t)
-    return _analytic_curve(target, probe, env)(t)[3]
+    [(_, _, _, value, _)] = _analytic_rows(target, [(probe, env, t)])
+    return value
 
 
-def _analytic_curve(target: EstimationTarget | None, probe: ProbeSpec, env: EnvironmentSpec,
-                    slope: str | None = None):
-    """The function t -> (purity, d(purity)/d(theta), relative slope, QFI) at one (probe, env).
+def _analytic_rows(target: EstimationTarget | None, points, slope: str | None = None,
+                   cfi: bool = False):
+    """Each (probe, env, t)'s (purity, d(purity)/d(theta), relative slope, QFI, CFI coefficients).
 
-    The one evaluator of the closed-form purity, slope, rate and QFI cells.
-    theta is the target, or the slope where the target is None.  `slope`
-    names "gamma", "lambda" or "t", the target's by default, and the
-    relative slope is |dB/d(slope)|/(2B) = |d(purity)/d(slope)|/purity with
-    B = 1/purity^2.  The QFI is the target's; a None target builds and
-    evaluates neither det(dS), phi nor a QFI, so a purity-only row cannot
-    fail on one.  One `model._purity_bracket_coefficients` call builds B's
-    tuple and the target's and the slope's derivative tuples.  Each t
+    The one evaluator of the closed-form purity, slope, rate and QFI cells,
+    over a run of points or one; it yields row by row, so a run holds one
+    row's objects at a time, not a run's.  theta is the target, or the
+    slope where the target is None.  `slope` names "gamma", "lambda" or "t", the
+    target's by default, and the relative slope is |dB/d(slope)|/(2B) =
+    |d(purity)/d(slope)|/purity with B = 1/purity^2.  The QFI is the
+    target's; a None target builds and evaluates neither det(dS), phi nor a
+    QFI, so a purity-only row cannot fail on one.  Where a point's probe or
+    env is another object than the previous point's, one
+    `model._purity_bracket_coefficients` call builds B's tuple and the
+    target's and the slope's derivative tuples, then det(dS), then, with
+    `cfi`, the closed-form CFI's `_cfi_coefficients`, which the row carries
+    for its caller's `_cfi_closed_at` (None without `cfi`).  After a failing
+    evaluation only the run's builders run, and the failure is raised at its
+    end, so a grid row that spans several (probe, env) fails on its builders
+    first, as a row of one does.  Each point
     evaluates B once and each derivative from its powers of t, then the
     QFI's second term and phi, the adjugate trace over 16, so `qfi_analytic`
     and a grid row that fail name the same error.  The first term takes the
@@ -241,35 +246,44 @@ def _analytic_curve(target: EstimationTarget | None, probe: ProbeSpec, env: Envi
     and no power underflows; its factor 8 scales the last divisor, exactly,
     so a subnormal first term is rounded once.
     """
-    args = _coefficient_args(probe, env)
-    # _value_ is the enum's value without its descriptor, which costs ~5 times more per group
+    # _value_ is the enum's value without its descriptor, which costs ~5 times more per call
     if slope is None:
         slope = target._value_
     # the target's derivative, then the slope's where it is another parameter's
     wrt = (slope,) if target is None or target._value_ == slope else (target._value_, slope)
-    b, dq, *other = _purity_bracket_coefficients(*args, *wrt)
-    ds = other[0] if other else None
-    if target is not None:
-        det = _det_derivative(target, args)
-        pure = env.lam == 0.0 and _purity_bracket_fixed(*args[:3])[2] == 0.0  # 2 eps, kept
-
-    def curve(t):
-        if ds is None:
-            bracket, d = _purity_bracket(b, t, dq)
-            s = d
-        else:
-            bracket, d, s = _purity_bracket(b, t, dq, ds)
-        mu = bracket**-0.5
-        dmu = _purity_derivative(d, bracket)
-        value = None
-        if target is not None:
-            second = _second_term(mu, dmu, pure)
-            phi = _phi_from_bracket(target, det, bracket, d, t)
-            # mu^4 / (2 (1 + mu^2)) 16 phi = 8 phi / (B (B + 1)), 8 folded into B + 1 exactly
-            value = phi / bracket / (0.125 * (bracket + 1.0)) + second
-        return mu, dmu, abs(s) / (2.0 * bracket), value
-
-    return curve
+    probe = env = failure = None
+    for p, e, t in points:
+        if p is not probe or e is not env:
+            probe, env = p, e
+            args = _coefficient_args(p, e)
+            b, dq, *other = _purity_bracket_coefficients(*args, *wrt)
+            ds = other[0] if other else None
+            if target is not None:
+                det = _det_derivative(target, args)
+                pure = e.lam == 0.0 and _purity_bracket_fixed(*args[:3])[2] == 0.0  # 2 eps, kept
+            closed = _cfi_coefficients(target, args) if cfi else None
+        if failure is not None:
+            continue
+        try:
+            if ds is None:
+                bracket, d = _purity_bracket(b, t, dq)
+                s = d
+            else:
+                bracket, d, s = _purity_bracket(b, t, dq, ds)
+            mu = bracket**-0.5  # purity = B^(-1/2), so d(purity) = -dB B^(-3/2) / 2
+            dmu = -0.5 * d * bracket**-1.5
+            value = None
+            if target is not None:
+                second = _second_term(mu, dmu, pure)
+                phi = _phi_from_bracket(target, det, bracket, d, t)
+                # mu^4 / (2 (1 + mu^2)) 16 phi = 8 phi / (B (B + 1)), 8 folded into B + 1 exactly
+                value = phi / bracket / (0.125 * (bracket + 1.0)) + second
+        except Exception as exc:  # the later builders run first, as in a row of `cli._per_gamma`
+            failure = exc
+            continue
+        yield mu, dmu, abs(s) / (2.0 * bracket), value, closed
+    if failure is not None:
+        raise failure
 
 
 #: stencil components: model._covariance_dd (sxx [:5], sxp [5:9], spp [9:12])
@@ -786,12 +800,12 @@ def cramer_rao_bound(fisher_info: float, n_repeats: int) -> float:
 def fisher_information(target, probe: ProbeSpec, env: EnvironmentSpec, t: float) -> FisherResult:
     """Evaluate every route at one point.
 
-    The analytic QFI, the purity and its derivative are one `_analytic_curve`
+    The analytic QFI, the purity and its derivative are one `_analytic_rows`
     row, the values `qfi_analytic`, `purity_exact` and `purity_derivative` give.
     """
     target = _as_target(target)
     quad = cfi_quadrature(target, probe, env, t)
-    mu, dmu, _, analytic = _analytic_curve(target, probe, env)(t)
+    [(mu, dmu, _, analytic, _)] = _analytic_rows(target, [(probe, env, t)])
     return FisherResult(
         qfi_analytic=analytic,
         qfi_numeric=qfi_numeric(target, probe, env, t),

@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .constants import HBAR, K_BOLTZMANN
-from .fisher import ConvergenceError, EstimationTarget, _analytic_curve
+from .fisher import ConvergenceError, EstimationTarget, _analytic_rows
 from .model import (
     EnvironmentSpec,
     ProbeSpec,
@@ -155,7 +155,8 @@ def decoherence_time(lam: float, delta_x: float) -> float:
 def relative_purity_rate(probe: ProbeSpec, env: EnvironmentSpec, t: float) -> float:
     """(1/mu)|dmu/dt| = |dB/dt|/(2B) in s^-1, B = 1/mu^2, from the analytic time derivative."""
     _require_positive_t(t)
-    return _analytic_curve(None, probe, env, "t")(t)[2]
+    [(_, _, rate, _, _)] = _analytic_rows(None, [(probe, env, t)], "t")
+    return rate
 
 
 def _horner(p, x: float) -> tuple[float, float]:
@@ -399,8 +400,8 @@ def tgi_approx(gamma: float) -> float:
 def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[TgiRow]:
     """Information-gain rows for each correlation value, in input order.
 
-    A row is one lambda-QFI `_analytic_curve` row at tau_max, with the time
-    slope, the relative purity rate there.
+    A row is one lambda-QFI `fisher._analytic_rows` row at tau_max, with the
+    time slope, the relative purity rate there.
     """
     if not lam > 0:
         raise ValueError("build_table1 requires lam > 0")
@@ -411,7 +412,8 @@ def build_table1(probe: ProbeSpec, lam: float, gammas: Sequence[float]) -> list[
         try:
             p = probe.with_gamma(float(g))
             t_max = tau_max_exact(p, env)
-            mu, _, rate, qfi = _analytic_curve(EstimationTarget.LAMBDA, p, env, "t")(t_max)
+            [(mu, _, rate, qfi, _)] = _analytic_rows(
+                EstimationTarget.LAMBDA, [(p, env, t_max)], "t")
             rows.append(
                 TgiRow(
                     gamma=float(g),

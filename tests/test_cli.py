@@ -15,6 +15,11 @@ import pytest
 
 import pmcorr as pc
 from pmcorr.cli import _FIGURES, _emit_csv, _spaced, fmt, load_config, main, parse_time
+from pmcorr.constants import AIR_MOLECULE_MASS, AIR_NUMBER_DENSITY, FULLERENE_MOLECULE_SIZE
+
+
+#: the default gas: m_air, number density, molecule size
+GAS = (AIR_MOLECULE_MASS, AIR_NUMBER_DENSITY, FULLERENE_MOLECULE_SIZE)
 
 
 def read_csv(path):
@@ -224,6 +229,22 @@ class TestSweep:
         assert out.err == ("sweep row 0 (time_s=1000000000.0) failed: purity bracket "
                            "1/purity^2=inf overflows the float range at t=1e+09 s\n")
 
+    @pytest.mark.parametrize("lam,message", [
+        ("1e15", "sweep row 1 (gamma=2.5e+199) failed: gamma=2.5e+199 overflows the float range: "
+                 "gamma^2 needs gamma below ~1.3e+154\n"),
+        # the row before the first one whose probe fails fails first
+        ("1e200", "sweep row 0 (gamma=0.0) failed: lambda=1e+200 overflows the float range: "
+                  "lambda^2 needs lambda below ~1.3e+154 m^-2 s^-1\n"),
+    ])
+    def test_gamma_axis_value_out_of_range_names_its_row(self, lam, message, capsys):
+        # the axis probe of gamma = 2.5e199 cannot be built: the first row that uses it
+        # names it, as every other row failure is named
+        assert main(["sweep", "--axis", "gamma", "--min", "0", "--max", "1e200", "--points", "5",
+                     "--t", "1us", "--lambda", lam]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == message
+
     def test_short_time_row_names_its_overflow(self, capsys):
         # the row's QFI is a value (phi_gamma's (tau0/t)^2 once failed it); its CFI
         # column squares m/(2 hbar t), which leaves the float range
@@ -420,6 +441,175 @@ class TestAxes:
             "10**log10(max): max needs to stay below ~1.7976931348622e+308\n")
 
 
+def _draw_scenario(rng: random.Random):
+    """A seeded (probe, lam, t) from the benchmark's box: lam 1e10-1e20, t 1e-7-1e-3 s."""
+    gamma = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, math.log10(150.0))
+    probe = pc.fullerene_probe(gamma=gamma, ell0=rng.choice([5e-8, math.inf]))
+    return probe, 10.0 ** rng.uniform(10.0, 20.0), 10.0 ** rng.uniform(-7.0, -3.0)
+
+
+class TestRuns:
+    """`cli._grid` runs each file's group once on all its points."""
+
+    GAMMA, LAMBDA = pc.EstimationTarget.GAMMA, pc.EstimationTarget.LAMBDA
+
+    @staticmethod
+    def points(probe, lam, t, axis, values):
+        """Each row's (probe, env, t), as the one-point functions take them."""
+        if axis == "gamma":
+            return [(probe.with_gamma(v), pc.EnvironmentSpec(lam=lam), t) for v in values]
+        if axis == "lambda":
+            return [(probe, pc.EnvironmentSpec(lam=v), t) for v in values]
+        return [(probe, pc.EnvironmentSpec(lam=lam), v) for v in values]
+
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    @pytest.mark.parametrize("axis", ["gamma", "lambda", "time"])
+    def test_every_cell_is_the_one_point_value(self, seed, axis):
+        # each cell of a run, bit for bit, is what the public function returns at its
+        # point alone; a slope column has no public function, and is the evaluator's
+        # one-point row
+        rng = random.Random(seed)
+        probe, lam, t = _draw_scenario(rng)
+        values = sorted({
+            "gamma": lambda: rng.uniform(-150.0, 150.0),
+            "lambda": lambda: 10.0 ** rng.uniform(10.0, 20.0),
+            "time": lambda: 10.0 ** rng.uniform(-7.0, -3.0),
+        }[axis]() for _ in range(40))
+        slope = {"time": "t"}.get(axis, axis)
+        points = self.points(probe, lam, t, axis, values)
+        for target in (self.GAMMA, self.LAMBDA):
+            group = pc.cli._analytic(target, cfi=True, slope=slope)
+            rows = pc.cli._grid(probe, lam, t, [(axis, values)], group)
+            assert len(rows) == len(points)
+            for row, (p, e, tt), v in zip(rows, points, values):
+                scale = e.lam**2 if target is self.LAMBDA else 1.0
+                [(_, _, rate, _, _)] = pc.fisher._analytic_rows(None, [(p, e, tt)], slope)
+                expected = [
+                    v, scale * pc.qfi_analytic(target, p, e, tt),
+                    scale * pc.cfi_closed(target, p, e, tt), pc.purity_exact(p, e, tt), rate,
+                ]
+                assert [x.hex() for x in row] == [x.hex() for x in expected]
+                if slope == "t":
+                    assert rate.hex() == pc.relative_purity_rate(p, e, tt).hex()
+
+    @pytest.mark.parametrize("seed", [30, 31])
+    def test_per_gamma_layout_is_the_one_point_values(self, seed):
+        # fig4b's layout on a seeded time axis: each fixed gamma's purity, then each
+        # one's rate; and fig4a's lambda^2 QFI per fixed gamma
+        rng = random.Random(seed)
+        probe, lam, _ = _draw_scenario(rng)
+        times = sorted(10.0 ** rng.uniform(-7.0, -3.0) for _ in range(30))
+        gammas = (0.0, rng.uniform(-150.0, 150.0), rng.uniform(-150.0, 150.0))
+        e = pc.EnvironmentSpec(lam=lam)
+        purity_rate = pc.cli._per_gamma(gammas, pc.cli._analytic(slope="t"), (1, 1))
+        qfi = pc.cli._per_gamma(gammas, pc.cli._analytic(self.LAMBDA))
+        for row, t in zip(pc.cli._grid(probe, lam, None, [("time", times)], purity_rate), times,
+                          strict=True):
+            fixed = [probe.with_gamma(g) for g in gammas]
+            expected = [t] + [pc.purity_exact(p, e, t) for p in fixed] + [
+                pc.relative_purity_rate(p, e, t) for p in fixed]
+            assert [x.hex() for x in row] == [x.hex() for x in expected]
+        for row, t in zip(pc.cli._grid(probe, lam, None, [("time", times)], qfi), times, strict=True):
+            expected = [t] + [lam**2 * pc.qfi_analytic("lambda", probe.with_gamma(g), e, t)
+                              for g in gammas]
+            assert [x.hex() for x in row] == [x.hex() for x in expected]
+
+    def test_target_sweep_rows_are_the_one_point_values(self, capsys):
+        # the lambda sweep's cells against each one-point function, on a time axis
+        assert main(["sweep", "--target", "lambda", "--axis", "time", "--min", "1us", "--max",
+                     "1ms", "--points", "9", "--log", "--lambda", "1e15", "--gamma", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        probe, e = pc.fullerene_probe(gamma=3.0), pc.EnvironmentSpec(lam=1e15)
+        for line in lines[1:]:
+            t = float(line.split(",")[0])
+            qfi = pc.qfi_analytic("lambda", probe, e, t)
+            expected = [
+                t, pc.purity_exact(probe, e, t), pc.relative_purity_rate(probe, e, t), qfi,
+                pc.qfi_numeric("lambda", probe, e, t), pc.cfi_closed("lambda", probe, e, t),
+                1e15**2 * qfi, pc.temperature_from_lambda(1e15, *GAS),
+            ]
+            assert line == ",".join(fmt(x) for x in expected)
+
+    def test_builders_run_once_per_distinct_probe_and_env(self, monkeypatch):
+        # the bracket's and the CFI's coefficients are built where a point's probe or env
+        # is another object than the previous point's, and nowhere else
+        built, closed = spy_builds(monkeypatch), []
+        cfi = pc.fisher._cfi_coefficients
+        monkeypatch.setattr(pc.fisher, "_cfi_coefficients", lambda *a: closed.append(a) or cfi(*a))
+        probes = [pc.fullerene_probe(gamma=g) for g in (-3.0, 0.5, 7.0)]
+        envs = [pc.EnvironmentSpec(lam=lam) for lam in (1e12, 1e18)]
+        runs = [(p, e) for p in probes for e in envs]
+        points = [(p, e, t) for p, e in runs for t in (1e-6, 2e-6, 5e-5, 1e-4)]
+        rows = list(pc.fisher._analytic_rows(self.LAMBDA, points, "gamma", cfi=True))
+        assert len(rows) == len(points)
+        assert [(g, lam) for _, g, lam, _ in built] == [(p.gamma, e.lam) for p, e in runs]
+        assert {wrt for _, _, _, wrt in built} == {("lambda", "gamma")}
+        assert [a[1][3:] for a in closed] == [(p.gamma, e.lam) for p, e in runs]
+
+    @pytest.mark.parametrize("builder_fails", [False, True])
+    def test_a_wide_row_fails_on_its_builders_first(self, builder_fails, monkeypatch):
+        # fig4a's layout: row 1's evaluation fails at every gamma and, where asked, the
+        # builder at gamma = 50 fails too; a row's builders at each of its gammas run
+        # before its evaluations, so that builder's error is the row's
+        build = pc.fisher._purity_bracket_coefficients
+
+        def builder(*args):
+            if builder_fails and args[3] == 50.0:
+                raise OverflowError("builder at gamma=50")
+            return build(*args)
+
+        def bracket(c, t, *d):
+            if t > 1e-6:
+                raise OverflowError(f"evaluation at t={t:g}")
+            return pc.model._purity_bracket(c, t, *d)
+
+        monkeypatch.setattr(pc.fisher, "_purity_bracket_coefficients", builder)
+        monkeypatch.setattr(pc.fisher, "_purity_bracket", bracket)
+        group = pc.cli._per_gamma((0.0, 10.0, 50.0), pc.cli._analytic(self.LAMBDA))
+        probe, env = pc.fullerene_probe(), pc.EnvironmentSpec(lam=1e15)
+        # rows of one (probe, env) each, so each row builds all three gammas
+        points = [(probe, env, 1e-6), (probe, env, 2e-6)]
+        error = "builder at gamma=50" if builder_fails else "evaluation at t=2e-06"
+        with pytest.raises(OverflowError, match=error):
+            group(points[1:])
+        if not builder_fails:
+            assert len(group(points[:1])) == 1
+            with pytest.raises(pc.ConvergenceError,
+                               match=r"^row 1 \(time_s=2e-06\) failed: evaluation at t=2e-06$"):
+                pc.cli._grid(probe, 1e15, None, [("time", [1e-6, 2e-6, 3e-6])], group)
+
+    def test_grid_runs_the_group_once(self):
+        calls = []
+
+        def group(points):
+            calls.append(list(points))
+            return [[t] for _, _, t in points]
+
+        probe = pc.fullerene_probe()
+        rows = pc.cli._grid(probe, 1e15, None, [("gamma", [0.0, 1.0]), ("time", [1e-6, 2e-6])],
+                            group)
+        assert rows == [[0.0, 1e-6, 1e-6], [0.0, 2e-6, 2e-6], [1.0, 1e-6, 1e-6],
+                        [1.0, 2e-6, 2e-6]]
+        assert len(calls) == 1 and [t for _, _, t in calls[0]] == [1e-6, 2e-6, 1e-6, 2e-6]
+        # probes and environments are built once per axis value and shared by its points
+        assert calls[0][0][0] is calls[0][1][0] and calls[0][0][1] is calls[0][2][1]
+
+    def test_an_unbuilt_axis_value_is_named_by_its_first_row(self):
+        # gamma = 1e200 has no probe: the rows before it are evaluated, in one run, and
+        # the first row that uses it, the fifth, is named; no later value is built
+        calls, probe = [], pc.fullerene_probe()
+
+        def group(points):
+            calls.append(len(points))
+            return [[1.0] for _ in points]
+
+        with pytest.raises(pc.ConvergenceError, match=(
+                r"^row 4 \(gamma=1e\+200, time_s=1e-06\) failed: gamma=1e\+200 overflows")):
+            pc.cli._grid(probe, 1e15, None, [("gamma", [0.0, 1.0, 1e200, float("nan")]),
+                                             ("time", [1e-6, 2e-6])], group)
+        assert calls == [4]
+
+
 class TestTable1:
     def test_default_rows_within_tolerances(self, tmp_path):
         out = tmp_path / "table1.csv"
@@ -546,6 +736,13 @@ class TestFigures:
             "numerical failure: row 4 (gamma=35.0) failed: no interior maximum of the purity "
             "rate at gamma=35, lam=1e+25\n")
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fig5_curve.csv"]
+
+    def test_fig5_points_take_tau_max_at_gamma_0_once(self, tmp_path, monkeypatch):
+        # seven gamma values and one gamma = 0 reference: 8 searches, not 7 pairs
+        calls, search = [], pc.cli.tau_max_exact
+        monkeypatch.setattr(pc.cli, "tau_max_exact", lambda p, e: calls.append(p.gamma) or search(p, e))
+        assert main(["figures", "--preset", "fig5", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert calls == [0.0] + [r.gamma for r in pc.TABLE1_REFERENCE]
 
     def test_fig2_panel_a_purity_constant(self, tmp_path):
         assert main(["figures", "--preset", "fig2", "--outdir", str(tmp_path), "--quiet"]) == 0

@@ -140,15 +140,15 @@ def test_relative_slope_of_the_grid_group_against_the_reference(slope):
     # |dB/d(slope)|/(2B), the slope column of the figures' and sweeps' analytic
     # group, within 4 epsilons of the reference times kappa, how far the terms of
     # the derivative and of B cancel at the point (summed), on 500 envelope draws;
-    # the worst measured on 3,000 draws per slope was 1.6 epsilons times kappa
-    group = cli._analytic(slope=slope)
+    # the worst measured on 3,000 draws per slope was 1.6 epsilons times kappa; the
+    # draws are one run of the group
+    points = list(_envelope(29, 500))
     worst = 0.0
-    for probe, e, t in _envelope(29, 500):
+    for (probe, e, t), (_, value) in zip(points, cli._analytic(slope=slope)(points), strict=True):
         b, d = model._purity_bracket_coefficients(*model._coefficient_args(probe, e), slope)
         kappa = _ref.cancellation(d, t) + _ref.cancellation(b, t)
         exact = _ref.point(slope, probe.mass, probe.sigma0, probe.ell0, probe.gamma, e.lam, t)
         rate = abs(exact.dbracket) / (2 * exact.bracket)
-        _, value = group(probe, e)(t)
         worst = max(worst, float(abs(value - rate) / rate / kappa))
     assert worst <= 4 * np.finfo(float).eps
 

@@ -21,7 +21,7 @@ theta in {gamma, lambda}, and `cfi_closed` is the Gaussian readout identity
 (d sxx/dtheta)^2 / (2 sxx^2).  Both are evaluated through their coefficient
 tuples, as the grid evaluates them: 16 phi_theta as
 `fisher._phi_from_bracket` of the bracket, its derivative and
-`fisher._det_derivative`, the pieces that `fisher._analytic_curve` builds
+`fisher._det_derivative`, the pieces that `fisher._analytic_rows` builds
 for the target, and the CFI as `_cfi_closed_at` of `_cfi_coefficients`.
 
 The closed forms take the coherence length ell0, as `model._coefficient_args`
